@@ -68,7 +68,7 @@ def save_bench_json(name: str, metrics: dict) -> None:
 
     The machine-readable twin of :func:`save_result`: ``tools/check_bench.py``
     compares these files against the committed tolerance bands in
-    ``benchmarks/baselines.json``, so throughput / quality numbers cannot
+    ``benchmarks/baselines.json``, so parity / quality numbers cannot
     silently regress in CI.  Only scalar metrics belong here.
 
     Metrics *merge* into an existing results file for the same benchmark

@@ -28,7 +28,7 @@ def _train_variants(dataset, model_config, train_config, variants):
     return rows, reports
 
 
-def test_ablation_gate_scaling_and_st_filter(benchmark, eleme_bench, model_config, train_config):
+def test_ablation_gate_scaling_and_st_filter(eleme_bench, model_config, train_config):
     variants = {
         "BASM (2*sigmoid gate, ST-filtered behavior)": {},
         "sigmoid gate (scale=1)": {"gate_scale": 1.0},
@@ -36,10 +36,7 @@ def test_ablation_gate_scaling_and_st_filter(benchmark, eleme_bench, model_confi
         "Fusion FC only": {"use_fusion_bn": False},
         "Fusion BN only": {"use_fusion_fc": False},
     }
-    rows, reports = benchmark.pedantic(
-        _train_variants, args=(eleme_bench, model_config, train_config, variants),
-        rounds=1, iterations=1,
-    )
+    rows, reports = _train_variants(eleme_bench, model_config, train_config, variants)
     save_result("ablation_design_choices", format_rows(rows, "Design-choice ablations (Ele.me synthetic)"))
     # All variants train to something meaningful; the full design is competitive.
     full = reports["BASM (2*sigmoid gate, ST-filtered behavior)"]

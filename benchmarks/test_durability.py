@@ -1,43 +1,30 @@
-"""Durability overhead and recovery-time benchmark.
+"""Recovery at bench scale: genesis snapshot plus a 50k-event journal replay.
 
-Two costs gate turning the journal on in production, and this benchmark
-bands both:
+Cold boot from a genesis snapshot and a 50k-event journal is the worst
+honest case (no intermediate snapshot to cut the replay short).  Every
+journaled event must replay, and the recovered state must fingerprint-match
+the live one — the same byte-equality oracle the fault-injection tier uses.
 
-* **feedback overhead** — ``record_clicks`` throughput with the journal
-  attached (fsync ``interval``, the deployment default) versus the bare
-  in-memory path, replay logging attached in both arms since that is the
-  configuration the serving cluster runs.  The band asserts the journal
-  keeps >= 90% of the bare throughput.
-* **recovery time** — cold boot from a genesis snapshot plus a 50k-event
-  journal replay, the worst honest case (no intermediate snapshot to cut
-  the replay short).  The recovered state must fingerprint-match the live
-  one — the same byte-equality oracle the fault-injection tier uses.
+What the journal costs per feedback event and how long a boot takes are
+wall-clock questions: ``python3 bench/run.py`` answers the first on the
+``hot_feedback`` workload (``journal.append_us``); recovery time itself is
+not yet measured anywhere (see "Measuring performance" in the README).
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.data.world import SyntheticWorld, WorldConfig
-from repro.serving import (
-    DurableStateStore,
-    OnlineRequestEncoder,
-    ReplayBuffer,
-    ServingState,
-    state_fingerprint,
-)
+from repro.serving import DurableStateStore, ServingState, state_fingerprint
 
 from .conftest import format_rows, save_bench_json, save_result
 
-FEEDBACK_EVENTS = 500
-REPS = 3
 RECOVERY_EVENTS = 50_000
 RECOVERY_WORLD = WorldConfig(num_users=400, num_items=200, num_cities=4, seed=31)
 
 
-def drive(state, world, seed, count, num_candidates=4):
+def drive(state, world, seed, count, num_candidates):
     rng = np.random.default_rng(seed)
     for step in range(count):
         context = world.sample_request_context(int(step % 3), rng)
@@ -46,36 +33,7 @@ def drive(state, world, seed, count, num_candidates=4):
         state.record_clicks(context, items, clicks, rng=rng)
 
 
-def test_durability_overhead_and_recovery(eleme_bench, tmp_path):
-    world = eleme_bench.world
-    encoder = OnlineRequestEncoder(world, eleme_bench.schema)
-
-    # -- feedback throughput: journal on vs off, interleaved best-of ----- #
-    def bare_arm(seed):
-        state = ServingState(world)
-        state.attach_replay(ReplayBuffer(encoder, max_impressions=256))
-        start = time.perf_counter()
-        drive(state, world, seed, FEEDBACK_EVENTS)
-        return FEEDBACK_EVENTS / (time.perf_counter() - start)
-
-    def journaled_arm(seed, rep):
-        store = DurableStateStore(tmp_path / f"overhead-{rep}", fsync="interval")
-        state = ServingState(world)
-        state.attach_replay(ReplayBuffer(encoder, max_impressions=256))
-        store.attach(state)
-        start = time.perf_counter()
-        drive(state, world, seed, FEEDBACK_EVENTS)
-        rps = FEEDBACK_EVENTS / (time.perf_counter() - start)
-        store.close()
-        return rps
-
-    bare_rps, journaled_rps = 0.0, 0.0
-    for rep in range(REPS):  # interleave the arms so drift hits both equally
-        bare_rps = max(bare_rps, bare_arm(seed=rep))
-        journaled_rps = max(journaled_rps, journaled_arm(seed=rep, rep=rep))
-    ratio = journaled_rps / bare_rps
-
-    # -- recovery: genesis snapshot + 50k-event journal replay ----------- #
+def test_recovery_replays_50k_events_identically(tmp_path):
     recovery_world = SyntheticWorld(RECOVERY_WORLD)
     store = DurableStateStore(tmp_path / "recovery", fsync="interval")
     live = store.attach(ServingState(recovery_world))
@@ -83,32 +41,17 @@ def test_durability_overhead_and_recovery(eleme_bench, tmp_path):
     live_fingerprint = state_fingerprint(live)
     store.close()
 
-    start = time.perf_counter()
     recovered, report = DurableStateStore(tmp_path / "recovery").recover(
         recovery_world, attach=False, warm=False
     )
-    recovery_seconds = time.perf_counter() - start
     identical = float(state_fingerprint(recovered) == live_fingerprint)
 
     rows = [
-        {"metric": "feedback_rps_bare", "value": f"{bare_rps:.0f}"},
-        {"metric": "feedback_rps_journaled", "value": f"{journaled_rps:.0f}"},
-        {"metric": "feedback_rps_ratio", "value": f"{ratio:.3f}"},
         {"metric": "journal_records_replayed", "value": report.journal_records_replayed},
-        {"metric": "recovery_seconds_50k", "value": f"{recovery_seconds:.2f}"},
         {"metric": "recovered_identical", "value": identical},
     ]
-    save_result("durability", format_rows(rows, "Durability: overhead and recovery"))
-    save_bench_json(
-        "durability",
-        {
-            "feedback_rps_journaled": journaled_rps,
-            "feedback_rps_ratio": ratio,
-            "recovery_seconds_50k": recovery_seconds,
-            "recovered_identical": identical,
-        },
-    )
+    save_result("durability", format_rows(rows, "Durability: 50k-event recovery"))
+    save_bench_json("durability", {"recovered_identical": identical})
 
     assert report.journal_records_replayed == RECOVERY_EVENTS
     assert identical == 1.0
-    assert ratio > 0.5  # hard floor even before the banded 0.9 check in CI

@@ -22,10 +22,8 @@ def _build(basm, base, dataset):
     return reports
 
 
-def test_fig10_11_representation_separation(benchmark, trained_basm, trained_base_din, eleme_bench):
-    reports = benchmark.pedantic(
-        _build, args=(trained_basm, trained_base_din, eleme_bench), rounds=1, iterations=1
-    )
+def test_fig10_11_representation_separation(trained_basm, trained_base_din, eleme_bench):
+    reports = _build(trained_basm, trained_base_din, eleme_bench)
     rows = [report.as_row() for report in reports]
     save_result(
         "fig10_11_embedding_separation",

@@ -27,15 +27,10 @@ def _run(world, base, basm, encoder, state):
     return simulator.run(start_day=200)
 
 
-def test_fig12_online_spatiotemporal_breakdown(benchmark, eleme_bench, trained_base_din,
+def test_fig12_online_spatiotemporal_breakdown(eleme_bench, trained_base_din,
                                                trained_basm, serving_environment):
     state, encoder = serving_environment
-    result = benchmark.pedantic(
-        _run,
-        args=(eleme_bench.world, trained_base_din, trained_basm, encoder, state),
-        rounds=1,
-        iterations=1,
-    )
+    result = _run(eleme_bench.world, trained_base_din, trained_basm, encoder, state)
     period_rows = result.figure12_time_period_rows()
     city_rows = result.figure12_city_rows()
     text = (

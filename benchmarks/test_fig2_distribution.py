@@ -31,8 +31,8 @@ def _build_report(dataset):
     return report, text
 
 
-def test_fig2_exposure_and_ctr_distribution(benchmark, eleme_bench):
-    report, text = benchmark.pedantic(_build_report, args=(eleme_bench,), rounds=1, iterations=1)
+def test_fig2_exposure_and_ctr_distribution(eleme_bench):
+    report, text = _build_report(eleme_bench)
     save_result("fig2_distribution", text)
     # The paper's premise: CTR varies materially across hours and cities.
     assert report.ctr_spread_over_hours() > 0.01

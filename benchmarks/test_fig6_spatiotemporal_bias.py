@@ -18,8 +18,8 @@ def _build(dataset):
     return spatiotemporal_bias_matrix(dataset.log, dataset.config.num_cities)
 
 
-def test_fig6_spatiotemporal_bias_surface(benchmark, eleme_bench):
-    matrix = benchmark.pedantic(_build, args=(eleme_bench,), rounds=1, iterations=1)
+def test_fig6_spatiotemporal_bias_surface(eleme_bench):
+    matrix = _build(eleme_bench)
     rows = []
     for city in range(matrix.shape[0]):
         row = {"City": city + 1}

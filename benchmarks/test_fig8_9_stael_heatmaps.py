@@ -25,10 +25,8 @@ def _build(model, dataset):
     return period_heatmap, city_heatmap
 
 
-def test_fig8_9_stael_weight_heatmaps(benchmark, trained_basm, eleme_bench):
-    period_heatmap, city_heatmap = benchmark.pedantic(
-        _build, args=(trained_basm, eleme_bench), rounds=1, iterations=1
-    )
+def test_fig8_9_stael_weight_heatmaps(trained_basm, eleme_bench):
+    period_heatmap, city_heatmap = _build(trained_basm, eleme_bench)
     period_stats = activity_statistics_by_period(eleme_bench.log)
     city_stats = activity_statistics_by_city(eleme_bench.log)
     text = (

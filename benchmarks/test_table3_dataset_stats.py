@@ -15,8 +15,8 @@ def _build_rows(eleme, public):
     return [eleme.statistics().as_row(), public.statistics().as_row()]
 
 
-def test_table3_dataset_statistics(benchmark, eleme_bench, public_bench):
-    rows = benchmark.pedantic(_build_rows, args=(eleme_bench, public_bench), rounds=1, iterations=1)
+def test_table3_dataset_statistics(eleme_bench, public_bench):
+    rows = _build_rows(eleme_bench, public_bench)
     save_result("table3_dataset_stats", format_rows(rows, "Table III — dataset statistics"))
     eleme_row, public_row = rows
     assert eleme_row["#Feature"] > public_row["#Feature"]

@@ -31,10 +31,8 @@ def _best(results, metric):
     return max(values, key=values.get), values
 
 
-def test_table4_eleme(benchmark, eleme_bench, model_config, train_config):
-    results = benchmark.pedantic(
-        _run, args=(eleme_bench, model_config, train_config), rounds=1, iterations=1
-    )
+def test_table4_eleme(eleme_bench, model_config, train_config):
+    results = _run(eleme_bench, model_config, train_config)
     save_result("table4_eleme", format_table(results, "Table IV — Ele.me (synthetic)"))
     best_auc, aucs = _best(results, "auc")
     best_tauc, taucs = _best(results, "tauc")
@@ -45,10 +43,8 @@ def test_table4_eleme(benchmark, eleme_bench, model_config, train_config):
     assert min(aucs.values()) > 0.5
 
 
-def test_table4_public(benchmark, public_bench, model_config, train_config):
-    results = benchmark.pedantic(
-        _run, args=(public_bench, model_config, train_config), rounds=1, iterations=1
-    )
+def test_table4_public(public_bench, model_config, train_config):
+    results = _run(public_bench, model_config, train_config)
     save_result("table4_public", format_table(results, "Table IV — Spatiotemporal Public Data (synthetic)"))
     aucs = {result.model_name: result.report.auc for result in results}
     caucs = {result.model_name: result.report.cauc for result in results}

@@ -22,10 +22,8 @@ def _run(dataset, model_config, train_config):
     )
 
 
-def test_table5_basm_ablation(benchmark, eleme_bench, model_config, train_config):
-    results = benchmark.pedantic(
-        _run, args=(eleme_bench, model_config, train_config), rounds=1, iterations=1
-    )
+def test_table5_basm_ablation(eleme_bench, model_config, train_config):
+    results = _run(eleme_bench, model_config, train_config)
     save_result("table5_ablation", format_table(results, "Table V — BASM module ablation (Ele.me synthetic)"))
     by_name = {result.model_name: result.report for result in results}
     full = by_name["BASM"]

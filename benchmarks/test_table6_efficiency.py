@@ -26,8 +26,8 @@ def _profile_all(dataset, model_config):
     return reports
 
 
-def test_table6_training_efficiency(benchmark, eleme_bench, model_config):
-    reports = benchmark.pedantic(_profile_all, args=(eleme_bench, model_config), rounds=1, iterations=1)
+def test_table6_training_efficiency(eleme_bench, model_config):
+    reports = _profile_all(eleme_bench, model_config)
     rows = [reports[name].as_row() for name in PAPER_MODELS]
     save_result("table6_efficiency", format_rows(rows, "Table VI — training time and memory accounting"))
 

@@ -26,15 +26,10 @@ def _run(world, base, basm, encoder, state):
     return simulator.run(start_day=100)
 
 
-def test_table7_online_ab_experiment(benchmark, eleme_bench, trained_base_din, trained_basm,
+def test_table7_online_ab_experiment(eleme_bench, trained_base_din, trained_basm,
                                      serving_environment):
     state, encoder = serving_environment
-    result = benchmark.pedantic(
-        _run,
-        args=(eleme_bench.world, trained_base_din, trained_basm, encoder, state),
-        rounds=1,
-        iterations=1,
-    )
+    result = _run(eleme_bench.world, trained_base_din, trained_basm, encoder, state)
     rows = result.table7_rows()
     save_result("table7_online_ab", format_rows(rows, "Table VII — online A/B CTR (7 simulated days)"))
 

@@ -3,9 +3,9 @@
 Builds a 4-worker serving cluster over the synthetic world and walks the
 full story end to end:
 
-1. an open-loop burst fired from concurrent client threads, coalesced into
-   worker micro-batches, with the per-shard request distribution and the
-   cluster-wide merged stage telemetry;
+1. an open-loop burst (every request submitted before any response is
+   awaited), coalesced into worker micro-batches, with the per-shard
+   request distribution and the cluster-wide merged stage telemetry;
 2. byte-parity of the cluster's responses against a single pipeline;
 3. the response cache answering a repeat of the identical burst;
 4. a rolling deploy of a refreshed model, shard by shard with health
@@ -37,8 +37,8 @@ from repro.serving import (
     ServingState,
     build_cluster,
     build_pipeline,
+    sample_burst_contexts,
 )
-from repro.serving.cluster import run_cluster_burst, sample_burst_contexts
 
 
 def main() -> None:
@@ -76,9 +76,8 @@ def main() -> None:
     # ---------------------------------------------------------------- #
     # 1. open-loop burst
     # ---------------------------------------------------------------- #
-    responses, seconds = run_cluster_burst(frontend, contexts, client_threads=8)
-    print(f"\nServed {len(responses)} requests in {seconds:.3f}s "
-          f"({len(responses) / seconds:.0f} req/s)")
+    responses = frontend.serve_many(contexts)
+    print(f"\nServed {len(responses)} requests")
     print(f"{'Shard':12s} {'Requests':>9s} {'Batches':>8s} {'Mean batch':>11s}")
     print("-" * 44)
     for row in frontend.worker_stats():
@@ -110,10 +109,9 @@ def main() -> None:
     # ---------------------------------------------------------------- #
     # 3. the response cache on a repeat burst
     # ---------------------------------------------------------------- #
-    _, repeat_seconds = run_cluster_burst(frontend, contexts, client_threads=8)
+    frontend.serve_many(contexts)
     cache = frontend.cache.stats()
-    print(f"\nIdentical burst again: {len(contexts) / repeat_seconds:.0f} req/s — "
-          f"cache hit rate {cache['hit_rate']:.1%} "
+    print(f"\nIdentical burst again: cache hit rate {cache['hit_rate']:.1%} "
           f"({cache['hits']} hits / {cache['misses']} misses)")
 
     # ---------------------------------------------------------------- #

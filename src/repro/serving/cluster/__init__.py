@@ -7,14 +7,6 @@ byte-identical to the single-pipeline baseline."""
 from .cache import ResponseCache, context_hash
 from .deploy import DeployReport, RollingDeploy, RollingDeployError, ShardDeployResult
 from .frontend import ClusterConfig, ClusterFrontend, build_cluster
-from .loadgen import (
-    BaselineRun,
-    ClusterLoadReport,
-    run_cluster_burst,
-    run_cluster_load_test,
-    run_single_worker_baseline,
-    sample_burst_contexts,
-)
 from .procworker import ProcessWorkerHandle
 from .sharding import ConsistentHashRing
 from .shm import MappedSegment, SegmentPublisher
@@ -22,10 +14,8 @@ from .supervisor import ProcessWorkerPool, Supervisor
 from .worker import ClusterOverloadError, ClusterWorker
 
 __all__ = [
-    "BaselineRun",
     "ClusterConfig",
     "ClusterFrontend",
-    "ClusterLoadReport",
     "ClusterOverloadError",
     "ClusterWorker",
     "ConsistentHashRing",
@@ -41,8 +31,4 @@ __all__ = [
     "ShardDeployResult",
     "build_cluster",
     "context_hash",
-    "run_cluster_burst",
-    "run_cluster_load_test",
-    "run_single_worker_baseline",
-    "sample_burst_contexts",
 ]

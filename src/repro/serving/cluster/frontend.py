@@ -91,7 +91,6 @@ class ClusterFrontend:
         state: ServingState,
         cache: Optional[ResponseCache] = None,
         virtual_nodes: int = 64,
-        autostart: bool = True,
         durable: Optional[DurableStateStore] = None,
         pool=None,
     ) -> None:
@@ -115,8 +114,7 @@ class ClusterFrontend:
         self.ring = ConsistentHashRing(list(self.workers), virtual_nodes=virtual_nodes)
         self.cache_bypasses = 0
         self.warmed_requests = 0
-        if autostart:
-            self.start()
+        self.start()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -295,9 +293,7 @@ def build_cluster(
     classifier: Optional[Callable[[RequestContext], str]] = None,
     default_scenario: Optional[str] = None,
     unknown_tag: str = "raise",
-    autostart: bool = True,
     durable: Optional[DurableStateStore] = None,
-    warm_on_boot: bool = True,
     process_workers: bool = False,
     quantization: str = "float32",
 ) -> ClusterFrontend:
@@ -319,9 +315,9 @@ def build_cluster(
     ``state`` is attached (genesis snapshot included when the store is
     empty — recovered states are already attached and skip this), the
     frontend exposes ``snapshot()``, and ``RollingDeploy`` snapshots before
-    promoting.  ``warm_on_boot`` (with ``autostart``) serves the state's
-    ``recent_contexts`` once so a recovered cluster boots with warm
-    response/feature caches.
+    promoting.  A durable cluster serves the state's ``recent_contexts``
+    once on boot, so a recovered cluster starts with warm response/feature
+    caches.
 
     With ``process_workers`` each replica is a real ``multiprocessing``
     process behind a :class:`~repro.serving.cluster.procworker.
@@ -335,6 +331,7 @@ def build_cluster(
     config = config or ClusterConfig()
     if scenario_configs is not None and not scenario_configs:
         raise ValueError("scenario_configs must name at least one scenario")
+    pool = None
     if process_workers:
         if scenario_configs is not None:
             raise ValueError(
@@ -357,64 +354,52 @@ def build_cluster(
         except Exception:
             pool.close()
             raise
-        cache = None
-        if config.cache_enabled:
-            cache = ResponseCache(
-                ttl_seconds=config.cache_ttl_seconds,
-                max_entries=config.cache_max_entries,
-            )
-        frontend = ClusterFrontend(
-            pool.workers, state, cache=cache,
-            virtual_nodes=config.virtual_nodes, autostart=autostart,
-            durable=pool.durable, pool=pool,
-        )
-        if warm_on_boot and autostart and state.recent_contexts:
-            frontend.warm(list(state.recent_contexts))
-        return frontend
-    workers: List[ClusterWorker] = []
-    for index in range(config.num_workers):
-        metrics = StageMetrics()
-        replica = copy.deepcopy(model)
-        engine: Union[ServingPipeline, ScenarioRouter]
-        if scenario_configs is not None:
-            pipelines = {
-                name: build_pipeline(
-                    world, replica, encoder, state,
-                    replace(scenario_config, scenario=name), metrics=metrics,
+        workers, durable = pool.workers, pool.durable
+    else:
+        workers = []
+        for index in range(config.num_workers):
+            metrics = StageMetrics()
+            replica = copy.deepcopy(model)
+            engine: Union[ServingPipeline, ScenarioRouter]
+            if scenario_configs is not None:
+                pipelines = {
+                    name: build_pipeline(
+                        world, replica, encoder, state,
+                        replace(scenario_config, scenario=name), metrics=metrics,
+                    )
+                    for name, scenario_config in scenario_configs.items()
+                }
+                engine = ScenarioRouter(
+                    pipelines, default=default_scenario, classifier=classifier,
+                    unknown_tag=unknown_tag,
                 )
-                for name, scenario_config in scenario_configs.items()
-            }
-            engine = ScenarioRouter(
-                pipelines, default=default_scenario, classifier=classifier,
-                unknown_tag=unknown_tag,
+            else:
+                engine = build_pipeline(
+                    world, replica, encoder, state,
+                    pipeline_config or PipelineConfig(), metrics=metrics,
+                )
+            workers.append(
+                ClusterWorker(
+                    f"worker-{index}",
+                    engine,
+                    max_batch=config.max_batch,
+                    max_wait_ms=config.max_wait_ms,
+                    queue_depth=config.queue_depth,
+                    metrics=metrics,
+                )
             )
-        else:
-            engine = build_pipeline(
-                world, replica, encoder, state,
-                pipeline_config or PipelineConfig(), metrics=metrics,
-            )
-        workers.append(
-            ClusterWorker(
-                f"worker-{index}",
-                engine,
-                max_batch=config.max_batch,
-                max_wait_ms=config.max_wait_ms,
-                queue_depth=config.queue_depth,
-                metrics=metrics,
-            )
-        )
+        if durable is not None and state.journal is None:
+            durable.attach(state)
     cache = None
     if config.cache_enabled:
         cache = ResponseCache(
             ttl_seconds=config.cache_ttl_seconds,
             max_entries=config.cache_max_entries,
         )
-    if durable is not None and state.journal is None:
-        durable.attach(state)
     frontend = ClusterFrontend(
         workers, state, cache=cache,
-        virtual_nodes=config.virtual_nodes, autostart=autostart, durable=durable,
+        virtual_nodes=config.virtual_nodes, durable=durable, pool=pool,
     )
-    if durable is not None and warm_on_boot and autostart and state.recent_contexts:
+    if durable is not None and state.recent_contexts:
         frontend.warm(list(state.recent_contexts))
     return frontend

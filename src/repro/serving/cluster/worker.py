@@ -120,6 +120,9 @@ class ClusterWorker:
         self._stop.set()
         if self._thread.is_alive():
             self._thread.join(timeout)
+        self._fail_pending()
+
+    def _fail_pending(self) -> None:
         while True:
             try:
                 pending = self.queue.get_nowait()
@@ -145,7 +148,7 @@ class ClusterWorker:
         raises :class:`ClusterOverloadError` — admission control instead of
         unbounded queueing.  ``on_done(response)`` runs on the dispatcher
         thread right before the future resolves (the frontend's cache-fill
-        hook).
+        hook).  A stopped worker raises ``RuntimeError``.
         """
         future: Future = Future()
         pending = _Pending(request, future, on_done)
@@ -157,6 +160,11 @@ class ClusterWorker:
                 f"worker {self.worker_id!r} queue is full "
                 f"({self.queue.maxsize} pending requests)"
             ) from None
+        if self._stop.is_set():
+            # No dispatcher will ever take this request, and stop()'s own
+            # drain may already have run: fail what is parked, then refuse.
+            self._fail_pending()
+            raise RuntimeError(f"worker {self.worker_id!r} is stopped")
         return future
 
     @property

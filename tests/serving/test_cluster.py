@@ -30,8 +30,8 @@ from repro.serving import (
     ServingState,
     build_cluster,
     build_pipeline,
+    sample_burst_contexts,
 )
-from repro.serving.cluster import run_cluster_burst, sample_burst_contexts
 
 
 def fresh_state(eleme_dataset):
@@ -48,6 +48,23 @@ def cluster_setup(eleme_dataset, small_model_config):
 
 
 PIPELINE_CONFIG = PipelineConfig(recall_size=12, exposure_size=5)
+
+
+def burst_from_threads(frontend, contexts, client_threads):
+    """Submit round-robin shares from N client threads; responses in order."""
+    futures = [None] * len(contexts)
+
+    def submit_share(offset):
+        for index in range(offset, len(contexts), client_threads):
+            futures[index] = frontend.submit(contexts[index])
+
+    threads = [threading.Thread(target=submit_share, args=(offset,), daemon=True)
+               for offset in range(client_threads)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+    return [future.result(timeout=60.0) for future in futures]
 
 
 # ---------------------------------------------------------------------- #
@@ -210,6 +227,44 @@ class TestCoalescingWorker:
         with pytest.raises(RuntimeError):
             future.result(timeout=5.0)
 
+    def test_submit_after_stop_raises(self, eleme_dataset, cluster_setup):
+        worker = self.build_worker(eleme_dataset, cluster_setup).start()
+        worker.stop()
+        context = sample_burst_contexts(eleme_dataset.world, 1, day=2, seed=24)[0]
+        with pytest.raises(RuntimeError):
+            worker.submit(context)
+        assert worker.depth == 0  # nothing left parked without a dispatcher
+
+    def test_submits_racing_stop_never_hang(self, eleme_dataset, cluster_setup):
+        """Every submit racing stop() raises or gets a future that resolves."""
+        worker = self.build_worker(eleme_dataset, cluster_setup, max_batch=4).start()
+        context = sample_burst_contexts(eleme_dataset.world, 1, day=2, seed=25)[0]
+        futures = []
+
+        def submit_until_refused():
+            try:
+                while True:
+                    futures.append(worker.submit(context))
+            except RuntimeError:
+                pass
+
+        threads = [threading.Thread(target=submit_until_refused, daemon=True)
+                   for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            worker.stop()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)  # all refused
+        assert worker.depth == 0
+        for future in futures:  # served, or failed by a drain — never pending
+            assert isinstance(future.exception(timeout=30.0), (RuntimeError, type(None)))
+
     def test_validation(self, eleme_dataset, cluster_setup):
         with pytest.raises(ValueError):
             self.build_worker(eleme_dataset, cluster_setup, max_batch=0)
@@ -236,7 +291,7 @@ class TestClusterParity:
             ClusterConfig(num_workers=4, cache_enabled=False, max_batch=16),
             pipeline_config=PIPELINE_CONFIG,
         ) as frontend:
-            responses, _ = run_cluster_burst(frontend, contexts, client_threads=6)
+            responses = burst_from_threads(frontend, contexts, client_threads=6)
             shards = {
                 frontend.worker_for(context).worker_id for context in contexts
             }

@@ -266,26 +266,6 @@ class TestStageMetrics:
         assert stats.calls == 10  # totals stay exact ...
         assert len(stats.latencies) == 4  # ... while the window stays bounded
 
-    def test_merged_metrics_surface_in_load_report(self):
-        """LoadTestReport.stage_percentiles works over a merged accumulator."""
-        from repro.serving import LoadTestReport
-
-        workers = []
-        for worker_seconds in (0.010, 0.050):
-            metrics = StageMetrics()
-            metrics.record("rank", worker_seconds, requests=2, items_in=20, items_out=4)
-            workers.append(metrics)
-        report = LoadTestReport(
-            num_requests=4, total_rows=40, sequential_seconds=1.0,
-            batched_seconds=0.5, max_abs_score_diff=0.0, micro_batches_run=2,
-            cache_hit_rate=0.0, stage_metrics=StageMetrics.merged(workers),
-        )
-        percentiles = report.stage_percentiles()
-        assert set(percentiles) == {"rank"}
-        # The merged window spans both workers' samples: p50 between them.
-        assert 10.0 <= percentiles["rank"]["p50"] <= 50.0
-        assert report.stage_rows()[0]["Requests"] == 4
-
     def test_latency_window_is_bounded_but_totals_exact(self):
         metrics = StageMetrics(max_samples=8)
         for index in range(50):

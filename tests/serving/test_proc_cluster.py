@@ -48,8 +48,9 @@ from repro.serving import (
     ServingState,
     build_cluster,
     build_pipeline,
+    sample_burst_contexts,
 )
-from repro.serving.cluster import codec, sample_burst_contexts
+from repro.serving.cluster import codec
 from repro.serving.durable.journal import scan_journal
 from repro.serving.durable.snapshot import state_fingerprint
 from repro.serving.pipeline import ServeRequest, ServeResponse

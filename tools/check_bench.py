@@ -4,14 +4,15 @@
 Benchmarks persist their headline numbers as machine-readable JSON
 (``save_bench_json`` in ``benchmarks/conftest.py``).  This tool compares
 them against the committed tolerance bands in ``benchmarks/baselines.json``,
-so serving-throughput, lifecycle-drift and recall-quality numbers cannot
-silently regress: CI runs it right after the benchmark suite.
+so parity, count and quality numbers cannot silently regress: CI runs it
+right after the tier-1 suite.  The bands are deterministic — nothing here
+depends on a clock; speed is measured by ``bench/run.py`` alone.
 
 ``baselines.json`` maps ``benchmark name -> metric name -> band``, where a
 band is any combination of:
 
-* ``min`` / ``max`` — hard floors/ceilings (the usual choice for timing
-  ratios, which vary machine to machine);
+* ``min`` / ``max`` — hard floors/ceilings (parity diffs, mismatch counts,
+  quality gains);
 * ``baseline`` with ``rel_tol`` and/or ``abs_tol`` — a two-sided band
   around an expected value: ``|value - baseline| <= abs_tol +
   rel_tol * |baseline|`` (the choice for statistical quality metrics).
@@ -20,11 +21,7 @@ Metrics present in a results file but absent from the baselines are
 ignored (informational only).  A baselined metric whose results file or
 key is missing is a failure — a deleted benchmark cannot silently take its
 regression guard with it — unless ``--allow-missing`` is given (useful for
-checking a partial local run).  A band carrying ``"optional": true`` is
-the exception: its metric may legitimately be absent (a host-conditional
-measurement, e.g. a multi-core speedup a single-core runner cannot
-produce), so absence is skipped — but when the metric *is* present the
-band is enforced like any other.
+checking a partial local run).
 
 Exit code 0 when every band holds, 1 otherwise.
 """
@@ -84,9 +81,6 @@ def main(argv: List[str]) -> int:
         metrics = json.loads(results_path.read_text(encoding="utf-8"))["metrics"]
         for metric, band in sorted(bands.items()):
             if metric not in metrics:
-                if band.get("optional"):
-                    print(f"SKIP {benchmark}.{metric}: optional metric not measured")
-                    continue
                 if arguments.allow_missing:
                     print(f"SKIP {benchmark}.{metric}: not in results")
                     continue
