@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import nn
 from repro.data import LogGenerator
 from repro.models import create_model
 from repro.serving import (
-    BatchScorer,
     OnlineRequestEncoder,
+    Ranker,
     ServingState,
     generate_burst,
 )
 
-from .conftest import MODEL_CONFIG, format_rows, save_bench_json, save_result
+from .conftest import MODEL_CONFIG, save_bench_json, save_result
 
 
 def _max_abs_diff(left_scores, right_scores) -> float:
@@ -59,7 +60,7 @@ def test_batched_engine_score_parity(eleme_bench):
     # forward per micro-batch.
     state.features.enabled = True
     state.features.clear()
-    scorer = BatchScorer(model, encoder, max_batch_rows=2048)
+    scorer = Ranker(model, encoder, max_batch_rows=2048)
     batched_scores = scorer.score_many(requests, state)
 
     max_diff = _max_abs_diff(sequential_scores, batched_scores)
@@ -83,9 +84,9 @@ def test_batched_engine_score_parity(eleme_bench):
 def test_two_tower_rank_parity(eleme_bench):
     """Fused two-tower rank vs. the exact full forward on one 1k burst.
 
-    Both passes run through :class:`BatchScorer` on the same micro-batched
-    encoding in 64-request scheduling windows — the only difference is the
-    scoring kernel.
+    Both passes see the same 64-request scheduling windows: the fused one
+    through :class:`Ranker`, the oracle as ``model.predict`` on the window's
+    ``encode_many`` batch, called directly.
     """
     generator = LogGenerator(eleme_bench.world, eleme_bench.config.log_config())
     state = ServingState.from_log_generator(generator, eleme_bench.log)
@@ -94,44 +95,25 @@ def test_two_tower_rank_parity(eleme_bench):
     requests = generate_burst(eleme_bench.world, 1000, recall_size=30, seed=17)
     window = 64
 
-    def windowed_scores(scorer):
-        scores = []
-        for begin in range(0, len(requests), window):
-            scores.extend(scorer.score_many(requests[begin:begin + window], state))
-        return scores
+    fused = Ranker(model, encoder)
+    fused_scores, full_scores = [], []
+    for begin in range(0, len(requests), window):
+        batch = requests[begin:begin + window]
+        fused_scores.extend(fused.score_many(batch, state))
+        with nn.no_grad():
+            rows, offsets = encoder.encode_many(
+                [r.context for r in batch], [r.candidates for r in batch], state
+            )
+            scores = model.predict(rows)
+        full_scores.extend(scores[offsets[i]:offsets[i + 1]] for i in range(len(batch)))
+    max_diff = _max_abs_diff(full_scores, fused_scores)
+    assert fused.fused_batches > 0
 
-    full = BatchScorer(model, encoder, two_tower=False)
-    fused = BatchScorer(model, encoder, two_tower=True)
-    max_diff = _max_abs_diff(windowed_scores(full), windowed_scores(fused))
-    assert fused.fused_batches > 0 and full.fused_batches == 0
-
-    tables = {
-        quantization: model.precompute_item_tables(
-            encoder.item_static_table(state), quantization=quantization
-        )
-        for quantization in ("float32", "float16", "int8")
-    }
-    footprint = [
-        {
-            "Item tables": quantization,
-            "KiB": round(table.nbytes / 1024, 1),
-            "Items": table.num_items,
-        }
-        for quantization, table in tables.items()
-    ]
     save_result(
         "two_tower_rank",
-        format_rows(footprint, title="Frozen item-table footprint per model version")
-        + f"\nparity max|diff| = {max_diff:.2e} over {len(requests)} requests",
+        f"parity max|diff| = {max_diff:.2e} over {len(requests)} requests",
     )
-    save_bench_json(
-        "two_tower_rank",
-        {
-            "max_abs_score_diff": max_diff,
-            "item_table_float32_kib": tables["float32"].nbytes / 1024,
-            "item_table_int8_kib": tables["int8"].nbytes / 1024,
-        },
-    )
+    save_bench_json("two_tower_rank", {"max_abs_score_diff": max_diff})
 
     # The fused scores must match the exact forward within float
     # re-association — the same 1e-6 band the unit tests pin.

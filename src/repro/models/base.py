@@ -227,8 +227,7 @@ class BaseCTRModel(nn.Module):
     # ------------------------------------------------------------------ #
     # two-tower split serving protocol (see repro.models.two_tower)
     # ------------------------------------------------------------------ #
-    def precompute_item_tables(self, item_static_ids: np.ndarray,
-                               quantization: str = "float32"):
+    def precompute_item_tables(self, item_static_ids: np.ndarray):
         """Freeze this model version's item-side tables for the candidate
         universe (``item_static_ids`` in ``item_static_table`` layout)."""
         raise NotImplementedError(

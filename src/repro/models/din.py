@@ -62,9 +62,8 @@ class DIN(BaseCTRModel):
     # ------------------------------------------------------------------ #
     # two-tower split serving (see repro.models.two_tower)
     # ------------------------------------------------------------------ #
-    def precompute_item_tables(self, item_static_ids: np.ndarray,
-                               quantization: str = "float32") -> ItemTowerTables:
-        return build_common_item_tables(self, self.tower, item_static_ids, quantization)
+    def precompute_item_tables(self, item_static_ids: np.ndarray) -> ItemTowerTables:
+        return build_common_item_tables(self, self.tower, item_static_ids)
 
     def score_two_tower(self, split_batch: Dict[str, np.ndarray],
                         tables: ItemTowerTables) -> np.ndarray:
@@ -145,9 +144,8 @@ class TargetAttentionDIN(BaseCTRModel):
     # ------------------------------------------------------------------ #
     # two-tower split serving (see repro.models.two_tower)
     # ------------------------------------------------------------------ #
-    def precompute_item_tables(self, item_static_ids: np.ndarray,
-                               quantization: str = "float32") -> ItemTowerTables:
-        return build_common_item_tables(self, self.tower, item_static_ids, quantization)
+    def precompute_item_tables(self, item_static_ids: np.ndarray) -> ItemTowerTables:
+        return build_common_item_tables(self, self.tower, item_static_ids)
 
     def score_two_tower(self, split_batch: Dict[str, np.ndarray],
                         tables: ItemTowerTables) -> np.ndarray:

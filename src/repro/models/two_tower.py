@@ -23,29 +23,27 @@ remaining (row-wise, non-decomposable) tower layers via ``MLP.infer_from``.
 Scores match the full forward to float re-association (parity pinned at
 1e-6 in ``tests/serving/test_two_tower.py``).
 
-Frozen tables can optionally be quantised (``float16`` / ``int8``) to shrink
-the per-model-version memory footprint; measured score-difference bands are
-documented on :class:`ItemTable` and pinned by tests.
-
 Only models whose item side is *exactly* separable at the concat boundary opt
 in (``supports_two_tower``): Wide&Deep, DIN, and the target-attention base
 model.  BASM-family models condition item dimensions on the request context
-(StSTL filtering, StABT-modulated batch norm), so they transparently fall
-back to the full forward in :class:`repro.serving.batching.BatchScorer`.
+(StSTL filtering, StABT-modulated batch norm), so nothing of their item side
+can be frozen per model version and :class:`repro.serving.ranker.Ranker`
+scores them with the full forward.
+
+Tables are plain float32 arrays tied to the model version that built them
+(``model_uid``); scoring with another version's tables raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..features.schema import FieldName
 
 __all__ = [
-    "QUANTIZATIONS",
-    "ItemTable",
     "ItemTowerTables",
     "trunk_field_slices",
     "build_common_item_tables",
@@ -54,112 +52,24 @@ __all__ = [
     "fused_common",
 ]
 
-#: Supported storage dtypes for frozen item-side tables, with the measured
-#: max absolute score difference vs the float32 fused path at test scale:
-#: ``float32`` exact (same arrays), ``float16`` ~1e-6 (band pinned at 1e-4),
-#: ``int8`` ~4e-5 (band pinned at 5e-3).
-QUANTIZATIONS = ("float32", "float16", "int8")
-
-
-class ItemTable:
-    """One frozen ``(num_items, width)`` array, optionally quantised.
-
-    * ``float32`` — stored as-is; :meth:`gather` returns the exact rows.
-    * ``float16`` — half-precision storage, cast back on gather; halves the
-      footprint.  End-to-end score difference stays below the 1e-4 band
-      pinned in the two-tower tests (measured ~1e-6: only the frozen partial
-      products are rounded, the per-request/per-row side stays float32 and
-      the tower's sigmoid is contractive).
-    * ``int8`` — per-column symmetric quantisation (scale = colmax/127),
-      dequantised on gather; ~4x smaller.  End-to-end score difference stays
-      below the 5e-3 band pinned in the tests (measured ~4e-5).
-    """
-
-    __slots__ = ("quantization", "shape", "_values", "_scales")
-
-    def __init__(self, values: np.ndarray, quantization: str = "float32") -> None:
-        if quantization not in QUANTIZATIONS:
-            raise ValueError(
-                f"unknown quantization {quantization!r}; expected one of {QUANTIZATIONS}"
-            )
-        values = np.ascontiguousarray(values, dtype=np.float32)
-        if values.ndim != 2:
-            raise ValueError(f"item tables must be 2-D, got shape {values.shape}")
-        self.quantization = quantization
-        self.shape = values.shape
-        self._scales = None
-        if quantization == "float32":
-            self._values = values
-        elif quantization == "float16":
-            self._values = values.astype(np.float16)
-        else:  # int8
-            scales = np.abs(values).max(axis=0) / 127.0
-            scales = np.where(scales > 0.0, scales, 1.0).astype(np.float32)
-            self._values = np.clip(
-                np.rint(values / scales), -127, 127
-            ).astype(np.int8)
-            self._scales = scales
-
-    @classmethod
-    def from_storage(cls, values: np.ndarray, scales: "Optional[np.ndarray]",
-                     quantization: str) -> "ItemTable":
-        """Adopt already-quantised storage arrays without copying.
-
-        The zero-copy rebuild path for process workers: the parent publishes
-        a table's ``_values``/``_scales`` into shared memory and each worker
-        wraps its read-only views back into an ``ItemTable``.  ``values`` is
-        stored as-is (it may be a non-writeable view of any supported
-        storage dtype); ``shape`` is the logical float32 shape, which equals
-        the storage shape for every supported quantisation.
-        """
-        if quantization not in QUANTIZATIONS:
-            raise ValueError(
-                f"quantization must be one of {QUANTIZATIONS}, got {quantization!r}"
-            )
-        table = cls.__new__(cls)
-        table.quantization = quantization
-        table.shape = values.shape
-        table._values = values
-        table._scales = scales
-        return table
-
-    def gather(self, indices: np.ndarray) -> np.ndarray:
-        """Float32 rows for ``indices`` (dequantising if needed)."""
-        rows = self._values[np.asarray(indices, dtype=np.int64)]
-        if self.quantization == "float32":
-            return rows
-        if self.quantization == "float16":
-            return rows.astype(np.float32)
-        return rows.astype(np.float32) * self._scales
-
-    @property
-    def nbytes(self) -> int:
-        total = self._values.nbytes
-        if self._scales is not None:
-            total += self._scales.nbytes
-        return int(total)
-
 
 @dataclass
 class ItemTowerTables:
     """Frozen item-side state of one model version.
 
-    ``model_uid`` records which :class:`~repro.models.base.BaseCTRModel`
-    instance (serving identity) produced the tables; the feature cache keys
-    entries by it, so a hot-swapped model can never read a predecessor's
-    tables even before the swap's cache invalidation lands.
-    ``static_cols`` is the width of the static item block inside the
+    ``model_uid`` is the ``serving_uid`` of the model version that produced
+    the tables; :func:`fused_common` refuses to score any other version with
+    them.  ``static_cols`` is the width of the static item block inside the
     candidate-item field embedding (``num_static_features * embedding_dim``).
+    ``tables`` maps a name to a float32 ``(num_items, width)`` array.
     """
 
     model_uid: int
-    quantization: str
-    num_items: int
     static_cols: int
-    tables: Dict[str, ItemTable]
+    tables: Dict[str, np.ndarray]
 
     def gather(self, name: str, indices: np.ndarray) -> np.ndarray:
-        return self.tables[name].gather(indices)
+        return self.tables[name][np.asarray(indices, dtype=np.int64)]
 
     @property
     def nbytes(self) -> int:
@@ -189,9 +99,7 @@ def embed_rows(model, ids: np.ndarray) -> np.ndarray:
     )
 
 
-def build_common_item_tables(
-    model, trunk, item_static_ids: np.ndarray, quantization: str = "float32"
-) -> ItemTowerTables:
+def build_common_item_tables(model, trunk, item_static_ids: np.ndarray) -> ItemTowerTables:
     """Tables every supporting model needs: trunk + attention-query partials.
 
     ``item_static_ids`` is the ``(num_items, num_static)`` global-id layout of
@@ -215,22 +123,12 @@ def build_common_item_tables(
         )
     static_emb = embed_rows(model, ids)
     tables = {
-        "trunk_item_static": ItemTable(
-            trunk.linears[0].infer_partial(static_emb, item_start, item_start + static_cols),
-            quantization,
+        "trunk_item_static": trunk.linears[0].infer_partial(
+            static_emb, item_start, item_start + static_cols
         ),
-        "query_static": ItemTable(
-            model.embedder.target_proj.infer_partial(static_emb, 0, static_cols),
-            quantization,
-        ),
+        "query_static": model.embedder.target_proj.infer_partial(static_emb, 0, static_cols),
     }
-    return ItemTowerTables(
-        model_uid=model.serving_uid,
-        quantization=quantization,
-        num_items=int(ids.shape[0]),
-        static_cols=static_cols,
-        tables=tables,
-    )
+    return ItemTowerTables(model_uid=model.serving_uid, static_cols=static_cols, tables=tables)
 
 
 def fused_sigmoid(logits: np.ndarray) -> np.ndarray:
@@ -255,6 +153,11 @@ def fused_common(model, trunk, split_batch: Dict[str, np.ndarray],
       sequences, one per request; gather per row with
       ``split_batch["behavior_row_map"]``.
     """
+    if tables.model_uid != model.serving_uid:
+        raise ValueError(
+            f"item tables were built by model version {tables.model_uid}, "
+            f"not by the scoring model (serving_uid {model.serving_uid})"
+        )
     l1 = trunk.linears[0]
     slices = trunk_field_slices(model)
     cands = split_batch["candidates"]

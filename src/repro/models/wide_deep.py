@@ -11,7 +11,6 @@ from ..features.schema import FeatureSchema, FieldName
 from ..nn import Tensor
 from .base import BaseCTRModel, ModelConfig
 from .two_tower import (
-    ItemTable,
     ItemTowerTables,
     build_common_item_tables,
     fused_common,
@@ -64,15 +63,13 @@ class WideDeep(BaseCTRModel):
     # ------------------------------------------------------------------ #
     # two-tower split serving (see repro.models.two_tower)
     # ------------------------------------------------------------------ #
-    def precompute_item_tables(self, item_static_ids: np.ndarray,
-                               quantization: str = "float32") -> ItemTowerTables:
-        tables = build_common_item_tables(self, self.deep, item_static_ids, quantization)
+    def precompute_item_tables(self, item_static_ids: np.ndarray) -> ItemTowerTables:
+        tables = build_common_item_tables(self, self.deep, item_static_ids)
         # The wide part contributes a frozen per-item scalar too: the sum of
         # the static item features' wide weights.
-        wide_static = self.wide_weights.infer(
+        tables.tables["wide_item_static"] = self.wide_weights.infer(
             np.asarray(item_static_ids, dtype=np.int64)
         ).sum(axis=1)
-        tables.tables["wide_item_static"] = ItemTable(wide_static, quantization)
         return tables
 
     def score_two_tower(self, split_batch: Dict[str, np.ndarray],

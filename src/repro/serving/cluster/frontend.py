@@ -295,7 +295,6 @@ def build_cluster(
     unknown_tag: str = "raise",
     durable: Optional[DurableStateStore] = None,
     process_workers: bool = False,
-    quantization: str = "float32",
 ) -> ClusterFrontend:
     """Assemble N identical worker replicas behind one frontend.
 
@@ -321,9 +320,9 @@ def build_cluster(
 
     With ``process_workers`` each replica is a real ``multiprocessing``
     process behind a :class:`~repro.serving.cluster.procworker.
-    ProcessWorkerHandle`: model weights and frozen two-tower item tables
-    (stored per ``quantization``) are published once into shared memory, the
-    parent process is the single feedback writer, and a supervisor respawns
+    ProcessWorkerHandle`: model weights are published once into shared
+    memory, the parent process is the single feedback writer, and a
+    supervisor respawns
     dead workers warm from the durable store (the pool creates a throwaway
     one when ``durable`` is None).  Scenario routing is not yet supported in
     process mode.
@@ -346,7 +345,6 @@ def build_cluster(
             config=config,
             pipeline_config=pipeline_config or PipelineConfig(),
             durable=durable,
-            quantization=quantization,
         )
         pool.start()
         try:

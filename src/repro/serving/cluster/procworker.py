@@ -35,11 +35,14 @@ snapshot covers them) and treat a gap as fatal — replicas are provably
 byte-identical to the parent, which the parity suite checks with
 :func:`~repro.serving.durable.snapshot.state_fingerprint`.
 
-Model plane: weights and frozen two-tower item tables come from shared
-memory (:mod:`repro.serving.cluster.shm`) — the child builds the model
-architecture from config, then *adopts* the read-only views in place of its
-own arrays (inference never writes parameters or buffers), so N workers
-share one physical copy of every tensor.
+Model plane: weights come from shared memory
+(:mod:`repro.serving.cluster.shm`) — the child builds the model architecture
+from config, then *adopts* the read-only views in place of its own arrays
+(inference never writes parameters or buffers), so N workers share one
+physical copy of every weight tensor.  Everything derived from the weights —
+a two-tower model's frozen item tables — the child's
+:class:`~repro.serving.ranker.Ranker` builds on first use, exactly as an
+in-process one does.
 """
 
 from __future__ import annotations
@@ -58,16 +61,13 @@ from ...data.world import RequestContext, SyntheticWorld
 from ...features.schema import FeatureSchema
 from ...models.base import BaseCTRModel, ModelConfig
 from ...models.registry import create_model
-from ...models.two_tower import ItemTable, ItemTowerTables
 from ..pipeline import (
     PipelineConfig,
     ServeRequest,
     ServeResponse,
-    ServingPipeline,
     StageMetrics,
     build_pipeline,
 )
-from ..ranker import Ranker, hot_swap
 from . import codec
 from .shm import MappedSegment
 from .worker import ClusterOverloadError
@@ -97,7 +97,6 @@ class WorkerBootstrap:
     pipeline_config: PipelineConfig
     durable_root: str
     geohash_match_prefix: int
-    quantization: str
     max_batch: int
     max_wait_ms: float
 
@@ -127,42 +126,6 @@ def _adopt_state_dict_views(model: BaseCTRModel, segment: MappedSegment) -> None
         object.__setattr__(module, attribute, segment[f"weights.{key}"])
 
 
-def _seed_item_tables(
-    model: BaseCTRModel, segment: MappedSegment, state, quantization: str
-) -> bool:
-    """Install the shared frozen item tables under this model's cache key.
-
-    Rebuilds :class:`ItemTowerTables` from the published storage arrays
-    (zero copy, :meth:`ItemTable.from_storage`) and pre-seeds the feature
-    cache entry the :class:`~repro.serving.batching.BatchScorer` would
-    otherwise compute per process — the whole point of sharing the segment.
-    Must run *after* any ``hot_swap`` (its ``invalidate_volatile`` drops
-    model tables).  No-op for models without the two-tower split.
-    """
-    meta = segment.manifest.get("meta", {})
-    names = meta.get("tables") or []
-    if not model.supports_two_tower or not names:
-        return False
-    tables = {
-        name: ItemTable.from_storage(
-            segment[f"table.{name}.values"],
-            segment.views.get(f"table.{name}.scales"),
-            quantization,
-        )
-        for name in names
-    }
-    tower = ItemTowerTables(
-        model_uid=model.serving_uid,
-        quantization=quantization,
-        num_items=int(meta["num_items"]),
-        static_cols=int(meta["static_cols"]),
-        tables=tables,
-    )
-    key = ("item_tower", model.name, model.serving_uid, quantization)
-    state.features.lookup_model_table(key, lambda: tower)
-    return True
-
-
 # ---------------------------------------------------------------------- #
 # child side
 # ---------------------------------------------------------------------- #
@@ -177,7 +140,6 @@ class _ChildWorker:
         self.conn = conn
         self.max_batch = int(bootstrap.max_batch)
         self.max_wait_ms = float(bootstrap.max_wait_ms)
-        self.quantization = bootstrap.quantization
         self.metrics = StageMetrics()
         self.model_version = 0
         self.requests_served = 0
@@ -202,8 +164,11 @@ class _ChildWorker:
             )
         finally:
             store.close()
-        self.segment: Optional[MappedSegment] = None
-        self.pipeline = self._build_pipeline(bootstrap.model_manifest)
+        model, self.segment = self._materialise_model(bootstrap.model_manifest)
+        self.pipeline = build_pipeline(
+            bootstrap.world, model, self.encoder, self.state,
+            bootstrap.pipeline_config, metrics=self.metrics,
+        )
 
     # ------------------------------------------------------------------ #
     def _materialise_model(self, manifest: dict) -> Tuple[BaseCTRModel, MappedSegment]:
@@ -214,39 +179,12 @@ class _ChildWorker:
         _adopt_state_dict_views(model, segment)
         return model, segment
 
-    def _build_pipeline(self, manifest: dict) -> ServingPipeline:
-        model, segment = self._materialise_model(manifest)
-        ranker = Ranker(
-            model, self.encoder, item_table_quantization=self.quantization
-        )
-        pipeline = build_pipeline(
-            self.bootstrap.world, model, self.encoder, self.state,
-            self.bootstrap.pipeline_config, ranker=ranker, metrics=self.metrics,
-        )
-        _seed_item_tables(model, segment, self.state, self.quantization)
-        self.segment = segment
-        return pipeline
-
     def _install_model(self, manifest: dict) -> None:
         """Hot-swap onto a newly published segment (version bump included)."""
         model, segment = self._materialise_model(manifest)
-        rank = self.pipeline.stage("rank")
-        ranker = rank.ranker
-        hot_swap(ranker, ranker.encoder.schema, self.pipeline.state.features, model)
-        try:
-            recall = self.pipeline.stage("recall")
-        except KeyError:
-            recall = None
-        if recall is not None:
-            refresh = getattr(recall.strategy, "refresh_embeddings", None)
-            if refresh is not None:
-                refresh(model, ranker.encoder)
-        # After hot_swap: its invalidate_volatile would drop seeded tables.
-        _seed_item_tables(model, segment, self.state, self.quantization)
-        previous = self.segment
-        self.segment = segment
-        if previous is not None:
-            previous.close()
+        self.pipeline.swap_model(model)
+        previous, self.segment = self.segment, segment
+        previous.close()
         self.model_version += 1
 
     # ------------------------------------------------------------------ #

@@ -1,9 +1,9 @@
 """Shared-memory tensor segments for process-isolated cluster workers.
 
-Model weights and the frozen two-tower item tables are read-only at serve
-time, so worker *processes* should share one physical copy instead of each
-deserialising its own.  :class:`SegmentPublisher` (parent side) packs a
-named tensor dict into a single ``multiprocessing.shared_memory`` segment —
+Model weights are read-only at serve time, so worker *processes* should
+share one physical copy instead of each deserialising its own.
+:class:`SegmentPublisher` (parent side) packs a named tensor dict into a
+single ``multiprocessing.shared_memory`` segment —
 one version-stamped segment per published model version, every tensor at a
 64-byte-aligned offset — and hands out a JSON-able **manifest** describing
 ``{segment, version, nbytes, tensors: {name: {dtype, shape, offset}}}``.
@@ -76,7 +76,7 @@ class SegmentPublisher:
         self.unlinked = 0
 
     # ------------------------------------------------------------------ #
-    def publish(self, tensors: Dict[str, np.ndarray], meta: Optional[dict] = None) -> dict:
+    def publish(self, tensors: Dict[str, np.ndarray]) -> dict:
         """Copy ``tensors`` into one new version-stamped segment; return its manifest.
 
         The segment starts with zero references — callers retain it per
@@ -120,7 +120,6 @@ class SegmentPublisher:
             "segment": segment_name,
             "version": version,
             "nbytes": nbytes,
-            "meta": dict(meta or {}),
             "tensors": specs,
         }
 

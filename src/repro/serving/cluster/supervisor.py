@@ -3,8 +3,8 @@
 :class:`ProcessWorkerPool` owns everything the process cluster shares:
 
 * the :class:`~repro.serving.cluster.shm.SegmentPublisher` holding model
-  weights and frozen two-tower item tables (published once per model
-  version, mapped read-only by every worker);
+  weights (published once per model version, mapped read-only by every
+  worker);
 * the durable store the single-writer state journals into — workers boot
   and *re*-boot warm from its snapshot ⊕ journal, so a respawn costs a
   recovery, not a cold start (a throwaway ``fsync="off"`` store is created
@@ -61,7 +61,6 @@ class ProcessWorkerPool:
         config: Optional[ClusterConfig] = None,
         pipeline_config: Optional[PipelineConfig] = None,
         durable=None,
-        quantization: str = "float32",
     ) -> None:
         from ..durable import DurableStateStore
 
@@ -71,7 +70,6 @@ class ProcessWorkerPool:
         self.state = state
         self.config = config or ClusterConfig()
         self.pipeline_config = pipeline_config or PipelineConfig()
-        self.quantization = quantization
         self._own_durable = durable is None
         self._tempdir: Optional[tempfile.TemporaryDirectory] = None
         if durable is None:
@@ -93,12 +91,10 @@ class ProcessWorkerPool:
     # model publication
     # ------------------------------------------------------------------ #
     def publish_model(self, model: BaseCTRModel) -> dict:
-        """Publish ``model``'s tensors into one shared segment (idempotent).
+        """Publish ``model``'s weights into one shared segment (idempotent).
 
-        One segment per model *serving identity*: weights under
-        ``weights.<param>``, and — for two-tower models — the frozen item
-        tables' storage arrays under ``table.<name>.values`` / ``.scales``,
-        precomputed once here instead of once per worker process.
+        One segment per model *serving identity*, every ``state_dict`` entry
+        under ``weights.<name>``.
         """
         uid = model.serving_uid
         manifest = self._manifests.get(uid)
@@ -107,24 +103,7 @@ class ProcessWorkerPool:
         tensors = {
             f"weights.{name}": array for name, array in model.state_dict().items()
         }
-        meta = {
-            "model_name": model.name,
-            "quantization": self.quantization,
-            "tables": [],
-        }
-        if model.supports_two_tower:
-            tower = model.precompute_item_tables(
-                self.encoder.item_static_table(self.state),
-                quantization=self.quantization,
-            )
-            meta["tables"] = sorted(tower.tables)
-            meta["num_items"] = int(tower.num_items)
-            meta["static_cols"] = int(tower.static_cols)
-            for name, table in tower.tables.items():
-                tensors[f"table.{name}.values"] = table._values
-                if table._scales is not None:
-                    tensors[f"table.{name}.scales"] = table._scales
-        manifest = self.publisher.publish(tensors, meta=meta)
+        manifest = self.publisher.publish(tensors)
         self._manifests[uid] = manifest
         return manifest
 
@@ -178,7 +157,6 @@ class ProcessWorkerPool:
             pipeline_config=self.pipeline_config,
             durable_root=str(self.durable.root),
             geohash_match_prefix=self.state.geohash_match_prefix,
-            quantization=self.quantization,
             max_batch=self.config.max_batch,
             max_wait_ms=self.config.max_wait_ms,
         )

@@ -35,7 +35,6 @@ from typing import Callable, List, Optional, Union
 from ...data.world import RequestContext
 from ...models.base import BaseCTRModel
 from ..pipeline import ScenarioRouter, ServeRequest, ServingPipeline, StageMetrics
-from ..ranker import hot_swap
 
 __all__ = ["ClusterOverloadError", "ClusterWorker"]
 
@@ -226,11 +225,10 @@ class ClusterWorker:
     def swap_model(self, model: BaseCTRModel, replicate: bool = True) -> BaseCTRModel:
         """Promote ``model`` on every pipeline variant, between micro-batches.
 
-        Drives the shared :func:`repro.serving.ranker.hot_swap` policy per
-        variant (schema fingerprint check, volatile feature-cache drop) and
-        re-exports embedding-ANN vectors where the recall strategy supports
-        it — the per-shard building block :class:`RollingDeploy` sequences.
-        Returns the previous model for rollback.
+        Drives :meth:`ServingPipeline.swap_model` per variant (schema
+        fingerprint check, volatile feature-cache drop, embedding-ANN vector
+        re-export) — the per-shard building block :class:`RollingDeploy`
+        sequences.  Returns the previous model for rollback.
 
         ``replicate`` (the default) installs this worker's *own deep copy*
         of the model, like a production replica loading its own copy of the
@@ -244,31 +242,9 @@ class ClusterWorker:
         with self._exec_lock:
             if replicate:
                 model = copy.deepcopy(model)
-            previous: Optional[BaseCTRModel] = None
-            for pipeline in self.pipelines():
-                try:
-                    rank = pipeline.stage("rank")
-                except KeyError:
-                    continue
-                ranker = rank.ranker
-                swapped = hot_swap(
-                    ranker, ranker.encoder.schema, pipeline.state.features, model
-                )
-                if previous is None:
-                    previous = swapped
-                try:
-                    recall = pipeline.stage("recall")
-                except KeyError:
-                    continue
-                refresh = getattr(recall.strategy, "refresh_embeddings", None)
-                if refresh is not None:
-                    refresh(model, ranker.encoder)
-            if previous is None:
-                raise ValueError(
-                    f"worker {self.worker_id!r} has no rank stage to swap"
-                )
+            swapped = [pipeline.swap_model(model) for pipeline in self.pipelines()]
             self.model_version += 1
-            return previous
+            return swapped[0]
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:

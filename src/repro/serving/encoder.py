@@ -13,7 +13,7 @@ behaviour sequences are cached between requests so a user browsing the same
 time-period and location pays the sequence-encoding cost only once.
 :meth:`OnlineRequestEncoder.encode_many` stacks many concurrent requests into
 one flat model batch for the micro-batching engine in
-:mod:`repro.serving.batching`.
+:mod:`repro.serving.ranker`.
 """
 
 from __future__ import annotations

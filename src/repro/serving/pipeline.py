@@ -39,9 +39,8 @@ import numpy as np
 
 from ..data.world import RequestContext, SyntheticWorld
 from ..models.base import BaseCTRModel
-from .batching import ScoreRequest
 from .encoder import OnlineRequestEncoder
-from .ranker import Ranker
+from .ranker import Ranker, ScoreRequest, hot_swap
 from .recall import MultiChannelRecall
 from .recall.base import RecallStrategy
 from .state import ServingState
@@ -632,6 +631,26 @@ class ServingPipeline:
             items_out = sum(_payload_size(response) for response in responses)
             self.metrics.record(stage.name, elapsed, len(responses), items_in, items_out)
         return responses
+
+    # ------------------------------------------------------------------ #
+    def swap_model(self, model: BaseCTRModel) -> BaseCTRModel:
+        """Promote ``model`` on this pipeline and return the previous one.
+
+        The one swap routine behind the platform, the thread worker and the
+        process worker: :func:`repro.serving.ranker.hot_swap` on the rank
+        stage's ranker (schema fingerprint check, volatile feature-cache
+        drop), then — when the recall strategy carries an embedding-ANN
+        channel — its item vectors are re-exported from the incoming model,
+        so retrieval and ranking stay consistent after the promotion.
+        Raises ``KeyError`` for a pipeline without a rank stage.
+        """
+        ranker = self.stage("rank").ranker
+        previous = hot_swap(ranker, ranker.encoder.schema, self.state.features, model)
+        recall = next((stage for stage in self.stages if stage.name == "recall"), None)
+        refresh = getattr(getattr(recall, "strategy", None), "refresh_embeddings", None)
+        if refresh is not None:
+            refresh(model, ranker.encoder)
+        return previous
 
     # ------------------------------------------------------------------ #
     def feedback(self, response: "ServeResponse | object", clicks: np.ndarray,

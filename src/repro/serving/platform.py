@@ -20,7 +20,7 @@ from ..data.world import RequestContext, SyntheticWorld
 from ..models.base import BaseCTRModel
 from .encoder import OnlineRequestEncoder
 from .pipeline import PipelineConfig, ServeResponse, StageMetrics, build_pipeline
-from .ranker import Ranker, hot_swap
+from .ranker import Ranker
 from .recall import MultiChannelRecall
 from .recall.base import RecallStrategy
 from .state import ServingState
@@ -111,11 +111,7 @@ class PersonalizationPlatform:
         ranking stay consistent after the promotion (the synchronous analog
         of a production ANN-index rebuild).
         """
-        previous = hot_swap(self.ranker, self.encoder.schema, self.state.features, model)
-        refresh = getattr(self.recall, "refresh_embeddings", None)
-        if refresh is not None:
-            refresh(model, self.encoder)
-        return previous
+        return self.pipeline.swap_model(model)
 
     # ------------------------------------------------------------------ #
     @staticmethod

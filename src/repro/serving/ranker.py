@@ -1,24 +1,67 @@
-"""Real-Time Prediction (RTP) analog: score candidates and pick the top-k.
+"""Real-Time Prediction (RTP) analog: micro-batched scoring and top-k ranking.
 
-Single-request ``score``/``rank`` go through the same micro-batching engine
-as the high-throughput path (a batch of one), so the sequential and batched
-code paths cannot drift apart numerically.
+This is the reproduction's RTP tier (the paper's Fig. 13 deployment diagram),
+sized for the traffic peaks of Fig. 2a: at mealtime bursts the scoring tier
+cannot afford one model invocation per request.  :class:`Ranker` packs the
+:class:`ScoreRequest` objects that arrive together into micro-batches bounded
+by ``max_batch_rows`` candidate rows — every candidate of every request is one
+row of a flat batch — runs the model once per micro-batch and splits the
+scores back per request.  All row-wise layers (embedding gather, linear,
+target attention, eval-mode batch norm) are independent across rows, so
+batched scores are numerically identical to sequential ones (parity pinned at
+1e-8), and single-request ``score``/``rank`` are a batch of one through the
+same code, so the two paths cannot drift apart.
+
+Which forward runs is read off the model: one that ``supports_two_tower``
+(Wide&Deep, DIN, the target-attention base model) is scored by the fused
+late-binding pass over frozen item tables (:mod:`repro.models.two_tower`);
+the BASM family conditions the item dimensions on the request context, has
+nothing to freeze, and is scored by the full forward.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import nn
 from ..data.world import RequestContext
 from ..features.schema import FeatureSchema
 from ..models.base import BaseCTRModel
-from .batching import BatchScorer, ModelRef, RankedRequest, ScoreRequest
+from ..models.two_tower import ItemTowerTables
 from .encoder import OnlineRequestEncoder
 from .state import FeatureCache, ServingState
 
-__all__ = ["Ranker", "hot_swap"]
+__all__ = ["ScoreRequest", "RankedRequest", "Ranker", "hot_swap"]
+
+
+@dataclass
+class ScoreRequest:
+    """One pending scoring job: a request context plus its recalled candidates."""
+
+    context: RequestContext
+    candidates: np.ndarray
+    positions: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        self.candidates = np.asarray(self.candidates, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return int(len(self.candidates))
+
+
+@dataclass
+class RankedRequest:
+    """Result of ranking one request: items in display order with their scores."""
+
+    context: RequestContext
+    items: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return int(len(self.items))
 
 
 def hot_swap(
@@ -27,7 +70,7 @@ def hot_swap(
     feature_cache: FeatureCache,
     model: BaseCTRModel,
 ) -> BaseCTRModel:
-    """Fingerprint-checked model promotion shared by the platform and canary.
+    """Fingerprint-checked model promotion shared by the pipeline and canary.
 
     The single definition of the hot-swap policy: the incoming model must
     speak the serving schema (checked by fingerprint, so an incompatible
@@ -41,7 +84,7 @@ def hot_swap(
             f"({model.schema.fingerprint()}) does not match serving schema "
             f"{serving_schema.name!r} ({serving_schema.fingerprint()})"
         )
-    previous = ranker.swap_model(model)
+    previous, ranker.model = ranker.model, model
     feature_cache.invalidate_volatile()
     return previous
 
@@ -49,54 +92,133 @@ def hot_swap(
 class Ranker:
     """Scores recalled candidates with a trained CTR model and ranks them.
 
-    ``two_tower`` selects the rank hot path: ``"auto"`` (default) uses the
-    fused two-tower scorer for models that support the exact split and the
-    full forward otherwise; ``False`` forces the full forward everywhere
-    (the parity oracle); ``True`` requires a splittable model.
-    ``item_table_quantization`` picks the storage dtype of the frozen item
-    tables (``float32`` / ``float16`` / ``int8``, see
-    :mod:`repro.models.two_tower` for the documented score-diff bands).
+    ``model`` is a plain attribute and assigning it *is* the swap: scoring
+    snapshots it once per micro-batch, so every micro-batch is scored by
+    exactly one model version.  Frozen two-tower item tables live in one
+    ``(serving_uid, tables)`` slot, rebuilt (<1 ms) the first time a model
+    version with another uid is scored; the pair is read and replaced as a
+    whole, so a micro-batch never mixes one version's weights with another's
+    tables — and :func:`repro.models.two_tower.fused_common` would raise if
+    it did.
     """
 
     def __init__(self, model: BaseCTRModel, encoder: OnlineRequestEncoder,
-                 max_batch_rows: int = 2048, two_tower: object = "auto",
-                 item_table_quantization: str = "float32") -> None:
-        self._model_ref = ModelRef(model)
+                 max_batch_rows: int = 2048) -> None:
+        if max_batch_rows <= 0:
+            raise ValueError("max_batch_rows must be positive")
+        self.model = model
         self.encoder = encoder
-        self.scorer = BatchScorer(
-            model, encoder, max_batch_rows=max_batch_rows,
-            two_tower=two_tower,
-            item_table_quantization=item_table_quantization,
-            model_ref=self._model_ref,
-        )
+        self.max_batch_rows = max_batch_rows
+        #: ``(serving_uid, ItemTowerTables)`` of the model version last
+        #: scored on the fused path; ``None`` until there has been one.
+        self.item_tables: Optional[Tuple[int, ItemTowerTables]] = None
+        self.batches_run = 0
+        self.rows_scored = 0
+        self.fused_batches = 0
 
-    @property
-    def model(self) -> BaseCTRModel:
-        """The live model; the scorer reads the same shared slot."""
-        return self._model_ref.model
+    # ------------------------------------------------------------------ #
+    def _micro_batches(self, requests: Sequence[ScoreRequest]) -> List[List[int]]:
+        """Greedily pack request indices so each batch stays under the row cap.
 
-    @model.setter
-    def model(self, model: BaseCTRModel) -> None:
-        self._model_ref.model = model
-
-    def swap_model(self, model: BaseCTRModel) -> BaseCTRModel:
-        """Replace the scoring model atomically and return the previous one.
-
-        The ranker and its micro-batching scorer share one :class:`ModelRef`,
-        so the swap is a single reference assignment: concurrent scoring
-        threads snapshot the ref once per micro-batch and score each batch
-        entirely with one model version.  Frozen two-tower item tables are
-        keyed by model identity (``serving_uid``), so the incoming model can
-        never be served against the outgoing model's tables.
+        A single oversized request still forms its own batch — it cannot be
+        split without breaking per-request top-k semantics.
         """
-        previous = self._model_ref.model
-        self._model_ref.model = model
-        return previous
+        groups: List[List[int]] = []
+        current: List[int] = []
+        rows = 0
+        for index, request in enumerate(requests):
+            size = max(len(request), 1)
+            if current and rows + size > self.max_batch_rows:
+                groups.append(current)
+                current = []
+                rows = 0
+            current.append(index)
+            rows += size
+        if current:
+            groups.append(current)
+        return groups
 
+    def _tables_for(self, model: BaseCTRModel, state: ServingState) -> ItemTowerTables:
+        """``model``'s frozen item tables, built once per model version."""
+        slot = self.item_tables
+        if slot is None or slot[0] != model.serving_uid:
+            slot = (
+                model.serving_uid,
+                model.precompute_item_tables(self.encoder.item_static_table(state)),
+            )
+            self.item_tables = slot
+        return slot[1]
+
+    def score_many(
+        self, requests: Sequence[ScoreRequest], state: ServingState
+    ) -> List[np.ndarray]:
+        """Predicted click probability arrays, one per request, in input order."""
+        results: List[Optional[np.ndarray]] = [None] * len(requests)
+        for group in self._micro_batches(requests):
+            members = [requests[index] for index in group]
+            non_empty = [index for index, request in zip(group, members) if len(request)]
+            for index, request in zip(group, members):
+                if len(request) == 0:
+                    results[index] = np.zeros(0, dtype=np.float32)
+            if not non_empty:
+                continue
+            # One snapshot per micro-batch: a concurrent hot-swap rebinds the
+            # attribute, so this batch is scored entirely by one version.
+            model = self.model
+            contexts = [requests[index].context for index in non_empty]
+            candidate_lists = [requests[index].candidates for index in non_empty]
+            positions_list = [requests[index].positions for index in non_empty]
+            if model.supports_two_tower:
+                split_batch, offsets = self.encoder.encode_split(
+                    contexts, candidate_lists, state, positions_list=positions_list
+                )
+                scores = model.score_two_tower(split_batch, self._tables_for(model, state))
+                self.fused_batches += 1
+            else:
+                with nn.no_grad():
+                    batch, offsets = self.encoder.encode_many(
+                        contexts, candidate_lists, state, positions_list=positions_list
+                    )
+                    scores = model.predict(batch)
+            self.batches_run += 1
+            self.rows_scored += int(offsets[-1])
+            for slot, index in enumerate(non_empty):
+                results[index] = scores[offsets[slot]:offsets[slot + 1]]
+        return results  # type: ignore[return-value]
+
+    def rank_many(
+        self,
+        requests: Sequence[ScoreRequest],
+        state: ServingState,
+        top_k: int,
+    ) -> List[RankedRequest]:
+        """Rank every request's candidates and keep its ``top_k`` best.
+
+        ``top_k`` larger than a request's candidate count simply returns all
+        of that request's candidates in score order.
+        """
+        if top_k <= 0:
+            raise ValueError("top_k must be positive")
+        score_lists = self.score_many(requests, state)
+        ranked = []
+        for request, scores in zip(requests, score_lists):
+            order = np.argsort(-scores, kind="stable")[:top_k]
+            ranked.append(
+                RankedRequest(
+                    context=request.context,
+                    items=request.candidates[order],
+                    scores=scores[order],
+                )
+            )
+        return ranked
+
+    # ------------------------------------------------------------------ #
+    # single-request entry points (a batch of one)
+    # ------------------------------------------------------------------ #
     def score(self, context: RequestContext, candidates: np.ndarray,
               state: ServingState) -> np.ndarray:
         """Predicted click probability for every candidate."""
-        return self.scorer.score_many([ScoreRequest(context, candidates)], state)[0]
+        return self.score_many([ScoreRequest(context, candidates)], state)[0]
 
     def rank(
         self,
@@ -108,16 +230,3 @@ class Ranker:
         """Return (top-k item indices in display order, their scores)."""
         ranked = self.rank_many([ScoreRequest(context, candidates)], state, top_k)[0]
         return ranked.items, ranked.scores
-
-    # ------------------------------------------------------------------ #
-    # batched entry points (the high-throughput path)
-    # ------------------------------------------------------------------ #
-    def score_many(self, requests: Sequence[ScoreRequest],
-                   state: ServingState) -> List[np.ndarray]:
-        """Score many concurrent requests with micro-batched forward passes."""
-        return self.scorer.score_many(requests, state)
-
-    def rank_many(self, requests: Sequence[ScoreRequest], state: ServingState,
-                  top_k: int) -> List[RankedRequest]:
-        """Rank many concurrent requests with micro-batched forward passes."""
-        return self.scorer.rank_many(requests, state, top_k)

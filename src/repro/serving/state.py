@@ -98,11 +98,6 @@ class FeatureCache:
     def __init__(self, enabled: bool = True, max_entries: int = 200_000) -> None:
         self._store: Dict[Hashable, Tuple[int, Any]] = {}
         self._pinned: Dict[Hashable, Any] = {}
-        # Frozen per-model-version artefacts (two-tower item tables): like
-        # pinned entries they sit outside the eviction budget — evicting one
-        # would silently re-freeze the whole candidate universe mid-burst —
-        # but unlike pinned entries they are dropped on model hot-swap.
-        self._model_tables: Dict[Hashable, Any] = {}
         self.enabled = enabled
         self.max_entries = max_entries
         self.hits = 0
@@ -114,7 +109,7 @@ class FeatureCache:
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
-        return len(self._store) + len(self._pinned) + len(self._model_tables)
+        return len(self._store) + len(self._pinned)
 
     def lookup(self, key: Hashable, version: int, builder: Callable[[], Any],
                pinned: bool = False) -> Any:
@@ -157,34 +152,10 @@ class FeatureCache:
             self._store[key] = (version, value)
         return value
 
-    def lookup_model_table(self, key: Hashable, builder: Callable[[], Any]) -> Any:
-        """Frozen per-model-version artefact, built once, dropped on hot-swap.
-
-        Serves the two-tower item tables: ``key`` must include the owning
-        model's ``serving_uid``, so a newly promoted model can never read its
-        predecessor's tables even in the window before the swap's
-        ``invalidate_volatile`` lands — stale entries are unreachable by
-        construction, the invalidation merely reclaims their memory.  Like
-        every cache tier, the builder runs outside the lock (it re-enters the
-        state through ``item_static_table``); duplicate concurrent builds are
-        identical, last insert wins.
-        """
-        with self._lock:
-            value = self._model_tables.get(key)
-            if value is not None:
-                self.hits += 1
-                return value
-            self.misses += 1
-        value = builder()
-        with self._lock:
-            self._model_tables[key] = value
-        return value
-
     def invalidate(self, key: Hashable) -> None:
         with self._lock:
             self._store.pop(key, None)
             self._pinned.pop(key, None)
-            self._model_tables.pop(key, None)
 
     def invalidate_volatile(self) -> None:
         """Drop every versioned entry but keep the pinned static tables.
@@ -195,12 +166,9 @@ class FeatureCache:
         arbitrary model push, so promotions start from a cold volatile cache
         (entries rebuild lazily and cheaply).  The pinned precomputed id
         tables survive — the schema is fingerprint-checked before any swap.
-        Frozen model tables are dropped too: they are keyed by model
-        identity, so after a swap they are unreachable dead weight.
         """
         with self._lock:
             self._store.clear()
-            self._model_tables.clear()
 
     @property
     def num_pinned(self) -> int:
@@ -210,15 +178,10 @@ class FeatureCache:
     def num_volatile(self) -> int:
         return len(self._store)
 
-    @property
-    def num_model_tables(self) -> int:
-        return len(self._model_tables)
-
     def clear(self) -> None:
         with self._lock:
             self._store.clear()
             self._pinned.clear()
-            self._model_tables.clear()
             self.hits = 0
             self.misses = 0
 

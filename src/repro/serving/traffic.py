@@ -21,8 +21,8 @@ import numpy as np
 from ..data.world import RequestContext, SyntheticWorld
 from ..metrics.auc import auc
 from ..models.base import BaseCTRModel
-from .batching import BatchScorer, ScoreRequest
 from .encoder import OnlineRequestEncoder
+from .ranker import Ranker, ScoreRequest
 from .recall import LocationBasedRecall
 from .recall.base import RecallStrategy
 from .state import ServingState
@@ -107,6 +107,5 @@ def auc_on_slice(
     labels: Sequence[np.ndarray],
 ) -> float:
     """AUC of ``model`` on a labelled slice, scored by the batched engine."""
-    scorer = BatchScorer(model, encoder)
-    scores = scorer.score_many(list(requests), state)
+    scores = Ranker(model, encoder).score_many(list(requests), state)
     return auc(np.concatenate(list(labels)), np.concatenate(scores))

@@ -10,7 +10,6 @@ from repro.models import create_model
 from repro.serving import (
     ABTestConfig,
     ABTestSimulator,
-    BatchScorer,
     FeatureCache,
     OnlineRequestEncoder,
     PersonalizationPlatform,
@@ -50,7 +49,7 @@ class TestBatchedScoreParity:
         state.features.enabled = True
         state.features.clear()
 
-        scorer = BatchScorer(model, encoder, max_batch_rows=128)
+        scorer = Ranker(model, encoder, max_batch_rows=128)
         batched = scorer.score_many(requests, state)
         assert scorer.batches_run > 1
         for left, right in zip(sequential, batched):
@@ -59,9 +58,9 @@ class TestBatchedScoreParity:
     def test_parity_across_micro_batch_sizes(self, eleme_dataset, engine_setup):
         state, encoder, model = engine_setup
         requests = generate_burst(eleme_dataset.world, 16, recall_size=10, seed=4)
-        reference = BatchScorer(model, encoder, max_batch_rows=10_000).score_many(requests, state)
+        reference = Ranker(model, encoder, max_batch_rows=10_000).score_many(requests, state)
         for rows in (1, 7, 64):
-            scores = BatchScorer(model, encoder, max_batch_rows=rows).score_many(requests, state)
+            scores = Ranker(model, encoder, max_batch_rows=rows).score_many(requests, state)
             for left, right in zip(reference, scores):
                 np.testing.assert_allclose(left, right, atol=1e-8)
 
@@ -85,16 +84,16 @@ class TestBatchedScoreParity:
         requests = generate_burst(eleme_dataset.world, 4, recall_size=8, seed=14)
         lone = ScoreRequest(requests[0].context, requests[0].candidates[:1])
         mixed = [requests[1], lone, requests[2]]
-        batched = BatchScorer(model, encoder).score_many(mixed, state)[1]
-        solo = BatchScorer(model, encoder).score_many([lone], state)[0]
+        batched = Ranker(model, encoder).score_many(mixed, state)[1]
+        solo = Ranker(model, encoder).score_many([lone], state)[0]
         np.testing.assert_allclose(solo, batched, atol=1e-8)
 
 
-class TestBatchScorerEdgeCases:
+class TestRankerEdgeCases:
     def test_top_k_larger_than_candidate_count(self, eleme_dataset, engine_setup):
         state, encoder, model = engine_setup
         request = generate_burst(eleme_dataset.world, 1, recall_size=6, seed=6)[0]
-        ranked = BatchScorer(model, encoder).rank_many([request], state, top_k=50)[0]
+        ranked = Ranker(model, encoder).rank_many([request], state, top_k=50)[0]
         assert len(ranked) == len(request.candidates)
         assert np.all(np.diff(ranked.scores) <= 1e-9)
 
@@ -103,9 +102,9 @@ class TestBatchScorerEdgeCases:
         rng = np.random.default_rng(7)
         context = eleme_dataset.world.sample_request_context(70, rng)
         empty = ScoreRequest(context, np.zeros(0, dtype=np.int64))
-        scores = BatchScorer(model, encoder).score_many([empty], state)
+        scores = Ranker(model, encoder).score_many([empty], state)
         assert scores[0].shape == (0,)
-        ranked = BatchScorer(model, encoder).rank_many([empty], state, top_k=5)[0]
+        ranked = Ranker(model, encoder).rank_many([empty], state, top_k=5)[0]
         assert len(ranked) == 0
 
     def test_encode_and_predict_with_empty_candidates(self, eleme_dataset, engine_setup):
@@ -134,15 +133,15 @@ class TestBatchScorerEdgeCases:
         context = eleme_dataset.world.sample_request_context(71, rng)
         full = generate_burst(eleme_dataset.world, 3, recall_size=8, seed=9)
         requests = [full[0], ScoreRequest(context, np.zeros(0, dtype=np.int64)), full[1], full[2]]
-        scores = BatchScorer(model, encoder).score_many(requests, state)
+        scores = Ranker(model, encoder).score_many(requests, state)
         assert [len(s) for s in scores] == [len(r) for r in requests]
-        reference = BatchScorer(model, encoder).score_many(full, state)
+        reference = Ranker(model, encoder).score_many(full, state)
         np.testing.assert_allclose(scores[0], reference[0], atol=1e-8)
 
     def test_single_request_batch(self, eleme_dataset, engine_setup):
         state, encoder, model = engine_setup
         request = generate_burst(eleme_dataset.world, 1, recall_size=8, seed=10)[0]
-        scorer = BatchScorer(model, encoder)
+        scorer = Ranker(model, encoder)
         scores = scorer.score_many([request], state)
         assert len(scores) == 1 and len(scores[0]) == len(request.candidates)
         assert scorer.batches_run == 1
@@ -150,9 +149,9 @@ class TestBatchScorerEdgeCases:
     def test_invalid_arguments(self, eleme_dataset, engine_setup):
         state, encoder, model = engine_setup
         with pytest.raises(ValueError):
-            BatchScorer(model, encoder, max_batch_rows=0)
+            Ranker(model, encoder, max_batch_rows=0)
         with pytest.raises(ValueError):
-            BatchScorer(model, encoder).rank_many([], state, top_k=0)
+            Ranker(model, encoder).rank_many([], state, top_k=0)
 
 
 class TestRankerBatchedPaths:

@@ -197,7 +197,6 @@ def test_hot_swap_serves_exactly_the_new_model(
     previous = platform.swap_model(new)
     assert previous is old
     assert platform.ranker.model is new
-    assert platform.ranker.scorer.model is new
 
     swapped_scores = platform.ranker.score(context, candidates, state)
     reference_scores = Ranker(new, encoder).score(context, candidates, state)

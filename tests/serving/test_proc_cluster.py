@@ -21,7 +21,10 @@ The process cluster's proof burden, per suite:
   resource-tracker leak warning at interpreter exit fails the build);
 * **single-writer feedback** — a multi-threaded feedback burst through the
   frontend keeps the journal dense-sequenced (1..N, no gaps or duplicates)
-  while every worker replica converges to the writer's fingerprint.
+  while every worker replica converges to the writer's fingerprint;
+* **weights-only segments** — a published segment carries ``weights.*`` and
+  nothing else; a worker booted from it builds its own two-tower item
+  tables, byte-equal to the parent's ``precompute_item_tables``.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from repro.serving import (
     sample_burst_contexts,
 )
 from repro.serving.cluster import codec
+from repro.serving.cluster.procworker import WorkerBootstrap, _ChildWorker
 from repro.serving.durable.journal import scan_journal
 from repro.serving.durable.snapshot import state_fingerprint
 from repro.serving.pipeline import ServeRequest, ServeResponse
@@ -70,8 +74,8 @@ def fresh_state(eleme_dataset):
 @pytest.fixture(scope="module")
 def proc_setup(eleme_dataset, small_model_config):
     encoder = OnlineRequestEncoder(eleme_dataset.world, eleme_dataset.schema)
-    # wide_deep supports the two-tower split, so the shared segments carry
-    # frozen item tables as well as weights — the richest publication path.
+    # wide_deep supports the two-tower split, so every worker process also
+    # builds frozen item tables from the shared weights — the richest path.
     model = create_model("wide_deep", eleme_dataset.schema, small_model_config)
     return eleme_dataset, encoder, model
 
@@ -347,6 +351,60 @@ class TestCrashRespawnAndLeaks:
         assert pool.leaked_segments() == []
         assert _dev_shm_entries(prefix) == []
         assert pool.publisher.published == pool.publisher.unlinked
+
+
+class TestWeightsOnlySegments:
+    def test_worker_builds_the_parents_tables_from_shared_weights(self, proc_setup):
+        """Boot the worker class in-process exactly as a spawned child boots
+        (durable-store recovery + the pool's published segment) and compare
+        the tables its ranker builds on first use with the parent's."""
+        dataset, encoder, model = proc_setup
+        state = fresh_state(dataset)
+        frontend = build_cluster(
+            dataset.world, model, encoder, state,
+            config=ClusterConfig(num_workers=1, cache_enabled=False),
+            pipeline_config=PIPELINE_CONFIG, process_workers=True,
+        )
+        pool = frontend.pool
+        try:
+            manifest = pool.publish_model(pool.model)
+            assert all(name.startswith("weights.") for name in manifest["tensors"])
+            assert set(manifest["tensors"]) == {
+                f"weights.{name}" for name in model.state_dict()
+            }
+            child = _ChildWorker(
+                WorkerBootstrap(
+                    worker_id="in-process-probe", world=dataset.world,
+                    schema=encoder.schema, model_name=model.name,
+                    model_config=model.config, model_manifest=manifest,
+                    pipeline_config=PIPELINE_CONFIG,
+                    durable_root=str(pool.durable.root),
+                    geohash_match_prefix=state.geohash_match_prefix,
+                    max_batch=8, max_wait_ms=0.0,
+                ),
+                conn=None,
+            )
+            ranker = child.pipeline.stage("rank").ranker
+            assert ranker.item_tables is None
+            assert not any(p.data.flags.writeable for p in ranker.model.parameters())
+            contexts = sample_burst_contexts(dataset.world, 6, day=100, seed=19)
+            served = child.pipeline.run_many(contexts)
+            _, built = ranker.item_tables
+
+            expected = model.precompute_item_tables(encoder.item_static_table(state))
+            assert sorted(built.tables) == sorted(expected.tables)
+            assert built.static_cols == expected.static_cols
+            for name, table in expected.tables.items():
+                assert built.tables[name].dtype == table.dtype == np.float32
+                assert built.tables[name].tobytes() == table.tobytes()
+            # And the real worker process serves the same bytes from them.
+            TestProcessClusterParity._assert_parity(served, frontend.serve_many(contexts))
+            del ranker, built, served
+            child.segment.close()
+        finally:
+            frontend.close()
+        assert pool.leaked_segments() == []
+        assert _dev_shm_entries(pool.publisher.prefix) == []
 
 
 def _dev_shm_entries(prefix: str):

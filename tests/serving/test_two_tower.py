@@ -1,27 +1,28 @@
-"""Two-tower split serving: parity, quantization bands, caching, atomic swap.
+"""Two-tower split serving: parity, table ownership, atomic swap.
 
 The fast path's contract (see ``repro/models/two_tower.py``):
 
-* fused scores match the full forward within 1e-6 (float32 tables);
-* ``float16`` / ``int8`` tables stay within their documented bands;
-* frozen tables are keyed by model version and dropped on hot-swap;
-* unsupported models (the BASM family) fall back to the full forward;
-* model swaps are atomic through the shared :class:`ModelRef`.
+* fused scores match the full forward within 1e-6;
+* frozen tables belong to one model version: the ranker builds them once per
+  ``serving_uid``, rebuilds them after a swap, and scoring a model with
+  another version's tables raises;
+* unsupported models (the BASM family) are scored by the full forward;
+* a model swap is one attribute assignment: every micro-batch is scored by
+  exactly one (model, tables) pair.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.data import LogGenerator
 from repro.models import create_model
-from repro.models.two_tower import ItemTable
 from repro.serving import (
-    BatchScorer,
-    ModelRef,
     OnlineRequestEncoder,
     Ranker,
     ScoreRequest,
@@ -46,6 +47,22 @@ def _burst(eleme_dataset, n=30, recall_size=12, seed=3):
     return generate_burst(eleme_dataset.world, n, recall_size=recall_size, seed=seed)
 
 
+def _full_forward(model, encoder, requests, state):
+    """The parity oracle: the full forward called directly, per request."""
+    with nn.no_grad():
+        batch, offsets = encoder.encode_many(
+            [r.context for r in requests], [r.candidates for r in requests], state
+        )
+        scores = model.predict(batch)
+    return [scores[offsets[i]:offsets[i + 1]] for i in range(len(requests))]
+
+
+def _split(encoder, requests, state):
+    return encoder.encode_split(
+        [r.context for r in requests], [r.candidates for r in requests], state
+    )[0]
+
+
 class TestFusedParity:
     @pytest.mark.parametrize("model_name", SUPPORTED)
     def test_fused_matches_full_forward(self, eleme_dataset, small_model_config,
@@ -55,76 +72,49 @@ class TestFusedParity:
         model = create_model(model_name, eleme_dataset.schema, small_model_config)
         requests = _burst(eleme_dataset)
 
-        fused = BatchScorer(model, encoder, max_batch_rows=128)
-        oracle = BatchScorer(model, encoder, max_batch_rows=128, two_tower=False)
+        fused = Ranker(model, encoder, max_batch_rows=128)
         fused_scores = fused.score_many(requests, state)
-        oracle_scores = oracle.score_many(requests, state)
         assert fused.fused_batches > 0
-        assert oracle.fused_batches == 0
-        for left, right in zip(fused_scores, oracle_scores):
+        for left, right in zip(fused_scores, _full_forward(model, encoder, requests, state)):
             np.testing.assert_allclose(left, right, atol=1e-6)
-
-    @pytest.mark.parametrize("quantization,band", [("float16", 1e-4), ("int8", 5e-3)])
-    def test_quantized_tables_stay_in_band(self, eleme_dataset, small_model_config,
-                                           serving_setup, quantization, band):
-        """The documented score-diff bands for quantised item tables hold."""
-        state, encoder = serving_setup
-        model = create_model("base_din", eleme_dataset.schema, small_model_config)
-        requests = _burst(eleme_dataset)
-
-        exact = BatchScorer(model, encoder).score_many(requests, state)
-        quantized = BatchScorer(
-            model, encoder, item_table_quantization=quantization
-        ).score_many(requests, state)
-        worst = max(
-            np.abs(left - right).max() if len(left) else 0.0
-            for left, right in zip(exact, quantized)
-        )
-        assert worst <= band
-
-    def test_quantized_tables_shrink(self, eleme_dataset, small_model_config,
-                                     serving_setup):
-        state, encoder = serving_setup
-        model = create_model("base_din", eleme_dataset.schema, small_model_config)
-        table = encoder.item_static_table(state)
-        exact = model.precompute_item_tables(table)
-        half = model.precompute_item_tables(table, quantization="float16")
-        int8 = model.precompute_item_tables(table, quantization="int8")
-        assert half.nbytes <= exact.nbytes / 2 + 1
-        assert int8.nbytes <= exact.nbytes / 2
-        assert int8.nbytes < half.nbytes
 
     def test_unsupported_model_falls_back(self, eleme_dataset, small_model_config,
                                           serving_setup):
-        """BASM cannot split exactly; the scorer silently uses the full forward."""
+        """BASM cannot split exactly; the ranker uses the full forward."""
         state, encoder = serving_setup
         model = create_model("basm", eleme_dataset.schema, small_model_config)
         assert not model.supports_two_tower
-        scorer = BatchScorer(model, encoder)
+        scorer = Ranker(model, encoder)
         scores = scorer.score_many(_burst(eleme_dataset, 8), state)
         assert scorer.fused_batches == 0
         assert scorer.batches_run > 0
+        assert scorer.item_tables is None
         assert all(len(s) for s in scores)
 
-    def test_two_tower_true_requires_support(self, eleme_dataset, small_model_config,
-                                             serving_setup):
+    @pytest.mark.parametrize("model_name", SUPPORTED)
+    def test_foreign_tables_fail_loudly(self, eleme_dataset, small_model_config,
+                                        serving_setup, model_name):
+        """Model A refuses to score with tables frozen from model B."""
         state, encoder = serving_setup
-        model = create_model("basm", eleme_dataset.schema, small_model_config)
-        with pytest.raises(ValueError, match="does not support"):
-            BatchScorer(model, encoder, two_tower=True)
+        model_a = create_model(model_name, eleme_dataset.schema, small_model_config)
+        model_b = create_model(model_name, eleme_dataset.schema, small_model_config)
+        static = encoder.item_static_table(state)
+        split = _split(encoder, _burst(eleme_dataset, 4), state)
+        model_a.score_two_tower(split, model_a.precompute_item_tables(static))
+        with pytest.raises(ValueError, match="item tables were built by model version"):
+            model_a.score_two_tower(split, model_b.precompute_item_tables(static))
 
-    def test_invalid_options_rejected(self, eleme_dataset, small_model_config,
-                                      serving_setup):
+    def test_load_state_dict_invalidates_built_tables(self, eleme_dataset,
+                                                      small_model_config, serving_setup):
+        """New weights mint a new uid, so tables built before them are refused."""
         state, encoder = serving_setup
         model = create_model("din", eleme_dataset.schema, small_model_config)
-        with pytest.raises(ValueError):
-            BatchScorer(model, encoder, two_tower="yes")
-        with pytest.raises(ValueError):
-            BatchScorer(model, encoder, item_table_quantization="int4")
-        with pytest.raises(ValueError):
-            ItemTable(np.zeros((4, 2), dtype=np.float32), quantization="bf16")
-        with pytest.raises(ValueError):
-            ItemTable(np.zeros(4, dtype=np.float32))
+        tables = model.precompute_item_tables(encoder.item_static_table(state))
+        split = _split(encoder, _burst(eleme_dataset, 4), state)
+        model.score_two_tower(split, tables)
+        model.load_state_dict(model.state_dict())
+        with pytest.raises(ValueError, match="item tables were built by model version"):
+            model.score_two_tower(split, tables)
 
 
 class TestFusedEdgeCases:
@@ -133,7 +123,7 @@ class TestFusedEdgeCases:
         model = create_model("base_din", eleme_dataset.schema, small_model_config)
         requests = _burst(eleme_dataset, 4)
         requests[1] = ScoreRequest(requests[1].context, np.zeros(0, dtype=np.int64))
-        scores = BatchScorer(model, encoder).score_many(requests, state)
+        scores = Ranker(model, encoder).score_many(requests, state)
         assert len(scores[1]) == 0
         assert all(len(scores[i]) == len(requests[i]) for i in (0, 2, 3))
 
@@ -158,9 +148,9 @@ class TestFusedEdgeCases:
         model = create_model("base_din", eleme_dataset.schema, small_model_config)
         requests = _burst(eleme_dataset, 6)
         requests[0] = ScoreRequest(requests[0].context, requests[0].candidates[:1])
-        packed = BatchScorer(model, encoder, max_batch_rows=4096).score_many(requests, state)
+        packed = Ranker(model, encoder, max_batch_rows=4096).score_many(requests, state)
         for index, request in enumerate(requests):
-            alone = BatchScorer(model, encoder).score_many([request], state)[0]
+            alone = Ranker(model, encoder).score_many([request], state)[0]
             assert np.array_equal(alone, packed[index])
 
     def test_chunked_predict_parity_on_supporting_model(self, eleme_dataset,
@@ -180,42 +170,58 @@ class TestFusedEdgeCases:
             )
 
 
-class TestItemTableCache:
-    def test_tables_frozen_once_per_version(self, eleme_dataset, small_model_config,
-                                            serving_setup):
+class TestItemTableSlot:
+    def test_tables_built_once_per_version(self, eleme_dataset, small_model_config,
+                                           serving_setup):
         state, encoder = serving_setup
         model = create_model("din", eleme_dataset.schema, small_model_config)
-        scorer = BatchScorer(model, encoder)
+        ranker = Ranker(model, encoder, max_batch_rows=32)
+        assert ranker.item_tables is None
         requests = _burst(eleme_dataset, 6)
-        scorer.score_many(requests, state)
-        assert state.features.num_model_tables == 1
-        scorer.score_many(requests, state)
-        assert state.features.num_model_tables == 1  # reused, not rebuilt
+        ranker.score_many(requests, state)
+        uid, tables = ranker.item_tables
+        assert uid == model.serving_uid == tables.model_uid
+        ranker.score_many(requests, state)
+        assert ranker.fused_batches > 2
+        assert ranker.item_tables[1] is tables  # reused, not rebuilt
 
-    def test_hot_swap_drops_and_rebuilds_tables(self, eleme_dataset, small_model_config,
-                                                serving_setup):
-        """Promotion invalidates frozen tables; the new model's are rebuilt
-        and its fused scores match its own full forward (no stale tables)."""
+    def test_hot_swap_rebuilds_tables(self, eleme_dataset, small_model_config,
+                                      serving_setup):
+        """After promotion the new model is scored with its own tables: its
+        fused scores match its own full forward (no stale tables)."""
         state, encoder = serving_setup
         schema = eleme_dataset.schema
         old = create_model("base_din", schema, small_model_config)
         ranker = Ranker(old, encoder)
         requests = _burst(eleme_dataset, 8)
         ranker.score_many(requests, state)
-        assert state.features.num_model_tables == 1
+        old_tables = ranker.item_tables[1]
 
         new = create_model("base_din", schema, small_model_config)
         for parameter in new.parameters():
             parameter.data += 0.05  # genuinely different weights
         previous = hot_swap(ranker, schema, state.features, new)
         assert previous is old
-        assert state.features.num_model_tables == 0
 
         fused = ranker.score_many(requests, state)
-        assert state.features.num_model_tables == 1
-        oracle = BatchScorer(new, encoder, two_tower=False).score_many(requests, state)
-        for left, right in zip(fused, oracle):
+        uid, tables = ranker.item_tables
+        assert uid == new.serving_uid and tables is not old_tables
+        for left, right in zip(fused, _full_forward(new, encoder, requests, state)):
             np.testing.assert_allclose(left, right, atol=1e-6)
+
+    def test_load_state_dict_on_live_model_rebuilds_tables(self, eleme_dataset,
+                                                           small_model_config,
+                                                           serving_setup):
+        state, encoder = serving_setup
+        model = create_model("din", eleme_dataset.schema, small_model_config)
+        ranker = Ranker(model, encoder)
+        requests = _burst(eleme_dataset, 4)
+        ranker.score_many(requests, state)
+        stale = ranker.item_tables[1]
+        model.load_state_dict(model.state_dict())
+        ranker.score_many(requests, state)
+        uid, tables = ranker.item_tables
+        assert uid == model.serving_uid and tables is not stale
 
     def test_distinct_models_use_distinct_tables(self, eleme_dataset,
                                                  small_model_config, serving_setup):
@@ -224,9 +230,12 @@ class TestItemTableCache:
         second = create_model("din", eleme_dataset.schema, small_model_config)
         assert first.serving_uid != second.serving_uid
         requests = _burst(eleme_dataset, 4)
-        BatchScorer(first, encoder).score_many(requests, state)
-        BatchScorer(second, encoder).score_many(requests, state)
-        assert state.features.num_model_tables == 2
+        rankers = [Ranker(first, encoder), Ranker(second, encoder)]
+        for ranker in rankers:
+            ranker.score_many(requests, state)
+        assert rankers[0].item_tables[0] == first.serving_uid
+        assert rankers[1].item_tables[0] == second.serving_uid
+        assert rankers[0].item_tables[1] is not rankers[1].item_tables[1]
 
     def test_load_state_dict_mints_new_serving_uid(self, eleme_dataset,
                                                    small_model_config):
@@ -235,31 +244,62 @@ class TestItemTableCache:
         model.load_state_dict(model.state_dict())
         assert model.serving_uid != uid
 
+    def test_concurrent_swaps_never_mix_model_and_tables(self, eleme_dataset,
+                                                         small_model_config,
+                                                         serving_setup):
+        """Scoring threads race a thread that keeps reassigning ``model``:
+        every micro-batch comes out byte-equal to one version's scores, and
+        the uid check in ``fused_common`` never fires."""
+        state, encoder = serving_setup
+        schema = eleme_dataset.schema
+        models = [create_model("din", schema, small_model_config) for _ in range(2)]
+        for parameter in models[1].parameters():
+            parameter.data += 0.05
+        requests = _burst(eleme_dataset, 3)  # one micro-batch
+        expected = [
+            np.concatenate(Ranker(model, encoder).score_many(requests, state))
+            for model in models
+        ]
+        assert not np.array_equal(expected[0], expected[1])
 
-class TestModelRefSwap:
-    def test_ranker_and_scorer_share_one_slot(self, eleme_dataset, small_model_config,
-                                              serving_setup):
-        _, encoder = serving_setup
-        first = create_model("din", eleme_dataset.schema, small_model_config)
-        second = create_model("din", eleme_dataset.schema, small_model_config)
-        ranker = Ranker(first, encoder)
-        assert ranker.model is first and ranker.scorer.model is first
-        previous = ranker.swap_model(second)
-        assert previous is first
-        assert ranker.model is second and ranker.scorer.model is second
-        # Assigning through either property writes the same shared slot.
-        ranker.scorer.model = first
-        assert ranker.model is first
+        ranker = Ranker(models[0], encoder)
+        stop = threading.Event()
+        errors, seen = [], set()
 
-    def test_standalone_scorer_accepts_shared_ref(self, eleme_dataset,
-                                                  small_model_config, serving_setup):
-        _, encoder = serving_setup
-        model = create_model("din", eleme_dataset.schema, small_model_config)
-        ref = ModelRef(model)
-        scorer = BatchScorer(None, encoder, model_ref=ref)
-        assert scorer.model is model
-        with pytest.raises(ValueError, match="model or model_ref"):
-            BatchScorer(None, encoder)
+        def score():
+            try:
+                for _ in range(40):
+                    got = np.concatenate(ranker.score_many(requests, state))
+                    matches = [np.array_equal(got, want) for want in expected]
+                    assert any(matches), "scores belong to neither model version"
+                    seen.add(matches.index(True))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        def swap():
+            flip = 0
+            while not stop.is_set():
+                flip ^= 1
+                ranker.model = models[flip]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            swapper = threading.Thread(target=swap)
+            scorers = [threading.Thread(target=score) for _ in range(4)]
+            swapper.start()
+            for thread in scorers:
+                thread.start()
+            for thread in scorers:
+                thread.join(timeout=120)
+            stop.set()
+            swapper.join(timeout=10)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in scorers + [swapper])
+        assert not errors, errors
+        assert seen == {0, 1}
 
 
 class TestThreadSafePredict:

@@ -104,3 +104,27 @@ def test_load_generators_are_gone():
     for package in (repro.serving, repro.serving.cluster):
         exported = [name for name in removed if hasattr(package, name)]
         assert not exported, f"{package.__name__} still exports {exported}"
+
+
+def test_rank_knobs_are_gone():
+    """One rank engine: the path and the table dtype are not settable."""
+    import inspect
+
+    import repro.models.two_tower as two_tower
+    import repro.serving
+    from repro.models import DIN, BaseCTRModel, TargetAttentionDIN, WideDeep
+    from repro.serving import ProcessWorkerPool, Ranker, build_cluster
+
+    knobs = {"quantization", "item_table_quantization", "two_tower"}
+    callables = [Ranker, build_cluster, ProcessWorkerPool, two_tower.build_common_item_tables]
+    callables += [
+        model.precompute_item_tables
+        for model in (BaseCTRModel, WideDeep, DIN, TargetAttentionDIN)
+    ]
+    for target in callables:
+        left = knobs & set(inspect.signature(target).parameters)
+        assert not left, f"{target.__qualname__} still takes {sorted(left)}"
+    for name in ("ItemTable", "QUANTIZATIONS"):
+        assert not hasattr(two_tower, name), f"repro.models.two_tower still has {name}"
+    for name in ("BatchScorer", "ModelRef"):
+        assert not hasattr(repro.serving, name), f"repro.serving still exports {name}"

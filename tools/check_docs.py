@@ -6,7 +6,7 @@ for two kinds of references and fails if any points at nothing:
 
 * repository paths like ``src/repro/serving/platform.py`` (or directories
   like ``src/repro/nn``, ``benchmarks/``);
-* dotted module references like ``repro.serving.batching`` or
+* dotted module references like ``repro.serving.ranker`` or
   ``repro.models.store.ModelStore`` — resolved against ``src/`` by finding
   the longest prefix that is a module file or package directory.
 
