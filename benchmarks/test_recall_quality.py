@@ -26,7 +26,7 @@ from repro.serving import (
     LocationBasedRecall,
     MultiChannelRecall,
     Ranker,
-    ScoreRequest,
+    generate_burst,
 )
 
 from .conftest import format_rows, save_bench_json, save_result
@@ -128,14 +128,16 @@ def test_fused_recall_beats_proximity_stub(eleme_bench, trained_basm, serving_en
 
 def test_fused_pools_are_deterministic_under_batching(eleme_bench, trained_basm,
                                                       serving_environment):
-    """The burst path recalls the same pools as request-at-a-time calls."""
+    """The burst path (one ``recall_many``) recalls the same pools as
+    request-at-a-time calls, in either order."""
     state, encoder = serving_environment
     world = eleme_bench.world
     fused = MultiChannelRecall.build(
         world, state, encoder=encoder, model=trained_basm, pool_size=POOL_SIZE, seed=12,
     )
-    rng = np.random.default_rng(77)
-    contexts = [world.sample_request_context(102, rng) for _ in range(50)]
-    burst = [ScoreRequest(context, fused.recall(context)) for context in contexts]
-    for context, request in zip(reversed(contexts), reversed(burst)):
-        np.testing.assert_array_equal(fused.recall(context), request.candidates)
+    burst = generate_burst(world, 50, recall_size=POOL_SIZE, day=102, seed=77, recall=fused)
+    assert len({request.context.city for request in burst}) > 1
+    for request in reversed(burst):
+        np.testing.assert_array_equal(fused.recall(request.context), request.candidates)
+    for request, pool in zip(burst, fused.recall_many([r.context for r in burst][::-1])[::-1]):
+        np.testing.assert_array_equal(pool, request.candidates)

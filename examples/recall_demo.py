@@ -78,7 +78,7 @@ def main() -> None:
     context = world.sample_request_context(dataset.config.num_days, rng)
     print(f"\nRequest: user {context.user_index}, city {context.city}, "
           f"hour {context.hour}, geohash {context.geohash}")
-    per_channel = fused.channel_results(context)
+    per_channel = {name: found[0] for name, found in fused.channel_results([context]).items()}
     pool = fused.recall(context)
     pool_set = set(int(item) for item in pool)
     print(f"{'Channel':16s} {'returned':>8s} {'in fused pool':>13s}")
@@ -93,10 +93,12 @@ def main() -> None:
     # --- burst comparison ----------------------------------------------- #
     print(f"\nComparing pools over {args.requests} requests ...")
     fused_ctr, proximity_ctr = [], []
-    for _ in range(args.requests):
-        context = world.sample_request_context(dataset.config.num_days, rng)
-        fused_ctr.append(expected_ctr(world, context, fused.recall(context)))
-        proximity_ctr.append(expected_ctr(world, context, proximity.recall(context)))
+    burst = [world.sample_request_context(dataset.config.num_days, rng)
+             for _ in range(args.requests)]
+    for context, ours, seed_pool in zip(burst, fused.recall_many(burst),
+                                        proximity.recall_many(burst)):
+        fused_ctr.append(expected_ctr(world, context, ours))
+        proximity_ctr.append(expected_ctr(world, context, seed_pool))
     fused_mean, proximity_mean = np.mean(fused_ctr), np.mean(proximity_ctr)
     print(f"mean expected pool CTR: fused {fused_mean:.4f} vs "
           f"proximity {proximity_mean:.4f} "

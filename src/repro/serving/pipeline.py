@@ -393,7 +393,8 @@ class PipelineStage:
 
 
 class RecallStage(PipelineStage):
-    """Fill ``candidates`` from a :class:`RecallStrategy`.
+    """Fill ``candidates`` from a :class:`RecallStrategy`: one ``recall_many``
+    call for the whole micro-batch.
 
     With ``pool_size=None`` the strategy's own configured pool size applies
     (exactly what the pre-pipeline platform did); a scenario variant can
@@ -410,11 +411,11 @@ class RecallStage(PipelineStage):
         self.pool_size = pool_size
 
     def process(self, batch: Sequence[ServeResponse], state: ServingState) -> None:
-        for response in batch:
-            if self.pool_size is None:
-                response.candidates = self.strategy.recall(response.context)
-            else:
-                response.candidates = self.strategy.recall(response.context, self.pool_size)
+        pools = self.strategy.recall_many(
+            [response.context for response in batch], self.pool_size
+        )
+        for response, pool in zip(batch, pools):
+            response.candidates = pool
 
 
 class RankStage(PipelineStage):

@@ -4,7 +4,7 @@ A pluggable set of retrieval scenarios — indexed geo retrieval, embedding
 similarity, popularity priors, user-history expansion — fused into one
 candidate pool for the ranker, plus the seed proximity sampler kept as a
 benchmark-parity escape hatch.  See :mod:`repro.serving.recall.base` for the
-channel contract and :mod:`repro.serving.recall.fusion` for the blend policy.
+batch contract (``recall_many``) and :mod:`repro.serving.recall.fusion` for the blend policy.
 """
 
 from .base import RecallChannel, RecallStrategy, request_rng

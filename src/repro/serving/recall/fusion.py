@@ -2,10 +2,12 @@
 
 :class:`RecallFusion` is the pure merge policy — dedup, quota blend,
 truncate — and :class:`MultiChannelRecall` is the serving-facing recall
-strategy that fans a request out over its channels, fuses the results and
-guarantees a full pool.  The fused pool is a *set* for the ranker: order
-carries no exposure meaning (display order is decided by ranking scores),
-but it is still deterministic for reproducibility.
+strategy that fans a micro-batch out over its channels (one ``recall_many``
+per channel), fuses each request's lists and guarantees a full pool.  The
+quota split is computed once per batch; nothing else is shared between
+requests and nothing survives the call.  The fused pool is a *set* for the
+ranker: order carries no exposure meaning (display order is decided by
+ranking scores), but it is still deterministic for reproducibility.
 
 Fusion invariants (pinned by ``tests/serving/test_recall_channels.py``):
 
@@ -18,19 +20,14 @@ Fusion invariants (pinned by ``tests/serving/test_recall_channels.py``):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ...data.world import RequestContext, SyntheticWorld
 from ..state import ServingState
-from .base import RecallChannel, request_rng
-from .channels import (
-    EmbeddingANNChannel,
-    GeoGridChannel,
-    PopularityChannel,
-    UserHistoryChannel,
-)
+from .base import RecallChannel, RecallStrategy, request_rng, resolve_pool_size
+from .channels import EmbeddingANNChannel, GeoGridChannel, PopularityChannel, UserHistoryChannel
 
 __all__ = ["RecallFusion", "MultiChannelRecall"]
 
@@ -69,63 +66,69 @@ class RecallFusion:
         return dict(zip(names, (int(c) for c in counts)))
 
     def fuse(self, channel_candidates: Dict[str, np.ndarray], pool_size: int) -> np.ndarray:
-        """Blend per-channel ranked candidate arrays into one deduplicated pool."""
+        """Blend one request's per-channel ranked arrays (the batch of one)."""
+        lists = {name: [found] for name, found in channel_candidates.items()}
+        return self.fuse_many(lists, pool_size)[0]
+
+    def fuse_many(self, channel_candidates: Dict[str, Sequence[np.ndarray]],
+                  pool_size: int) -> List[np.ndarray]:
+        """Blend each request's per-channel ranked arrays into one deduplicated pool.
+
+        ``channel_candidates[name][i]`` is channel ``name``'s list for request
+        ``i``; requests are fused independently under one shared quota split.
+        """
         if pool_size <= 0:
             raise ValueError("pool_size must be positive")
         names = sorted(channel_candidates)
         quota = self.quota_counts(names, pool_size)
-        queues = {
-            name: [int(item) for item in channel_candidates[name]] for name in names
-        }
-        seen = set()
-        fused: List[int] = []
-
-        def take(name: str, budget: int) -> int:
-            """Move up to ``budget`` unseen items from ``name``'s queue to the pool."""
-            taken = 0
-            queue = queues[name]
-            while queue and taken < budget and len(fused) < pool_size:
-                item = queue.pop(0)
-                if item not in seen:
-                    seen.add(item)
-                    fused.append(item)
-                    taken += 1
-            return taken
-
-        # Phase 1: every channel fills its quota with its best unseen items.
-        for name in names:
-            take(name, quota[name])
-        # Phase 2: round-robin backfill from whoever still has candidates.
-        while len(fused) < pool_size and any(queues[name] for name in names):
-            for name in names:
-                if len(fused) >= pool_size:
-                    break
-                take(name, 1)
-        return np.asarray(fused, dtype=np.int64)
+        budgets = [quota[name] for name in names]
+        fused_pools: List[np.ndarray] = []
+        for found in zip(*(channel_candidates[name] for name in names)):
+            fused: Dict[int, None] = {}  # insertion-ordered seen-set: it is the pool
+            # Phase 1: every channel fills its quota with its best unseen items.
+            queues = [iter(ranked.tolist()) for ranked in found]
+            live = [queue for queue, budget in zip(queues, budgets)
+                    if _take(queue, budget, fused, pool_size)]
+            # Phase 2: round-robin backfill from whoever still has candidates.
+            while live and len(fused) < pool_size:
+                live = [queue for queue in live if _take(queue, 1, fused, pool_size)]
+            fused_pools.append(np.fromiter(fused, dtype=np.int64, count=len(fused)))
+        return fused_pools
 
 
-class MultiChannelRecall:
+def _take(queue: Iterator[int], budget: int, fused: Dict[int, None], pool_size: int) -> bool:
+    """Move the next ``budget`` unseen items of ``queue`` into ``fused``, never
+    past ``pool_size``; False once the queue has run dry."""
+    budget = min(budget, pool_size - len(fused))
+    if budget <= 0:
+        return True
+    for item in queue:
+        if item not in fused:
+            fused[item] = None
+            budget -= 1
+            if not budget:
+                return True
+    return False
+
+
+class MultiChannelRecall(RecallStrategy):
     """The multi-channel Recall stage: fan out, fuse, guarantee a full pool.
 
     Drop-in replacement for the seed proximity sampler behind the same
-    ``recall(context, pool_size=None)`` strategy interface the platform, the
-    A/B simulator and the load generator consume.  Each channel receives its
-    own :func:`request_rng` stream, so pools are a pure function of
-    (request, state) — the property behind the batched/sequential serving
-    parity guarantee.  When even fusion plus backfill cannot fill the pool
-    (a city with fewer items than ``pool_size``), the whole city pool is
-    returned, matching the seed sampler's semantics.
+    :class:`RecallStrategy` interface the platform, the A/B simulator and
+    the burst generator consume: ``recall_many`` makes one call per channel
+    for the whole micro-batch and ``recall`` is the batch of one.  Each
+    channel can ask for its own :func:`request_rng` stream per request, so
+    pools are a pure function of (request, state) — the property behind the
+    batched/sequential serving parity guarantee.  When even fusion plus
+    backfill cannot fill the pool (a city with fewer items than
+    ``pool_size``), the whole city pool is returned, matching the seed
+    sampler's semantics.
     """
 
-    def __init__(
-        self,
-        world: SyntheticWorld,
-        state: ServingState,
-        channels: Sequence[RecallChannel],
-        pool_size: int = 30,
-        quotas: Optional[Dict[str, float]] = None,
-        seed: int = 5,
-    ) -> None:
+    def __init__(self, world: SyntheticWorld, state: ServingState,
+                 channels: Sequence[RecallChannel], pool_size: int = 30,
+                 quotas: Optional[Dict[str, float]] = None, seed: int = 5) -> None:
         if pool_size <= 0:
             raise ValueError("pool_size must be positive")
         if not channels:
@@ -140,18 +143,10 @@ class MultiChannelRecall:
         self.fusion = RecallFusion(quotas)
         self.seed = seed
 
-    # ------------------------------------------------------------------ #
     @classmethod
-    def build(
-        cls,
-        world: SyntheticWorld,
-        state: ServingState,
-        encoder=None,
-        model=None,
-        pool_size: int = 30,
-        quotas: Optional[Dict[str, float]] = None,
-        seed: int = 5,
-    ) -> "MultiChannelRecall":
+    def build(cls, world: SyntheticWorld, state: ServingState, encoder=None, model=None,
+              pool_size: int = 30, quotas: Optional[Dict[str, float]] = None,
+              seed: int = 5) -> "MultiChannelRecall":
         """The default channel stack: geo grid, popularity, user history,
         plus embedding-ANN when a model (and its encoder) is available.
 
@@ -160,43 +155,40 @@ class MultiChannelRecall:
         leak ranking signal into the control bucket.
         """
         channels: List[RecallChannel] = [
-            GeoGridChannel(world),
-            PopularityChannel(world),
-            UserHistoryChannel(world),
-        ]
+            GeoGridChannel(world), PopularityChannel(world), UserHistoryChannel(world)]
         if model is not None:
             if encoder is None:
                 raise ValueError("building an embedding channel requires the encoder")
             channels.append(EmbeddingANNChannel.from_model(world, encoder, model, state))
         return cls(world, state, channels, pool_size=pool_size, quotas=quotas, seed=seed)
 
-    # ------------------------------------------------------------------ #
-    def channel_results(
-        self, context: RequestContext, pool_size: Optional[int] = None
-    ) -> Dict[str, np.ndarray]:
-        """Per-channel ranked candidates (exposed for attribution/debugging)."""
-        size = pool_size or self.pool_size
+    def channel_results(self, contexts: Sequence[RequestContext],
+                        pool_size: Optional[int] = None) -> Dict[str, List[np.ndarray]]:
+        """Per-channel ranked candidates, one list per request (also exposed
+        for attribution/debugging)."""
+        size = resolve_pool_size(pool_size, self.pool_size)
         return {
-            channel.name: channel.recall(
-                context, self.state, size,
-                request_rng(self.seed, context, salt=channel.name),
+            channel.name: channel.recall_many(
+                contexts, self.state, size,
+                lambda context, salt=channel.name: request_rng(self.seed, context, salt),
             )
             for channel in self.channels
         }
 
-    def recall(self, context: RequestContext, pool_size: Optional[int] = None) -> np.ndarray:
-        """Fused candidate pool for one request (up to ``pool_size`` items)."""
-        size = pool_size or self.pool_size
-        fused = self.fusion.fuse(self.channel_results(context, size), size)
-        if len(fused) < size:
-            # Sparse corner (tiny city, cold user everywhere): top up from the
-            # city pool in deterministic item order.
-            pool = self.world.recall_pool(context.city)
-            missing = np.setdiff1d(pool, fused, assume_unique=False)
-            fused = np.concatenate([fused, missing[: size - len(fused)]])
-        return fused.astype(np.int64)
+    def recall_many(self, contexts: Sequence[RequestContext],
+                    pool_size: Optional[int] = None) -> List[np.ndarray]:
+        """Fused candidate pool (up to ``pool_size`` items) for each request."""
+        size = resolve_pool_size(pool_size, self.pool_size)
+        contexts = list(contexts)
+        pools = self.fusion.fuse_many(self.channel_results(contexts, size), size)
+        for slot, fused in enumerate(pools):
+            if len(fused) < size:
+                # Sparse corner (tiny city, cold user everywhere): top up from
+                # the city pool in deterministic item order.
+                missing = np.setdiff1d(self.world.recall_pool(contexts[slot].city), fused)
+                pools[slot] = np.concatenate([fused, missing[: size - len(fused)]])
+        return pools
 
-    # ------------------------------------------------------------------ #
     def refresh_embeddings(self, model, encoder) -> bool:
         """Re-export ANN vectors after a model hot-swap; True if refreshed.
 

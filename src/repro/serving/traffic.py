@@ -53,16 +53,17 @@ def generate_burst(
 ) -> List[ScoreRequest]:
     """Sample a burst of concurrent requests with their recalled candidates.
 
-    ``recall`` is any strategy with the ``recall(context, pool_size=None)``
-    interface — by default the seed proximity sampler, or a
-    :class:`repro.serving.recall.MultiChannelRecall` to replay the burst
-    through the fused multi-channel stage.
+    ``recall`` is any :class:`RecallStrategy` — by default the seed
+    proximity sampler, or a :class:`repro.serving.recall.MultiChannelRecall`
+    to replay the burst through the fused multi-channel stage — and recalls
+    the burst in one ``recall_many`` call.
     """
     if recall is None:
         recall = LocationBasedRecall(world, pool_size=recall_size, seed=seed + 1)
+    contexts = sample_burst_contexts(world, num_requests, day=day, seed=seed)
     return [
-        ScoreRequest(context, recall.recall(context, recall_size))
-        for context in sample_burst_contexts(world, num_requests, day=day, seed=seed)
+        ScoreRequest(context, pool)
+        for context, pool in zip(contexts, recall.recall_many(contexts, recall_size))
     ]
 
 

@@ -32,7 +32,7 @@ LONGITUDES = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
 
 class TestGeohashProperties:
     @given(LATITUDES, LONGITUDES, st.integers(min_value=1, max_value=12))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_roundtrip_within_cell_at_every_precision(self, lat, lon, precision):
         """Decoding returns the cell centre, so the error is bounded by half
         the cell size — at *every* supported precision, poles included."""
@@ -46,7 +46,7 @@ class TestGeohashProperties:
 
     @given(LATITUDES, LONGITUDES,
            st.integers(min_value=1, max_value=11), st.integers(min_value=1, max_value=11))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_precision_refinement_is_prefix(self, lat, lon, p_short, p_long):
         """The recall grid's degradation path: a coarser geohash is always a
         prefix of a finer one for the same point."""
@@ -54,7 +54,7 @@ class TestGeohashProperties:
         assert geohash_encode(lat, lon, long).startswith(geohash_encode(lat, lon, short))
 
     @given(LATITUDES, LONGITUDES, st.integers(min_value=1, max_value=12))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_reencoding_cell_centre_is_idempotent(self, lat, lon, precision):
         cell = geohash_encode(lat, lon, precision)
         assert geohash_encode(*geohash_decode(cell), precision) == cell
@@ -88,7 +88,7 @@ class TestBucketizeEdges:
                     min_size=1, max_size=50),
            st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
                     min_size=1, max_size=10))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_ids_in_range_and_monotone(self, values, boundaries):
         ids = bucketize(np.array(values), boundaries)
         assert ids.min() >= 1
@@ -107,7 +107,7 @@ class TestBucketizeEdges:
 
     @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=50),
            st.integers(min_value=1, max_value=20))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_log_bucketize_range(self, counts, num_buckets):
         ids = log_bucketize(np.array(counts), num_buckets)
         assert ids.min() >= 1 and ids.max() <= num_buckets
@@ -128,7 +128,7 @@ ADVERSARIAL_IDS = st.one_of(
 
 class TestVocabularyOOV:
     @given(st.lists(ADVERSARIAL_IDS, min_size=1, max_size=40, unique=True))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_roundtrip_then_frozen_oov(self, values):
         vocab = Vocabulary("fuzz")
         ids = [vocab.add(value) for value in values]
@@ -149,7 +149,7 @@ class TestVocabularyOOV:
 
     @given(st.lists(ADVERSARIAL_IDS, min_size=1, max_size=60),
            st.integers(min_value=2, max_value=97))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_hashing_vocab_ids_always_in_range(self, values, num_buckets):
         vocab = HashingVocabulary(num_buckets, seed=3)
         ids = vocab.lookup_array(values)
@@ -157,7 +157,7 @@ class TestVocabularyOOV:
         assert ids.max() < num_buckets
 
     @given(ADVERSARIAL_IDS)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_hashing_vocab_deterministic_across_instances(self, value):
         left = HashingVocabulary(64, seed=17).lookup(value)
         right = HashingVocabulary(64, seed=17).lookup(value)

@@ -127,7 +127,7 @@ class TestVocabulary:
             HashingVocabulary(1)
 
     @given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=30))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_hashing_never_returns_padding(self, values):
         vocab = HashingVocabulary(17)
         ids = vocab.lookup_array(values)

@@ -63,7 +63,7 @@ class TestTimePeriods:
         assert is_mealtime(15) == 0
 
     @given(st.integers(min_value=0, max_value=23))
-    @settings(max_examples=24, deadline=None)
+    @settings(max_examples=24)
     def test_period_is_consistent_with_hours_of(self, hour):
         period = TimePeriod(int(hour_to_time_period(hour)))
         assert hour in hours_of_time_period(period)
@@ -112,7 +112,7 @@ class TestGeohash:
         st.floats(min_value=-80, max_value=80, allow_nan=False),
         st.floats(min_value=-179, max_value=179, allow_nan=False),
     )
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_roundtrip_property(self, lat, lon):
         decoded_lat, decoded_lon = geohash_decode(geohash_encode(lat, lon, 7))
         assert abs(decoded_lat - lat) < 0.01
@@ -122,7 +122,7 @@ class TestGeohash:
         st.floats(min_value=-80, max_value=80, allow_nan=False),
         st.floats(min_value=-179, max_value=179, allow_nan=False),
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_prefix_property(self, lat, lon):
         """A longer geohash always refines (starts with) the shorter one."""
         short = geohash_encode(lat, lon, 4)

@@ -50,7 +50,7 @@ class TestAUC:
             auc(np.zeros(3), np.zeros(4))
 
     @given(st.integers(min_value=10, max_value=200))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_auc_invariant_to_monotone_transform(self, size):
         rng = np.random.default_rng(size)
         labels = rng.integers(0, 2, size=size)
@@ -100,7 +100,7 @@ class TestGroupedAUC:
         assert np.isclose(grouped_auc(labels, scores, np.zeros(200)), auc(labels, scores))
 
     @given(st.integers(min_value=30, max_value=120))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_grouped_auc_bounded(self, size):
         rng = np.random.default_rng(size)
         labels = rng.integers(0, 2, size=size)
@@ -146,7 +146,7 @@ class TestNDCG:
         assert np.isclose(session_ndcg(labels, scores, sessions, k=3), 1.0)
 
     @given(st.integers(min_value=2, max_value=20))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_ndcg_bounded_property(self, size):
         rng = np.random.default_rng(size)
         labels = rng.integers(0, 2, size=size)

@@ -208,7 +208,7 @@ class TestSchedulers:
 
 class TestInitializers:
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=64))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_xavier_uniform_bounds(self, fan_out, fan_in):
         rng = np.random.default_rng(0)
         values = nn.init.xavier_uniform((fan_out, fan_in), rng)

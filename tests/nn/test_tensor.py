@@ -256,7 +256,7 @@ class TestGraphMechanics:
         assert np.allclose(x.grad, [48.0])
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_unbroadcast_restores_shape(self, rows, cols):
         grad = np.ones((rows, cols), dtype=np.float32)
         assert _unbroadcast(grad, (1, cols)).shape == (1, cols)
@@ -265,7 +265,7 @@ class TestGraphMechanics:
     @given(
         st.lists(st.floats(min_value=-3, max_value=3, allow_nan=False), min_size=2, max_size=8)
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_sigmoid_output_range_property(self, values):
         out = Tensor(np.array(values)).sigmoid().data
         assert np.all(out > 0.0) and np.all(out < 1.0)
@@ -273,7 +273,7 @@ class TestGraphMechanics:
     @given(
         st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=2, max_size=10)
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_composite_gradient_property(self, values):
         """Gradient of sum(sigmoid(x)) equals sigmoid(x)(1 - sigmoid(x)) elementwise."""
         x = Tensor(np.array(values), requires_grad=True)

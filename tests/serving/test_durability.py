@@ -664,7 +664,7 @@ class TestThreadedJournalBurst:
 # property: random click/snapshot/crash interleavings
 # ---------------------------------------------------------------------- #
 class TestDurabilityProperty:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(ops=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=20))
     def test_random_interleavings_recover_a_true_prefix(self, ops, fsync_policy):
         """Whatever the interleaving, recovery lands on an exact former state.

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import LogGenerator
 from repro.data.world import RequestContext, SyntheticWorld, WorldConfig
@@ -16,11 +23,15 @@ from repro.serving import (
     OnlineRequestEncoder,
     PersonalizationPlatform,
     PopularityChannel,
+    RecallChannel,
     RecallFusion,
     ServingState,
     UserHistoryChannel,
     request_rng,
+    sample_burst_contexts,
 )
+from repro.serving.recall import fusion as fusion_module
+from repro.serving.recall.channels import _top_k_by_score
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +42,39 @@ def recall_setup(eleme_dataset, small_model_config):
     encoder = OnlineRequestEncoder(eleme_dataset.world, eleme_dataset.schema)
     model = create_model("basm", eleme_dataset.schema, small_model_config)
     return state, encoder, model
+
+
+def _fresh_state(dataset, cold_every=None):
+    """A private serving state from the offline log; ``cold_every=k`` strips
+    the history of every k-th user (the log bootstraps one for everybody)."""
+    generator = LogGenerator(dataset.world, dataset.config.log_config())
+    state = ServingState.from_log_generator(generator, dataset.log)
+    if cold_every:
+        for user in range(0, dataset.world.config.num_users, cold_every):
+            state.histories.pop(user, None)
+    return state
+
+
+@pytest.fixture(scope="module")
+def batch_setups(eleme_dataset, small_model_config):
+    """(strategy, state, 64 contexts) twice: the four-channel stack over a
+    state with cold-start users, and a tiny world whose cities are smaller
+    than the pool (the top-up corner)."""
+    world = eleme_dataset.world
+    state = _fresh_state(eleme_dataset, cold_every=7)
+    encoder = OnlineRequestEncoder(world, eleme_dataset.schema)
+    model = create_model("basm", eleme_dataset.schema, small_model_config)
+    fused = MultiChannelRecall.build(world, state, encoder=encoder, model=model, pool_size=20)
+    contexts = sample_burst_contexts(world, 64, day=60, seed=31)
+    assert any(c.user_index not in state.histories for c in contexts)
+    tiny = SyntheticWorld(WorldConfig(num_users=40, num_items=12, num_cities=3,
+                                      num_brands=8, seed=6))
+    tiny_state = ServingState(tiny)
+    return [
+        (fused, state, contexts),
+        (MultiChannelRecall.build(tiny, tiny_state, pool_size=30), tiny_state,
+         sample_burst_contexts(tiny, 64, day=1, seed=32)),
+    ]
 
 
 def _context(world, seed=0, day=60):
@@ -68,6 +112,34 @@ def _warm_user(world, state, min_events=3):
     pytest.skip("no warm user in this dataset")
 
 
+class TestTopK:
+    """Ties — at the cut included — go to the earlier pool position."""
+
+    POOL = np.arange(100, 120)
+
+    @staticmethod
+    def _by_position(pool, scores, size):
+        order = sorted(range(len(pool)), key=lambda slot: (-scores[slot], slot))
+        return pool[order[:size]]
+
+    def test_tied_scores_at_the_cut_single_row(self):
+        scores = np.random.default_rng(1).integers(0, 3, 20).astype(float)
+        top = _top_k_by_score(self.POOL, scores, 5)
+        np.testing.assert_array_equal(top, [102, 103, 106, 107, 110])
+        np.testing.assert_array_equal(top, self._by_position(self.POOL, scores, 5))
+
+    def test_tied_scores_at_the_cut_matrix(self):
+        scores = np.random.default_rng(2).integers(0, 3, (6, 20)).astype(float)
+        for size in (1, 5, 19, 20, 40):
+            top = _top_k_by_score(self.POOL, scores, size)
+            assert top.shape == (6, min(size, 20))
+            for row, row_scores in zip(top, scores):
+                np.testing.assert_array_equal(
+                    row, self._by_position(self.POOL, row_scores, size))
+                np.testing.assert_array_equal(
+                    row, _top_k_by_score(self.POOL, row_scores, size))
+
+
 class TestRequestRng:
     def test_deterministic_and_salted(self, eleme_dataset):
         context = _context(eleme_dataset.world)
@@ -102,6 +174,37 @@ class TestLocationBasedRecall:
         one = LocationBasedRecall(eleme_dataset.world, pool_size=9, seed=5)
         two = LocationBasedRecall(eleme_dataset.world, pool_size=9, seed=5)
         np.testing.assert_array_equal(one.recall(context), two.recall(context))
+
+    def test_batch_equals_request_at_a_time(self, eleme_dataset):
+        recall = LocationBasedRecall(eleme_dataset.world, pool_size=10, seed=5)
+        contexts = sample_burst_contexts(eleme_dataset.world, 12, day=60, seed=33)
+        for batched, context in zip(recall.recall_many(contexts, 6), contexts):
+            np.testing.assert_array_equal(batched, recall.recall(context, 6))
+
+
+class TestPoolSizeValidation:
+    """``None`` is the configured size; zero and negatives are errors, not
+    a silent fall-back to the default (``pool_size or self.pool_size``)."""
+
+    @pytest.fixture(params=["proximity", "fused"])
+    def strategy(self, request, eleme_dataset, recall_setup):
+        if request.param == "proximity":
+            return LocationBasedRecall(eleme_dataset.world, pool_size=9)
+        return MultiChannelRecall.build(eleme_dataset.world, recall_setup[0], pool_size=9)
+
+    def test_none_means_configured_size(self, strategy, eleme_dataset):
+        context = _context(eleme_dataset.world, seed=12)
+        assert len(strategy.recall(context)) == 9
+        assert len(strategy.recall(context, None)) == 9
+        assert [len(pool) for pool in strategy.recall_many([context, context], 4)] == [4, 4]
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_non_positive_size_raises(self, strategy, eleme_dataset, bad):
+        context = _context(eleme_dataset.world, seed=12)
+        with pytest.raises(ValueError):
+            strategy.recall(context, bad)
+        with pytest.raises(ValueError):
+            strategy.recall_many([context], pool_size=bad)
 
 
 class TestGeoGridChannel:
@@ -383,8 +486,9 @@ class TestMultiChannelRecall:
     def test_swap_model_refreshes_ann_vectors(self, eleme_dataset, recall_setup,
                                               small_model_config):
         state, encoder, model = recall_setup
+        world = eleme_dataset.world
         platform = PersonalizationPlatform(
-            eleme_dataset.world, model, encoder, state, recall_size=10, exposure_size=4
+            world, model, encoder, state, recall_size=10, exposure_size=4
         )
         ann = [channel for channel in platform.recall.channels
                if isinstance(channel, EmbeddingANNChannel)]
@@ -393,6 +497,272 @@ class TestMultiChannelRecall:
         replacement = create_model("basm", eleme_dataset.schema, small_model_config)
         # Same config/seed builds identical embeddings; perturb to make the
         # refresh observable.
-        replacement.embedder.embedding.weight.data[:] += 0.05
+        rng = np.random.default_rng(3)
+        weight = replacement.embedder.embedding.weight.data
+        weight[:] += rng.normal(0.0, 0.5, size=weight.shape).astype(weight.dtype)
+        contexts = [
+            _context_for_user(world, int(np.flatnonzero(world.user_city == city)[0]))
+            for city in sorted(world.items_by_city)
+        ]
+        stale = ann[0].recall_many(contexts, state, 10, None)
         platform.swap_model(replacement)
         assert not np.array_equal(before, ann[0].item_embeddings)
+        # Every city's scoring matrix moved with the swap, not only the
+        # item-ordered one: the refreshed channel answers like a fresh build.
+        fresh = EmbeddingANNChannel.from_model(world, encoder, replacement, state)
+        refreshed = ann[0].recall_many(contexts, state, 10, None)
+        for got, want, old in zip(refreshed, fresh.recall_many(contexts, state, 10, None), stale):
+            assert len(got) == 10
+            np.testing.assert_array_equal(got, want)
+            assert not np.array_equal(got, old)
+
+    def test_refresh_is_one_attribute_assignment(self, eleme_dataset, recall_setup):
+        """The item-ordered matrix and the per-city matrices are replaced
+        together: there is no moment at which a reader can hold one version
+        of the first and another of the second."""
+        state, encoder, model = recall_setup
+
+        class Recording(EmbeddingANNChannel):
+            assigned = None
+
+            def __setattr__(self, name, value):
+                if self.assigned is not None:
+                    self.assigned.append(name)
+                super().__setattr__(name, value)
+
+        channel = Recording.from_model(eleme_dataset.world, encoder, model, state)
+        channel.assigned = []
+        channel.refresh(channel.item_embeddings * 2.0)
+        assert len(channel.assigned) == 1
+
+    def test_scoring_during_refresh_never_mixes_versions(self, eleme_dataset, recall_setup):
+        """Scoring threads race a thread that keeps refreshing the vectors:
+        every returned list equals one version's — a query built from one
+        matrix is never scored against the other's city rows."""
+        state, encoder, model = recall_setup
+        world = eleme_dataset.world
+        channel = EmbeddingANNChannel.from_model(world, encoder, model, state)
+        rng = np.random.default_rng(4)
+        versions = [channel.item_embeddings.copy(),
+                    rng.normal(size=channel.item_embeddings.shape).astype(np.float32)]
+        contexts = sample_burst_contexts(world, 6, day=60, seed=34)
+        expected = []
+        for vectors in versions:
+            channel.refresh(vectors)
+            expected.append(channel.recall_many(contexts, state, 10, None))
+        assert not any(np.array_equal(a, b) for a, b in zip(*expected))
+        stop = threading.Event()
+        errors, seen = [], set()
+
+        def score():
+            try:
+                for _ in range(60):
+                    for slot, got in enumerate(channel.recall_many(contexts, state, 10, None)):
+                        matches = [np.array_equal(got, want[slot]) for want in expected]
+                        assert any(matches), "list belongs to neither version"
+                        seen.add(matches.index(True))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        def refresh():
+            flip = 0
+            while not stop.is_set():
+                flip ^= 1
+                channel.refresh(versions[flip])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            refresher = threading.Thread(target=refresh)
+            scorers = [threading.Thread(target=score) for _ in range(4)]
+            refresher.start()
+            for thread in scorers:
+                thread.start()
+            for thread in scorers:
+                thread.join(timeout=120)
+            stop.set()
+            refresher.join(timeout=10)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in scorers + [refresher])
+        assert not errors, errors
+        assert seen == {0, 1}
+
+
+class _DrawingChannel(RecallChannel):
+    """A channel that does draw: shuffles the city pool with its stream."""
+
+    name = "drawing"
+
+    def __init__(self, world):
+        self.world = world
+        self.draws = []
+
+    def recall_many(self, contexts, state, size, rng_for):
+        out = []
+        for context in contexts:
+            rng = rng_for(context)
+            self.draws.append(rng.random(4))
+            out.append(rng.permutation(self.world.recall_pool(context.city))[:size])
+        return out
+
+
+class _CountingLock:
+    def __init__(self, lock):
+        self.lock, self.acquisitions = lock, 0
+
+    def __enter__(self):
+        self.acquisitions += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+class _LengthProbe(list):
+    """A history list that logs its length whenever a window is sliced off,
+    then yields the interpreter for ``pause`` seconds — long enough for a
+    feedback thread that is not locked out to append in between."""
+
+    def __init__(self, values, log, pause=0.0):
+        super().__init__(values)
+        self.log, self.pause = log, pause
+
+    def __getitem__(self, key):
+        self.log.append(len(self))
+        time.sleep(self.pause)
+        return super().__getitem__(key)
+
+
+class TestBatchContract:
+    """``recall_many`` is the implementation and ``recall`` the batch of one:
+    a pool never depends on which other requests share its batch."""
+
+    PARENT_DIGEST = "73c0758aea805f685d5191550bb697fc251f615ab968e8815bdb4a483b5e62d1"
+
+    @settings(max_examples=40)
+    @given(
+        setup=st.integers(min_value=0, max_value=1),
+        picks=st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=40),
+        size=st.sampled_from([1, 7, 20, 45]),
+    )
+    def test_pool_independent_of_batch_composition(self, batch_setups, setup, picks, size):
+        """Random subsets, orders and repeats of a fixed 64-context sample."""
+        strategy, state, sample = batch_setups[setup]
+        batch = [sample[pick] for pick in picks]
+
+        def rng_for(context):
+            return request_rng(1, context)
+
+        for slot, pool in enumerate(strategy.recall_many(batch, size)):
+            np.testing.assert_array_equal(pool, strategy.recall_many([batch[slot]], size)[0])
+            assert pool.dtype == np.int64 and len(np.unique(pool)) == len(pool)
+            assert len(pool) == min(size, len(strategy.world.recall_pool(batch[slot].city)))
+        for channel in strategy.channels:
+            for slot, found in enumerate(channel.recall_many(batch, state, size, rng_for)):
+                alone = channel.recall_many([batch[slot]], state, size, rng_for)[0]
+                np.testing.assert_array_equal(found, alone)
+
+    def test_drawing_channel_sees_the_same_stream_on_both_entry_points(self, eleme_dataset,
+                                                                       recall_setup):
+        state, _, _ = recall_setup
+        world = eleme_dataset.world
+        contexts = sample_burst_contexts(world, 8, day=60, seed=35)
+        batched = _DrawingChannel(world)
+        strategy = MultiChannelRecall(world, state, [batched], pool_size=6, seed=9)
+        lists = strategy.channel_results(contexts)["drawing"]
+        single = _DrawingChannel(world)
+        for context, found in zip(contexts, lists):
+            rng = request_rng(9, context, salt="drawing")
+            np.testing.assert_array_equal(single.recall(context, state, 6, rng), found)
+        assert len(single.draws) == len(batched.draws) == 8
+        for one, many in zip(single.draws, batched.draws):
+            assert one.tobytes() == many.tobytes()
+        assert len({draw.tobytes() for draw in batched.draws}) == 8
+
+    def test_deterministic_channels_build_no_generator(self, batch_setups, monkeypatch):
+        strategy, _, sample = batch_setups[0]
+        calls = []
+        monkeypatch.setattr(
+            fusion_module, "request_rng", lambda *args, **kwargs: calls.append(args))
+        strategy.recall_many(sample)
+        strategy.recall(sample[0])
+        assert calls == []
+
+    def test_one_lock_acquisition_per_state_reading_channel(self, batch_setups, monkeypatch):
+        strategy, state, sample = batch_setups[0]
+        counter = _CountingLock(state.lock)
+        monkeypatch.setattr(state, "lock", counter)
+        for channel in strategy.channels:
+            counter.acquisitions = 0
+            channel.recall_many(sample, state, 20, None)
+            assert counter.acquisitions <= 1, channel.name
+        counter.acquisitions = 0
+        strategy.recall_many(sample)
+        assert 1 <= counter.acquisitions <= len(strategy.channels)
+
+    def test_one_quota_split_per_batch(self, batch_setups, monkeypatch):
+        strategy, _, sample = batch_setups[0]
+        calls = []
+        split = strategy.fusion.quota_counts
+        monkeypatch.setattr(
+            strategy.fusion, "quota_counts",
+            lambda names, size: calls.append(size) or split(names, size))
+        strategy.recall_many(sample)
+        assert calls == [20]
+
+    def test_feedback_during_recall_never_misaligns_history_windows(self, eleme_dataset):
+        """A feedback thread appends multi-click events while a batch
+        snapshots the same user's history: the item and the category window
+        are always cut from lists of equal length."""
+        world = eleme_dataset.world
+        state = _fresh_state(eleme_dataset)
+        user = _warm_user(world, state)
+        context = _context_for_user(world, user)
+        history = state.histories[user]
+        item_lengths, category_lengths = [], []
+        history.items = _LengthProbe(history.items, item_lengths, pause=1e-3)
+        history.categories = _LengthProbe(history.categories, category_lengths)
+        channel = UserHistoryChannel(world)
+        clicked = world.recall_pool(context.city)[:5]
+        stop = threading.Event()
+
+        def feed():
+            while not stop.is_set():
+                state.record_clicks(context, clicked, np.ones(len(clicked)))
+
+        feeder = threading.Thread(target=feed)
+        try:
+            feeder.start()
+            for _ in range(25):
+                for found in channel.recall_many([context] * 8, state, 12, None):
+                    assert len(np.unique(found)) == len(found) > 0
+        finally:
+            stop.set()
+            feeder.join(timeout=30)
+        assert not feeder.is_alive()
+        assert len(item_lengths) == 25 * 8
+        assert item_lengths == category_lengths
+        assert len(set(item_lengths)) > 1, "the feeder never interleaved"
+
+    def test_fused_pools_match_the_parent_commit(self, eleme_dataset, small_model_config):
+        """sha256 over the fused pools of a seeded 256-context sample (39 of
+        them cold-start users), recorded from the request-at-a-time stage
+        this batched one replaced: the refactor moved no pool."""
+        world = eleme_dataset.world
+        state = _fresh_state(eleme_dataset, cold_every=7)
+        strategy = MultiChannelRecall.build(
+            world, state, encoder=OnlineRequestEncoder(world, eleme_dataset.schema),
+            model=create_model("basm", eleme_dataset.schema, small_model_config),
+            pool_size=20, seed=5,
+        )
+        contexts = sample_burst_contexts(world, 256, day=60, seed=2024)
+        digests = []
+        for pools in (strategy.recall_many(contexts),
+                      [strategy.recall(context) for context in contexts]):
+            digest = hashlib.sha256()
+            for pool in pools:
+                digest.update(pool.astype(np.int64).tobytes() + b"|")
+            digests.append(digest.hexdigest())
+        assert digests == [self.PARENT_DIGEST, self.PARENT_DIGEST]
