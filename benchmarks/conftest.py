@@ -14,7 +14,6 @@ so the regenerated numbers survive pytest's output capture.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -61,36 +60,6 @@ def save_result(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     atomic_write_text(RESULTS_DIR / f"{name}.txt", text + "\n")
     print(f"\n===== {name} =====\n{text}\n")
-
-
-def save_bench_json(name: str, metrics: dict) -> None:
-    """Persist a benchmark's headline numbers as ``results/BENCH_<name>.json``.
-
-    The machine-readable twin of :func:`save_result`: ``tools/check_bench.py``
-    compares these files against the committed tolerance bands in
-    ``benchmarks/baselines.json``, so parity / quality numbers cannot
-    silently regress in CI.  Only scalar metrics belong here.
-
-    Metrics *merge* into an existing results file for the same benchmark
-    (last writer wins per key), so several tests can contribute to one
-    benchmark's bands — e.g. the thread and process cluster scaling curves
-    both land in ``BENCH_cluster_scaling.json`` whichever ran first.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    target = RESULTS_DIR / f"BENCH_{name}.json"
-    merged = dict(metrics)
-    if target.exists():
-        try:
-            previous = json.loads(target.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
-            previous = {}
-        if previous.get("benchmark") == name:
-            merged = {**previous.get("metrics", {}), **metrics}
-    payload = {"benchmark": name, "scale": _SCALE, "metrics": merged}
-    atomic_write_text(
-        RESULTS_DIR / f"BENCH_{name}.json",
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-    )
 
 
 def format_rows(rows, title: str = "") -> str:

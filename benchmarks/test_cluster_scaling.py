@@ -42,7 +42,7 @@ from repro.serving import (
     sample_burst_contexts,
 )
 
-from .conftest import MODEL_CONFIG, format_rows, save_bench_json, save_result
+from .conftest import MODEL_CONFIG, format_rows, save_result
 
 NUM_REQUESTS = 1000
 DAY, SEED = 100, 11
@@ -110,15 +110,6 @@ def test_cluster_parity(eleme_bench):
         format_rows(rows, title="Thread-cluster parity (1k-request burst)")
         + f"\ncache sweep (identical burst twice): hit rate {cache_hit_rate:.1%}",
     )
-    save_bench_json(
-        "cluster_scaling",
-        {
-            "max_abs_score_diff": max(row["Max |score diff|"] for row in rows),
-            "items_mismatches": sum(row["Item mismatches"] for row in rows),
-            "rejected": sum(row["Rejected"] for row in rows),
-            "cache_hit_rate_warm": cache_hit_rate,
-        },
-    )
 
     # Byte-parity: the cluster is a pure throughput layer over the pipeline,
     # and admission control never dropped a request at this queue depth.
@@ -144,14 +135,6 @@ def test_process_cluster_parity(eleme_bench):
     save_result(
         "proc_cluster_scaling",
         format_rows(rows, title=f"Process-cluster parity ({PROC_REQUESTS}-request burst)"),
-    )
-    save_bench_json(
-        "cluster_scaling",
-        {
-            "proc_max_abs_score_diff": max(row["Max |score diff|"] for row in rows),
-            "proc_items_mismatches": sum(row["Item mismatches"] for row in rows),
-            "proc_rejected": sum(row["Rejected"] for row in rows),
-        },
     )
 
     # Crossing a process boundary must not move a single byte of output.

@@ -18,7 +18,7 @@ import numpy as np
 from repro.data.world import SyntheticWorld, WorldConfig
 from repro.serving import DurableStateStore, ServingState, state_fingerprint
 
-from .conftest import format_rows, save_bench_json, save_result
+from .conftest import format_rows, save_result
 
 RECOVERY_EVENTS = 50_000
 RECOVERY_WORLD = WorldConfig(num_users=400, num_items=200, num_cities=4, seed=31)
@@ -51,7 +51,6 @@ def test_recovery_replays_50k_events_identically(tmp_path):
         {"metric": "recovered_identical", "value": identical},
     ]
     save_result("durability", format_rows(rows, "Durability: 50k-event recovery"))
-    save_bench_json("durability", {"recovered_identical": identical})
 
     assert report.journal_records_replayed == RECOVERY_EVENTS
     assert identical == 1.0

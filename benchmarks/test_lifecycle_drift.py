@@ -42,7 +42,6 @@ from .conftest import (
     MODEL_CONFIG,
     TRAIN_CONFIG,
     format_rows,
-    save_bench_json,
     save_result,
 )
 
@@ -159,15 +158,8 @@ def test_refreshed_model_beats_frozen_under_drift(tmp_path):
         f"(+{refreshed_auc - frozen_auc:.4f})"
     )
     save_result("lifecycle_drift", table + "\n\n" + summary)
-    save_bench_json(
-        "lifecycle_drift",
-        {
-            "frozen_auc": frozen_auc,
-            "refreshed_auc": refreshed_auc,
-            "auc_gain": refreshed_auc - frozen_auc,
-        },
-    )
 
     # The refresh loop must recover a solid chunk of the drifted signal; the
     # margin is a loose regression floor (observed gap ≈ +0.03-0.05 AUC).
     assert refreshed_auc > frozen_auc + 0.005, summary
+    assert refreshed_auc >= 0.55, summary

@@ -29,7 +29,7 @@ from repro.serving import (
     generate_burst,
 )
 
-from .conftest import format_rows, save_bench_json, save_result
+from .conftest import format_rows, save_result
 
 POOL_SIZE = 30
 EXPOSURE = 10
@@ -107,23 +107,15 @@ def test_fused_recall_beats_proximity_stub(eleme_bench, trained_basm, serving_en
         format_rows(rows, title=f"Recall quality ({QUALITY_REQUESTS} requests)")
         + "\n" + summary,
     )
-    save_bench_json(
-        "recall_quality",
-        {
-            "proximity_recall_at_pool": proximity_recall,
-            "fused_recall_at_pool": fused_recall,
-            "recall_gain": fused_recall - proximity_recall,
-            "proximity_expected_ctr": proximity_ctr,
-            "fused_expected_ctr": fused_ctr,
-            "ctr_uplift": fused_ctr - proximity_ctr,
-        },
-    )
 
     # Fused multi-channel recall must strictly beat the proximity-only
     # sampler on capturing the ground-truth relevant set...
-    assert fused_recall > proximity_recall, summary
+    assert fused_recall >= proximity_recall + 0.02, summary
     # ...and carry that through ranking into end-to-end exposed CTR.
-    assert fused_ctr > proximity_ctr, summary
+    assert fused_ctr >= proximity_ctr + 0.01, summary
+    # Recall@pool stays near its calibrated level (0.32 ± 35 %): a jump is as
+    # suspect as a collapse on a seeded world.
+    assert abs(fused_recall - 0.32) <= 0.35 * 0.32, summary
 
 
 def test_fused_pools_are_deterministic_under_batching(eleme_bench, trained_basm,

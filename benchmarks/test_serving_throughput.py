@@ -26,7 +26,7 @@ from repro.serving import (
     generate_burst,
 )
 
-from .conftest import MODEL_CONFIG, save_bench_json, save_result
+from .conftest import MODEL_CONFIG, save_result
 
 
 def _max_abs_diff(left_scores, right_scores) -> float:
@@ -71,14 +71,12 @@ def test_batched_engine_score_parity(eleme_bench):
         f"{scorer.batches_run} micro-batches: score parity max|diff| = "
         f"{max_diff:.2e}, feature-cache hit rate {cache_hit_rate:.1%}",
     )
-    save_bench_json(
-        "serving_throughput",
-        {"max_abs_score_diff": max_diff, "cache_hit_rate": cache_hit_rate},
-    )
 
     # Scores must be identical — micro-batching is a pure throughput change.
     assert scorer.batches_run > 1
     assert max_diff <= 1e-8
+    # Even from a cold start the burst must hit the feature cache (loose floor).
+    assert cache_hit_rate >= 0.02, f"feature-cache hit rate {cache_hit_rate:.1%}"
 
 
 def test_two_tower_rank_parity(eleme_bench):
@@ -113,7 +111,6 @@ def test_two_tower_rank_parity(eleme_bench):
         "two_tower_rank",
         f"parity max|diff| = {max_diff:.2e} over {len(requests)} requests",
     )
-    save_bench_json("two_tower_rank", {"max_abs_score_diff": max_diff})
 
     # The fused scores must match the exact forward within float
     # re-association — the same 1e-6 band the unit tests pin.

@@ -230,12 +230,31 @@ class BaseCTRModel(nn.Module):
     def precompute_item_tables(self, item_static_ids: np.ndarray):
         """Freeze this model version's item-side tables for the candidate
         universe (``item_static_ids`` in ``item_static_table`` layout)."""
+        with nn.no_grad(), nn.inference_mode():
+            return self._item_tables(item_static_ids)
+
+    def score_two_tower(self, split_batch: Dict[str, np.ndarray], tables) -> np.ndarray:
+        """Fused late-binding score over a split batch (``encode_split``).
+
+        Like :meth:`predict`, callable bare from any thread: graph recording
+        is switched off and eval semantics forced here, once per call, so
+        every layer ``forward`` underneath is a graph-free kernel that reads
+        running statistics and draws no dropout mask even on a model whose
+        ``training`` flag is still set.
+        """
+        if len(split_batch["candidates"]) == 0:
+            return np.zeros(0, dtype=np.float32)
+        with nn.no_grad(), nn.inference_mode():
+            return self._fused_logit(split_batch, tables).sigmoid().data.reshape(-1)
+
+    def _item_tables(self, item_static_ids: np.ndarray):
+        """The tables :meth:`precompute_item_tables` returns (two-tower models)."""
         raise NotImplementedError(
             f"model {self.name!r} does not support the two-tower split"
         )
 
-    def score_two_tower(self, split_batch: Dict[str, np.ndarray], tables) -> np.ndarray:
-        """Fused late-binding score over a split batch (``encode_split``)."""
+    def _fused_logit(self, split_batch: Dict[str, np.ndarray], tables) -> Tensor:
+        """``(rows, 1)`` logit assembled from ``tables`` and the split batch."""
         raise NotImplementedError(
             f"model {self.name!r} does not support the two-tower split"
         )

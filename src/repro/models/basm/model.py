@@ -17,7 +17,7 @@ Each module can be disabled independently, which is how the Table V ablation
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -94,22 +94,21 @@ class BASM(BaseCTRModel):
                 final_activation=False,
                 rng=rng,
             )
-        # Cache of the last forward's StAEL weights for the Fig. 8/9 heatmaps.
-        self.last_alphas: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
-    def _field_representations(self, batch: Dict[str, np.ndarray]) -> Dict[str, Tensor]:
+    def _field_representations(
+        self, batch: Dict[str, np.ndarray]
+    ) -> Tuple[Dict[str, Tensor], Dict[str, Tensor]]:
+        """``(field representations, StAEL alpha per field)``; no alphas without StAEL."""
         fields = self.embedder.field_embeddings(batch)
         if not self.use_stael:
-            self.last_alphas = {}
-            return fields
+            return fields, {}
         scaled, alphas = self.stael(fields)
         if self.gate_scale != 2.0:
             # Ablation hook: rescale alphas (e.g. plain sigmoid gating).
             rescale = self.gate_scale / 2.0
             scaled = {name: fields[name] * (alphas[name] * rescale) for name in fields}
-        self.last_alphas = {name: np.array(alpha.data).reshape(-1) for name, alpha in alphas.items()}
-        return scaled
+        return scaled, alphas
 
     def _request_dedup(self, batch: Dict[str, np.ndarray], fields: Dict[str, Tensor]):
         """``(row_map, per-request context)`` for serving batches, else ``(None, None)``.
@@ -145,7 +144,7 @@ class BASM(BaseCTRModel):
         return self.ststl(raw_semantic, context, filtered)
 
     def forward(self, batch: Dict[str, np.ndarray]) -> Tensor:
-        fields = self._field_representations(batch)
+        fields, _ = self._field_representations(batch)
         row_map, context_unique = self._request_dedup(batch, fields)
         semantic = self._semantic(batch, fields, row_map=row_map, context_unique=context_unique)
         if self.use_stabt:
@@ -158,7 +157,7 @@ class BASM(BaseCTRModel):
     def final_representation(self, batch: Dict[str, np.ndarray]) -> np.ndarray:
         """Hidden representation before the logit (for the t-SNE figures)."""
         with nn.no_grad(), nn.inference_mode():
-            fields = self._field_representations(batch)
+            fields, _ = self._field_representations(batch)
             semantic = self._semantic(batch, fields)
             if self.use_stabt:
                 hidden = self.tower.hidden_representation(semantic, fields[FieldName.CONTEXT])
@@ -169,5 +168,5 @@ class BASM(BaseCTRModel):
     def spatiotemporal_weights(self, batch: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """Per-sample StAEL alpha for each field (drives the Fig. 8/9 heatmaps)."""
         with nn.no_grad(), nn.inference_mode():
-            self._field_representations(batch)
-        return dict(self.last_alphas)
+            _, alphas = self._field_representations(batch)
+        return {name: np.array(alpha.data).reshape(-1) for name, alpha in alphas.items()}

@@ -15,7 +15,6 @@ from .two_tower import (
     ItemTowerTables,
     build_common_item_tables,
     fused_common,
-    fused_sigmoid,
     trunk_field_slices,
 )
 
@@ -62,23 +61,21 @@ class DIN(BaseCTRModel):
     # ------------------------------------------------------------------ #
     # two-tower split serving (see repro.models.two_tower)
     # ------------------------------------------------------------------ #
-    def precompute_item_tables(self, item_static_ids: np.ndarray) -> ItemTowerTables:
+    def _item_tables(self, item_static_ids: np.ndarray) -> ItemTowerTables:
         return build_common_item_tables(self, self.tower, item_static_ids)
 
-    def score_two_tower(self, split_batch: Dict[str, np.ndarray],
-                        tables: ItemTowerTables) -> np.ndarray:
-        if len(split_batch["candidates"]) == 0:
-            return np.zeros(0, dtype=np.float32)
+    def _fused_logit(self, split_batch: Dict[str, np.ndarray],
+                     tables: ItemTowerTables) -> Tensor:
         z, query, proj_seq = fused_common(self, self.tower, split_batch, tables)
-        pooled = self.activation_unit.infer(
-            query, proj_seq,
+        pooled = self.activation_unit(
+            Tensor(query), Tensor(proj_seq),
             mask=split_batch["behavior_mask_unique"],
             row_map=split_batch["behavior_row_map"],
         )
         z = z + self.tower.linears[0].infer_partial(
-            pooled, *trunk_field_slices(self)[FieldName.USER_BEHAVIOR]
+            pooled.data, *trunk_field_slices(self)[FieldName.USER_BEHAVIOR]
         )
-        return fused_sigmoid(self.tower.infer_from(z, 0)).reshape(-1)
+        return self.tower.tail(Tensor(z))
 
 
 class TargetAttentionDIN(BaseCTRModel):
@@ -144,13 +141,11 @@ class TargetAttentionDIN(BaseCTRModel):
     # ------------------------------------------------------------------ #
     # two-tower split serving (see repro.models.two_tower)
     # ------------------------------------------------------------------ #
-    def precompute_item_tables(self, item_static_ids: np.ndarray) -> ItemTowerTables:
+    def _item_tables(self, item_static_ids: np.ndarray) -> ItemTowerTables:
         return build_common_item_tables(self, self.tower, item_static_ids)
 
-    def score_two_tower(self, split_batch: Dict[str, np.ndarray],
-                        tables: ItemTowerTables) -> np.ndarray:
-        if len(split_batch["candidates"]) == 0:
-            return np.zeros(0, dtype=np.float32)
+    def _fused_logit(self, split_batch: Dict[str, np.ndarray],
+                     tables: ItemTowerTables) -> Tensor:
         z, query, proj_seq = fused_common(self, self.tower, split_batch, tables)
         # Window masks computed once per unique sequence; the attention
         # gather broadcasts them onto the candidate rows.
@@ -172,4 +167,4 @@ class TargetAttentionDIN(BaseCTRModel):
         dim = self.config.attention_dim
         z = z + l1.infer_partial(short_interest, base, base + dim)
         z = z + l1.infer_partial(realtime_interest, base + dim, base + 2 * dim)
-        return fused_sigmoid(self.tower.infer_from(z, 0)).reshape(-1)
+        return self.tower.tail(Tensor(z))

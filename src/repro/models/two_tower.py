@@ -19,9 +19,18 @@ decomposes into
 
 The fused scorer gathers the item table, adds the broadcast request
 contribution and the per-row partials in one pass, and hands the sum to the
-remaining (row-wise, non-decomposable) tower layers via ``MLP.infer_from``.
+remaining (row-wise, non-decomposable) tower layers via ``MLP.tail``.
 Scores match the full forward to float re-association (parity pinned at
 1e-6 in ``tests/serving/test_two_tower.py``).
+
+Every layer's arithmetic is its ``forward``: ``BaseCTRModel.score_two_tower``
+and ``precompute_item_tables`` enter ``no_grad`` + ``inference_mode`` once
+per call, under which ``forward`` builds no graph and keeps eval semantics.
+Only two kernels differ in *algorithm* from a ``forward`` and exist beside
+it: the column-block partial ``Linear.infer_partial`` and
+``MultiHeadTargetAttention.infer``'s per-request-shaped GEMMs.  The sums
+between layer calls (table gathers, ``row_map`` broadcasts) stay in
+ndarrays, wrapped into a ``Tensor`` at each layer call and unwrapped after.
 
 Only models whose item side is *exactly* separable at the concat boundary opt
 in (``supports_two_tower``): Wide&Deep, DIN, and the target-attention base
@@ -47,8 +56,6 @@ __all__ = [
     "ItemTowerTables",
     "trunk_field_slices",
     "build_common_item_tables",
-    "embed_rows",
-    "fused_sigmoid",
     "fused_common",
 ]
 
@@ -90,15 +97,6 @@ def trunk_field_slices(model) -> Dict[str, Tuple[int, int]]:
     return slices
 
 
-def embed_rows(model, ids: np.ndarray) -> np.ndarray:
-    """Embed ``(rows, k)`` global ids into flat ``(rows, k * dim)`` float32."""
-    ids = np.asarray(ids, dtype=np.int64)
-    rows, count = ids.shape
-    return model.embedder.embedding.infer(ids).reshape(
-        rows, count * model.config.embedding_dim
-    )
-
-
 def build_common_item_tables(model, trunk, item_static_ids: np.ndarray) -> ItemTowerTables:
     """Tables every supporting model needs: trunk + attention-query partials.
 
@@ -121,7 +119,7 @@ def build_common_item_tables(model, trunk, item_static_ids: np.ndarray) -> ItemT
             f"static item block ({static_cols} cols) exceeds the candidate-item "
             f"field ({item_stop - item_start} cols)"
         )
-    static_emb = embed_rows(model, ids)
+    static_emb = model.embedder.embed_flat_field(ids).data
     tables = {
         "trunk_item_static": trunk.linears[0].infer_partial(
             static_emb, item_start, item_start + static_cols
@@ -129,11 +127,6 @@ def build_common_item_tables(model, trunk, item_static_ids: np.ndarray) -> ItemT
         "query_static": model.embedder.target_proj.infer_partial(static_emb, 0, static_cols),
     }
     return ItemTowerTables(model_uid=model.serving_uid, static_cols=static_cols, tables=tables)
-
-
-def fused_sigmoid(logits: np.ndarray) -> np.ndarray:
-    """Same clipped sigmoid as ``Tensor.sigmoid`` (keeps fused parity tight)."""
-    return 1.0 / (1.0 + np.exp(-np.clip(logits, -60.0, 60.0)))
 
 
 def fused_common(model, trunk, split_batch: Dict[str, np.ndarray],
@@ -146,7 +139,7 @@ def fused_common(model, trunk, split_batch: Dict[str, np.ndarray],
       linear layer: frozen item-static gather + per-request user/context
       contribution broadcast via ``row_map`` + per-row dynamic-item and
       cross-feature partials + bias.  The caller adds its behaviour-interest
-      partial(s) and resumes with ``trunk.infer_from(z, 0)``.
+      partial(s) and resumes with ``trunk.tail``.
     * ``query`` — ``(rows, attention_dim)`` target-projection input for the
       behaviour attention (frozen static part + per-row dynamic part + bias).
     * ``proj_seq`` — ``(unique, seq_len, attention_dim)`` projected behaviour
@@ -165,15 +158,16 @@ def fused_common(model, trunk, split_batch: Dict[str, np.ndarray],
     static_cols = tables.static_cols
     num_static = static_cols // model.config.embedding_dim
 
-    user_emb = embed_rows(model, split_batch["user_rows"])
-    context_emb = embed_rows(model, split_batch["context_rows"])
+    embedder = model.embedder
+    user_emb = embedder.embed_flat_field(split_batch["user_rows"]).data
+    context_emb = embedder.embed_flat_field(split_batch["context_rows"]).data
     request_contrib = (
         l1.infer_partial(user_emb, *slices[FieldName.USER])
         + l1.infer_partial(context_emb, *slices[FieldName.CONTEXT])
     )
 
-    dyn_emb = embed_rows(model, split_batch["item_field"][:, num_static:])
-    combine_emb = embed_rows(model, split_batch["combine_ids"])
+    dyn_emb = embedder.embed_flat_field(split_batch["item_field"][:, num_static:]).data
+    combine_emb = embedder.embed_flat_field(split_batch["combine_ids"]).data
     item_start, item_stop = slices[FieldName.CANDIDATE_ITEM]
 
     z = tables.gather("trunk_item_static", cands)
@@ -183,16 +177,11 @@ def fused_common(model, trunk, split_batch: Dict[str, np.ndarray],
     if l1.bias is not None:
         z = z + l1.bias.data
 
-    target_proj = model.embedder.target_proj
+    target_proj = embedder.target_proj
     query = tables.gather("query_static", cands)
     query = query + target_proj.infer_partial(dyn_emb, static_cols, target_proj.in_features)
     if target_proj.bias is not None:
         query = query + target_proj.bias.data
 
-    sequence = split_batch["behavior_unique"]
-    unique, seq_len, width = sequence.shape
-    seq_emb = model.embedder.embedding.infer(sequence).reshape(
-        unique, seq_len, width * model.config.embedding_dim
-    )
-    proj_seq = model.embedder.sequence_proj.infer(seq_emb)
-    return z, query, proj_seq
+    seq_emb = embedder.embed_sequence(split_batch["behavior_unique"])
+    return z, query, embedder.sequence_proj(seq_emb).data

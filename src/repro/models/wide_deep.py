@@ -14,7 +14,6 @@ from .two_tower import (
     ItemTowerTables,
     build_common_item_tables,
     fused_common,
-    fused_sigmoid,
     trunk_field_slices,
 )
 
@@ -49,34 +48,30 @@ class WideDeep(BaseCTRModel):
             rng=rng,
         )
 
-    def _wide_logit(self, batch: Dict[str, np.ndarray]) -> Tensor:
-        all_ids = np.concatenate([ids for ids in batch["fields"].values()], axis=1)
-        weights = self.wide_weights(all_ids)  # (batch, num_features, 1)
-        return weights.sum(axis=1)            # (batch, 1)
+    def _wide_sum(self, ids: np.ndarray) -> Tensor:
+        """``(rows, 1)`` sum of the wide weights of each row's ``(rows, k)`` ids."""
+        return self.wide_weights(ids).sum(axis=1)
 
     def forward(self, batch: Dict[str, np.ndarray]) -> Tensor:
         fields = self.embedder.field_embeddings(batch)
         deep_logit = self.deep(self.concat_fields(fields))
-        logit = deep_logit + self._wide_logit(batch)
+        all_ids = np.concatenate([ids for ids in batch["fields"].values()], axis=1)
+        logit = deep_logit + self._wide_sum(all_ids)
         return logit.sigmoid().reshape(-1)
 
     # ------------------------------------------------------------------ #
     # two-tower split serving (see repro.models.two_tower)
     # ------------------------------------------------------------------ #
-    def precompute_item_tables(self, item_static_ids: np.ndarray) -> ItemTowerTables:
+    def _item_tables(self, item_static_ids: np.ndarray) -> ItemTowerTables:
         tables = build_common_item_tables(self, self.deep, item_static_ids)
         # The wide part contributes a frozen per-item scalar too: the sum of
         # the static item features' wide weights.
-        tables.tables["wide_item_static"] = self.wide_weights.infer(
-            np.asarray(item_static_ids, dtype=np.int64)
-        ).sum(axis=1)
+        tables.tables["wide_item_static"] = self._wide_sum(item_static_ids).data
         return tables
 
-    def score_two_tower(self, split_batch: Dict[str, np.ndarray],
-                        tables: ItemTowerTables) -> np.ndarray:
+    def _fused_logit(self, split_batch: Dict[str, np.ndarray],
+                     tables: ItemTowerTables) -> Tensor:
         cands = split_batch["candidates"]
-        if len(cands) == 0:
-            return np.zeros(0, dtype=np.float32)
         row_map = split_batch["row_map"]
         num_static = tables.static_cols // self.config.embedding_dim
         z, query, proj_seq = fused_common(self, self.deep, split_batch, tables)
@@ -85,15 +80,14 @@ class WideDeep(BaseCTRModel):
             mask=split_batch["behavior_mask_unique"],
             row_map=split_batch["behavior_row_map"],
         )
-        field_slices = trunk_field_slices(self)
         z = z + self.deep.linears[0].infer_partial(
-            pooled, *field_slices[FieldName.USER_BEHAVIOR]
+            pooled, *trunk_field_slices(self)[FieldName.USER_BEHAVIOR]
         )
-        deep_logit = self.deep.infer_from(z, 0)
+        deep_logit = self.deep.tail(Tensor(z)).data
 
         wide = tables.gather("wide_item_static", cands)
-        wide = wide + self.wide_weights.infer(split_batch["user_rows"]).sum(axis=1)[row_map]
-        wide = wide + self.wide_weights.infer(split_batch["context_rows"]).sum(axis=1)[row_map]
-        wide = wide + self.wide_weights.infer(split_batch["item_field"][:, num_static:]).sum(axis=1)
-        wide = wide + self.wide_weights.infer(split_batch["combine_ids"]).sum(axis=1)
-        return fused_sigmoid(deep_logit + wide).reshape(-1)
+        wide = wide + self._wide_sum(split_batch["user_rows"]).data[row_map]
+        wide = wide + self._wide_sum(split_batch["context_rows"]).data[row_map]
+        wide = wide + self._wide_sum(split_batch["item_field"][:, num_static:]).data
+        wide = wide + self._wide_sum(split_batch["combine_ids"]).data
+        return Tensor(deep_logit + wide)

@@ -1,13 +1,6 @@
-"""Activation modules.
-
-Each module also exposes ``infer`` — the same function on a raw numpy array,
-mirroring the tensor op's numerics — so the graph-free serving kernels in
-:mod:`repro.models.two_tower` can reuse the exact activation definitions.
-"""
+"""Activation modules: each names one :class:`Tensor` op, defined there once."""
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..module import Module
 from ..tensor import Tensor
@@ -18,9 +11,6 @@ __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Softmax", "Identity", "get_a
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return x * (x > 0)
 
 
 class LeakyReLU(Module):
@@ -33,24 +23,15 @@ class LeakyReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.leaky_relu(self.negative_slope)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return x * np.where(x > 0, 1.0, self.negative_slope).astype(np.float32)
-
 
 class Sigmoid(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.sigmoid()
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-
 
 class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.tanh()
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
 
 
 class Softmax(Module):
@@ -61,17 +42,9 @@ class Softmax(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.softmax(axis=self.axis)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        shifted = x - x.max(axis=self.axis, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=self.axis, keepdims=True)
-
 
 class Identity(Module):
     def forward(self, x: Tensor) -> Tensor:
-        return x
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
         return x
 
 

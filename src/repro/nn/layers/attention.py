@@ -110,14 +110,15 @@ class MultiHeadTargetAttention(Module):
     def infer(self, target: np.ndarray, sequence: np.ndarray,
               mask: Optional[np.ndarray] = None,
               row_map: Optional[np.ndarray] = None) -> np.ndarray:
-        """Graph-free pooling for the serving fast path (eval semantics).
+        """Pooling for the serving fast path: a different *algorithm*.
 
-        Same contract as :meth:`forward` with raw arrays: ``sequence`` holds
-        one row per *unique* behaviour sequence and ``row_map`` scatters the
-        per-sequence key/value projections onto the candidate rows, so the
-        expensive sequence-side work runs once per request no matter how many
-        candidates share it.  Operation shapes and order mirror the tensor
-        path, keeping fused scores within float re-association of it.
+        Same contract as :meth:`forward` with raw arrays, called under
+        ``no_grad``: ``sequence`` holds one row per *unique* behaviour
+        sequence and ``row_map`` scatters the per-sequence key/value
+        projections onto the candidate rows.  The four projections are the
+        layers' own ``forward``; what differs is the contraction, shaped per
+        request (below), which keeps fused scores within float
+        re-association of :meth:`forward`.
         """
         unique, seq_len, dim = sequence.shape
         if dim != self.dim:
@@ -132,9 +133,11 @@ class MultiHeadTargetAttention(Module):
         # request hits (and therefore its bytes) cannot change with
         # micro-batch packing.  Relative to the tensor path only the
         # head_dim reduction reassociates — within the fused 1e-6 band.
-        query = self.query_proj.infer(target).reshape(batch, self.num_heads, self.head_dim)
-        key = self.key_proj.infer(sequence).reshape(unique, seq_len, self.num_heads, self.head_dim)
-        value = self.value_proj.infer(sequence).reshape(unique, seq_len, self.num_heads, self.head_dim)
+        query = self.query_proj(Tensor(target)).data.reshape(batch, self.num_heads, self.head_dim)
+        key = self.key_proj(Tensor(sequence)).data.reshape(
+            unique, seq_len, self.num_heads, self.head_dim)
+        value = self.value_proj(Tensor(sequence)).data.reshape(
+            unique, seq_len, self.num_heads, self.head_dim)
         scale = np.float32(1.0 / np.sqrt(self.head_dim))
         grouped = None
         if row_map is not None:
@@ -192,7 +195,7 @@ class MultiHeadTargetAttention(Module):
             merged = np.einsum("nhs,nshd->nhd", weights, value[row_map]).reshape(batch, self.dim)
         else:
             merged = np.einsum("nhs,nshd->nhd", weights, value).reshape(batch, self.dim)
-        return self.out_proj.infer(merged)
+        return self.out_proj(Tensor(merged)).data
 
 
 class MultiHeadSelfAttention(Module):
@@ -242,7 +245,20 @@ class DINLocalActivationUnit(Module):
         self.scorer = MLP(4 * dim, list(hidden_units) + [1], activation="sigmoid",
                           final_activation=False, rng=rng)
 
-    def forward(self, target: Tensor, sequence: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    def forward(self, target: Tensor, sequence: Tensor, mask: Optional[np.ndarray] = None,
+                row_map: Optional[np.ndarray] = None) -> Tensor:
+        """Activation-weighted sum of the behaviours, one row per target.
+
+        With ``row_map``, ``sequence``/``mask`` hold one row per *unique*
+        behaviour sequence and are gathered onto the target rows first.
+        Unlike target attention the interaction features depend on the
+        target, so the scorer MLP still runs per (row, behaviour) pair — only
+        the gather is deduplicated.
+        """
+        if row_map is not None:
+            row_map = np.asarray(row_map, dtype=np.int64)
+            sequence = sequence[row_map]
+            mask = None if mask is None else np.asarray(mask)[row_map]
         batch, seq_len, dim = sequence.shape
         target_expanded = target.reshape(batch, 1, dim) * Tensor(np.ones((1, seq_len, 1), dtype=np.float32))
         interaction = Tensor.concat(
@@ -254,32 +270,4 @@ class DINLocalActivationUnit(Module):
             scores = scores * Tensor(np.asarray(mask, dtype=np.float32))
         weights = scores.expand_dims(-1)
         pooled = (sequence * weights).sum(axis=1)
-        return pooled
-
-    # ------------------------------------------------------------------ #
-    def infer(self, target: np.ndarray, sequence: np.ndarray,
-              mask: Optional[np.ndarray] = None,
-              row_map: Optional[np.ndarray] = None) -> np.ndarray:
-        """Graph-free activation pooling for the serving fast path.
-
-        ``sequence``/``mask`` hold one row per unique behaviour sequence;
-        ``row_map`` (optional) gathers them onto the per-candidate rows.
-        Unlike target attention the interaction features depend on the target,
-        so the scorer MLP still runs per (row, behaviour) pair — only the
-        gather is deduplicated.  Mirrors :meth:`forward`'s op order.
-        """
-        if row_map is not None:
-            row_map = np.asarray(row_map, dtype=np.int64)
-            sequence = sequence[row_map]
-            mask = None if mask is None else np.asarray(mask)[row_map]
-        batch, seq_len, dim = sequence.shape
-        target_expanded = target.reshape(batch, 1, dim) * np.ones((1, seq_len, 1), dtype=np.float32)
-        interaction = np.concatenate(
-            [sequence, target_expanded, sequence - target_expanded, sequence * target_expanded],
-            axis=-1,
-        )
-        scores = self.scorer.infer(interaction.reshape(batch * seq_len, 4 * dim)).reshape(batch, seq_len)
-        if mask is not None:
-            scores = scores * np.asarray(mask, dtype=np.float32)
-        pooled = (sequence * scores[..., None]).sum(axis=1)
         return pooled

@@ -52,15 +52,5 @@ class Embedding(Module):
             )
         return self.weight.take_rows(indices)
 
-    def infer(self, indices: np.ndarray) -> np.ndarray:
-        """Graph-free gather for the serving fast path (same bounds check)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (indices.min() < 0 or indices.max() >= self.num_embeddings):
-            raise IndexError(
-                f"embedding indices out of range [0, {self.num_embeddings}): "
-                f"min={indices.min()}, max={indices.max()}"
-            )
-        return self.weight.data[indices]
-
     def __repr__(self) -> str:
         return f"Embedding(num={self.num_embeddings}, dim={self.embedding_dim})"

@@ -1,4 +1,10 @@
-"""Fully connected layer."""
+"""Fully connected layer.
+
+``Linear.forward`` is the layer's one numerics definition — under ``no_grad``
+it is also the inference kernel.  ``infer_partial`` exists beside it because
+its *algorithm* differs (a column block of the weight, no bias); both go
+through the same batch-size-invariant product, :func:`_product`.
+"""
 
 from __future__ import annotations
 
@@ -44,83 +50,50 @@ class Linear(Module):
             raise ValueError(
                 f"Linear expected last dim {self.in_features}, got input shape {x.shape}"
             )
-        if self.out_features == 1:
-            # BLAS routes (M, K) @ (K, 1) through gemv kernels whose rounding
-            # depends on M, which would make scores drift with micro-batch
-            # composition; multiply + pairwise-sum only depends on K.
-            out = (x * self.weight.reshape(-1)).sum(axis=-1, keepdims=True)
-        elif x.ndim == 2 and x.shape[0] == 1:
-            # (1, K) @ (K, N) also hits an M-dependent gemv kernel; lift to
-            # M=2 (gemm rows are batch-size-invariant for M >= 2) and keep
-            # the first row so a single-row batch scores identically to the
-            # same row inside a large micro-batch.
-            doubled = Tensor.concat([x, x], axis=0)
-            out = (doubled @ self.weight.transpose().contiguous())[0:1]
-        else:
-            out = x @ self.weight.transpose().contiguous()
+        out = _product(x, self.weight)
         if self.bias is not None:
             out = out + self.bias
         return out
 
-    # ------------------------------------------------------------------ #
-    # graph-free inference entry points (the serving fast path)
-    # ------------------------------------------------------------------ #
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Forward on a raw array with the same kernel-invariance guards.
-
-        The two batch-size-dependent BLAS shapes that :meth:`forward` routes
-        around (1-wide outputs, single-row inputs) are routed around here the
-        same way, so scores produced by the graph-free path are invariant to
-        micro-batch composition exactly like the tensor path's.
-        """
-        if x.shape[-1] != self.in_features:
-            raise ValueError(
-                f"Linear expected last dim {self.in_features}, got input shape {x.shape}"
-            )
-        if self.out_features == 1:
-            out = (x * self.weight.data.reshape(-1)).sum(axis=-1, keepdims=True)
-        elif x.ndim == 2 and x.shape[0] == 1:
-            out = (np.concatenate([x, x], axis=0)
-                   @ np.ascontiguousarray(self.weight.data.T))[0:1]
-        else:
-            out = x @ np.ascontiguousarray(self.weight.data.T)
-        if self.bias is not None:
-            out = out + self.bias.data
-        return out
-
-    def weight_columns(self, start: int, stop: int) -> np.ndarray:
-        """Contiguous ``(out, stop - start)`` slice of the weight matrix.
+    def infer_partial(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Column-block partial product ``x @ W[:, start:stop]^T`` (no bias).
 
         The split-forward primitive: an affine map over a concatenation
-        ``[a, b, c]`` is the sum of the column-block products plus the bias,
+        ``[a, b, c]`` is the sum of its column-block products plus the bias,
         so a tower's first layer can be evaluated as *partial contributions* —
         some precomputed per item, some computed once per request, some per
-        candidate row (see ``repro.models.two_tower``).
+        candidate row (see ``repro.models.two_tower``).  ``x`` holds only the
+        ``stop - start`` input columns of the block; summing the partials of
+        a full column partition plus the bias equals :meth:`forward` up to
+        float re-association.  Arrays in and out; call it under ``no_grad``.
         """
         if not (0 <= start < stop <= self.in_features):
             raise ValueError(
                 f"invalid column slice [{start}:{stop}] for in_features={self.in_features}"
             )
-        return np.ascontiguousarray(self.weight.data[:, start:stop])
-
-    def infer_partial(self, x: np.ndarray, start: int, stop: int,
-                      add_bias: bool = False) -> np.ndarray:
-        """Partial product ``x @ W[:, start:stop]^T`` (no bias unless asked).
-
-        ``x`` holds only the ``stop - start`` input columns of this slice.
-        Summing the partials of a full column partition plus the bias equals
-        :meth:`infer` up to float re-association.
-        """
-        weight_t = np.ascontiguousarray(self.weight_columns(start, stop).T)
-        if x.ndim == 2 and x.shape[0] == 1:
-            # Same single-row gemv guard as infer(): partial products must be
-            # batch-composition-invariant too.
-            out = (np.concatenate([x, x], axis=0) @ weight_t)[0:1]
-        else:
-            out = x @ weight_t
-        if add_bias and self.bias is not None:
-            out = out + self.bias.data
-        return out
+        return _product(Tensor(x), self.weight[:, start:stop]).data
 
     def __repr__(self) -> str:
         return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"
+
+
+def _product(x: Tensor, weight: Tensor) -> Tensor:
+    """``x @ weight^T`` through kernels whose rounding ignores the batch size.
+
+    Scores must not drift with micro-batch composition (the response cache
+    and the cluster's byte parity rest on it), so the two BLAS shapes that
+    dispatch on the row count ``M`` are routed around — for the full map and
+    for every column-block partial alike.
+    """
+    if weight.shape[0] == 1:
+        # (M, K) @ (K, 1) goes through gemv kernels whose rounding depends on
+        # M; multiply + pairwise-sum only depends on K.
+        return (x * weight.reshape(-1)).sum(axis=-1, keepdims=True)
+    weight_t = weight.transpose().contiguous()
+    if x.ndim == 2 and x.shape[0] == 1:
+        # (1, K) @ (K, N) also hits an M-dependent gemv kernel; lift to M=2
+        # (gemm rows are batch-size-invariant for M >= 2) and keep the first
+        # row, so a single-row batch scores identically to the same row
+        # inside a large micro-batch.
+        return (Tensor.concat([x, x], axis=0) @ weight_t)[0:1]
+    return x @ weight_t

@@ -1,4 +1,9 @@
-"""Multi-layer perceptron block used by every CTR tower in the repo."""
+"""Multi-layer perceptron block used by every CTR tower in the repo.
+
+``forward`` is the first linear layer followed by :meth:`MLP.tail`; the
+two-tower scorer assembles that first layer's output itself and resumes at
+``tail`` — the same code either way.
+"""
 
 from __future__ import annotations
 
@@ -57,11 +62,22 @@ class MLP(Module):
         self.out_features = previous
 
     def forward(self, x: Tensor) -> Tensor:
+        return self.tail(self.linears[0](x))
+
+    def tail(self, x: Tensor) -> Tensor:
+        """Everything after the first linear layer.
+
+        ``x`` is that layer's output *including bias*.  A two-tower scorer
+        assembles it from precomputed item-side, per-request and per-row
+        partial products (``Linear.infer_partial``) and resumes here with the
+        remaining row-wise, non-decomposable layers.
+        """
         last = len(self.linears) - 1
         for index, (linear, norm, act, drop) in enumerate(
             zip(self.linears, self.norms, self.activations, self.dropouts)
         ):
-            x = linear(x)
+            if index:
+                x = linear(x)
             x = norm(x)
             if index != last or self.final_activation:
                 x = act(x)
@@ -71,39 +87,9 @@ class MLP(Module):
     def layer_widths(self) -> List[int]:
         return list(self.hidden_units)
 
-    # ------------------------------------------------------------------ #
-    # graph-free inference entry points (the serving fast path)
-    # ------------------------------------------------------------------ #
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode forward on a raw array (no graph, no mode flips)."""
-        return self.infer_from(self.linears[0].infer(x), 0)
-
-    def infer_from(self, x: np.ndarray, layer_index: int) -> np.ndarray:
-        """Resume eval-mode inference with layer ``layer_index``'s linear done.
-
-        ``x`` is that linear's output *including bias*.  This is the
-        split-forward entry point: a two-tower scorer assembles the first
-        layer's activations from precomputed item-side, per-request and
-        per-row partial products, then hands the sum to the remaining
-        (row-wise, non-decomposable) layers here.  Dropout is an eval-time
-        no-op and batch norm uses running statistics, matching what
-        ``forward`` computes inside :class:`repro.nn.module.inference_mode`.
-        """
-        last = len(self.linears) - 1
-        for index in range(layer_index, last + 1):
-            if index != layer_index:
-                x = self.linears[index].infer(x)
-            x = self.norms[index].infer(x)
-            if index != last or self.final_activation:
-                x = self.activations[index].infer(x)
-        return x
-
 
 class _NoOp(Module):
     """Placeholder module used when batch normalisation is disabled."""
 
     def forward(self, x: Tensor) -> Tensor:
-        return x
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
         return x

@@ -61,17 +61,6 @@ class BatchNorm1d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.normalise(x) * self.gamma + self.beta
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode batch norm on a raw array (the graph-free serving path).
-
-        Mirrors the eval branch of :meth:`normalise` followed by the affine
-        map, with the same operation order, so inference-kernel outputs match
-        the tensor path to float rounding.
-        """
-        centred = x - self.running_mean
-        normalised = centred * (1.0 / np.sqrt(self.running_var + self.eps))
-        return normalised * self.gamma.data + self.beta.data
-
     def __repr__(self) -> str:
         return f"BatchNorm1d({self.num_features})"
 

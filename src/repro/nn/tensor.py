@@ -5,7 +5,10 @@ paper's models were written against TensorFlow 1.4, which is not available in
 this environment, so we provide a small but complete autograd engine.  The
 design follows the familiar define-by-run style: every operation on
 :class:`Tensor` records a backward closure, and :meth:`Tensor.backward` walks
-the resulting DAG in reverse topological order accumulating gradients.
+the resulting DAG in reverse topological order accumulating gradients.  An
+operation records only when a gradient is wanted: under :class:`no_grad` the
+same ops return plain leaves, which is what makes a layer's ``forward`` its
+inference kernel as well.
 
 Only the operations needed by the CTR models in :mod:`repro.models` are
 implemented, but they are implemented for arbitrary broadcastable shapes so
@@ -76,6 +79,18 @@ def _as_array(value: ArrayLike, dtype=np.float32) -> np.ndarray:
     return np.asarray(value, dtype=dtype)
 
 
+def _no_backward() -> None:
+    """The ``_backward`` of every tensor with no graph behind it."""
+
+
+def _freed_backward() -> None:
+    """The ``_backward`` of a node whose graph a ``backward()`` already freed."""
+    raise RuntimeError(
+        "backward() reached a graph that an earlier backward() already freed; "
+        "run the forward pass again to rebuild it"
+    )
+
+
 class Tensor:
     """A numpy array plus an optional gradient and backward closure."""
 
@@ -93,7 +108,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float32)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
-        self._backward: Callable[[], None] = lambda: None
+        self._backward: Callable[[], None] = _no_backward
         self._prev: Tuple[Tensor, ...] = _prev if self.requires_grad or _prev else ()
         self.name = name
 
@@ -144,16 +159,22 @@ class Tensor:
     def _ensure(value: ArrayLike) -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
 
+    @staticmethod
     def _make(
-        self,
         data: np.ndarray,
         parents: Tuple["Tensor", ...],
         backward: Callable[["Tensor"], None],
     ) -> "Tensor":
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires, _prev=parents if requires else ())
-        if requires:
-            out._backward = lambda: backward(out)
+        """The result of every op: a tape node only when a gradient is wanted.
+
+        With grad off on this thread (``no_grad``) or no parent requiring it,
+        the result is a plain leaf — no parents, no closure bound — so a
+        ``forward`` under ``no_grad`` is a graph-free inference kernel.
+        """
+        if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
+            return Tensor(data)
+        out = Tensor(data, requires_grad=True, _prev=parents)
+        out._backward = lambda: backward(out)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -336,16 +357,12 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         value = self.data.mean(axis=axis, keepdims=keepdims)
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.data.shape[a] for a in axes]))
 
         def backward(out: Tensor) -> None:
             grad = out.grad
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis=axis)
+            count = self.data.size // max(value.size, 1)
             self._accumulate(np.broadcast_to(grad, self.data.shape) / count)
 
         return self._make(value, (self,), backward)
@@ -389,10 +406,9 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
-        inverse = np.argsort(axes)
 
         def backward(out: Tensor) -> None:
-            self._accumulate(out.grad.transpose(inverse))
+            self._accumulate(out.grad.transpose(np.argsort(axes)))
 
         return self._make(self.data.transpose(axes), (self,), backward)
 
@@ -461,20 +477,15 @@ class Tensor:
     def concat(tensors: Sequence["Tensor"], axis: int = -1) -> "Tensor":
         tensors = [Tensor._ensure(t) for t in tensors]
         data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
 
         def backward(out: Tensor) -> None:
+            offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
             for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
                 index = [slice(None)] * out.grad.ndim
                 index[axis] = slice(start, stop)
                 tensor._accumulate(out.grad[tuple(index)])
 
-        requires = is_grad_enabled() and any(t.requires_grad for t in tensors)
-        out = Tensor(data, requires_grad=requires, _prev=tuple(tensors) if requires else ())
-        if requires:
-            out._backward = lambda: backward(out)
-        return out
+        return Tensor._make(data, tuple(tensors), backward)
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
@@ -486,11 +497,7 @@ class Tensor:
             for tensor, grad in zip(tensors, grads):
                 tensor._accumulate(np.squeeze(grad, axis=axis))
 
-        requires = is_grad_enabled() and any(t.requires_grad for t in tensors)
-        out = Tensor(data, requires_grad=requires, _prev=tuple(tensors) if requires else ())
-        if requires:
-            out._backward = lambda: backward(out)
-        return out
+        return Tensor._make(data, tuple(tensors), backward)
 
     @staticmethod
     def where(condition: np.ndarray, a: "Tensor", b: "Tensor") -> "Tensor":
@@ -502,11 +509,7 @@ class Tensor:
             a._accumulate(out.grad * condition)
             b._accumulate(out.grad * (~condition))
 
-        requires = is_grad_enabled() and (a.requires_grad or b.requires_grad)
-        out = Tensor(data, requires_grad=requires, _prev=(a, b) if requires else ())
-        if requires:
-            out._backward = lambda: backward(out)
-        return out
+        return Tensor._make(data, (a, b), backward)
 
     # ------------------------------------------------------------------ #
     # softmax (numerically stable, along the last axis by default)
@@ -534,6 +537,8 @@ class Tensor:
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
+        if self._backward is _freed_backward:
+            _freed_backward()
         if grad is None:
             grad = np.ones_like(self.data)
         self.grad = np.asarray(grad, dtype=np.float32)
@@ -556,7 +561,9 @@ class Tensor:
 
         for node in reversed(topo):
             node._backward()
-            # Free the graph references as we go to keep memory bounded.
-            if node is not self:
+            if node._prev:
+                # Free the graph as we go to keep memory bounded — the root
+                # too, so a second pass over any of it raises instead of
+                # silently leaving every parameter's grad untouched.
                 node._prev = ()
-                node._backward = lambda: None
+                node._backward = _freed_backward

@@ -6,9 +6,8 @@ framing).  The hot path — :data:`SERVE` requests out, :data:`RESPONSE` /
 :data:`ERROR` frames back, :data:`FEEDBACK` replication — is hand-packed
 with ``struct`` and raw array bytes: no pickle opcodes to parse, no class
 lookups in the child, no surprise payloads if a request context carries
-numpy scalar fields (they are normalised to plain scalars on encode, the
-same contract :meth:`ServeRequest.__reduce__` enforces for the pickle
-path).  Control frames (swap / stats / sync / lifecycle) are cold and carry
+numpy scalar fields (they are normalised to plain scalars on encode).
+Control frames (swap / stats / sync / lifecycle) are cold and carry
 canonical JSON.
 
 Errors cross the boundary as ``{"type", "message"}``; only exception types

@@ -67,55 +67,6 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 # envelopes
 # ---------------------------------------------------------------------- #
-def _context_fields(context: RequestContext):
-    """A context flattened to plain Python scalars, in constructor order.
-
-    Contexts sampled straight from world arrays carry numpy scalars in their
-    fields; normalising here is what makes the envelope reductions (and the
-    pipe codec built on the same helpers) independent of the producer.
-    """
-    return (
-        int(context.user_index),
-        int(context.day),
-        int(context.hour),
-        int(context.time_period),
-        int(context.city),
-        float(context.latitude),
-        float(context.longitude),
-        str(context.geohash),
-    )
-
-
-def _pack_array(array: Optional[np.ndarray]):
-    """``(dtype str, shape, raw bytes)`` or None — a self-describing array."""
-    if array is None:
-        return None
-    array = np.ascontiguousarray(array)
-    return (array.dtype.str, tuple(int(dim) for dim in array.shape), array.tobytes())
-
-
-def _unpack_array(packed) -> Optional[np.ndarray]:
-    if packed is None:
-        return None
-    dtype, shape, raw = packed
-    return np.frombuffer(raw, dtype=np.dtype(dtype)).reshape(shape).copy()
-
-
-def _rebuild_serve_request(fields, request_id: str, scenario: str) -> "ServeRequest":
-    return ServeRequest(
-        context=RequestContext(*fields), request_id=request_id, scenario=scenario
-    )
-
-
-def _rebuild_serve_response(request, candidates, items, scores) -> "ServeResponse":
-    return ServeResponse(
-        request=request,
-        candidates=_unpack_array(candidates),
-        items=_unpack_array(items),
-        scores=_unpack_array(scores),
-    )
-
-
 @dataclass
 class ServeRequest:
     """One serving request as the pipeline sees it.
@@ -128,15 +79,6 @@ class ServeRequest:
     context: RequestContext
     request_id: str = ""
     scenario: str = ""
-
-    def __reduce__(self):
-        # Default dataclass pickling drags whatever numpy scalar types the
-        # context was sampled with across the process boundary; reduce to
-        # plain scalars so a request round-trips identically from any source.
-        return (
-            _rebuild_serve_request,
-            (_context_fields(self.context), str(self.request_id), str(self.scenario)),
-        )
 
 
 @dataclass
@@ -152,17 +94,6 @@ class ServeResponse:
     candidates: Optional[np.ndarray] = None
     items: Optional[np.ndarray] = None
     scores: Optional[np.ndarray] = None
-
-    def __reduce__(self):
-        return (
-            _rebuild_serve_response,
-            (
-                self.request,
-                _pack_array(self.candidates),
-                _pack_array(self.items),
-                _pack_array(self.scores),
-            ),
-        )
 
     @property
     def context(self) -> RequestContext:

@@ -165,6 +165,18 @@ class TestBASMModel:
             assert values.shape == (len(tiny_batch["labels"]),)
             assert np.all((values > 0) & (values < 2))
 
+    def test_forward_leaves_no_per_batch_state_on_the_model(self, eleme_dataset,
+                                                            small_model_config, tiny_batch):
+        """Alphas are returned, never parked on the instance: a model shared
+        by serving threads cannot hand the heatmap reader another batch's."""
+        model = create_model("basm", eleme_dataset.schema, small_model_config)
+        attributes = set(vars(model))
+        model(tiny_batch)
+        model.predict(tiny_batch)
+        model.spatiotemporal_weights(tiny_batch)
+        assert set(vars(model)) == attributes
+        assert not hasattr(model, "last_alphas")
+
     def test_final_representation_shape(self, eleme_dataset, small_model_config, tiny_batch):
         model = create_model("basm", eleme_dataset.schema, small_model_config)
         hidden = model.final_representation(tiny_batch)

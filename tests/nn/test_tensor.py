@@ -236,6 +236,27 @@ class TestGraphMechanics:
         with pytest.raises(RuntimeError):
             x.backward()
 
+    def test_second_backward_on_freed_graph_raises(self):
+        """backward() frees the whole graph, root included: running it again
+        raises instead of silently leaving every leaf's grad untouched."""
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        h = w * 3.0
+        loss = (h * h).sum()
+        loss.backward()
+        assert np.allclose(w.grad, [18.0, 36.0])
+        w.grad = None
+        with pytest.raises(RuntimeError, match="already freed"):
+            loss.backward()
+        assert w.grad is None
+        # A new root built on a freed interior node is refused the same way.
+        with pytest.raises(RuntimeError, match="already freed"):
+            (h * 2.0).sum().backward()
+        # A fresh forward rebuilds the graph; leaves are never "freed".
+        ((w * 3.0) * (w * 3.0)).sum().backward()
+        assert np.allclose(w.grad, [18.0, 36.0])
+        w.backward(np.ones(2, dtype=np.float32))
+        w.backward(np.ones(2, dtype=np.float32))
+
     def test_detach_cuts_graph(self, rng):
         x = Tensor(rng.normal(size=(3,)), requires_grad=True)
         y = (x * 2.0).detach() * 3.0

@@ -2,9 +2,9 @@
 
 The process cluster's proof burden, per suite:
 
-* **envelope round-trip** — ``ServeRequest`` / ``ServeResponse`` /
-  ``ClusterOverloadError`` pickle (and codec-frame) round-trips are explicit
-  reductions, safe for contexts carrying numpy scalar fields;
+* **envelope round-trip** — ``ServeRequest`` / ``ServeResponse`` cross the
+  pipe as codec frames that normalise numpy scalar context fields to plain
+  scalars; ``ClusterOverloadError`` also survives pickling (futures);
 * **injectable clock** — every ``ResponseCache`` TTL comparison reads the
   injected clock (a booby-trapped ``time.monotonic`` proves no path sneaks
   past it), so frozen-clock tests are deterministic;
@@ -94,37 +94,6 @@ def numpy_scalar_context() -> RequestContext:
 # satellite: envelope / exception round-trips across process boundaries
 # ---------------------------------------------------------------------- #
 class TestEnvelopeRoundTrip:
-    def test_serve_request_pickles_to_plain_scalars(self):
-        request = ServeRequest(
-            context=numpy_scalar_context(), request_id="r-1", scenario="default"
-        )
-        clone = pickle.loads(pickle.dumps(request))
-        assert clone == ServeRequest(
-            context=RequestContext(17, 100, 9, 1, 2, 31.2, 121.5, "wtw3sz"),
-            request_id="r-1", scenario="default",
-        )
-        for field in ("user_index", "day", "hour", "time_period", "city"):
-            assert type(getattr(clone.context, field)) is int
-        assert type(clone.context.latitude) is float
-
-    def test_serve_response_round_trips_arrays(self):
-        response = ServeResponse(
-            request=ServeRequest(context=numpy_scalar_context()),
-            candidates=np.arange(12, dtype=np.int64),
-            items=np.array([3, 1, 2], dtype=np.int64),
-            scores=np.array([0.9, 0.5, 0.1], dtype=np.float32),
-        )
-        clone = pickle.loads(pickle.dumps(response))
-        np.testing.assert_array_equal(clone.candidates, response.candidates)
-        np.testing.assert_array_equal(clone.items, response.items)
-        assert clone.scores.dtype == np.float32
-        np.testing.assert_array_equal(clone.scores, response.scores)
-
-    def test_serve_response_none_fields_survive(self):
-        response = ServeResponse(request=ServeRequest(context=numpy_scalar_context()))
-        clone = pickle.loads(pickle.dumps(response))
-        assert clone.candidates is None and clone.items is None and clone.scores is None
-
     def test_overload_error_round_trips(self):
         error = ClusterOverloadError("worker 'w-0' queue is full (512 pending)")
         clone = pickle.loads(pickle.dumps(error))
@@ -139,7 +108,13 @@ class TestEnvelopeRoundTrip:
         assert kind == codec.SERVE
         corr, decoded = codec.decode_serve(payload)
         assert corr == 7
-        assert decoded == pickle.loads(pickle.dumps(request))
+        assert decoded == ServeRequest(
+            context=RequestContext(17, 100, 9, 1, 2, 31.2, 121.5, "wtw3sz"),
+            request_id="r-9", scenario="default",
+        )
+        for field in ("user_index", "day", "hour", "time_period", "city"):
+            assert type(getattr(decoded.context, field)) is int
+        assert type(decoded.context.latitude) is float
 
         response = ServeResponse(
             request=request,
@@ -152,8 +127,15 @@ class TestEnvelopeRoundTrip:
         corr, decoded = codec.decode_serve_response(payload)
         assert corr == 7
         np.testing.assert_array_equal(decoded.items, response.items)
+        assert decoded.scores.dtype == np.float32
         np.testing.assert_array_equal(decoded.scores, response.scores)
         np.testing.assert_array_equal(decoded.candidates, response.candidates)
+
+        _, payload = codec.decode_frame(
+            codec.encode_serve_response(8, ServeResponse(request=request))
+        )
+        _, empty = codec.decode_serve_response(payload)
+        assert empty.candidates is None and empty.items is None and empty.scores is None
 
     def test_codec_error_frame_restores_registered_types(self):
         kind, payload = codec.decode_frame(

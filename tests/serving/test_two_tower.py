@@ -13,6 +13,7 @@ The fast path's contract (see ``repro/models/two_tower.py``):
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import threading
 
@@ -21,7 +22,7 @@ import pytest
 
 from repro import nn
 from repro.data import LogGenerator
-from repro.models import create_model
+from repro.models import ModelConfig, create_model
 from repro.serving import (
     OnlineRequestEncoder,
     Ranker,
@@ -115,6 +116,131 @@ class TestFusedParity:
         model.load_state_dict(model.state_dict())
         with pytest.raises(ValueError, match="item tables were built by model version"):
             model.score_two_tower(split, tables)
+
+
+def _digest(array: np.ndarray) -> str:
+    array = np.ascontiguousarray(array)
+    header = str(array.dtype).encode() + str(array.shape).encode()
+    return hashlib.sha256(header + array.tobytes()).hexdigest()
+
+
+def _ragged_burst(eleme_dataset):
+    """Eight requests with pool sizes 1, 12, 5, 12, 12, 9, 12, 12."""
+    requests = _burst(eleme_dataset, 8, seed=11)
+    for index, keep in ((0, 1), (2, 5), (5, 9)):
+        requests[index] = ScoreRequest(
+            requests[index].context, requests[index].candidates[:keep]
+        )
+    return requests
+
+
+# sha256 of the fused outputs on ``_ragged_burst``, computed at commit ae6cb07
+# (every layer scored by its hand-mirrored ``infer`` kernel).  ``packed`` is
+# the whole burst in one call, ``alone`` its one-candidate request by itself.
+PARENT_DIGESTS = {
+    "din": {
+        "packed": "9e6e7c7d7418d689d671bad454d0b7e1e4fbbe638727d2c9426a9202d487c5f5",
+        "alone": "71eb74930facb8b7b40287e6ca0cfdc0e848921a8f60ffc75f6c7d51537d05e2",
+        "query_static": "b8c9c44cb7dfe870641402b816eb21ec7ba44e2a056a6647ac927520dcadfd9d",
+        "trunk_item_static": "ecd070145202bbe53f037357c648b57bf06073a48d9c26cda9722ecf231d4eec",
+    },
+    "wide_deep": {
+        "packed": "f7c603900ed531d5c535078037e33ae48ebe9143d94b8fa29cb0e0685d1f9f27",
+        "alone": "e6ed1878ac367c5ceaeb8e096a0d7479f87b8df6589b5df4335124d681a744f2",
+        "query_static": "b8c9c44cb7dfe870641402b816eb21ec7ba44e2a056a6647ac927520dcadfd9d",
+        "trunk_item_static": "5c62744f6ec3bf479fe554cfee376620ed99dff5593737fc2b5998aab7c6c7a8",
+        "wide_item_static": "aa37752034c30aa418fb3a489f0d8376870f2a664388775dd0d14dc9bfb2c7ab",
+    },
+    "base_din": {
+        "packed": "f31e7344c7804f8f8e8106978d9eae8bbe873d1182c3cf724c826ed5d4bf452b",
+        "alone": "444cb6ecd9e0f63481066f3117b4b086f230c7ef4707b11846eef33d3c2fc421",
+        "query_static": "b8c9c44cb7dfe870641402b816eb21ec7ba44e2a056a6647ac927520dcadfd9d",
+        "trunk_item_static": "6ace2505c536567697381f2277f2afeacbf2182e099f30ba71776e3d925fc3d8",
+    },
+}
+
+
+class TestForwardIsTheKernel:
+    """The fused path runs every layer through ``forward`` under ``no_grad`` +
+    ``inference_mode``; these hold it to the bytes the deleted mirrors gave."""
+
+    @pytest.mark.parametrize("model_name", SUPPORTED)
+    def test_same_bytes_as_the_parent_commit(self, eleme_dataset, small_model_config,
+                                             serving_setup, model_name):
+        state, encoder = serving_setup
+        model = create_model(model_name, eleme_dataset.schema, small_model_config)
+        tables = model.precompute_item_tables(encoder.item_static_table(state))
+        requests = _ragged_burst(eleme_dataset)
+        packed = model.score_two_tower(_split(encoder, requests, state), tables)
+        alone = model.score_two_tower(_split(encoder, requests[:1], state), tables)
+        got = {"packed": _digest(packed), "alone": _digest(alone)}
+        got.update({name: _digest(table) for name, table in tables.tables.items()})
+        assert got == PARENT_DIGESTS[model_name]
+        assert np.array_equal(alone, packed[:1])
+
+    @pytest.mark.parametrize("model_name", SUPPORTED)
+    def test_train_flag_left_on_keeps_eval_semantics(self, eleme_dataset, serving_setup,
+                                                     model_name):
+        """A serving model still in ``.train()`` reads running statistics and
+        draws no dropout mask; nothing on the path writes to the model."""
+        state, encoder = serving_setup
+        config = ModelConfig(embedding_dim=4, attention_dim=8, tower_units=(16, 8),
+                             use_batchnorm=True, dropout=0.3, seed=1)
+        model = create_model(model_name, eleme_dataset.schema, config)
+        norms = [m for m in model.modules() if isinstance(m, nn.BatchNorm1d)]
+        drops = [m for m in model.modules() if isinstance(m, nn.Dropout) and m.rate > 0]
+        assert norms and drops
+        rng = np.random.default_rng(0)
+        for norm in norms:  # non-trivial statistics, frozen like a child's shm view
+            norm.running_mean = rng.normal(size=norm.num_features).astype(np.float32)
+            norm.running_var = rng.uniform(0.5, 2.0, norm.num_features).astype(np.float32)
+            norm.running_mean.flags.writeable = False
+            norm.running_var.flags.writeable = False
+        buffers = [(n.running_mean, n.running_var) for n in norms]
+        draws = [repr(d.rng.bit_generator.state) for d in drops]
+        static = encoder.item_static_table(state)
+        split = _split(encoder, _ragged_burst(eleme_dataset), state)
+
+        model.train()
+        train_tables = model.precompute_item_tables(static)
+        train_scores = model.score_two_tower(split, train_tables)
+        assert model.training
+        assert all(n.running_mean is m and n.running_var is v
+                   for n, (m, v) in zip(norms, buffers))
+        assert [repr(d.rng.bit_generator.state) for d in drops] == draws
+
+        model.eval()
+        eval_tables = model.precompute_item_tables(static)
+        assert train_tables.tables.keys() == eval_tables.tables.keys()
+        for name, table in eval_tables.tables.items():
+            assert np.array_equal(train_tables.tables[name], table)
+        assert np.array_equal(train_scores, model.score_two_tower(split, eval_tables))
+
+    def test_bare_calls_from_a_fresh_thread(self, eleme_dataset, small_model_config,
+                                            serving_setup):
+        """``bench/trace.py`` calls both entry points bare from its own thread:
+        they switch grad off themselves and restore it, and hand back arrays."""
+        state, encoder = serving_setup
+        model = create_model("din", eleme_dataset.schema, small_model_config)
+        static = encoder.item_static_table(state)
+        split = _split(encoder, _burst(eleme_dataset, 4), state)
+        seen = {}
+
+        def work():
+            seen["before"] = nn.is_grad_enabled() and not nn.is_inference()
+            tables = model.precompute_item_tables(static)
+            scores = model.score_two_tower(split, tables)
+            seen["after"] = nn.is_grad_enabled() and not nn.is_inference()
+            seen["tables"], seen["scores"] = tables, scores
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert seen["before"] and seen["after"]
+        assert type(seen["scores"]) is np.ndarray and seen["scores"].dtype == np.float32
+        for table in seen["tables"].tables.values():
+            assert type(table) is np.ndarray and table.dtype == np.float32
 
 
 class TestFusedEdgeCases:

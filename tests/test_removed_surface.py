@@ -1,0 +1,96 @@
+"""Pins on deleted surface: names a simplification removed stay removed.
+
+Each test names what a PR deleted ("Removed, not deprecated" in CHANGES.md)
+and fails if a compatibility alias, a second implementation or the old knob
+comes back.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_load_generators_are_gone():
+    """bench/run.py is the only harness: the in-package ones stay deleted."""
+    import repro.serving
+    import repro.serving.cluster
+
+    removed = (
+        "LoadTestReport", "run_load_test", "BaselineRun", "ClusterLoadReport",
+        "run_cluster_burst", "run_cluster_load_test", "run_single_worker_baseline",
+    )
+    for package in (repro.serving, repro.serving.cluster):
+        exported = [name for name in removed if hasattr(package, name)]
+        assert not exported, f"{package.__name__} still exports {exported}"
+
+
+def test_rank_knobs_are_gone():
+    """One rank engine: the path and the table dtype are not settable."""
+    import inspect
+
+    import repro.models.two_tower as two_tower
+    import repro.serving
+    from repro.models import DIN, BaseCTRModel, TargetAttentionDIN, WideDeep
+    from repro.serving import ProcessWorkerPool, Ranker, build_cluster
+
+    knobs = {"quantization", "item_table_quantization", "two_tower"}
+    callables = [Ranker, build_cluster, ProcessWorkerPool, two_tower.build_common_item_tables]
+    callables += [
+        model.precompute_item_tables
+        for model in (BaseCTRModel, WideDeep, DIN, TargetAttentionDIN)
+    ]
+    for target in callables:
+        left = knobs & set(inspect.signature(target).parameters)
+        assert not left, f"{target.__qualname__} still takes {sorted(left)}"
+    for name in ("ItemTable", "QUANTIZATIONS"):
+        assert not hasattr(two_tower, name), f"repro.models.two_tower still has {name}"
+    for name in ("BatchScorer", "ModelRef"):
+        assert not hasattr(repro.serving, name), f"repro.serving still exports {name}"
+
+
+def test_infer_mirrors_are_gone():
+    """One numerics definition per layer: ``forward`` under ``no_grad`` is the
+    inference kernel.  The two kernels whose *algorithm* differs from a
+    ``forward`` are the only ``infer*`` attributes left in ``repro.nn.layers``."""
+    import inspect
+
+    import repro.models.two_tower as two_tower
+    import repro.nn.layers as layers
+    from repro.nn import MLP, Linear, Module
+
+    found = {
+        f"{cls.__name__}.{attribute}"
+        for _, cls in inspect.getmembers(layers, inspect.isclass)
+        if issubclass(cls, Module)
+        for attribute in dir(cls)
+        if attribute.startswith("infer")
+    }
+    assert found == {"Linear.infer_partial", "MultiHeadTargetAttention.infer"}
+    assert list(inspect.signature(Linear.infer_partial).parameters) == [
+        "self", "x", "start", "stop"
+    ]
+    assert list(inspect.signature(MLP.tail).parameters) == ["self", "x"]
+    for name in ("fused_sigmoid", "embed_rows"):
+        assert not hasattr(two_tower, name), f"repro.models.two_tower still has {name}"
+    assert not hasattr(Linear, "weight_columns")
+
+
+def test_envelope_reductions_are_gone():
+    """Envelopes cross processes through ``cluster/codec.py`` only."""
+    import repro.serving.pipeline as pipeline
+
+    for cls in (pipeline.ServeRequest, pipeline.ServeResponse):
+        assert "__reduce__" not in vars(cls), f"{cls.__name__} still defines __reduce__"
+    for name in ("_context_fields", "_pack_array", "_unpack_array",
+                 "_rebuild_serve_request", "_rebuild_serve_response"):
+        assert not hasattr(pipeline, name), f"repro.serving.pipeline still has {name}"
+
+
+def test_bench_band_tool_is_gone():
+    """Benchmark tests assert their own floors inline; no second mechanism."""
+    assert not (REPO_ROOT / "tools" / "check_bench.py").exists()
+    assert not (REPO_ROOT / "benchmarks" / "baselines.json").exists()
+    conftest = (REPO_ROOT / "benchmarks" / "conftest.py").read_text(encoding="utf-8")
+    assert "save_bench_json" not in conftest
