@@ -2,11 +2,14 @@
 
 Replays a 1k-request burst of synthetic-world traffic (30 recalled candidates
 per request, the paper's production recall size) through the per-request
-loop and the micro-batched engine and asserts that batching changes **no**
-score — parity within 1e-8 (in practice bitwise).  A second test pins the
+flat forward and the micro-batched engine — BASM's request-factored serving
+path — and asserts the served scores sit within the fused path's 1e-6 band of
+the flat ones with the same exposed-item order (up to swaps between items the
+flat forward itself ties within that band).  A second test pins the
 two-tower rank hot path (frozen item tables + late-bound fusion,
-:mod:`repro.models.two_tower`) to the exact full-forward oracle within its
-1e-6 band on the same kind of burst.
+:mod:`repro.models.two_tower`) to the exact full-forward oracle within the
+same band on the same kind of burst.  (That micro-batch packing changes no
+byte is the ``array_equal`` oracle in ``tests/serving``.)
 
 Nothing here reads a clock: how fast either engine is comes from
 ``python3 bench/run.py`` (``basm_inproc`` / ``din_proc`` in BENCHMARK.json).
@@ -21,6 +24,7 @@ from repro.data import LogGenerator
 from repro.models import create_model
 from repro.serving import (
     OnlineRequestEncoder,
+    PipelineConfig,
     Ranker,
     ServingState,
     generate_burst,
@@ -72,9 +76,22 @@ def test_batched_engine_score_parity(eleme_bench):
         f"{max_diff:.2e}, feature-cache hit rate {cache_hit_rate:.1%}",
     )
 
-    # Scores must be identical — micro-batching is a pure throughput change.
+    # Flat forward vs request-factored serving: same model, float
+    # re-association only, and nothing a user sees may move.
     assert scorer.batches_run > 1
-    assert max_diff <= 1e-8
+    assert max_diff <= 1e-6
+    # Exposed-item order: identical, except that at this scale (30k rows of
+    # an untrained model) a few requests hold two candidates whose flat
+    # scores tie within the band, and those may swap — so compare, slot by
+    # slot, the flat score of the item each side exposes there.
+    exposed = PipelineConfig().exposure_size
+    swapped = 0
+    for flat, served in zip(sequential_scores, batched_scores):
+        flat_order = np.argsort(-flat, kind="stable")[:exposed]
+        served_order = np.argsort(-served, kind="stable")[:exposed]
+        swapped += not np.array_equal(flat_order, served_order)
+        assert np.max(np.abs(flat[flat_order] - flat[served_order])) <= 1e-6
+    assert swapped <= len(requests) // 100
     # Even from a cold start the burst must hit the feature cache (loose floor).
     assert cache_hit_rate >= 0.02, f"feature-cache hit rate {cache_hit_rate:.1%}"
 

@@ -157,20 +157,9 @@ class FieldEmbedder(nn.Module):
         query = self.target_proj(target_field)
         return self.target_attention(query, projected_sequence, mask=batch["behavior_mask"])
 
-    def pool_behavior_mean_unique(self, batch: Dict[str, np.ndarray],
-                                  mask_key: str = "behavior_mask") -> Tensor:
-        """Masked mean pooling over the deduplicated sequences, one row per request."""
-        sequence = self.embed_sequence(batch["behavior_unique"])
-        projected = self.sequence_proj(sequence)
-        return nn.functional.masked_mean(projected, batch[mask_key + "_unique"], axis=1)
-
     def pool_behavior_mean(self, batch: Dict[str, np.ndarray],
                            mask_key: str = "behavior_mask") -> Tensor:
         """Masked mean pooling in the attention space (used by StSTL's filter)."""
-        row_map = batch.get("behavior_row_map")
-        if row_map is not None:
-            pooled = self.pool_behavior_mean_unique(batch, mask_key=mask_key)
-            return pooled[np.asarray(row_map, dtype=np.int64)]
         sequence = self.embed_sequence(batch["behavior"])
         projected = self.sequence_proj(sequence)
         return nn.functional.masked_mean(projected, batch[mask_key], axis=1)
@@ -192,11 +181,11 @@ class BaseCTRModel(nn.Module):
 
     name = "base"
 
-    #: Whether the model's forward splits exactly into a frozen item tower
-    #: plus per-request/per-row remainders at the embedding-concat boundary
-    #: (see :mod:`repro.models.two_tower`).  Models that condition item
-    #: dimensions on the request context (the BASM family) cannot, and the
-    #: serving fast path transparently falls back to the full forward.
+    #: Whether the model implements the request-factored scoring protocol
+    #: (``_item_tables`` + ``_fused_logit`` over ``encode_split``, see
+    #: :mod:`repro.models.two_tower`): per-request work done once per request,
+    #: whatever of the item side is context-independent frozen per model
+    #: version.  ``Ranker`` scores every other model with the flat forward.
     supports_two_tower = False
 
     def __init__(self, schema: FeatureSchema, config: Optional[ModelConfig] = None) -> None:
@@ -206,18 +195,25 @@ class BaseCTRModel(nn.Module):
         self.embedder = FieldEmbedder(schema, self.config)
         self.rng = np.random.default_rng(self.config.seed + 1)
         #: Identity of this model *version* for serving-side caches (frozen
-        #: item-tower tables are keyed by it).  ``copy.deepcopy`` replicas
-        #: share the uid — same weights, same tables — while checkpoint
-        #: restores and :meth:`load_state_dict` mint a fresh one.  Mutating
-        #: weights in place on a live serving model without a hot-swap is
-        #: not supported.
+        #: item-tower tables and published weight segments are keyed by it).
+        #: ``copy.deepcopy`` replicas share the uid — same weights, same
+        #: tables — while everything that writes the weights
+        #: (:meth:`load_state_dict`, checkpoint restores, ``Trainer.fit``,
+        #: ``IncrementalTrainer.refresh``) ends with :meth:`weights_changed`.
+        self.serving_uid = next(_SERVING_UIDS)
+
+    def weights_changed(self) -> None:
+        """Mint a new serving identity after writing the parameters in place.
+
+        Precomputed item-side tables keyed by the old uid must never score
+        for the new parameters; a ``Ranker`` holding this object rebuilds
+        them on its next micro-batch.
+        """
         self.serving_uid = next(_SERVING_UIDS)
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
         super().load_state_dict(state, strict=strict)
-        # New weights are a new serving identity: precomputed item-side
-        # tables keyed by the old uid must never score for these parameters.
-        self.serving_uid = next(_SERVING_UIDS)
+        self.weights_changed()
 
     # ------------------------------------------------------------------ #
     def forward(self, batch: Dict[str, np.ndarray]) -> Tensor:
@@ -242,6 +238,11 @@ class BaseCTRModel(nn.Module):
         running statistics and draws no dropout mask even on a model whose
         ``training`` flag is still set.
         """
+        if tables.model_uid != self.serving_uid:
+            raise ValueError(
+                f"item tables were built by model version {tables.model_uid}, "
+                f"not by the scoring model (serving_uid {self.serving_uid})"
+            )
         if len(split_batch["candidates"]) == 0:
             return np.zeros(0, dtype=np.float32)
         with nn.no_grad(), nn.inference_mode():

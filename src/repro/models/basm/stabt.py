@@ -51,35 +51,50 @@ class FusionLayer(nn.Module):
         self.bn_gamma_bias = nn.Linear(context_dim, out_features, rng=rng)
         self.bn_beta_bias = nn.Linear(context_dim, out_features, rng=rng)
 
-    def forward(self, x: Tensor, context: Tensor,
-                row_map: Optional[np.ndarray] = None) -> Tensor:
-        """Apply the fusion block.
-
-        With ``row_map``, ``context`` is deduplicated (one row per request)
-        and every FCN_bias head — whose output depends only on the
-        spatiotemporal context — runs once per request before its parameters
-        are gathered back per candidate row.
-        """
-
-        def expand(generated: Tensor) -> Tensor:
-            return generated if row_map is None else generated[row_map]
-
+    def forward(self, x: Tensor, context: Tensor) -> Tensor:
         # --- Fusion FC ------------------------------------------------- #
         projected = self.linear(x)
         if self.use_fusion_fc:
-            weight_bias = expand(self.fc_weight_bias(context).sigmoid() * 2.0)
-            bias_bias = expand(self.fc_bias_bias(context).sigmoid())
+            weight_bias = self.fc_weight_bias(context).sigmoid() * 2.0
+            bias_bias = self.fc_bias_bias(context).sigmoid()
             projected = projected * weight_bias + bias_bias
         # --- Fusion BN ------------------------------------------------- #
         normalised = self.norm.normalise(projected)
         gamma, beta = self.norm.gamma, self.norm.beta
         if self.use_fusion_bn:
-            gamma_bias = expand(self.bn_gamma_bias(context).sigmoid() * 2.0)
-            beta_bias = expand(self.bn_beta_bias(context).sigmoid())
+            gamma_bias = self.bn_gamma_bias(context).sigmoid() * 2.0
+            beta_bias = self.bn_beta_bias(context).sigmoid()
             output = normalised * gamma * gamma_bias + beta + beta_bias
         else:
             output = normalised * gamma + beta
         return self.activation(output)
+
+    def modulate(self, projected: np.ndarray, context: Tensor, rows) -> np.ndarray:
+        """Eval-mode Fusion FC + Fusion BN over ``projected = linear(x)``, per request.
+
+        The serving form of :meth:`forward` up to the activation
+        (``BASM._fused_logit``): ``context`` holds one row per *request*,
+        every FCN_bias head runs on those rows, the heads are folded with
+        the BN running statistics into one centre / scale / shift per
+        request, and ``rows`` (a ``RequestRows``) spreads them over each
+        request's candidate rows.  Same arithmetic as :meth:`forward` up to
+        float re-association.
+        """
+        norm = self.norm
+        centre = -norm.running_mean
+        scale = norm.gamma.data / np.sqrt(norm.running_var + norm.eps)
+        shift = norm.beta.data
+        if self.use_fusion_fc:
+            weight_bias = (self.fc_weight_bias(context).sigmoid() * 2.0).data
+            projected = rows.multiply(projected, weight_bias)
+            centred = rows.add(projected, self.fc_bias_bias(context).sigmoid().data + centre)
+        else:
+            centred = projected + centre
+        if not self.use_fusion_bn:
+            return centred * scale + shift
+        scale = scale * (self.bn_gamma_bias(context).sigmoid() * 2.0).data
+        shift = shift + self.bn_beta_bias(context).sigmoid().data
+        return rows.add(rows.multiply(centred, scale), shift)
 
 
 class SpatiotemporalAdaptiveBiasTower(nn.Module):
@@ -115,15 +130,13 @@ class SpatiotemporalAdaptiveBiasTower(nn.Module):
         self.output = nn.Linear(previous, 1, rng=rng)
         self.out_features = previous
 
-    def hidden_representation(self, x: Tensor, context: Tensor,
-                              row_map: Optional[np.ndarray] = None) -> Tensor:
+    def hidden_representation(self, x: Tensor, context: Tensor) -> Tensor:
         """The representation before the final logit (used for Fig. 10/11 t-SNE)."""
         hidden = x
         for layer in self.layers:
-            hidden = layer(hidden, context, row_map=row_map)
+            hidden = layer(hidden, context)
         return hidden
 
-    def forward(self, x: Tensor, context: Tensor,
-                row_map: Optional[np.ndarray] = None) -> Tensor:
-        hidden = self.hidden_representation(x, context, row_map=row_map)
+    def forward(self, x: Tensor, context: Tensor) -> Tensor:
+        hidden = self.hidden_representation(x, context)
         return self.output(hidden).sigmoid().reshape(-1)

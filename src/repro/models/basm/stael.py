@@ -15,8 +15,9 @@ is a no-op at initialisation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Collection, Dict, List, Tuple
 
+import numpy as np
 
 from ... import nn
 from ...features.schema import FieldName
@@ -58,3 +59,29 @@ class SpatiotemporalAwareEmbeddingLayer(nn.Module):
             alphas[name] = alpha
             scaled[name] = x_j * alpha
         return scaled, alphas
+
+    def request_alphas(self, fields: Dict[str, np.ndarray], per_request: Collection[str],
+                       rows) -> Dict[str, np.ndarray]:
+        """Alpha per field for a request-factored batch (``BASM._fused_logit``).
+
+        ``fields`` holds one row per *request* for the names in
+        ``per_request`` (the context field among them) and one row per
+        candidate otherwise.  A per-request field's gate is :meth:`forward`'s
+        on those rows; a per-candidate field's gate logit splits into
+        ``x_j . w_j`` per row plus the context block's partial, computed once
+        per request and spread over its rows by ``rows`` (a ``RequestRows``).
+        """
+        context = fields[self.context_field]
+        alphas: Dict[str, np.ndarray] = {}
+        for name, gate in zip(self.field_names, self.gates):
+            x_j = fields[name]
+            if name in per_request:
+                logit = gate(Tensor(np.concatenate([x_j, context], axis=-1))).data
+            else:
+                width = x_j.shape[-1]
+                logit = rows.add(
+                    gate.infer_partial(x_j, 0, width),
+                    gate.infer_partial(context, width, gate.in_features) + gate.bias.data,
+                )
+            alphas[name] = (Tensor(logit).sigmoid() * 2.0).data
+        return alphas

@@ -17,7 +17,7 @@ generated, spatiotemporally conditioned linear map over the semantic vector).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,30 +56,23 @@ class SpatiotemporalSemanticTransformLayer(nn.Module):
     def output_dim(self) -> int:
         return self.semantic_dim
 
-    def forward(
-        self,
-        raw_semantic: Tensor,
-        context: Tensor,
-        filtered_behavior: Tensor,
-        row_map: Optional[np.ndarray] = None,
-    ) -> Tensor:
-        """Transform the raw semantic under the given spatiotemporal condition.
+    def generated(self, context: Tensor, filtered_behavior: Tensor) -> Tuple[Tensor, Tensor]:
+        """``(W_stl, b_stl)`` per condition row (Eq. 7-8): ``(rows, d, d)``, ``(rows, d)``.
 
-        When ``row_map`` is given, ``context`` and ``filtered_behavior`` are
-        deduplicated per-request tensors (one row per unique request) and the
-        meta network — by far the widest matmul of the model — runs once per
-        request; the generated parameters are then gathered back per row.
+        Both are functions of the spatiotemporal condition alone, so serving
+        generates them once per request (``BASM._fused_logit``).
         """
-        batch = raw_semantic.shape[0]
-        compressed = self.input_proj(raw_semantic)
         condition = Tensor.concat([context, filtered_behavior], axis=-1)
         weight = self.weight_generator(condition)
         bias = self.bias_generator(condition)
-        if row_map is not None:
-            row_map = np.asarray(row_map, dtype=np.int64)
-            weight = weight[row_map]
-            bias = bias[row_map]
-        weight = weight.reshape(batch, self.semantic_dim, self.semantic_dim)
+        return weight.reshape(len(condition), self.semantic_dim, self.semantic_dim), bias
+
+    def forward(self, raw_semantic: Tensor, context: Tensor,
+                filtered_behavior: Tensor) -> Tensor:
+        """Transform the raw semantic under the given spatiotemporal condition."""
+        batch = raw_semantic.shape[0]
+        compressed = self.input_proj(raw_semantic)
+        weight, bias = self.generated(context, filtered_behavior)
         transformed = (compressed.reshape(batch, 1, self.semantic_dim) @ weight).reshape(
             batch, self.semantic_dim
         )

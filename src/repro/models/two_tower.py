@@ -32,15 +32,20 @@ it: the column-block partial ``Linear.infer_partial`` and
 between layer calls (table gathers, ``row_map`` broadcasts) stay in
 ndarrays, wrapped into a ``Tensor`` at each layer call and unwrapped after.
 
-Only models whose item side is *exactly* separable at the concat boundary opt
-in (``supports_two_tower``): Wide&Deep, DIN, and the target-attention base
-model.  BASM-family models condition item dimensions on the request context
-(StSTL filtering, StABT-modulated batch norm), so nothing of their item side
-can be frozen per model version and :class:`repro.serving.ranker.Ranker`
-scores them with the full forward.
+Models opt in with ``supports_two_tower``.  Wide&Deep, DIN and the
+target-attention base model are *exactly* separable at the concat boundary
+and use everything above (:func:`build_common_item_tables`,
+:func:`fused_common`).  BASM conditions the item dimensions on the request
+context, so it freezes nothing per item — its tables are empty — but StAEL's
+gates, StSTL's generated map and StABT's modulations are functions of the
+*request*: ``BASM._fused_logit`` computes them on one row per request and
+reaches the candidate rows through :class:`RequestRows` (broadcast, or one
+GEMM per request).  Models without a split are scored by
+:class:`repro.serving.ranker.Ranker` with the flat forward.
 
 Tables are plain float32 arrays tied to the model version that built them
-(``model_uid``); scoring with another version's tables raises.
+(``model_uid``); ``BaseCTRModel.score_two_tower`` refuses another version's
+tables.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from ..features.schema import FieldName
 
 __all__ = [
     "ItemTowerTables",
+    "RequestRows",
     "trunk_field_slices",
     "build_common_item_tables",
     "fused_common",
@@ -65,8 +71,8 @@ class ItemTowerTables:
     """Frozen item-side state of one model version.
 
     ``model_uid`` is the ``serving_uid`` of the model version that produced
-    the tables; :func:`fused_common` refuses to score any other version with
-    them.  ``static_cols`` is the width of the static item block inside the
+    the tables; ``BaseCTRModel.score_two_tower`` refuses to score any other
+    version with them.  ``static_cols`` is the width of the static item block inside the
     candidate-item field embedding (``num_static_features * embedding_dim``).
     ``tables`` maps a name to a float32 ``(num_items, width)`` array.
     """
@@ -81,6 +87,52 @@ class ItemTowerTables:
     @property
     def nbytes(self) -> int:
         return int(sum(table.nbytes for table in self.tables.values()))
+
+
+class RequestRows:
+    """How a split batch's candidate rows group into requests.
+
+    ``encode_split`` lays each request's rows out contiguously, in request
+    order, so ``slot`` (row -> request) is sorted.  A per-request array
+    reaches its rows as a broadcast over a ``(requests, pool, width)`` view
+    when every pool has the same size (the serving shape) and as a gather
+    when pools are ragged; both are elementwise, so a row's bytes do not
+    depend on which one ran.  :meth:`matmul` multiplies each request's rows
+    by that request's own matrix in GEMMs shaped by the request alone —
+    stacked when uniform, looped when ragged, like
+    ``MultiHeadTargetAttention.infer``.
+    """
+
+    def __init__(self, slot: np.ndarray, requests: int) -> None:
+        self.slot = np.asarray(slot, dtype=np.int64)
+        self.counts = np.bincount(self.slot, minlength=requests)
+        #: candidates per request when all pools are equal, else ``None``.
+        self.pool = int(self.counts[0]) if self.counts.min() == self.counts.max() else None
+
+    def _spread(self, op, rows: np.ndarray, per_request: np.ndarray) -> np.ndarray:
+        if self.pool is None:
+            return op(rows, per_request[self.slot])
+        stacked = rows.reshape(len(self.counts), self.pool, rows.shape[-1])
+        return op(stacked, per_request[:, None, :]).reshape(rows.shape)
+
+    def add(self, rows: np.ndarray, per_request: np.ndarray) -> np.ndarray:
+        """``rows + per_request[request of each row]``."""
+        return self._spread(np.add, rows, per_request)
+
+    def multiply(self, rows: np.ndarray, per_request: np.ndarray) -> np.ndarray:
+        """``rows * per_request[request of each row]``."""
+        return self._spread(np.multiply, rows, per_request)
+
+    def matmul(self, rows: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+        """Each request's ``(pool, d)`` rows times its own ``(d, k)`` matrix."""
+        if self.pool is not None:
+            stacked = rows.reshape(len(self.counts), self.pool, rows.shape[-1])
+            return (stacked @ matrices).reshape(len(rows), matrices.shape[-1])
+        stops = np.cumsum(self.counts)
+        return np.concatenate([
+            rows[stop - count:stop] @ matrix
+            for stop, count, matrix in zip(stops, self.counts, matrices)
+        ], axis=0)
 
 
 # ---------------------------------------------------------------------- #
@@ -146,11 +198,6 @@ def fused_common(model, trunk, split_batch: Dict[str, np.ndarray],
       sequences, one per request; gather per row with
       ``split_batch["behavior_row_map"]``.
     """
-    if tables.model_uid != model.serving_uid:
-        raise ValueError(
-            f"item tables were built by model version {tables.model_uid}, "
-            f"not by the scoring model (serving_uid {model.serving_uid})"
-        )
     l1 = trunk.linears[0]
     slices = trunk_field_slices(model)
     cands = split_batch["candidates"]

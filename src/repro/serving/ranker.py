@@ -6,17 +6,19 @@ cannot afford one model invocation per request.  :class:`Ranker` packs the
 :class:`ScoreRequest` objects that arrive together into micro-batches bounded
 by ``max_batch_rows`` candidate rows — every candidate of every request is one
 row of a flat batch — runs the model once per micro-batch and splits the
-scores back per request.  All row-wise layers (embedding gather, linear,
-target attention, eval-mode batch norm) are independent across rows, so
-batched scores are numerically identical to sequential ones (parity pinned at
-1e-8), and single-request ``score``/``rank`` are a batch of one through the
-same code, so the two paths cannot drift apart.
+scores back per request.  Every matmul on the scoring path is either
+independent across rows with batch-size-invariant rounding (``Linear``) or
+shaped by one request alone (attention, StSTL), so a request's scores are
+byte-identical whatever micro-batch it is packed into (``array_equal`` in
+``tests/serving``), and single-request ``score``/``rank`` are a batch of one
+through the same code, so the two paths cannot drift apart.
 
-Which forward runs is read off the model: one that ``supports_two_tower``
-(Wide&Deep, DIN, the target-attention base model) is scored by the fused
-late-binding pass over frozen item tables (:mod:`repro.models.two_tower`);
-the BASM family conditions the item dimensions on the request context, has
-nothing to freeze, and is scored by the full forward.
+Which definition runs is read off the model: one that ``supports_two_tower``
+(Wide&Deep, DIN, the target-attention base model, BASM) is scored
+request-factored over ``encode_split`` (:mod:`repro.models.two_tower`) —
+per-request work once per request, context-independent item partials frozen
+per model version where the model has any — within 1e-6 of its flat forward;
+every other model is scored by the flat forward over ``encode_many``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import nn
 from ..data.world import RequestContext
 from ..features.schema import FeatureSchema
 from ..models.base import BaseCTRModel
@@ -98,8 +99,7 @@ class Ranker:
     ``(serving_uid, tables)`` slot, rebuilt (<1 ms) the first time a model
     version with another uid is scored; the pair is read and replaced as a
     whole, so a micro-batch never mixes one version's weights with another's
-    tables — and :func:`repro.models.two_tower.fused_common` would raise if
-    it did.
+    tables — and ``BaseCTRModel.score_two_tower`` would raise if it did.
     """
 
     def __init__(self, model: BaseCTRModel, encoder: OnlineRequestEncoder,
@@ -175,11 +175,10 @@ class Ranker:
                 scores = model.score_two_tower(split_batch, self._tables_for(model, state))
                 self.fused_batches += 1
             else:
-                with nn.no_grad():
-                    batch, offsets = self.encoder.encode_many(
-                        contexts, candidate_lists, state, positions_list=positions_list
-                    )
-                    scores = model.predict(batch)
+                batch, offsets = self.encoder.encode_many(
+                    contexts, candidate_lists, state, positions_list=positions_list
+                )
+                scores = model.predict(batch)
             self.batches_run += 1
             self.rows_scored += int(offsets[-1])
             for slot, index in enumerate(non_empty):

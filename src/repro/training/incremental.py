@@ -183,6 +183,7 @@ class IncrementalTrainer:
                     self.total_steps += 1
         finally:
             self.model.train(was_training)
+            self.model.weights_changed()
 
         self.rounds_completed += 1
         return result

@@ -123,6 +123,7 @@ class Trainer:
                 eval_reports.append(evaluate_model(model, eval_data, batch_size=cfg.batch_size))
                 model.train()
         elapsed = time.perf_counter() - start
+        model.weights_changed()
 
         return TrainResult(
             model=model,

@@ -13,6 +13,7 @@ from repro.serving import (
     FeatureCache,
     OnlineRequestEncoder,
     PersonalizationPlatform,
+    PipelineConfig,
     Ranker,
     ScoreRequest,
     ServingState,
@@ -32,7 +33,14 @@ def engine_setup(eleme_dataset, small_model_config):
 
 class TestBatchedScoreParity:
     def test_batched_scores_match_per_request_loop(self, eleme_dataset, engine_setup):
-        """The headline guarantee: micro-batching must not change any score."""
+        """Served scores equal the flat per-request forward.
+
+        Two definitions of one model meet here — the flat ``forward`` and the
+        request-factored serving path — so the band is the fused path's 1e-6
+        (float re-association), and the exposed items (the pipeline's top
+        ``exposure_size``) must come out in the same order.
+        That packing changes nothing is a separate, exact oracle (below).
+        """
         state, encoder, model = engine_setup
         requests = generate_burst(eleme_dataset.world, 40, recall_size=12, seed=3)
 
@@ -52,8 +60,13 @@ class TestBatchedScoreParity:
         scorer = Ranker(model, encoder, max_batch_rows=128)
         batched = scorer.score_many(requests, state)
         assert scorer.batches_run > 1
+        exposed = PipelineConfig().exposure_size
         for left, right in zip(sequential, batched):
-            np.testing.assert_allclose(left, right, atol=1e-8)
+            np.testing.assert_allclose(left, right, atol=1e-6)
+            np.testing.assert_array_equal(
+                np.argsort(-left, kind="stable")[:exposed],
+                np.argsort(-right, kind="stable")[:exposed],
+            )
 
     def test_parity_across_micro_batch_sizes(self, eleme_dataset, engine_setup):
         state, encoder, model = engine_setup
@@ -62,7 +75,7 @@ class TestBatchedScoreParity:
         for rows in (1, 7, 64):
             scores = Ranker(model, encoder, max_batch_rows=rows).score_many(requests, state)
             for left, right in zip(reference, scores):
-                np.testing.assert_allclose(left, right, atol=1e-8)
+                assert np.array_equal(left, right)
 
     def test_chunked_predict_matches_whole_batch(self, eleme_dataset, engine_setup):
         """model.predict(micro_batch_size=...) re-bases the dedup row map correctly."""
@@ -86,7 +99,7 @@ class TestBatchedScoreParity:
         mixed = [requests[1], lone, requests[2]]
         batched = Ranker(model, encoder).score_many(mixed, state)[1]
         solo = Ranker(model, encoder).score_many([lone], state)[0]
-        np.testing.assert_allclose(solo, batched, atol=1e-8)
+        assert np.array_equal(solo, batched)
 
 
 class TestRankerEdgeCases:
@@ -136,7 +149,7 @@ class TestRankerEdgeCases:
         scores = Ranker(model, encoder).score_many(requests, state)
         assert [len(s) for s in scores] == [len(r) for r in requests]
         reference = Ranker(model, encoder).score_many(full, state)
-        np.testing.assert_allclose(scores[0], reference[0], atol=1e-8)
+        assert np.array_equal(scores[0], reference[0])
 
     def test_single_request_batch(self, eleme_dataset, engine_setup):
         state, encoder, model = engine_setup

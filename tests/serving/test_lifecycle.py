@@ -15,8 +15,9 @@ from repro.serving import (
     Ranker,
     ReplayBuffer,
     ServingState,
+    generate_burst,
 )
-from repro.training import IncrementalTrainer, OnlineTrainConfig
+from repro.training import IncrementalTrainer, OnlineTrainConfig, Trainer
 
 
 @pytest.fixture()
@@ -174,6 +175,51 @@ def test_incremental_refresh_skips_tiny_windows(
     assert trainer.rounds_completed == 0
     for key, value in model.state_dict().items():
         assert np.array_equal(before[key], value), key
+
+
+def test_in_place_refresh_never_scores_with_stale_tables(
+    eleme_dataset, small_model_config, fast_train_config, serving_setup
+):
+    """score -> refresh in place -> score: the fused path follows the weights.
+
+    The refresh loop trains the very object the ranker holds (and then
+    ``swap_model``-s it back in), so a trainer that left ``serving_uid``
+    alone kept the ranker on item tables frozen from the *old* weights.
+    """
+    state, encoder = serving_setup
+    world = eleme_dataset.world
+    model = create_model("base_din", eleme_dataset.schema, small_model_config)
+    platform = PersonalizationPlatform(world, model, encoder, state,
+                                       recall_size=10, exposure_size=5)
+    replay = state.attach_replay(ReplayBuffer(encoder))
+    _serve_traffic(platform, world, 60)
+    requests = generate_burst(world, 6, recall_size=10, seed=5)
+    ranker = platform.ranker
+
+    def assert_fused_matches_full_forward():
+        batch, offsets = encoder.encode_many(
+            [r.context for r in requests], [r.candidates for r in requests], state
+        )
+        full = model.predict(batch)
+        for index, fused in enumerate(ranker.score_many(requests, state)):
+            np.testing.assert_allclose(fused, full[offsets[index]:offsets[index + 1]],
+                                       atol=1e-6)
+
+    before = ranker.score_many(requests, state)
+    uid = model.serving_uid
+    trainer = IncrementalTrainer(model, OnlineTrainConfig(batch_size=64, learning_rate=0.05,
+                                                          seed=3))
+    assert not trainer.refresh(replay).skipped
+    assert not np.array_equal(before[0], ranker.score_many(requests, state)[0])
+    assert_fused_matches_full_forward()      # without a swap
+    platform.swap_model(model)
+    assert_fused_matches_full_forward()      # and with one
+    assert model.serving_uid != uid
+
+    uid = model.serving_uid
+    Trainer(fast_train_config).fit(model, eleme_dataset.train)
+    assert_fused_matches_full_forward()
+    assert model.serving_uid != uid
 
 
 # ---------------------------------------------------------------------- #

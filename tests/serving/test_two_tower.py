@@ -2,11 +2,13 @@
 
 The fast path's contract (see ``repro/models/two_tower.py``):
 
-* fused scores match the full forward within 1e-6;
+* fused scores match the full forward within 1e-6 — for the three baselines
+  and for BASM in every Table V ablation construction;
+* a request's fused bytes do not depend on the micro-batch it is packed into;
 * frozen tables belong to one model version: the ranker builds them once per
   ``serving_uid``, rebuilds them after a swap, and scoring a model with
   another version's tables raises;
-* unsupported models (the BASM family) are scored by the full forward;
+* models without a split (``star``, ...) are scored by the full forward;
 * a model swap is one attribute assignment: every micro-batch is scored by
   exactly one (model, tables) pair.
 """
@@ -32,7 +34,43 @@ from repro.serving import (
     hot_swap,
 )
 
-SUPPORTED = ("wide_deep", "din", "base_din")
+BASELINES = ("wide_deep", "din", "base_din")
+SUPPORTED = BASELINES + ("basm",)
+
+#: BASM and its Table V ablations (constructor arguments of each).
+BASM_CONSTRUCTIONS = {
+    "basm": {},
+    "basm-wo-stael": {"use_stael": False},
+    "basm-wo-ststl": {"use_ststl": False},
+    "basm-wo-stabt": {"use_stabt": False},
+    "basm-wo-ststl-stabt": {"use_ststl": False, "use_stabt": False},
+    "basm-wo-fusion-fc": {"use_fusion_fc": False},
+    "basm-wo-fusion-bn": {"use_fusion_bn": False},
+    "basm-unfiltered-behavior": {"use_st_filtered_behavior": False},
+    "basm-sigmoid-gate": {"gate_scale": 1.0},
+}
+
+
+def _create(construction, schema, config):
+    """A registry model as built, or one of ``BASM_CONSTRUCTIONS`` in the state
+    training leaves it in: a fresh BASM has zero StAEL gates (alpha == 1
+    whatever the gate arithmetic does) and every fresh batch norm has mean 0 /
+    variance 1, which hides bugs in exactly the terms the request-factored
+    path re-derives."""
+    if construction not in BASM_CONSTRUCTIONS:
+        return create_model(construction, schema, config)
+    model = create_model("basm", schema, config, **BASM_CONSTRUCTIONS[construction])
+    rng = np.random.default_rng(0)
+    for gate in model.stael.gates:
+        gate.weight.data[...] = rng.normal(scale=0.3, size=gate.weight.shape)
+        gate.bias.data[...] = rng.normal(scale=0.3, size=gate.bias.shape)
+    for norm in (m for m in model.modules() if isinstance(m, nn.BatchNorm1d)):
+        width = norm.num_features
+        norm.running_mean = rng.normal(size=width).astype(np.float32)
+        norm.running_var = rng.uniform(0.5, 2.0, width).astype(np.float32)
+        norm.gamma.data[...] = rng.uniform(0.5, 1.5, width)
+        norm.beta.data[...] = rng.normal(scale=0.3, size=width)
+    return model
 
 
 @pytest.fixture()
@@ -65,13 +103,13 @@ def _split(encoder, requests, state):
 
 
 class TestFusedParity:
-    @pytest.mark.parametrize("model_name", SUPPORTED)
+    @pytest.mark.parametrize("construction", BASELINES + tuple(BASM_CONSTRUCTIONS))
     def test_fused_matches_full_forward(self, eleme_dataset, small_model_config,
-                                        serving_setup, model_name):
+                                        serving_setup, construction):
         """Float32 fused scores equal the exact forward within 1e-6."""
         state, encoder = serving_setup
-        model = create_model(model_name, eleme_dataset.schema, small_model_config)
-        requests = _burst(eleme_dataset)
+        model = _create(construction, eleme_dataset.schema, small_model_config)
+        requests = _burst(eleme_dataset) + _ragged_burst(eleme_dataset)
 
         fused = Ranker(model, encoder, max_batch_rows=128)
         fused_scores = fused.score_many(requests, state)
@@ -81,9 +119,9 @@ class TestFusedParity:
 
     def test_unsupported_model_falls_back(self, eleme_dataset, small_model_config,
                                           serving_setup):
-        """BASM cannot split exactly; the ranker uses the full forward."""
+        """STAR defines no split; the ranker uses the full forward."""
         state, encoder = serving_setup
-        model = create_model("basm", eleme_dataset.schema, small_model_config)
+        model = create_model("star", eleme_dataset.schema, small_model_config)
         assert not model.supports_two_tower
         scorer = Ranker(model, encoder)
         scores = scorer.score_many(_burst(eleme_dataset, 8), state)
@@ -164,7 +202,7 @@ class TestForwardIsTheKernel:
     """The fused path runs every layer through ``forward`` under ``no_grad`` +
     ``inference_mode``; these hold it to the bytes the deleted mirrors gave."""
 
-    @pytest.mark.parametrize("model_name", SUPPORTED)
+    @pytest.mark.parametrize("model_name", BASELINES)
     def test_same_bytes_as_the_parent_commit(self, eleme_dataset, small_model_config,
                                              serving_setup, model_name):
         state, encoder = serving_setup
@@ -178,7 +216,7 @@ class TestForwardIsTheKernel:
         assert got == PARENT_DIGESTS[model_name]
         assert np.array_equal(alone, packed[:1])
 
-    @pytest.mark.parametrize("model_name", SUPPORTED)
+    @pytest.mark.parametrize("model_name", SUPPORTED + ("basm-wo-stabt",))
     def test_train_flag_left_on_keeps_eval_semantics(self, eleme_dataset, serving_setup,
                                                      model_name):
         """A serving model still in ``.train()`` reads running statistics and
@@ -186,10 +224,12 @@ class TestForwardIsTheKernel:
         state, encoder = serving_setup
         config = ModelConfig(embedding_dim=4, attention_dim=8, tower_units=(16, 8),
                              use_batchnorm=True, dropout=0.3, seed=1)
-        model = create_model(model_name, eleme_dataset.schema, config)
+        model = _create(model_name, eleme_dataset.schema, config)
         norms = [m for m in model.modules() if isinstance(m, nn.BatchNorm1d)]
         drops = [m for m in model.modules() if isinstance(m, nn.Dropout) and m.rate > 0]
-        assert norms and drops
+        # StABT's fusion layers carry batch norm but no dropout; BASM without
+        # StABT has the baselines' static tower and both.
+        assert norms and (drops or model_name == "basm")
         rng = np.random.default_rng(0)
         for norm in norms:  # non-trivial statistics, frozen like a child's shm view
             norm.running_mean = rng.normal(size=norm.num_features).astype(np.float32)
@@ -221,26 +261,71 @@ class TestForwardIsTheKernel:
         """``bench/trace.py`` calls both entry points bare from its own thread:
         they switch grad off themselves and restore it, and hand back arrays."""
         state, encoder = serving_setup
-        model = create_model("din", eleme_dataset.schema, small_model_config)
         static = encoder.item_static_table(state)
         split = _split(encoder, _burst(eleme_dataset, 4), state)
-        seen = {}
+        for model_name in ("din", "basm"):
+            model = create_model(model_name, eleme_dataset.schema, small_model_config)
+            seen = {}
 
-        def work():
-            seen["before"] = nn.is_grad_enabled() and not nn.is_inference()
-            tables = model.precompute_item_tables(static)
-            scores = model.score_two_tower(split, tables)
-            seen["after"] = nn.is_grad_enabled() and not nn.is_inference()
-            seen["tables"], seen["scores"] = tables, scores
+            def work():
+                seen["before"] = nn.is_grad_enabled() and not nn.is_inference()
+                tables = model.precompute_item_tables(static)
+                scores = model.score_two_tower(split, tables)
+                seen["after"] = nn.is_grad_enabled() and not nn.is_inference()
+                seen["tables"], seen["scores"] = tables, scores
 
-        thread = threading.Thread(target=work)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert seen["before"] and seen["after"]
-        assert type(seen["scores"]) is np.ndarray and seen["scores"].dtype == np.float32
-        for table in seen["tables"].tables.values():
-            assert type(table) is np.ndarray and table.dtype == np.float32
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert seen["before"] and seen["after"]
+            assert type(seen["scores"]) is np.ndarray and seen["scores"].dtype == np.float32
+            for table in seen["tables"].tables.values():
+                assert type(table) is np.ndarray and table.dtype == np.float32
+
+
+class TestBasmPackingInvariance:
+    """A BASM request's fused bytes are a function of the request alone: the
+    per-request GEMMs are shaped by its own pool, every other matmul goes
+    through ``Linear``'s batch-size-invariant product, and broadcast (uniform
+    pools) vs gather (ragged pools) are both elementwise."""
+
+    @pytest.mark.parametrize("construction", tuple(BASM_CONSTRUCTIONS))
+    def test_alone_uniform_and_ragged_batches_agree(self, eleme_dataset, small_model_config,
+                                                    serving_setup, construction):
+        state, encoder = serving_setup
+        model = _create(construction, eleme_dataset.schema, small_model_config)
+        tables = model.precompute_item_tables(encoder.item_static_table(state))
+
+        def score(requests):
+            scores = model.score_two_tower(_split(encoder, requests, state), tables)
+            stops = np.cumsum([len(r) for r in requests])
+            return [scores[stop - len(r):stop] for r, stop in zip(requests, stops)]
+
+        uniform = _burst(eleme_dataset, 8, seed=11)   # pools of 12: stacked GEMMs
+        ragged = _ragged_burst(eleme_dataset)         # pools 1, 12, 5, ...: looped
+        in_uniform, in_ragged = score(uniform), score(ragged)
+        for index, request in enumerate(ragged):
+            alone = score([request])[0]
+            assert np.array_equal(alone, in_ragged[index]), index
+            if len(request) == len(uniform[index]):
+                assert np.array_equal(alone, in_uniform[index]), index
+        assert np.array_equal(score(ragged[:1])[0], in_ragged[0][:1])
+
+    def test_an_empty_pool_takes_no_slot(self, eleme_dataset, small_model_config,
+                                         serving_setup):
+        """``encode_split`` keeps a candidate-less request's user/context rows
+        but gives it no behaviour slot; its neighbours' bytes do not move."""
+        state, encoder = serving_setup
+        model = _create("basm", eleme_dataset.schema, small_model_config)
+        tables = model.precompute_item_tables(encoder.item_static_table(state))
+        requests = _burst(eleme_dataset, 3, seed=11)
+        empty = ScoreRequest(requests[1].context, np.zeros(0, dtype=np.int64))
+        with_gap = model.score_two_tower(
+            _split(encoder, [requests[0], empty, requests[2]], state), tables)
+        without = model.score_two_tower(
+            _split(encoder, [requests[0], requests[2]], state), tables)
+        assert np.array_equal(with_gap, without)
 
 
 class TestFusedEdgeCases:
@@ -375,7 +460,7 @@ class TestItemTableSlot:
                                                          serving_setup):
         """Scoring threads race a thread that keeps reassigning ``model``:
         every micro-batch comes out byte-equal to one version's scores, and
-        the uid check in ``fused_common`` never fires."""
+        the uid check in ``score_two_tower`` never fires."""
         state, encoder = serving_setup
         schema = eleme_dataset.schema
         models = [create_model("din", schema, small_model_config) for _ in range(2)]
