@@ -29,7 +29,6 @@ class Embedding(Module):
         embedding_dim: int,
         rng: Optional[np.random.Generator] = None,
         std: float = 0.01,
-        padding_idx: Optional[int] = None,
     ) -> None:
         super().__init__()
         if num_embeddings <= 0 or embedding_dim <= 0:
@@ -37,10 +36,7 @@ class Embedding(Module):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
-        self.padding_idx = padding_idx
         weight = init.normal((num_embeddings, embedding_dim), rng, std=std)
-        if padding_idx is not None:
-            weight[padding_idx] = 0.0
         self.weight = Parameter(weight, name="embedding")
 
     def forward(self, indices: np.ndarray) -> Tensor:

@@ -25,6 +25,7 @@ import numpy as np
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))  # these select a view
 
 # Per-thread, so a cluster worker serving inside ``no_grad`` cannot switch
 # graph recording off (or back on) under a concurrent training thread.
@@ -178,11 +179,23 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` into ``self.grad``: the one statement of who owns it.
+
+        An interior node (one with ``_prev``) borrows: it adopts the first
+        gradient handed to it and adds later ones out of place, so an array
+        handed to several nodes (``out.grad`` straight through) is never
+        written to.  A leaf owns: it copies (``sum`` hands out read-only
+        broadcast views) and adds in place, and ``clip_grad_norm`` may scale
+        it.  Strided views are copied, not adopted: another layout would
+        re-associate the reductions and GEMMs behind it (not bit-equal).
+        """
         if not self.requires_grad:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=np.float32), self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if self._prev and grad.flags["C_CONTIGUOUS"] else grad.copy()
+        elif self._prev:
+            self.grad = self.grad + grad
         else:
             self.grad += grad
 
@@ -448,8 +461,13 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         def backward(out: Tensor) -> None:
-            grad = np.zeros_like(self.data)
-            np.add.at(grad, index, out.grad)
+            grad = np.zeros(self.data.shape, dtype=np.float32)
+            entries = index if isinstance(index, tuple) else (index,)
+            if all(isinstance(entry, _BASIC_INDEX) for entry in entries):
+                grad[index] += out.grad  # a view: no position repeats
+            else:
+                positions = np.arange(grad.size).reshape(grad.shape)[index]
+                np.add.at(grad.reshape(-1), positions.reshape(-1), out.grad.reshape(-1))
             self._accumulate(grad)
 
         return self._make(self.data[index], (self,), backward)
@@ -458,14 +476,17 @@ class Tensor:
         """Gather rows of a 2-D tensor; used by the embedding layer.
 
         ``indices`` may have any shape; the result has shape
-        ``indices.shape + (self.shape[1],)``.
+        ``indices.shape + (self.shape[1],)``.  The backward scatters into the
+        raveled table at ``row * width + column``: 1-D ``np.add.at`` takes
+        numpy's indexed fast loop (2.5x) and keeps each element's add order.
         """
         indices = np.asarray(indices, dtype=np.int64)
         value = self.data[indices]
 
         def backward(out: Tensor) -> None:
-            grad = np.zeros_like(self.data)
-            np.add.at(grad, indices.reshape(-1), out.grad.reshape(-1, self.data.shape[1]))
+            grad = np.zeros(self.data.shape, dtype=np.float32)
+            positions = indices.reshape(-1, 1) * grad.shape[1] + np.arange(grad.shape[1])
+            np.add.at(grad.reshape(-1), positions.reshape(-1), out.grad.reshape(-1))
             self._accumulate(grad)
 
         return self._make(value, (self,), backward)
@@ -559,11 +580,15 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        # Kept after the pass: the root's gradient and every leaf's.  Freed as
+        # it goes: an interior node's parents and closure (root included, so a
+        # second pass over any of it raises instead of silently leaving the
+        # leaves' grads untouched) and its gradient, which nothing reads once
+        # its own backward has handed it on.
         for node in reversed(topo):
             node._backward()
             if node._prev:
-                # Free the graph as we go to keep memory bounded — the root
-                # too, so a second pass over any of it raises instead of
-                # silently leaving every parameter's grad untouched.
                 node._prev = ()
                 node._backward = _freed_backward
+                if node is not self:
+                    node.grad = None

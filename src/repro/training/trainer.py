@@ -95,35 +95,39 @@ class Trainer:
         eval_reports: List[MetricReport] = []
         steps = 0
         start = time.perf_counter()
-        for epoch in range(cfg.epochs):
-            epoch_loss = 0.0
-            epoch_batches = 0
-            for batch in loader:
-                predictions = model(batch)
-                loss = self.loss_fn(predictions, batch["labels"])
-                model.zero_grad()
-                loss.backward()
-                if cfg.gradient_clip_norm is not None:
-                    optimizer.clip_grad_norm(cfg.gradient_clip_norm)
-                optimizer.step()
-                if scheduler is not None:
-                    scheduler.step()
+        try:
+            for epoch in range(cfg.epochs):
+                epoch_loss = 0.0
+                epoch_batches = 0
+                for batch in loader:
+                    predictions = model(batch)
+                    loss = self.loss_fn(predictions, batch["labels"])
+                    model.zero_grad()
+                    loss.backward()
+                    if cfg.gradient_clip_norm is not None:
+                        optimizer.clip_grad_norm(cfg.gradient_clip_norm)
+                    optimizer.step()
+                    if scheduler is not None:
+                        scheduler.step()
 
-                value = float(loss.item())
-                step_losses.append(value)
-                epoch_loss += value
-                epoch_batches += 1
-                steps += 1
-                if callback is not None:
-                    callback(steps, value)
-                if cfg.log_every and steps % cfg.log_every == 0:
-                    print(f"[{model.name}] step {steps}: loss={value:.4f} lr={optimizer.lr:.4f}")
-            epoch_losses.append(epoch_loss / max(epoch_batches, 1))
-            if cfg.eval_every_epoch and eval_data is not None:
-                eval_reports.append(evaluate_model(model, eval_data, batch_size=cfg.batch_size))
-                model.train()
+                    value = float(loss.item())
+                    step_losses.append(value)
+                    epoch_loss += value
+                    epoch_batches += 1
+                    steps += 1
+                    if callback is not None:
+                        callback(steps, value)
+                    if cfg.log_every and steps % cfg.log_every == 0:
+                        print(f"[{model.name}] step {steps}: "
+                              f"loss={value:.4f} lr={optimizer.lr:.4f}")
+                epoch_losses.append(epoch_loss / max(epoch_batches, 1))
+                if cfg.eval_every_epoch and eval_data is not None:
+                    eval_reports.append(evaluate_model(model, eval_data, batch_size=cfg.batch_size))
+                    model.train()
+        finally:
+            # Steps write weights in place: whatever raised, the old uid is stale.
+            model.weights_changed()
         elapsed = time.perf_counter() - start
-        model.weights_changed()
 
         return TrainResult(
             model=model,

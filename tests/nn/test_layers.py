@@ -66,10 +66,6 @@ class TestEmbedding:
         with pytest.raises(IndexError):
             table(np.array([-1]))
 
-    def test_padding_idx_row_is_zero(self, layer_rng):
-        table = nn.Embedding(10, 4, rng=layer_rng, padding_idx=0)
-        assert np.allclose(table.weight.data[0], 0.0)
-
     def test_gradient_only_touches_used_rows(self, layer_rng):
         table = nn.Embedding(10, 4, rng=layer_rng)
         table(np.array([2, 2, 5])).sum().backward()

@@ -302,3 +302,104 @@ class TestGraphMechanics:
         out.sum().backward()
         expected = out.data * (1.0 - out.data)
         assert np.allclose(x.grad, expected, atol=1e-5)
+
+
+class TestGradientOwnership:
+    """Who may write to a gradient buffer (``Tensor._accumulate``): an
+    interior node borrows what it is handed and never mutates it, a leaf owns
+    a private writable copy, interior gradients are gone after the pass."""
+
+    def test_leaves_fed_the_same_array_own_separate_writable_copies(self, rng):
+        from repro.nn import Parameter
+        from repro.nn.optim import SGD
+
+        a = Parameter(rng.normal(size=(3, 4)))
+        b = Parameter(rng.normal(size=(3, 4)))
+        (a + b).sum().backward()  # __add__ hands out.grad to both, straight through
+        assert not np.shares_memory(a.grad, b.grad)
+        assert a.grad.flags.writeable and b.grad.flags.writeable
+        norm = SGD([a, b], lr=0.1).clip_grad_norm(1.0)
+        scale = np.float32(1.0 / norm)
+        assert np.array_equal(a.grad, np.full((3, 4), scale))  # scaled once, not twice
+        assert np.array_equal(b.grad, np.full((3, 4), scale))
+
+    def test_leaf_fed_by_sums_broadcast_view_is_writable(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        x.sum().backward()  # hands the leaf a read-only broadcast_to view
+        assert x.grad.flags.writeable
+        x.grad *= 2.0
+        assert np.array_equal(x.grad, np.full((3, 4), 2.0, dtype=np.float32))
+
+    def test_diamond_never_mutates_the_array_it_was_first_handed(self, rng):
+        w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        h = w * 3.0                      # interior, consumed twice below
+        out = h + h * 2.0
+        upstream = rng.normal(size=(2, 3)).astype(np.float32)
+        kept = upstream.copy()
+        out.backward(upstream)           # h adopts ``upstream`` itself, then adds 2x
+        assert np.array_equal(upstream, kept)
+        assert np.allclose(w.grad, 9.0 * kept, atol=1e-5)
+
+    def test_strided_gradients_are_copied_not_adopted(self, rng):
+        """A transposed view handed to an interior node would feed the ops
+        behind it another memory layout; the tape stores C-contiguous only."""
+        seen = []
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        h = x * 1.0
+        original = h._backward
+
+        def spy():
+            seen.append(h.grad.flags["C_CONTIGUOUS"])
+            original()
+
+        h._backward = spy
+        h.transpose().contiguous().sum(axis=0).sum().backward()
+        assert seen == [True]
+
+    def test_interior_gradients_are_released_root_and_leaves_kept(self, rng):
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(5, 4)))
+        hidden = x @ w
+        activated = hidden.relu()
+        loss = (activated * activated).mean()
+        loss.backward()
+        assert hidden.grad is None and activated.grad is None
+        assert loss.grad is not None and loss.grad.shape == ()
+        assert w.grad is not None and w.grad.shape == (4, 3)
+
+    @pytest.mark.parametrize("indices", [
+        np.array([0, 0, 2, 0, 6, 2]),
+        np.random.default_rng(3).integers(0, 7, size=(40, 9)),
+        np.random.default_rng(4).integers(-7, 7, size=(5, 3, 4)),
+        np.zeros((0,), dtype=np.int64),
+        np.zeros((3, 0), dtype=np.int64),
+    ], ids=["duplicates", "matrix", "negative-3d", "empty", "empty-2d"])
+    def test_take_rows_scatter_equals_the_dense_row_scatter(self, indices, rng):
+        table = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+        out = table.take_rows(indices)
+        upstream = rng.normal(size=out.shape).astype(np.float32)
+        out.backward(upstream)
+        dense = np.zeros_like(table.data)
+        np.add.at(dense, indices.reshape(-1), upstream.reshape(-1, 5))
+        assert np.array_equal(table.grad, dense)
+
+    @pytest.mark.parametrize("index", [
+        slice(1, 5, 2),
+        3,
+        (slice(None), 2),
+        (Ellipsis, None, slice(0, 2)),
+        np.array([4, 0, 4, 4, 1]),
+        (np.array([[0, 5], [5, 0]]), np.array([1, 1])),
+        (slice(None), np.array([3, 0, 3])),
+        np.arange(24).reshape(6, 4) % 5 == 0,
+        np.array([True, False, True, True, False, False]),
+    ], ids=["slice", "int", "column", "ellipsis-newaxis", "fancy", "fancy-pair",
+            "slice-fancy", "bool-mask", "bool-rows"])
+    def test_getitem_scatter_equals_dense_add_at(self, index, rng):
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        out = x[index]
+        upstream = rng.normal(size=out.shape).astype(np.float32)
+        out.backward(upstream)
+        dense = np.zeros_like(x.data)
+        np.add.at(dense, index, upstream)
+        assert np.array_equal(x.grad, dense)

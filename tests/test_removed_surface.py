@@ -77,6 +77,16 @@ def test_infer_mirrors_are_gone():
     assert not hasattr(Linear, "weight_columns")
 
 
+def test_embedding_padding_idx_is_gone():
+    """It zeroed one row at construction and then trained it like any other."""
+    import inspect
+
+    from repro.nn import Embedding
+
+    assert "padding_idx" not in inspect.signature(Embedding).parameters
+    assert not hasattr(Embedding(4, 2), "padding_idx")
+
+
 def test_envelope_reductions_are_gone():
     """Envelopes cross processes through ``cluster/codec.py`` only."""
     import repro.serving.pipeline as pipeline
