@@ -33,8 +33,9 @@ import numpy as np
 from ... import nn
 from ...features.schema import FeatureSchema, FieldName
 from ...nn import Tensor
+from ...nn.layers.attention import RequestRows
 from ..base import BaseCTRModel, ModelConfig
-from ..two_tower import ItemTowerTables, RequestRows, trunk_field_slices
+from ..two_tower import ItemTowerTables, trunk_field_slices
 from .stabt import SpatiotemporalAdaptiveBiasTower
 from .stael import SpatiotemporalAwareEmbeddingLayer
 from .ststl import SpatiotemporalSemanticTransformLayer

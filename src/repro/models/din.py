@@ -26,7 +26,8 @@ class DIN(BaseCTRModel):
 
     The candidate item activates each historical behaviour through a small MLP
     over ``[behaviour, target, behaviour - target, behaviour * target]``; the
-    weighted sum replaces the attention pooling of the shared embedder.
+    weighted sum replaces the attention pooling of the shared embedder — one
+    ``forward``, a sequence per row here and per request in ``_fused_logit``.
     """
 
     name = "din"

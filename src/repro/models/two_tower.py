@@ -15,7 +15,7 @@ decomposes into
   onto that request's candidate rows, and
 * small per-row remainders (dynamic item features, cross features, the pooled
   behaviour interest, which depends on the candidate through the attention
-  query).
+  query — DIN's unit splits its own first layer per sequence / row / pair).
 
 The fused scorer gathers the item table, adds the broadcast request
 contribution and the per-row partials in one pass, and hands the sum to the
@@ -39,8 +39,8 @@ and use everything above (:func:`build_common_item_tables`,
 context, so it freezes nothing per item — its tables are empty — but StAEL's
 gates, StSTL's generated map and StABT's modulations are functions of the
 *request*: ``BASM._fused_logit`` computes them on one row per request and
-reaches the candidate rows through :class:`RequestRows` (broadcast, or one
-GEMM per request).  Models without a split are scored by
+reaches the candidate rows through ``nn``'s ``RequestRows`` (broadcast, or
+one GEMM per request).  Models without a split are scored by
 :class:`repro.serving.ranker.Ranker` with the flat forward.
 
 Tables are plain float32 arrays tied to the model version that built them
@@ -59,7 +59,6 @@ from ..features.schema import FieldName
 
 __all__ = [
     "ItemTowerTables",
-    "RequestRows",
     "trunk_field_slices",
     "build_common_item_tables",
     "fused_common",
@@ -87,52 +86,6 @@ class ItemTowerTables:
     @property
     def nbytes(self) -> int:
         return int(sum(table.nbytes for table in self.tables.values()))
-
-
-class RequestRows:
-    """How a split batch's candidate rows group into requests.
-
-    ``encode_split`` lays each request's rows out contiguously, in request
-    order, so ``slot`` (row -> request) is sorted.  A per-request array
-    reaches its rows as a broadcast over a ``(requests, pool, width)`` view
-    when every pool has the same size (the serving shape) and as a gather
-    when pools are ragged; both are elementwise, so a row's bytes do not
-    depend on which one ran.  :meth:`matmul` multiplies each request's rows
-    by that request's own matrix in GEMMs shaped by the request alone —
-    stacked when uniform, looped when ragged, like
-    ``MultiHeadTargetAttention.infer``.
-    """
-
-    def __init__(self, slot: np.ndarray, requests: int) -> None:
-        self.slot = np.asarray(slot, dtype=np.int64)
-        self.counts = np.bincount(self.slot, minlength=requests)
-        #: candidates per request when all pools are equal, else ``None``.
-        self.pool = int(self.counts[0]) if self.counts.min() == self.counts.max() else None
-
-    def _spread(self, op, rows: np.ndarray, per_request: np.ndarray) -> np.ndarray:
-        if self.pool is None:
-            return op(rows, per_request[self.slot])
-        stacked = rows.reshape(len(self.counts), self.pool, rows.shape[-1])
-        return op(stacked, per_request[:, None, :]).reshape(rows.shape)
-
-    def add(self, rows: np.ndarray, per_request: np.ndarray) -> np.ndarray:
-        """``rows + per_request[request of each row]``."""
-        return self._spread(np.add, rows, per_request)
-
-    def multiply(self, rows: np.ndarray, per_request: np.ndarray) -> np.ndarray:
-        """``rows * per_request[request of each row]``."""
-        return self._spread(np.multiply, rows, per_request)
-
-    def matmul(self, rows: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-        """Each request's ``(pool, d)`` rows times its own ``(d, k)`` matrix."""
-        if self.pool is not None:
-            stacked = rows.reshape(len(self.counts), self.pool, rows.shape[-1])
-            return (stacked @ matrices).reshape(len(rows), matrices.shape[-1])
-        stops = np.cumsum(self.counts)
-        return np.concatenate([
-            rows[stop - count:stop] @ matrix
-            for stop, count, matrix in zip(stops, self.counts, matrices)
-        ], axis=0)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,9 +1,9 @@
 """Fully connected layer.
 
 ``Linear.forward`` is the layer's one numerics definition — under ``no_grad``
-it is also the inference kernel.  ``infer_partial`` exists beside it because
-its *algorithm* differs (a column block of the weight, no bias); both go
-through the same batch-size-invariant product, :func:`_product`.
+it is also the inference kernel.  ``partial`` (``infer_partial`` on arrays) is
+beside it because its *algorithm* differs (a column block of the weight, no
+bias); both go through the same batch-size-invariant product, :func:`_product`.
 """
 
 from __future__ import annotations
@@ -55,23 +55,28 @@ class Linear(Module):
             out = out + self.bias
         return out
 
-    def infer_partial(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    def partial(self, x: Tensor, start: int, stop: int) -> Tensor:
         """Column-block partial product ``x @ W[:, start:stop]^T`` (no bias).
 
         The split-forward primitive: an affine map over a concatenation
         ``[a, b, c]`` is the sum of its column-block products plus the bias,
-        so a tower's first layer can be evaluated as *partial contributions* —
-        some precomputed per item, some computed once per request, some per
-        candidate row (see ``repro.models.two_tower``).  ``x`` holds only the
-        ``stop - start`` input columns of the block; summing the partials of
-        a full column partition plus the bias equals :meth:`forward` up to
-        float re-association.  Arrays in and out; call it under ``no_grad``.
+        so a first layer can be evaluated as *partial contributions* — some
+        precomputed per item, some computed once per request or sequence, some
+        per candidate row (``repro.models.two_tower``, ``DINLocalActivationUnit``).
+        ``x`` holds only the ``stop - start`` input columns of the block;
+        summing the partials of a full column partition plus the bias equals
+        :meth:`forward` up to float re-association.
         """
         if not (0 <= start < stop <= self.in_features):
-            raise ValueError(
-                f"invalid column slice [{start}:{stop}] for in_features={self.in_features}"
-            )
-        return _product(Tensor(x), self.weight[:, start:stop]).data
+            raise ValueError(f"invalid column slice [{start}:{stop}] for in_features={self.in_features}")
+        if x.shape[-1] != stop - start:
+            raise ValueError(f"Linear expected last dim {stop - start} for column block "
+                             f"[{start}:{stop}], got input shape {x.shape}")
+        return _product(x, self.weight[:, start:stop])
+
+    def infer_partial(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """:meth:`partial` with arrays in and out; call it under ``no_grad``."""
+        return self.partial(Tensor(x), start, stop).data
 
     def __repr__(self) -> str:
         return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"

@@ -306,7 +306,9 @@ class Tensor:
         return self._make(value, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        value = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
+        value = np.clip(self.data, -60.0, 60.0, out=np.empty_like(self.data))
+        np.exp(np.negative(value, out=value), out=value)
+        np.divide(1.0, np.add(value, 1.0, out=value), out=value)  # all on one buffer
 
         def backward(out: Tensor) -> None:
             self._accumulate(out.grad * value * (1.0 - value))

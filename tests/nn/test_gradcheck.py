@@ -12,6 +12,7 @@ error criterion; every op below is smooth at the probed points.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro import nn
 from repro.nn import Tensor
@@ -111,6 +112,33 @@ class TestGradCheck:
         value().sum().backward()
         _check(target.grad, _numerical_grad(lambda: _loss_of(value), target.data))
         _check(sequence.grad, _numerical_grad(lambda: _loss_of(value), sequence.data))
+
+    @pytest.mark.parametrize("pools", [None, [2, 2], [1, 3]], ids=["flat", "uniform", "ragged"])
+    def test_din_local_activation_unit(self, rng, pools):
+        """The factored first layer, tail, mask and pooling — w.r.t. both inputs
+        and every scorer parameter, a sequence per row and through ``row_map``."""
+        unit = nn.DINLocalActivationUnit(4, hidden_units=(5, 3), rng=rng)
+        for parameter in unit.parameters():
+            parameter.data += rng.normal(scale=0.3, size=parameter.shape).astype(np.float32)
+        row_map = None if pools is None else np.repeat(np.arange(len(pools)), pools)
+        unique = 4 if pools is None else len(pools)
+        target = Tensor(rng.standard_normal((4, 4)).astype(np.float32) * 0.5, requires_grad=True)
+        sequence = Tensor(rng.standard_normal((unique, 3, 4)).astype(np.float32) * 0.5,
+                          requires_grad=True)
+        mask = np.array([[1, 1, 0], [1, 1, 1], [1, 0, 0], [0, 1, 1]], dtype=np.float32)[:unique]
+        weights = Tensor(np.linspace(0.5, 2.0, 16).reshape(4, 4).astype(np.float32))
+
+        def value() -> Tensor:
+            return unit(target, sequence, mask=mask, row_map=row_map) * weights
+
+        value().sum().backward()
+        def loss() -> float:   # summed in float64: some of these gradients are ~1e-3
+            with nn.no_grad():
+                return float(value().data.sum(dtype=np.float64))
+
+        for tensor in [target, sequence] + unit.parameters():
+            assert tensor.grad is not None and np.abs(tensor.grad).max() > 0
+            _check(tensor.grad, _numerical_grad(loss, tensor.data, eps=2e-2))
 
     def test_single_output_linear(self, rng):
         """The deterministic multiply+reduce path of 1-wide Linear layers."""

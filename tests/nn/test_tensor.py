@@ -283,6 +283,21 @@ class TestGraphMechanics:
         assert _unbroadcast(grad, (1, cols)).shape == (1, cols)
         assert _unbroadcast(grad, (cols,)).shape == (cols,)
 
+    def test_sigmoid_in_place_steps_keep_the_expression_bytes(self):
+        """``sigmoid`` clips, negates, exponentiates, adds and divides on one
+        buffer; the bytes are those of the expression it replaced."""
+        rng = np.random.default_rng(0)
+        wide = np.concatenate([rng.normal(scale=20.0, size=4000), [-1e9, -60.0, 0.0, 60.0, 1e9]])
+        strided = rng.normal(size=(7, 6)).astype(np.float32).T[::2]
+        for data in (wide.astype(np.float32), strided, np.float32(0.3), np.zeros((0, 3))):
+            source = Tensor(data)
+            before = source.data.copy()
+            expected = 1.0 / (1.0 + np.exp(-np.clip(source.data, -60.0, 60.0)))
+            out = source.sigmoid().data
+            assert out.dtype == np.float32 and out.shape == source.shape
+            assert np.array_equal(out, expected)
+            assert np.array_equal(source.data, before) and not np.shares_memory(out, source.data)
+
     @given(
         st.lists(st.floats(min_value=-3, max_value=3, allow_nan=False), min_size=2, max_size=8)
     )

@@ -51,19 +51,28 @@ BASM_CONSTRUCTIONS = {
 }
 
 
+#: The three baselines with every parameter moved off its initial value.
+PERTURBED_BASELINES = {f"{name}-perturbed": name for name in BASELINES}
+
+
 def _create(construction, schema, config):
-    """A registry model as built, or one of ``BASM_CONSTRUCTIONS`` in the state
-    training leaves it in: a fresh BASM has zero StAEL gates (alpha == 1
-    whatever the gate arithmetic does) and every fresh batch norm has mean 0 /
-    variance 1, which hides bugs in exactly the terms the request-factored
-    path re-derives."""
-    if construction not in BASM_CONSTRUCTIONS:
-        return create_model(construction, schema, config)
-    model = create_model("basm", schema, config, **BASM_CONSTRUCTIONS[construction])
+    """A registry model as built, or a ``PERTURBED_BASELINES`` / ``BASM_CONSTRUCTIONS``
+    entry in the state training leaves it in: a fresh BASM has zero StAEL gates
+    (alpha == 1 whatever the gate arithmetic does), every fresh bias is 0 and
+    every fresh batch norm has mean 0 / variance 1, which hides bugs in exactly
+    the terms the request-factored paths re-derive."""
     rng = np.random.default_rng(0)
-    for gate in model.stael.gates:
-        gate.weight.data[...] = rng.normal(scale=0.3, size=gate.weight.shape)
-        gate.bias.data[...] = rng.normal(scale=0.3, size=gate.bias.shape)
+    if construction in PERTURBED_BASELINES:
+        model = create_model(PERTURBED_BASELINES[construction], schema, config)
+        for parameter in model.parameters():
+            parameter.data += rng.normal(scale=0.05, size=parameter.shape).astype(np.float32)
+    elif construction in BASM_CONSTRUCTIONS:
+        model = create_model("basm", schema, config, **BASM_CONSTRUCTIONS[construction])
+        for gate in model.stael.gates:
+            gate.weight.data[...] = rng.normal(scale=0.3, size=gate.weight.shape)
+            gate.bias.data[...] = rng.normal(scale=0.3, size=gate.bias.shape)
+    else:
+        return create_model(construction, schema, config)
     for norm in (m for m in model.modules() if isinstance(m, nn.BatchNorm1d)):
         width = norm.num_features
         norm.running_mean = rng.normal(size=width).astype(np.float32)
@@ -103,7 +112,8 @@ def _split(encoder, requests, state):
 
 
 class TestFusedParity:
-    @pytest.mark.parametrize("construction", BASELINES + tuple(BASM_CONSTRUCTIONS))
+    @pytest.mark.parametrize(
+        "construction", BASELINES + tuple(PERTURBED_BASELINES) + tuple(BASM_CONSTRUCTIONS))
     def test_fused_matches_full_forward(self, eleme_dataset, small_model_config,
                                         serving_setup, construction):
         """Float32 fused scores equal the exact forward within 1e-6."""
@@ -284,6 +294,39 @@ class TestForwardIsTheKernel:
                 assert type(table) is np.ndarray and table.dtype == np.float32
 
 
+def _assert_packing_invariant(model, eleme_dataset, state, encoder):
+    """Each request alone == inside a ragged batch == inside a uniform batch."""
+    tables = model.precompute_item_tables(encoder.item_static_table(state))
+
+    def score(requests):
+        scores = model.score_two_tower(_split(encoder, requests, state), tables)
+        stops = np.cumsum([len(r) for r in requests])
+        return [scores[stop - len(r):stop] for r, stop in zip(requests, stops)]
+
+    uniform = _burst(eleme_dataset, 8, seed=11)   # pools of 12: stacked GEMMs
+    ragged = _ragged_burst(eleme_dataset)         # pools 1, 12, 5, ...: looped
+    in_uniform, in_ragged = score(uniform), score(ragged)
+    for index, request in enumerate(ragged):
+        alone = score([request])[0]
+        assert np.array_equal(alone, in_ragged[index]), index
+        if len(request) == len(uniform[index]):
+            assert np.array_equal(alone, in_uniform[index]), index
+    assert np.array_equal(score(ragged[:1])[0], in_ragged[0][:1])
+
+
+def _assert_empty_pool_takes_no_slot(model, eleme_dataset, state, encoder):
+    """``encode_split`` keeps a candidate-less request's user/context rows
+    but gives it no behaviour slot; its neighbours' bytes do not move."""
+    tables = model.precompute_item_tables(encoder.item_static_table(state))
+    requests = _burst(eleme_dataset, 3, seed=11)
+    empty = ScoreRequest(requests[1].context, np.zeros(0, dtype=np.int64))
+    with_gap = model.score_two_tower(
+        _split(encoder, [requests[0], empty, requests[2]], state), tables)
+    without = model.score_two_tower(
+        _split(encoder, [requests[0], requests[2]], state), tables)
+    assert np.array_equal(with_gap, without)
+
+
 class TestBasmPackingInvariance:
     """A BASM request's fused bytes are a function of the request alone: the
     per-request GEMMs are shaped by its own pool, every other matmul goes
@@ -293,39 +336,31 @@ class TestBasmPackingInvariance:
     @pytest.mark.parametrize("construction", tuple(BASM_CONSTRUCTIONS))
     def test_alone_uniform_and_ragged_batches_agree(self, eleme_dataset, small_model_config,
                                                     serving_setup, construction):
-        state, encoder = serving_setup
         model = _create(construction, eleme_dataset.schema, small_model_config)
-        tables = model.precompute_item_tables(encoder.item_static_table(state))
-
-        def score(requests):
-            scores = model.score_two_tower(_split(encoder, requests, state), tables)
-            stops = np.cumsum([len(r) for r in requests])
-            return [scores[stop - len(r):stop] for r, stop in zip(requests, stops)]
-
-        uniform = _burst(eleme_dataset, 8, seed=11)   # pools of 12: stacked GEMMs
-        ragged = _ragged_burst(eleme_dataset)         # pools 1, 12, 5, ...: looped
-        in_uniform, in_ragged = score(uniform), score(ragged)
-        for index, request in enumerate(ragged):
-            alone = score([request])[0]
-            assert np.array_equal(alone, in_ragged[index]), index
-            if len(request) == len(uniform[index]):
-                assert np.array_equal(alone, in_uniform[index]), index
-        assert np.array_equal(score(ragged[:1])[0], in_ragged[0][:1])
+        _assert_packing_invariant(model, eleme_dataset, *serving_setup)
 
     def test_an_empty_pool_takes_no_slot(self, eleme_dataset, small_model_config,
                                          serving_setup):
-        """``encode_split`` keeps a candidate-less request's user/context rows
-        but gives it no behaviour slot; its neighbours' bytes do not move."""
-        state, encoder = serving_setup
         model = _create("basm", eleme_dataset.schema, small_model_config)
-        tables = model.precompute_item_tables(encoder.item_static_table(state))
-        requests = _burst(eleme_dataset, 3, seed=11)
-        empty = ScoreRequest(requests[1].context, np.zeros(0, dtype=np.int64))
-        with_gap = model.score_two_tower(
-            _split(encoder, [requests[0], empty, requests[2]], state), tables)
-        without = model.score_two_tower(
-            _split(encoder, [requests[0], requests[2]], state), tables)
-        assert np.array_equal(with_gap, without)
+        _assert_empty_pool_takes_no_slot(model, eleme_dataset, *serving_setup)
+
+
+class TestDinPackingInvariance:
+    """The same for DIN: its activation unit reaches a request's rows through
+    ``RequestRows`` too (per-sequence term and mask broadcast or gathered, the
+    pooling one GEMM per request) and every first-layer partial goes through
+    ``Linear``'s batch-size-invariant product."""
+
+    @pytest.mark.parametrize("construction", ("din", "din-perturbed"))
+    def test_alone_uniform_and_ragged_batches_agree(self, eleme_dataset, small_model_config,
+                                                    serving_setup, construction):
+        model = _create(construction, eleme_dataset.schema, small_model_config)
+        _assert_packing_invariant(model, eleme_dataset, *serving_setup)
+
+    def test_an_empty_pool_takes_no_slot(self, eleme_dataset, small_model_config,
+                                         serving_setup):
+        model = _create("din-perturbed", eleme_dataset.schema, small_model_config)
+        _assert_empty_pool_takes_no_slot(model, eleme_dataset, *serving_setup)
 
 
 class TestFusedEdgeCases:

@@ -94,9 +94,11 @@ class TestTrainer:
 # sha256 over 20 step losses + every final parameter and buffer, computed at
 # commit 94fdd38 (``Tensor._accumulate`` copied every gradient, ``take_rows``
 # scattered row-wise into the 2-D table).  Same with and without a BLAS pin.
+# ``din`` re-pinned once at PR 22 (749cef80... -> 75b16149...): its activation
+# unit's first layer is summed from column-block partials, which re-associates.
 PARENT_TRAIN_DIGESTS = {
     "wide_deep": "cdf8161997df599e81e1ba670599baae829dda11aec22ecb7fb585744f52dbb4",
-    "din": "749cef802b25e02785b08a510445fe0981746d43070263f770f299c92dddff4d",
+    "din": "75b16149bd625fffa961a82cca87e972850ce8731fe7f76c6f0c2d97a1871641",
     "base_din": "b3f0d2cb4b4b7f40b0d975a68bcadcc6704977298799a6f2cae44b8cad53e467",
     "autoint": "74a775218b569bcecf9c6cbc7b603ca8519e13d5b1df035bd24d0c8fce1a966b",
     "star": "bfaffe1d1af3bf3dfa5e79170e040c721754e1bec16bab7c295e65bc84c89024",
