@@ -2,11 +2,14 @@
 
 Every message is one *frame*: a single kind byte followed by a kind-specific
 payload, shipped with ``Connection.send_bytes`` (the pipe does the length
-framing).  The hot path — :data:`SERVE` requests out, :data:`RESPONSE` /
-:data:`ERROR` frames back, :data:`FEEDBACK` replication — is hand-packed
-with ``struct`` and raw array bytes: no pickle opcodes to parse, no class
-lookups in the child, no surprise payloads if a request context carries
-numpy scalar fields (they are normalised to plain scalars on encode).
+framing).  The hot path — one :data:`SERVE_BATCH` frame out per coalesced
+micro-batch, one :data:`RESPONSE_BATCH` (or one :data:`ERROR`) frame back,
+:data:`FEEDBACK` replication — is hand-packed with ``struct`` and raw array
+bytes: no pickle opcodes to parse, no class lookups in the child, no
+surprise payloads if a request context carries numpy scalar fields (they
+are normalised to plain scalars on encode).  A batch frame is a count
+followed by length-prefixed :func:`encode_serve` / :func:`encode_serve_response`
+*elements*, each tagged with its position, which the decoder checks.
 Control frames (swap / stats / sync / lifecycle) are cold and carry
 canonical JSON.
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -33,12 +36,14 @@ from .worker import ClusterOverloadError
 __all__ = [
     "ERROR_TYPES",
     "Frame",
+    "decode_batch",
     "decode_control",
     "decode_error",
     "decode_feedback",
     "decode_frame",
     "decode_serve",
     "decode_serve_response",
+    "encode_batch",
     "encode_control",
     "encode_error",
     "encode_feedback",
@@ -49,9 +54,11 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 # frame kinds
 # ---------------------------------------------------------------------- #
-SERVE = b"S"          # parent -> child: one request (corr id + envelope)
-RESPONSE = b"R"       # child -> parent: one served response (corr id + arrays)
-ERROR = b"E"          # child -> parent: request failed (corr id + error JSON)
+SERVE_BATCH = b"B"    # parent -> child: one micro-batch (count + SERVE elements)
+RESPONSE_BATCH = b"b"  # child -> parent: its responses (count + RESPONSE elements)
+SERVE = b"S"          # batch element: one request (position + envelope)
+RESPONSE = b"R"       # batch element: one served response (position + arrays)
+ERROR = b"E"          # child -> parent: the frame it answers failed (error JSON)
 FEEDBACK = b"F"       # parent -> child: replicated feedback event (seq + event)
 SWAP = b"W"           # parent -> child: hot-swap onto a new segment manifest
 SWAPPED = b"w"        # child -> parent: swap acknowledged
@@ -174,6 +181,7 @@ def _unpack_request(blob: bytes, offset: int) -> Tuple[ServeRequest, int]:
 # ---------------------------------------------------------------------- #
 # hot-path frames
 # ---------------------------------------------------------------------- #
+# ``corr`` tags an element with its position in the batch frame carrying it.
 def encode_serve(corr: int, request: ServeRequest) -> bytes:
     return SERVE + _CORR.pack(corr) + _pack_request(request)
 
@@ -208,23 +216,66 @@ def decode_serve_response(payload: bytes) -> Tuple[int, ServeResponse]:
     )
 
 
-def encode_error(corr: int, error: BaseException) -> bytes:
+# ---------------------------------------------------------------------- #
+# batch frames: count + length-prefixed, position-tagged elements
+# ---------------------------------------------------------------------- #
+def encode_batch(kind: bytes, encode: Callable, values: Sequence) -> bytes:
+    """One micro-batch in one frame: ``kind`` is :data:`SERVE_BATCH` with
+    ``encode=encode_serve`` over requests, or :data:`RESPONSE_BATCH` with
+    ``encode=encode_serve_response`` over the responses, in the same order."""
+    parts = [kind, _LEN.pack(len(values))]
+    for position, value in enumerate(values):
+        element = encode(position, value)
+        parts += (_LEN.pack(len(element)), element)
+    return b"".join(parts)
+
+
+def decode_batch(payload: bytes, decode: Callable) -> list:
+    """Decode a batch payload with ``decode_serve`` / ``decode_serve_response``.
+
+    The frame is checked before anything in it is trusted: every declared
+    length must fit in the bytes present, the count must match what the
+    payload holds exactly, and element ``i`` must carry position ``i``.
+    """
+    if len(payload) < _LEN.size:
+        raise ValueError("truncated batch frame: no element count")
+    (count,) = _LEN.unpack_from(payload, 0)
+    offset = _LEN.size
+    values = []
+    for position in range(count):
+        if offset + _LEN.size > len(payload):
+            raise ValueError(f"batch frame declares {count} elements, holds {position}")
+        (size,) = _LEN.unpack_from(payload, offset)
+        offset += _LEN.size
+        if size == 0 or offset + size > len(payload):
+            raise ValueError(f"truncated batch element {position}")
+        tag, value = decode(payload[offset + 1 : offset + size])  # skip the kind byte
+        if tag != position:
+            raise ValueError(f"batch element {position} carries position {tag}")
+        values.append(value)
+        offset += size
+    if offset != len(payload):
+        raise ValueError(f"{len(payload) - offset} trailing bytes after batch frame")
+    return values
+
+
+def encode_error(error: BaseException) -> bytes:
+    """The reply to a frame the child could not answer (a whole batch, a swap)."""
     body = json.dumps(
         {"type": type(error).__name__, "message": str(error)},
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
-    return ERROR + _CORR.pack(corr) + body
+    return ERROR + body
 
 
-def decode_error(payload: bytes) -> Tuple[int, BaseException]:
-    (corr,) = _CORR.unpack_from(payload, 0)
-    body = json.loads(payload[_CORR.size :].decode("utf-8"))
+def decode_error(payload: bytes) -> BaseException:
+    body = json.loads(payload.decode("utf-8"))
     type_name = str(body.get("type", "RuntimeError"))
     message = str(body.get("message", ""))
     exc_type = ERROR_TYPES.get(type_name)
     if exc_type is None:
-        return corr, RuntimeError(f"{type_name}: {message}")
-    return corr, exc_type(message)
+        return RuntimeError(f"{type_name}: {message}")
+    return exc_type(message)
 
 
 def encode_feedback(sequence: int, event_bytes: bytes) -> bytes:

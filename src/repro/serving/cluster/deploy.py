@@ -151,11 +151,6 @@ class RollingDeploy:
         report = DeployReport()
         if getattr(self.frontend, "durable", None) is not None:
             report.pre_deploy_snapshot = self.frontend.snapshot().generation
-        if getattr(self.frontend, "pool", None) is not None:
-            # Process cluster: publish the new model's shared segments once
-            # up front, so each shard's swap is just a SWAP frame + remap —
-            # the version-stamped republish happens here, not per shard.
-            self.frontend.pool.publish_model(model)
         swapped: List[tuple] = []  # (worker, previous_model), in swap order
         for worker in self.frontend.workers.values():
             try:

@@ -318,14 +318,14 @@ def build_cluster(
     once on boot, so a recovered cluster starts with warm response/feature
     caches.
 
-    With ``process_workers`` each replica is a real ``multiprocessing``
-    process behind a :class:`~repro.serving.cluster.procworker.
-    ProcessWorkerHandle`: model weights are published once into shared
-    memory, the parent process is the single feedback writer, and a
-    supervisor respawns
-    dead workers warm from the durable store (the pool creates a throwaway
-    one when ``durable`` is None).  Scenario routing is not yet supported in
-    process mode.
+    With ``process_workers`` each replica's pipeline runs in a real
+    ``multiprocessing`` process behind a :class:`~repro.serving.cluster.
+    procworker.ProcessWorkerHandle` — the same :class:`ClusterWorker` queue
+    and dispatcher, one frame per micro-batch each way: model weights are
+    published once into shared memory, the parent process is the single
+    feedback writer, and a supervisor respawns dead workers warm from the
+    durable store (the pool creates a throwaway one when ``durable`` is
+    None).  Scenario routing is not yet supported in process mode.
     """
     config = config or ClusterConfig()
     if scenario_configs is not None and not scenario_configs:

@@ -2,35 +2,33 @@
 
 The threaded :class:`~repro.serving.cluster.worker.ClusterWorker` escapes
 nothing — CPU-bound ranking serialises on the GIL, so adding workers adds
-only coalescing.  This module runs each worker in a real ``multiprocessing``
-process (spawn context) and keeps the rest of the cluster oblivious:
-:class:`ProcessWorkerHandle` lives in the parent and mimics the
-``ClusterWorker`` surface (``submit`` → ``Future``, ``swap_model``,
-``metrics``, ``stats``, ``model_version``), so :class:`ClusterFrontend`,
-:class:`RollingDeploy` and the load generator drive either kind unchanged.
+only coalescing.  This module runs each replica's *pipeline* in a real
+``multiprocessing`` process (spawn context) and changes nothing else:
+:class:`ProcessWorkerHandle` **is** a ``ClusterWorker`` — queue, dispatcher,
+coalescing deadline, admission control, counters and ``model_version`` are
+the inherited ones, in the parent — whose ``engine`` is a
+:class:`_RemoteEngine`, the child's pipeline one frame away.  So
+:class:`ClusterFrontend`, :class:`RollingDeploy` and the load generator
+drive either kind unchanged.
 
-Data plane (per worker, one duplex ``Pipe``):
-
-* parent → child: :data:`~repro.serving.cluster.codec.SERVE` frames (compact
-  pickle-free codec, one correlation id each), :data:`FEEDBACK` replication
-  frames, control frames (swap / stats / sync / stop);
-* child → parent: :data:`RESPONSE` / :data:`ERROR` frames matched back to
-  futures by correlation id, plus control replies.
-
-The child coalesces exactly like the threaded dispatcher: after the first
-``SERVE`` frame it polls the pipe until ``max_batch`` requests are in hand
-or ``max_wait_ms`` elapses, and serves the whole micro-batch through one
-``run_many``.  A control frame arriving mid-gather flushes the batch first,
-so model swaps stay atomic between micro-batches — the same invariant the
-thread worker enforces with its execution lock.
+Data plane (per worker, one duplex ``Pipe`` driven as an RPC channel — see
+:meth:`ProcessWorkerHandle._call`): ``engine.run_many`` sends **one**
+:data:`~repro.serving.cluster.codec.SERVE_BATCH` frame per coalesced
+micro-batch and blocks for **one** reply, a :data:`RESPONSE_BATCH` or one
+:data:`ERROR` that the dispatcher sets on every future of that batch; swap /
+stats / sync calls have the same shape; :data:`FEEDBACK` replication frames
+are one-way and :data:`STOP` ends the child.  The child is a strict
+read-a-frame / answer-a-frame loop — no deadline, no polling, no gathering —
+so a swap is atomic between micro-batches by construction, the invariant
+the thread worker's execution lock gives.
 
 State plane — the **single-writer** discipline: the parent process owns the
-authoritative :class:`ServingState`.  Click feedback funnels through the
-handle's ``engine.feedback`` into ``state.record_clicks`` (journaled via
-the existing ``attach_journal`` hook, dense sequence numbers), and a
-feedback listener streams each committed ``(seq, event)`` to every worker,
-where it re-applies through the same deterministic ``apply_feedback`` the
-journal replay uses.  Children skip sequences they already hold (their boot
+authoritative :class:`ServingState`.  Click feedback funnels through
+``engine.feedback`` into ``state.record_clicks`` (journaled via the
+existing ``attach_journal`` hook, dense sequence numbers), and a feedback
+listener streams each committed ``(seq, event)`` to every worker, where it
+re-applies through the same deterministic ``apply_feedback`` the journal
+replay uses.  Children skip sequences they already hold (their boot
 snapshot covers them) and treat a gap as fatal — replicas are provably
 byte-identical to the parent, which the parity suite checks with
 :func:`~repro.serving.durable.snapshot.state_fingerprint`.
@@ -42,7 +40,8 @@ from config, then *adopts* the read-only views in place of its own arrays
 physical copy of every weight tensor.  Everything derived from the weights —
 a two-tower model's frozen item tables — the child's
 :class:`~repro.serving.ranker.Ranker` builds on first use, exactly as an
-in-process one does.
+in-process one does.  The handle remembers the model it last deployed, and a
+respawn boots from *that* one.
 """
 
 from __future__ import annotations
@@ -50,10 +49,9 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from concurrent.futures import Future
 from dataclasses import dataclass
-from queue import Empty, SimpleQueue
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from queue import SimpleQueue
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,12 +68,16 @@ from ..pipeline import (
 )
 from . import codec
 from .shm import MappedSegment
-from .worker import ClusterOverloadError
+from .worker import ClusterWorker
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
     from .supervisor import ProcessWorkerPool
 
 __all__ = ["ProcessWorkerHandle", "WorkerBootstrap"]
+
+#: How long a control call (swap / stats / sync) waits for its reply before
+#: the replica is declared hung — see :meth:`ProcessWorkerHandle._call`.
+_CONTROL_TIMEOUT_S = 30.0
 
 
 @dataclass
@@ -97,8 +99,6 @@ class WorkerBootstrap:
     pipeline_config: PipelineConfig
     durable_root: str
     geohash_match_prefix: int
-    max_batch: int
-    max_wait_ms: float
 
 
 # ---------------------------------------------------------------------- #
@@ -138,16 +138,6 @@ class _ChildWorker:
 
         self.bootstrap = bootstrap
         self.conn = conn
-        self.max_batch = int(bootstrap.max_batch)
-        self.max_wait_ms = float(bootstrap.max_wait_ms)
-        self.metrics = StageMetrics()
-        self.model_version = 0
-        self.requests_served = 0
-        self.batches_run = 0
-        self.batch_failures = 0
-        self.feedback_applied = 0
-        self.feedback_skipped = 0
-
         self.encoder = OnlineRequestEncoder(bootstrap.world, bootstrap.schema)
         # Warm boot: latest snapshot ⊕ journal replay from the shared durable
         # store — the parent snapshots under the state lock right before
@@ -167,7 +157,7 @@ class _ChildWorker:
         model, self.segment = self._materialise_model(bootstrap.model_manifest)
         self.pipeline = build_pipeline(
             bootstrap.world, model, self.encoder, self.state,
-            bootstrap.pipeline_config, metrics=self.metrics,
+            bootstrap.pipeline_config,
         )
 
     # ------------------------------------------------------------------ #
@@ -180,126 +170,82 @@ class _ChildWorker:
         return model, segment
 
     def _install_model(self, manifest: dict) -> None:
-        """Hot-swap onto a newly published segment (version bump included)."""
+        """Hot-swap onto a newly published segment."""
         model, segment = self._materialise_model(manifest)
         self.pipeline.swap_model(model)
         previous, self.segment = self.segment, segment
         previous.close()
-        self.model_version += 1
 
     # ------------------------------------------------------------------ #
     def run(self) -> None:
+        """Read a frame, answer it, repeat: FEEDBACK has no answer, STOP ends."""
         self.conn.send_bytes(
             codec.encode_control(
                 codec.READY,
                 {
-                    "worker": self.bootstrap.worker_id,
                     "applied_seq": int(self.state.feedback_seq),
                     "recovery": self.recovery.summary(),
                 },
             )
         )
         while True:
-            blob = self.conn.recv_bytes()
-            kind, payload = codec.decode_frame(blob)
-            if kind == codec.SERVE:
-                leftover = self._serve_batch(payload)
-                if leftover is None:
-                    continue
-                kind, payload = leftover
-            if self._handle_control(kind, payload):
-                return
-
-    def _serve_batch(self, first_payload: bytes) -> Optional[Tuple[bytes, bytes]]:
-        """Coalesce SERVE frames into one micro-batch; return any control
-        frame that interrupted the gather (handled by the caller *after* the
-        batch flushes, keeping swaps atomic between micro-batches)."""
-        batch: List[Tuple[int, ServeRequest]] = [codec.decode_serve(first_payload)]
-        deadline = time.monotonic() + self.max_wait_ms / 1e3
-        leftover: Optional[Tuple[bytes, bytes]] = None
-        while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
-            if not self.conn.poll(max(remaining, 0)):
-                break
             kind, payload = codec.decode_frame(self.conn.recv_bytes())
-            if kind != codec.SERVE:
-                leftover = (kind, payload)
-                break
-            batch.append(codec.decode_serve(payload))
-        self._execute(batch)
-        return leftover
+            if kind == codec.FEEDBACK:
+                self._apply_feedback(payload)
+            elif kind == codec.STOP:
+                return
+            else:
+                try:
+                    reply = self._answer(kind, payload)
+                except Exception as error:  # noqa: BLE001 - forwarded to the caller
+                    reply = codec.encode_error(error)
+                self.conn.send_bytes(reply)
 
-    def _execute(self, batch: List[Tuple[int, ServeRequest]]) -> None:
-        try:
-            responses = self.pipeline.run_many([request for _, request in batch])
-        except BaseException as error:  # noqa: BLE001 - forwarded to callers
-            self.batch_failures += 1
-            for corr, _ in batch:
-                self.conn.send_bytes(codec.encode_error(corr, error))
-            return
-        self.batches_run += 1
-        self.requests_served += len(batch)
-        for (corr, _), response in zip(batch, responses):
-            self.conn.send_bytes(codec.encode_serve_response(corr, response))
-
-    # ------------------------------------------------------------------ #
-    def _handle_control(self, kind: bytes, payload: bytes) -> bool:
-        from ..durable.journal import FeedbackEvent
+    def _answer(self, kind: bytes, payload: bytes) -> bytes:
         from ..durable.snapshot import state_fingerprint
 
-        if kind == codec.FEEDBACK:
-            sequence, raw = codec.decode_feedback(payload)
-            if sequence <= self.state.feedback_seq:
-                # Boot snapshot (or a redelivery after respawn) already
-                # covers this mutation; applying twice would double-count.
-                self.feedback_skipped += 1
-                return False
-            if sequence != self.state.feedback_seq + 1:
-                raise RuntimeError(
-                    f"feedback gap: replica at seq {self.state.feedback_seq}, "
-                    f"stream delivered {sequence}"
-                )
-            event = FeedbackEvent.from_bytes(raw)
-            self.state.apply_feedback(
-                event.context, event.items, event.clicks, event.orders
+        if kind == codec.SERVE_BATCH:
+            requests = codec.decode_batch(payload, codec.decode_serve)
+            return codec.encode_batch(
+                codec.RESPONSE_BATCH, codec.encode_serve_response,
+                self.pipeline.run_many(requests),
             )
-            self.state.feedback_seq = sequence
-            self.feedback_applied += 1
-        elif kind == codec.SWAP:
+        if kind == codec.SWAP:
             self._install_model(codec.decode_control(payload)["manifest"])
-            self.conn.send_bytes(
-                codec.encode_control(codec.SWAPPED, {"version": self.model_version})
+            return codec.encode_control(codec.SWAPPED)
+        if kind == codec.STATS:
+            return codec.encode_control(
+                codec.STATS_REPLY, {"metrics": self.pipeline.metrics.to_payload()}
             )
-        elif kind == codec.STATS:
-            self.conn.send_bytes(
-                codec.encode_control(
-                    codec.STATS_REPLY,
-                    {
-                        "requests_served": self.requests_served,
-                        "batches_run": self.batches_run,
-                        "batch_failures": self.batch_failures,
-                        "model_version": self.model_version,
-                        "feedback_applied": self.feedback_applied,
-                        "feedback_skipped": self.feedback_skipped,
-                        "metrics": self.metrics.to_payload(),
-                    },
-                )
+        if kind == codec.SYNC:
+            return codec.encode_control(
+                codec.SYNC_REPLY,
+                {
+                    "applied_seq": int(self.state.feedback_seq),
+                    "fingerprint": state_fingerprint(self.state),
+                },
             )
-        elif kind == codec.SYNC:
-            self.conn.send_bytes(
-                codec.encode_control(
-                    codec.SYNC_REPLY,
-                    {
-                        "applied_seq": int(self.state.feedback_seq),
-                        "fingerprint": state_fingerprint(self.state),
-                    },
-                )
+        raise RuntimeError(f"unexpected frame kind {kind!r} in worker")
+
+    def _apply_feedback(self, payload: bytes) -> None:
+        from ..durable.journal import FeedbackEvent
+
+        sequence, raw = codec.decode_feedback(payload)
+        if sequence <= self.state.feedback_seq:
+            # Boot snapshot (or a redelivery after respawn) already covers
+            # this mutation; applying twice would double-count.
+            return
+        if sequence != self.state.feedback_seq + 1:
+            # Fatal on purpose: the respawn's fresh snapshot heals the gap.
+            raise RuntimeError(
+                f"feedback gap: replica at seq {self.state.feedback_seq}, "
+                f"stream delivered {sequence}"
             )
-        elif kind == codec.STOP:
-            return True
-        else:
-            raise RuntimeError(f"unexpected frame kind {kind!r} in worker")
-        return False
+        event = FeedbackEvent.from_bytes(raw)
+        self.state.apply_feedback(
+            event.context, event.items, event.clicks, event.orders
+        )
+        self.state.feedback_seq = sequence
 
 
 def _worker_main(bootstrap: WorkerBootstrap, conn) -> None:
@@ -315,7 +261,6 @@ def _worker_main(bootstrap: WorkerBootstrap, conn) -> None:
                 codec.encode_control(
                     codec.FATAL,
                     {
-                        "worker": bootstrap.worker_id,
                         "type": type(error).__name__,
                         "message": str(error),
                         "traceback": traceback.format_exc(),
@@ -334,20 +279,53 @@ def _worker_main(bootstrap: WorkerBootstrap, conn) -> None:
 # ---------------------------------------------------------------------- #
 # parent side
 # ---------------------------------------------------------------------- #
-class _ParentFeedbackEngine:
-    """The single-writer funnel behind ``handle.engine.feedback``.
+class _RemoteEngine:
+    """The engine a process replica's dispatcher drives: the child's
+    pipeline, one frame away.
 
-    The frontend calls ``worker.engine.feedback(response, clicks)`` — in the
-    thread cluster that hits the worker's pipeline over the shared state; in
-    the process cluster every click must mutate the *parent's* authoritative
-    state instead (journal + listener broadcast replicate it outward), so
-    the handle exposes this shim with the same signature and semantics as
+    ``run_many`` is the whole data plane — one batch frame out, one reply
+    frame back.  ``feedback`` is the single-writer funnel: where a thread
+    worker's pipeline writes the shared state, every click here must mutate
+    the *parent's* authoritative state (journal + listener broadcast
+    replicate it outward), with the signature and semantics of
     :meth:`ExposureLogStage.feedback`.
     """
 
-    def __init__(self, state, order_probability: float) -> None:
-        self.state = state
+    def __init__(self, handle: "ProcessWorkerHandle", order_probability: float) -> None:
+        self.handle = handle
+        self.state = handle.pool.state
         self.order_probability = order_probability
+
+    def run_many(
+        self, requests: Sequence[Union[ServeRequest, RequestContext]]
+    ) -> List[ServeResponse]:
+        requests = [
+            ServeRequest(context=item) if isinstance(item, RequestContext) else item
+            for item in requests
+        ]
+        reply = self.handle._call(
+            codec.encode_batch(codec.SERVE_BATCH, codec.encode_serve, requests),
+            codec.RESPONSE_BATCH,
+        )
+        responses = codec.decode_batch(reply, codec.decode_serve_response)
+        if len(responses) != len(requests):
+            raise RuntimeError(f"{len(requests)} requests, {len(responses)} responses")
+        return responses
+
+    def swap_model(self, model: BaseCTRModel) -> BaseCTRModel:
+        """Republish ``model`` into shared memory and hot-swap the process."""
+        handle = self.handle
+        # Held across the SWAP and the bookkeeping, so a respawn (which takes
+        # the same lock to pick its boot model) sees both or neither.
+        with handle._rpc_lock:
+            manifest = handle.pool.publish_model(model)
+            handle._call(
+                codec.encode_control(codec.SWAP, {"manifest": manifest}),
+                codec.SWAPPED, _CONTROL_TIMEOUT_S,
+            )
+            previous = handle._model
+            handle._map_model(model, manifest)
+        return previous
 
     def feedback(self, response: ServeResponse, clicks: np.ndarray,
                  rng: Optional[np.random.Generator] = None) -> None:
@@ -357,117 +335,105 @@ class _ParentFeedbackEngine:
         )
 
 
-class _PendingRequest:
-    __slots__ = ("future", "on_done")
+class ProcessWorkerHandle(ClusterWorker):
+    """A :class:`ClusterWorker` whose pipeline runs in another process.
 
-    def __init__(self, future: Future, on_done: Optional[Callable]) -> None:
-        self.future = future
-        self.on_done = on_done
-
-
-class ProcessWorkerHandle:
-    """Parent-side stand-in for one worker process, ClusterWorker-shaped.
-
-    Owns the pipe, the admission semaphore (the process analogue of the
-    thread worker's bounded queue), the correlation table matching RESPONSE
-    frames back to futures, and the feedback pump streaming the single
-    writer's mutations to the replica.  The handle survives its process:
+    Queue, dispatcher, admission control, counters and ``model_version`` are
+    the inherited ones; what this class adds is the process: the pipe (an
+    RPC channel, see :meth:`_call`), the feedback pump streaming the single
+    writer's mutations to the replica, and the shared-memory segment the
+    replica currently maps.  The handle survives its process:
     :meth:`~repro.serving.cluster.supervisor.ProcessWorkerPool.respawn`
     swaps in a fresh pipe + process while ``worker_id`` and identity stay
-    stable, so the frontend's ring never reshuffles on a crash.
+    stable, so the frontend's ring never reshuffles on a crash, requests
+    still queued wait for the new process, and only the micro-batch that
+    was in the dead one's hands fails.
     """
 
-    def __init__(
-        self,
-        pool: "ProcessWorkerPool",
-        worker_id: str,
-        queue_depth: int,
-        max_batch: int,
-        max_wait_ms: float,
-        order_probability: float,
-    ) -> None:
+    def __init__(self, pool: "ProcessWorkerPool", worker_id: str) -> None:
         self.pool = pool
-        self.worker_id = worker_id
-        self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
-        self.queue_depth = queue_depth
-        self.engine = _ParentFeedbackEngine(pool.state, order_probability)
-        self.model_version = 0
-        self.rejected = 0
+        config = pool.config
+        super().__init__(
+            worker_id, _RemoteEngine(self, pool.pipeline_config.order_probability),
+            max_batch=config.max_batch, max_wait_ms=config.max_wait_ms,
+            queue_depth=config.queue_depth, metrics=StageMetrics(),
+        )
         self.respawns = 0
         self.process = None
         self.ready_info: dict = {}
+        self.fatal_error: Optional[dict] = None
         self._conn = None
-        self._epoch = 0
+        self._ready = False
         self._closed = False
-        self._manifest: Optional[dict] = None
         self._segment_name: Optional[str] = None
-        self._model: Optional[BaseCTRModel] = None
-        self._slots = threading.BoundedSemaphore(queue_depth)
-        self._corr = 0
-        self._pending: Dict[int, _PendingRequest] = {}
-        self._pending_lock = threading.Lock()
+        #: The model this replica serves — what a respawn boots from.
+        self._model: BaseCTRModel = pool.model
         self._send_lock = threading.Lock()
-        self._control_lock = threading.Lock()
-        self._ready = threading.Event()
-        self._replies: Dict[bytes, SimpleQueue] = {
-            codec.SWAPPED: SimpleQueue(),
-            codec.STATS_REPLY: SimpleQueue(),
-            codec.SYNC_REPLY: SimpleQueue(),
-        }
+        # Re-entrant: a swap holds it across its call and its bookkeeping.
+        self._rpc_lock = threading.RLock()
         self._feedback_queue: SimpleQueue = SimpleQueue()
         self._pump = threading.Thread(
             target=self._pump_loop, name=f"feedback-pump-{worker_id}", daemon=True
         )
         self._pump.start()
-        self._cached_stats: dict = {}
-        self._cached_metrics = StageMetrics()
-        self.fatal_error: Optional[dict] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle (driven by the pool / supervisor)
     # ------------------------------------------------------------------ #
-    def start(self) -> "ProcessWorkerHandle":
-        return self  # the pool spawns processes; frontend.start() is a no-op
-
-    @property
-    def running(self) -> bool:
-        process = self.process
-        return process is not None and process.is_alive()
-
-    def adopt_process(self, process, conn, epoch: int) -> None:
-        """Install a freshly spawned process + pipe (spawn and respawn path)."""
-        with self._send_lock:
-            old = self._conn
-            self._conn = conn
-            self._epoch = epoch
+    def adopt_pipe(self, conn) -> Tuple[BaseCTRModel, dict]:
+        """Install a fresh pipe (spawn and respawn path) and map the model
+        the new process boots from; returns that model and its manifest."""
+        with self._rpc_lock:
+            model = self._model
+            manifest = self.pool.publish_model(model)
+            self._map_model(model, manifest)
+            with self._send_lock:
+                old, self._conn = self._conn, conn
+            self._ready = False
         if old is not None:
             try:
-                old.close()  # unblocks the superseded reader thread
+                old.close()
             except OSError:
                 pass
-        self.process = process
-        self._ready.clear()
+        return model, manifest
+
+    def _map_model(self, model: BaseCTRModel, manifest: dict) -> None:
+        """This replica now maps ``manifest``'s segment: retain it, release
+        the one it moved off (refcounts stay balanced across boot and swap)."""
+        publisher = self.pool.publisher
+        if manifest["segment"] != self._segment_name:
+            publisher.retain(manifest["segment"])
+            if self._segment_name is not None:
+                publisher.release(self._segment_name)
+            self._segment_name = manifest["segment"]
+        self._model = model
 
     def wait_ready(self, timeout: float = 60.0) -> bool:
-        return self._ready.wait(timeout)
+        """Whether the current process has booted, waiting up to ``timeout``."""
+        with self._rpc_lock:
+            try:
+                if not self._ready:
+                    self._receive(codec.READY, timeout)
+            except (EOFError, OSError, RuntimeError):
+                return False  # died while booting; the supervisor respawns it
+        return True
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Graceful stop: STOP frame, join, then terminate as a last resort."""
+        """Graceful stop: dispatcher first (parked requests fail), then a STOP
+        frame, join, and terminate as a last resort."""
         self._closed = True
+        self._feedback_queue.put(None)
+        super().stop(timeout)
         process = self.process
         try:
             self._send(codec.encode_control(codec.STOP))
-        except (OSError, ValueError, AttributeError):
+        except (OSError, ValueError):
             pass
         if process is not None and process.is_alive():
             process.join(timeout)
             if process.is_alive():
                 process.terminate()
                 process.join(1.0)
-        self._fail_pending(RuntimeError(
-            f"worker {self.worker_id!r} stopped before serving"
-        ))
         if self._segment_name is not None:
             self.pool.publisher.release(self._segment_name)
             self._segment_name = None
@@ -480,62 +446,8 @@ class ProcessWorkerHandle:
                 self._conn = None
 
     # ------------------------------------------------------------------ #
-    # admission + serving
+    # the pipe, driven as an RPC channel
     # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        request: Union[ServeRequest, RequestContext],
-        on_done: Optional[Callable] = None,
-        block: bool = True,
-        timeout: Optional[float] = None,
-    ) -> Future:
-        """Send one request to the worker process; returns its future.
-
-        Admission control mirrors the thread worker's bounded queue: at most
-        ``queue_depth`` requests in flight, a non-blocking submit over that
-        raises :class:`ClusterOverloadError`, a blocking one backpressures
-        the client thread.
-        """
-        if isinstance(request, RequestContext):
-            request = ServeRequest(context=request)
-        acquired = (
-            self._slots.acquire(timeout=timeout) if block and timeout is not None
-            else self._slots.acquire(blocking=block)
-        )
-        if not acquired:
-            self.rejected += 1
-            raise ClusterOverloadError(
-                f"worker {self.worker_id!r} has {self.queue_depth} requests "
-                f"in flight"
-            )
-        future: Future = Future()
-        with self._pending_lock:
-            self._corr += 1
-            corr = self._corr
-            self._pending[corr] = _PendingRequest(future, on_done)
-        try:
-            self._send(codec.encode_serve(corr, request))
-        except (OSError, ValueError, AttributeError) as error:
-            with self._pending_lock:
-                self._pending.pop(corr, None)
-            self._release_slot()
-            raise RuntimeError(
-                f"worker {self.worker_id!r} is not accepting requests: {error}"
-            ) from error
-        return future
-
-    @property
-    def depth(self) -> int:
-        """Requests currently in flight to the process (admission gauge)."""
-        with self._pending_lock:
-            return len(self._pending)
-
-    def _release_slot(self) -> None:
-        try:
-            self._slots.release()
-        except ValueError:  # pragma: no cover - respawn/stop races
-            pass
-
     def _send(self, blob: bytes) -> None:
         with self._send_lock:
             conn = self._conn
@@ -543,64 +455,55 @@ class ProcessWorkerHandle:
                 raise OSError("pipe is closed")
             conn.send_bytes(blob)
 
-    # ------------------------------------------------------------------ #
-    # reader thread (one per spawned process)
-    # ------------------------------------------------------------------ #
-    def reader_loop(self, conn, epoch: int) -> None:
+    def _receive(self, expected: bytes, timeout: Optional[float]) -> bytes:
+        """The next frame of kind ``expected`` (caller holds the RPC lock).
+
+        READY is the one unsolicited frame a child sends: whichever receive
+        comes first after a spawn consumes it on the way to its own reply.
+        """
+        while True:
+            conn = self._conn
+            if conn is None:
+                raise OSError("pipe is closed")
+            if timeout is not None and not conn.poll(timeout):
+                raise TimeoutError(f"no {expected!r} frame within {timeout:.1f}s")
+            kind, payload = codec.decode_frame(conn.recv_bytes())
+            if kind == codec.READY:
+                self.ready_info = codec.decode_control(payload)
+                self._ready = True
+            if kind == expected:
+                return payload
+            if kind == codec.ERROR:
+                raise codec.decode_error(payload)
+            if kind == codec.FATAL:
+                self.fatal_error = codec.decode_control(payload)
+                raise RuntimeError(f"worker {self.worker_id!r} died: {self.fatal_error}")
+            if kind != codec.READY:
+                raise RuntimeError(f"expected a {expected!r} frame, received {kind!r}")
+
+    def _call(self, frame: bytes, reply_kind: bytes,
+              timeout: Optional[float] = None) -> bytes:
+        """One frame out, its one reply back, under one lock.
+
+        Every child → parent frame answers exactly one parent → child frame,
+        so holding the lock over send + receive is all the correlation the
+        pipe needs.  A dead child is an EOF here: it fails this call — the
+        micro-batch in hand — and nothing else.  A child that misses a
+        ``timeout`` is killed rather than left to answer late (its reply
+        would be read as the answer to the *next* call); the supervisor
+        respawns it behind a fresh pipe.
+        """
         try:
-            while True:
-                blob = conn.recv_bytes()
-                kind, payload = codec.decode_frame(blob)
-                if kind == codec.RESPONSE:
-                    corr, response = codec.decode_serve_response(payload)
-                    self._resolve(corr, response, None)
-                elif kind == codec.ERROR:
-                    corr, error = codec.decode_error(payload)
-                    self._resolve(corr, None, error)
-                elif kind == codec.READY:
-                    self.ready_info = codec.decode_control(payload)
-                    self._ready.set()
-                elif kind == codec.FATAL:
-                    self.fatal_error = codec.decode_control(payload)
-                    break
-                elif kind in self._replies:
-                    self._replies[kind].put(codec.decode_control(payload))
-        except (EOFError, OSError):
-            pass
-        finally:
-            self._on_disconnect(epoch)
-
-    def _resolve(self, corr: int, response: Optional[ServeResponse],
-                 error: Optional[BaseException]) -> None:
-        with self._pending_lock:
-            pending = self._pending.pop(corr, None)
-        if pending is None:
-            return  # request already failed over a disconnect
-        self._release_slot()
-        if error is not None:
-            pending.future.set_exception(error)
-            return
-        if pending.on_done is not None:
-            try:
-                pending.on_done(response)
-            except Exception:  # noqa: BLE001 - cache fill must not kill serving
-                pass
-        pending.future.set_result(response)
-
-    def _on_disconnect(self, epoch: int) -> None:
-        with self._send_lock:
-            if self._epoch != epoch:
-                return  # a respawn already superseded this pipe
-        self._fail_pending(RuntimeError(
-            f"worker {self.worker_id!r} process died mid-flight"
-        ))
-
-    def _fail_pending(self, error: BaseException) -> None:
-        with self._pending_lock:
-            pending, self._pending = self._pending, {}
-        for entry in pending.values():
-            self._release_slot()
-            entry.future.set_exception(error)
+            with self._rpc_lock:
+                self._send(frame)
+                return self._receive(reply_kind, timeout)
+        except TimeoutError as error:
+            self.process.kill()
+            raise RuntimeError(f"worker {self.worker_id!r} timed out: {error}") from error
+        except (EOFError, OSError) as error:
+            raise RuntimeError(
+                f"worker {self.worker_id!r} process died mid-flight"
+            ) from error
 
     # ------------------------------------------------------------------ #
     # feedback replication
@@ -611,13 +514,8 @@ class ProcessWorkerHandle:
 
     def _pump_loop(self) -> None:
         while True:
-            try:
-                item = self._feedback_queue.get(timeout=0.2)
-            except Empty:
-                if self._closed:
-                    return
-                continue
-            if item is None:
+            item = self._feedback_queue.get()
+            if item is None:  # stop()'s sentinel
                 return
             sequence, event_bytes = item
             frame = codec.encode_feedback(sequence, event_bytes)
@@ -632,80 +530,41 @@ class ProcessWorkerHandle:
                 except (OSError, ValueError):
                     time.sleep(0.05)
 
-    def close_pump(self) -> None:
-        self._closed = True
-        self._feedback_queue.put(None)
-
     # ------------------------------------------------------------------ #
     # control plane
     # ------------------------------------------------------------------ #
-    def _request_reply(self, request_kind: bytes, reply_kind: bytes,
-                       payload: Optional[dict] = None, timeout: float = 30.0) -> dict:
-        with self._control_lock:
-            queue = self._replies[reply_kind]
-            while True:  # drop stale replies from a died-mid-reply epoch
-                try:
-                    queue.get_nowait()
-                except Empty:
-                    break
-            self._send(codec.encode_control(request_kind, payload))
-            return queue.get(timeout=timeout)
-
     def swap_model(self, model: BaseCTRModel, replicate: bool = True) -> BaseCTRModel:
-        """Republish ``model`` into shared memory and hot-swap the process.
+        """Hot-swap the process onto ``model``, between micro-batches.
 
-        ``replicate`` is accepted for :class:`ClusterWorker` signature
-        parity; a worker process always materialises its own model object
-        over the shared views, so there is nothing to deep-copy here.
+        ``replicate`` is accepted for signature parity and ignored: a worker
+        process always materialises its own model object over the shared
+        views, so there is nothing to deep-copy (and a copy would publish a
+        second segment per shard).
         """
-        manifest = self.pool.publish_model(model)
-        reply = self._request_reply(
-            codec.SWAP, codec.SWAPPED, {"manifest": manifest}
-        )
-        previous_segment = self._segment_name
-        self.pool.publisher.retain(manifest["segment"])
-        self._manifest = manifest
-        self._segment_name = manifest["segment"]
-        if previous_segment is not None and previous_segment != self._segment_name:
-            self.pool.publisher.release(previous_segment)
-        previous = self._model
-        self._model = model
-        self.model_version = int(reply.get("version", self.model_version + 1))
-        return previous if previous is not None else model
+        return super().swap_model(model, replicate=False)
 
-    def sync(self, timeout: float = 30.0) -> dict:
+    def sync(self, timeout: float = _CONTROL_TIMEOUT_S) -> dict:
         """Barrier probe: the replica's applied sequence + state fingerprint."""
-        return self._request_reply(codec.SYNC, codec.SYNC_REPLY, timeout=timeout)
-
-    def fetch_stats(self, timeout: float = 10.0) -> dict:
-        try:
-            reply = self._request_reply(codec.STATS, codec.STATS_REPLY, timeout=timeout)
-        except (Empty, OSError, ValueError, KeyError):
-            return self._cached_stats
-        self._cached_metrics = StageMetrics.from_payload(reply.pop("metrics", {}))
-        self._cached_stats = reply
-        return reply
+        return codec.decode_control(
+            self._call(codec.encode_control(codec.SYNC), codec.SYNC_REPLY, timeout)
+        )
 
     @property
     def metrics(self) -> StageMetrics:
-        """This replica's StageMetrics (fetched over the control pipe)."""
-        self.fetch_stats()
-        return self._cached_metrics
+        """This replica's StageMetrics, fetched over the pipe (the last copy
+        fetched while the process is down)."""
+        try:
+            reply = self._call(
+                codec.encode_control(codec.STATS), codec.STATS_REPLY, _CONTROL_TIMEOUT_S
+            )
+            self._metrics = StageMetrics.from_payload(codec.decode_control(reply)["metrics"])
+        except RuntimeError:
+            pass
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, metrics: StageMetrics) -> None:
+        self._metrics = metrics  # ClusterWorker.__init__ assigns the empty one
 
     def stats(self) -> dict:
-        child = dict(self.fetch_stats())
-        child.pop("feedback_applied", None)
-        child.pop("feedback_skipped", None)
-        served = int(child.get("requests_served", 0))
-        batches = int(child.get("batches_run", 0))
-        return {
-            "worker": self.worker_id,
-            "requests_served": served,
-            "batches_run": batches,
-            "mean_batch": served / max(batches, 1),
-            "rejected": self.rejected,
-            "batch_failures": int(child.get("batch_failures", 0)),
-            "model_version": self.model_version,
-            "depth": self.depth,
-            "respawns": self.respawns,
-        }
+        return {**super().stats(), "respawns": self.respawns}

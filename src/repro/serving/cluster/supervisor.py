@@ -19,12 +19,14 @@ can commit in between — the pool snapshots the authoritative state and (on
 first spawn) registers the handle's feedback listener.  Every mutation is
 therefore either inside the snapshot the child recovers from or delivered
 as a FEEDBACK frame with a higher sequence; the child's sequence-skip makes
-redelivery harmless and a gap impossible.
+redelivery harmless and a gap impossible.  The parent starts no thread per
+process: the child's READY is consumed by the first call made over the new
+pipe (or by :meth:`ProcessWorkerPool.wait_healthy`).
 
 :class:`Supervisor` is the liveness loop: it polls worker processes,
 counts a death (SIGKILL, OOM, fatal frame), and respawns into the *same*
-handle — worker id, ring position, and response futures' routing never
-change across a crash.
+handle — worker id, ring position, queued requests, ``model_version`` and
+the deployed model never change across a crash.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ class ProcessWorkerPool:
         self._lifecycle_lock = threading.Lock()
         self.workers: List[ProcessWorkerHandle] = []
         self._fanout_listener = None
-        self._epoch = 0
         self.supervisor: Optional["Supervisor"] = None
 
     # ------------------------------------------------------------------ #
@@ -120,16 +121,7 @@ class ProcessWorkerPool:
             # listener registered with the first spawn's snapshot already
             # covers every replica.
             for index in range(self.config.num_workers):
-                self.workers.append(
-                    ProcessWorkerHandle(
-                        self,
-                        f"worker-{index}",
-                        queue_depth=self.config.queue_depth,
-                        max_batch=self.config.max_batch,
-                        max_wait_ms=self.config.max_wait_ms,
-                        order_probability=self.pipeline_config.order_probability,
-                    )
-                )
+                self.workers.append(ProcessWorkerHandle(self, f"worker-{index}"))
             for handle in self.workers:
                 self._spawn_into(handle)
             self.supervisor = Supervisor(self)
@@ -138,40 +130,25 @@ class ProcessWorkerPool:
 
     def _spawn_into(self, handle: ProcessWorkerHandle) -> None:
         """Spawn a fresh process into ``handle`` (first boot and respawn)."""
-        manifest = self.publish_model(self.model)
-        if handle._segment_name != manifest["segment"]:
-            self.publisher.retain(manifest["segment"])
-            if handle._segment_name is not None:
-                self.publisher.release(handle._segment_name)
-            handle._segment_name = manifest["segment"]
-        handle._manifest = manifest
-        if handle._model is None:
-            handle._model = self.model
+        parent_conn, child_conn = _SPAWN.Pipe(duplex=True)
+        # Install the pipe *before* the snapshot: a feedback event committed
+        # after the snapshot lands in the new pipe (the child skips anything
+        # its recovery already covers), never in a dead one.  The process
+        # boots from the model the handle last deployed — not the pool's boot
+        # model — so a respawn after a deploy keeps serving what
+        # ``model_version`` (and every response-cache key) says it serves.
+        model, manifest = handle.adopt_pipe(parent_conn)
         bootstrap = WorkerBootstrap(
             worker_id=handle.worker_id,
             world=self.world,
             schema=self.encoder.schema,
-            model_name=self.model.name,
-            model_config=self.model.config,
-            model_manifest=handle._manifest,
+            model_name=model.name,
+            model_config=model.config,
+            model_manifest=manifest,
             pipeline_config=self.pipeline_config,
             durable_root=str(self.durable.root),
             geohash_match_prefix=self.state.geohash_match_prefix,
-            max_batch=self.config.max_batch,
-            max_wait_ms=self.config.max_wait_ms,
         )
-        parent_conn, child_conn = _SPAWN.Pipe(duplex=True)
-        self._epoch += 1
-        epoch = self._epoch
-        # Respawn path: anything still in flight went to the dead process
-        # and can never resolve — fail it now, before new submits can land.
-        handle._fail_pending(
-            RuntimeError(f"worker {handle.worker_id!r} process died mid-flight")
-        )
-        # Install the pipe *before* the snapshot: a feedback event committed
-        # after the snapshot lands in the new pipe (the child skips anything
-        # its recovery already covers), never in a dead one.
-        handle.adopt_process(None, parent_conn, epoch)
         with self.state.lock:
             self.durable.snapshot(self.state)
             if self._fanout_listener is None:
@@ -193,13 +170,6 @@ class ProcessWorkerPool:
         process.start()
         child_conn.close()
         handle.process = process
-        reader = threading.Thread(
-            target=handle.reader_loop,
-            args=(parent_conn, epoch),
-            name=f"reader-{handle.worker_id}",
-            daemon=True,
-        )
-        reader.start()
 
     def respawn(self, handle: ProcessWorkerHandle) -> None:
         """Replace a dead worker process, warm from the durable store."""
@@ -218,13 +188,15 @@ class ProcessWorkerPool:
         """Block until every worker process reports READY."""
         deadline = time.monotonic() + timeout
         for handle in self.workers:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not handle.wait_ready(remaining):
-                raise RuntimeError(
-                    f"worker {handle.worker_id!r} did not become ready within "
-                    f"{timeout:.0f}s"
-                    + (f" (fatal: {handle.fatal_error})" if handle.fatal_error else "")
-                )
+            # A replica that dies while booting is respawned: keep asking.
+            while not handle.wait_ready(max(deadline - time.monotonic(), 0.0)):
+                if time.monotonic() >= deadline:
+                    raise RuntimeError(
+                        f"worker {handle.worker_id!r} did not become ready within "
+                        f"{timeout:.0f}s"
+                        + (f" (fatal: {handle.fatal_error})" if handle.fatal_error else "")
+                    )
+                time.sleep(0.05)
 
     def close(self, timeout: float = 10.0) -> None:
         """Stop supervision, workers, replication, and unlink every segment."""
@@ -233,7 +205,6 @@ class ProcessWorkerPool:
                 self.supervisor.stop()
                 self.supervisor = None
             for handle in self.workers:
-                handle.close_pump()
                 handle.stop(timeout=timeout)
             if self._fanout_listener is not None:
                 self.state.remove_feedback_listener(self._fanout_listener)

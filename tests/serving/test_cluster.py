@@ -17,7 +17,6 @@ from repro.data import LogGenerator
 from repro.models import create_model
 from repro.serving import (
     ClusterConfig,
-    ClusterOverloadError,
     ClusterWorker,
     ConsistentHashRing,
     OnlineRequestEncoder,
@@ -175,29 +174,16 @@ class TestResponseCache:
 # coalescing and admission control
 # ---------------------------------------------------------------------- #
 class TestCoalescingWorker:
+    """Thread-only corners; the contract both worker kinds share (exact
+    micro-batches, admission, batch failure, swap atomicity, stop) lives in
+    ``tests/serving/test_worker_contract.py``."""
+
     def build_worker(self, eleme_dataset, cluster_setup, **kwargs):
         state, encoder, model = cluster_setup
         pipeline = build_pipeline(
             eleme_dataset.world, model, encoder, state, PIPELINE_CONFIG
         )
         return ClusterWorker("w0", pipeline, **kwargs)
-
-    def test_queued_burst_coalesces_into_exact_micro_batches(
-        self, eleme_dataset, cluster_setup
-    ):
-        worker = self.build_worker(eleme_dataset, cluster_setup, max_batch=8)
-        contexts = sample_burst_contexts(eleme_dataset.world, 20, day=2, seed=21)
-        # Queue everything before the dispatcher starts: the drain must pack
-        # ceil(20/8) = 3 micro-batches, preserving submission order.
-        futures = [worker.submit(request) for request in contexts]
-        worker.start()
-        responses = [future.result(timeout=30.0) for future in futures]
-        worker.stop()
-        assert worker.batches_run == 3
-        assert worker.requests_served == 20
-        for context, response in zip(contexts, responses):
-            assert response.context is context
-            assert len(response.items) == PIPELINE_CONFIG.exposure_size
 
     def test_max_batch_one_disables_coalescing(self, eleme_dataset, cluster_setup):
         worker = self.build_worker(eleme_dataset, cluster_setup, max_batch=1)
@@ -207,33 +193,6 @@ class TestCoalescingWorker:
         [future.result(timeout=30.0) for future in futures]
         worker.stop()
         assert worker.batches_run == 6
-
-    def test_full_queue_rejects_nonblocking_submits(self, eleme_dataset, cluster_setup):
-        worker = self.build_worker(eleme_dataset, cluster_setup, queue_depth=4)
-        contexts = sample_burst_contexts(eleme_dataset.world, 5, day=2, seed=23)
-        futures = [worker.submit(request, block=False) for request in contexts[:4]]
-        with pytest.raises(ClusterOverloadError):
-            worker.submit(contexts[4], block=False)
-        assert worker.rejected == 1
-        worker.start()
-        assert all(len(f.result(timeout=30.0).items) > 0 for f in futures)
-        worker.stop()
-
-    def test_stop_fails_pending_requests(self, eleme_dataset, cluster_setup):
-        worker = self.build_worker(eleme_dataset, cluster_setup)
-        context = sample_burst_contexts(eleme_dataset.world, 1, day=2, seed=24)[0]
-        future = worker.submit(context)
-        worker.stop()  # never started; the pending future must not hang
-        with pytest.raises(RuntimeError):
-            future.result(timeout=5.0)
-
-    def test_submit_after_stop_raises(self, eleme_dataset, cluster_setup):
-        worker = self.build_worker(eleme_dataset, cluster_setup).start()
-        worker.stop()
-        context = sample_burst_contexts(eleme_dataset.world, 1, day=2, seed=24)[0]
-        with pytest.raises(RuntimeError):
-            worker.submit(context)
-        assert worker.depth == 0  # nothing left parked without a dispatcher
 
     def test_submits_racing_stop_never_hang(self, eleme_dataset, cluster_setup):
         """Every submit racing stop() raises or gets a future that resolves."""

@@ -3,8 +3,10 @@
 The process cluster's proof burden, per suite:
 
 * **envelope round-trip** — ``ServeRequest`` / ``ServeResponse`` cross the
-  pipe as codec frames that normalise numpy scalar context fields to plain
-  scalars; ``ClusterOverloadError`` also survives pickling (futures);
+  pipe as elements of one batch frame per micro-batch that normalise numpy
+  scalar context fields to plain scalars; a malformed batch frame is a
+  ``ValueError``, never a misattributed response; ``ClusterOverloadError``
+  also survives pickling (futures);
 * **injectable clock** — every ``ResponseCache`` TTL comparison reads the
   injected clock (a booby-trapped ``time.monotonic`` proves no path sneaks
   past it), so frozen-clock tests are deterministic;
@@ -14,11 +16,16 @@ The process cluster's proof burden, per suite:
   to the parent writer's;
 * **crash/respawn** — SIGKILL a worker process: the supervisor respawns it
   warm from the durable store into the *same* handle (ring stable), the
-  replica catches up to the writer's fingerprint, and serving resumes;
+  replica catches up to the writer's fingerprint, and serving resumes —
+  on the model last *deployed*, under a ``model_version`` that never runs
+  backwards (so no stranded response-cache entry is replayed);
 * **no leaked segments** — after clean *and* unclean (SIGKILL) shutdown the
   publisher holds no live segments and ``/dev/shm`` holds no files with the
   pool's prefix (the CI job additionally runs ``-W error::UserWarning`` so a
   resource-tracker leak warning at interpreter exit fails the build);
+* **one pipe, many callers** — serving, feedback, sync, stats and swaps
+  from more threads than cores share one RPC channel with no correlation
+  ids, and every caller still gets its own reply;
 * **single-writer feedback** — a multi-threaded feedback burst through the
   frontend keeps the journal dense-sequenced (1..N, no gaps or duplicates)
   while every worker replica converges to the writer's fingerprint;
@@ -29,11 +36,14 @@ The process cluster's proof burden, per suite:
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
 import signal
+import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -139,19 +149,93 @@ class TestEnvelopeRoundTrip:
 
     def test_codec_error_frame_restores_registered_types(self):
         kind, payload = codec.decode_frame(
-            codec.encode_error(3, ClusterOverloadError("full"))
+            codec.encode_error(ClusterOverloadError("full"))
         )
         assert kind == codec.ERROR
-        corr, error = codec.decode_error(payload)
-        assert corr == 3 and type(error) is ClusterOverloadError
+        error = codec.decode_error(payload)
+        assert type(error) is ClusterOverloadError and str(error) == "full"
 
         class Evil(Exception):
             pass
 
-        _, payload = codec.decode_frame(codec.encode_error(4, Evil("boom")))
-        _, error = codec.decode_error(payload)
+        _, payload = codec.decode_frame(codec.encode_error(Evil("boom")))
+        error = codec.decode_error(payload)
         assert type(error) is RuntimeError  # unknown types never rehydrate
-        assert "Evil" in str(error)
+        assert str(error) == "Evil: boom"
+
+
+class TestBatchFrames:
+    """One frame per micro-batch each way: count + position-tagged elements."""
+
+    @staticmethod
+    def batch():
+        requests = [
+            ServeRequest(context=numpy_scalar_context(), request_id=f"r-{i}",
+                         scenario="default")
+            for i in range(3)
+        ]
+        responses = [
+            ServeResponse(
+                request=requests[0], candidates=np.arange(5, dtype=np.int64),
+                items=np.array([4, 2], dtype=np.int64),
+                scores=np.array([0.25, 0.125], dtype=np.float32),
+            ),
+            ServeResponse(request=requests[1]),  # nothing served: all None
+            ServeResponse(
+                request=requests[2], candidates=np.zeros(0, dtype=np.int64),
+                items=np.zeros(0, dtype=np.int64), scores=np.zeros(0, dtype=np.float32),
+            ),
+        ]
+        return requests, responses
+
+    def test_round_trip(self):
+        requests, responses = self.batch()
+        frame = codec.encode_batch(codec.SERVE_BATCH, codec.encode_serve, requests)
+        kind, payload = codec.decode_frame(frame)
+        assert kind == codec.SERVE_BATCH
+        decoded = codec.decode_batch(payload, codec.decode_serve)
+        assert decoded == requests
+        assert all(type(request.context.user_index) is int for request in decoded)
+        assert type(decoded[0].context.latitude) is float
+
+        frame = codec.encode_batch(
+            codec.RESPONSE_BATCH, codec.encode_serve_response, responses
+        )
+        kind, payload = codec.decode_frame(frame)
+        assert kind == codec.RESPONSE_BATCH
+        decoded = codec.decode_batch(payload, codec.decode_serve_response)
+        assert [response.request for response in decoded] == requests
+        np.testing.assert_array_equal(decoded[0].scores, responses[0].scores)
+        assert decoded[0].scores.dtype == np.float32
+        assert decoded[1].candidates is None and decoded[1].items is None
+        assert decoded[1].scores is None
+        assert decoded[2].items.shape == (0,) and decoded[2].scores.dtype == np.float32
+
+        empty = codec.encode_batch(codec.SERVE_BATCH, codec.encode_serve, [])
+        assert codec.decode_batch(empty[1:], codec.decode_serve) == []
+
+    def test_position_mismatch_is_loud(self):
+        requests, _ = self.batch()
+        positions = iter((0, 2, 1))
+        frame = codec.encode_batch(
+            codec.SERVE_BATCH,
+            lambda _, request: codec.encode_serve(next(positions), request),
+            requests,
+        )
+        with pytest.raises(ValueError, match="element 1 carries position 2"):
+            codec.decode_batch(frame[1:], codec.decode_serve)
+
+    def test_truncated_or_overcounted_frames_are_value_errors(self):
+        requests, _ = self.batch()
+        payload = codec.encode_batch(codec.SERVE_BATCH, codec.encode_serve, requests)[1:]
+        for cut in (0, 2, 4, 6, len(payload) // 2, len(payload) - 1):
+            with pytest.raises(ValueError):
+                codec.decode_batch(payload[:cut], codec.decode_serve)
+        overcounted = (99).to_bytes(4, "little") + payload[4:]
+        with pytest.raises(ValueError, match="declares 99 elements, holds 3"):
+            codec.decode_batch(overcounted, codec.decode_serve)
+        with pytest.raises(ValueError, match="trailing"):
+            codec.decode_batch(payload + b"\x00", codec.decode_serve)
 
 
 # ---------------------------------------------------------------------- #
@@ -286,19 +370,7 @@ class TestCrashRespawnAndLeaks:
                     rng=np.random.default_rng(5),
                 )
             victim = pool.workers[0]
-            killed_pid = victim.process.pid
-            os.kill(killed_pid, signal.SIGKILL)
-
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                process = victim.process
-                if (
-                    process is not None and process.pid != killed_pid
-                    and victim.wait_ready(0.1)
-                ):
-                    break
-                time.sleep(0.05)
-            assert victim.process.pid != killed_pid, "supervisor did not respawn"
+            _kill_and_await_respawn(victim)
             assert victim.respawns == 1
 
             # Warm boot: the replica recovered snapshot ⊕ journal ⊕ stream up
@@ -317,6 +389,77 @@ class TestCrashRespawnAndLeaks:
         assert pool.leaked_segments() == []
         assert _dev_shm_entries(prefix) == []
 
+    def test_respawn_after_deploy_serves_the_deployed_model(
+        self, proc_setup, small_model_config
+    ):
+        """A respawn boots from the model the handle last deployed, not from
+        the model the pool was constructed with."""
+        dataset, encoder, model = proc_setup
+        deployed = _second_model(dataset, small_model_config)
+        contexts = sample_burst_contexts(dataset.world, 16, day=100, seed=23)
+        expected = build_pipeline(
+            dataset.world, deployed, encoder, fresh_state(dataset), PIPELINE_CONFIG
+        ).run_many(contexts)
+        frontend = build_cluster(
+            dataset.world, model, encoder, fresh_state(dataset),
+            config=ClusterConfig(num_workers=1, cache_enabled=False),
+            pipeline_config=PIPELINE_CONFIG, process_workers=True,
+        )
+        pool = frontend.pool
+        try:
+            victim = pool.workers[0]
+            for promoted in (deployed, model, deployed):
+                victim.swap_model(promoted)
+            assert victim.model_version == 3
+            TestProcessClusterParity._assert_parity(expected, frontend.serve_many(contexts))
+
+            _kill_and_await_respawn(victim)
+            assert victim.model_version == 3
+            TestProcessClusterParity._assert_parity(expected, frontend.serve_many(contexts))
+        finally:
+            frontend.close()
+        assert pool.leaked_segments() == []
+        assert pool.publisher.published == pool.publisher.unlinked
+
+    def test_model_version_never_runs_backwards(self, proc_setup, small_model_config):
+        """``model_version`` keys the response cache, so it must survive a
+        respawn: a version reused after one would replay entries the earlier
+        deploy of that number stranded."""
+        dataset, encoder, model = proc_setup
+        other = _second_model(dataset, small_model_config)
+        contexts = sample_burst_contexts(dataset.world, 8, day=100, seed=29)
+        expected = build_pipeline(
+            dataset.world, model, encoder, fresh_state(dataset), PIPELINE_CONFIG
+        ).run_many(contexts)
+        frontend = build_cluster(
+            dataset.world, model, encoder, fresh_state(dataset),
+            config=ClusterConfig(num_workers=1, cache_enabled=True,
+                                 cache_ttl_seconds=600.0),
+            pipeline_config=PIPELINE_CONFIG, process_workers=True,
+        )
+        try:
+            victim = frontend.pool.workers[0]
+            versions = [victim.model_version]
+            victim.swap_model(other)
+            versions.append(victim.model_version)
+            frontend.serve_many(contexts)  # cached under this version, other's bytes
+            for promoted in (model, other):
+                victim.swap_model(promoted)
+                versions.append(victim.model_version)
+            _kill_and_await_respawn(victim)
+            versions.append(victim.model_version)
+            victim.swap_model(model)
+            versions.append(victim.model_version)
+            assert versions == [0, 1, 2, 3, 3, 4]
+            # Re-scored by the model now deployed, not replayed from the
+            # entries version 1 left behind.
+            hits = frontend.cache.hits
+            TestProcessClusterParity._assert_parity(expected, frontend.serve_many(contexts))
+            assert frontend.cache.hits == hits
+        finally:
+            frontend.close()
+        assert frontend.pool.leaked_segments() == []
+
     def test_clean_shutdown_leaves_no_segments(self, proc_setup):
         dataset, encoder, model = proc_setup
         state = fresh_state(dataset)
@@ -333,6 +476,72 @@ class TestCrashRespawnAndLeaks:
         assert pool.leaked_segments() == []
         assert _dev_shm_entries(prefix) == []
         assert pool.publisher.published == pool.publisher.unlinked
+
+
+class TestRpcChannelUnderContention:
+    def test_concurrent_callers_each_get_their_own_reply(self, proc_setup):
+        """More callers than cores on one pipe.  Serving, feedback, sync,
+        stats and swaps share it with no correlation ids: a reply read by the
+        wrong caller would surface as a wrong-kind error, a response for
+        another request, or a replica that drifted from the writer."""
+        dataset, encoder, model = proc_setup
+        state = fresh_state(dataset)
+        contexts = sample_burst_contexts(dataset.world, 8, day=100, seed=31)
+        frontend = build_cluster(
+            dataset.world, model, encoder, state,
+            config=ClusterConfig(num_workers=1, cache_enabled=False, max_wait_ms=0.5),
+            pipeline_config=PIPELINE_CONFIG, process_workers=True,
+        )
+        handle = frontend.pool.workers[0]
+        errors = []
+
+        def guarded(body, rounds):
+            def run():
+                try:
+                    for _ in range(rounds):
+                        body()
+                except BaseException as error:  # noqa: BLE001 - surfaced below
+                    errors.append(error)
+            return threading.Thread(target=run, daemon=True)
+
+        def serve():
+            for context, response in zip(contexts, frontend.serve_many(contexts)):
+                assert response.context == context and len(response.items) > 0
+
+        def sync():
+            assert set(handle.sync()) == {"applied_seq", "fingerprint"}
+
+        def stats():
+            assert handle.metrics.stats("rank").calls >= 0
+
+        try:
+            clicked = frontend.serve_many(contexts)[0]
+            threads = [
+                guarded(serve, 12), guarded(serve, 12),
+                guarded(lambda: frontend.feedback(
+                    clicked, np.ones(len(clicked.items)), rng=np.random.default_rng(7)
+                ), 40),
+                guarded(sync, 40), guarded(stats, 40),
+                guarded(lambda: handle.swap_model(copy.deepcopy(model)), 3),
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-4)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert handle.model_version == 3 and handle.batch_failures == 0
+            assert state.feedback_seq == 40
+            reply = TestProcessClusterParity._synced(handle, state.feedback_seq)
+            assert reply["fingerprint"] == state_fingerprint(state)
+        finally:
+            frontend.close()
+        assert frontend.pool.leaked_segments() == []
 
 
 class TestWeightsOnlySegments:
@@ -362,7 +571,6 @@ class TestWeightsOnlySegments:
                     pipeline_config=PIPELINE_CONFIG,
                     durable_root=str(pool.durable.root),
                     geohash_match_prefix=state.geohash_match_prefix,
-                    max_batch=8, max_wait_ms=0.0,
                 ),
                 conn=None,
             )
@@ -387,6 +595,26 @@ class TestWeightsOnlySegments:
             frontend.close()
         assert pool.leaked_segments() == []
         assert _dev_shm_entries(pool.publisher.prefix) == []
+
+
+def _second_model(dataset, model_config):
+    """Same architecture, different weights: what a deploy promotes."""
+    return create_model(
+        "wide_deep", dataset.schema, replace(model_config, seed=model_config.seed + 1)
+    )
+
+
+def _kill_and_await_respawn(victim, timeout: float = 30.0) -> None:
+    """SIGKILL the worker's process, then wait for its successor's READY."""
+    killed_pid = victim.process.pid
+    os.kill(killed_pid, signal.SIGKILL)
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        process = victim.process
+        if process is not None and process.pid != killed_pid and victim.wait_ready(0.1):
+            return
+        time.sleep(0.05)
+    raise AssertionError("supervisor did not respawn the worker")
 
 
 def _dev_shm_entries(prefix: str):

@@ -104,3 +104,64 @@ def test_bench_band_tool_is_gone():
     assert not (REPO_ROOT / "benchmarks" / "baselines.json").exists()
     conftest = (REPO_ROOT / "benchmarks" / "conftest.py").read_text(encoding="utf-8")
     assert "save_bench_json" not in conftest
+
+
+def test_second_coalescing_loop_is_gone():
+    """One worker core: a process replica is a ``ClusterWorker`` whose
+    engine's ``run_many`` crosses the pipe.  The child gatherer, the
+    correlation table, the reader thread and the reply queues stay deleted."""
+    import dataclasses
+    import importlib
+    import inspect
+    import pkgutil
+
+    import repro.serving.cluster as cluster
+    from repro.serving.cluster import ClusterConfig, procworker
+    from repro.serving.cluster.worker import ClusterWorker
+
+    assert issubclass(procworker.ProcessWorkerHandle, ClusterWorker)
+    # Names only the second transport had: gone from the module altogether.
+    source = inspect.getsource(procworker)
+    left = [
+        name for name in (
+            "_serve_batch", "_handle_control", "_PendingRequest", "_ParentFeedbackEngine",
+            "_slots", "_release_slot", "_corr", "_pending", "_resolve", "_on_disconnect",
+            "reader_loop", "_replies", "_request_reply", "_control_lock", "fetch_stats",
+            "close_pump", "requests_served", "batches_run", "batch_failures",
+        )
+        if name in source
+    ]
+    assert not left, f"repro.serving.cluster.procworker still mentions {left}"
+    # Names the worker core owns: inherited by the handle, never redefined.
+    redefined = {"submit", "depth", "_dispatch_loop", "_execute", "_fail_pending"} & set(
+        vars(procworker.ProcessWorkerHandle)
+    )
+    assert not redefined, f"ProcessWorkerHandle redefines {sorted(redefined)}"
+    child = inspect.getsource(procworker._ChildWorker)
+    for forbidden in ("poll(", "monotonic", "deadline", "max_batch", "max_wait_ms"):
+        assert forbidden not in child, f"the child process still uses {forbidden!r}"
+
+    fields = {field.name for field in dataclasses.fields(procworker.WorkerBootstrap)}
+    assert len(fields) == 9 and not fields & {"max_batch", "max_wait_ms"}
+
+    # The handle inherits the queue and the dispatcher, it does not redefine them.
+    owners = {"_dispatch_loop": [], "_execute": [], "submit": []}
+    for info in pkgutil.iter_modules(cluster.__path__):
+        module = importlib.import_module(f"{cluster.__name__}.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ != module.__name__ or "Worker" not in cls.__name__:
+                continue
+            for name in owners:
+                if name in vars(cls):
+                    owners[name].append(cls.__qualname__)
+    assert owners == {name: ["ClusterWorker"] for name in owners}
+    supervisor = inspect.getsource(importlib.import_module(cluster.__name__ + ".supervisor"))
+    assert "threading.Thread(" in supervisor  # the liveness monitor ...
+    assert supervisor.count("threading.Thread(") == 1  # ... and no reader thread
+
+    # No new option: the bench builds its clusters from exactly these.
+    assert [field.name for field in dataclasses.fields(ClusterConfig)] == [
+        "num_workers", "virtual_nodes", "max_batch", "max_wait_ms", "queue_depth",
+        "cache_enabled", "cache_ttl_seconds", "cache_max_entries",
+    ]
+    assert ClusterConfig() == ClusterConfig(4, 64, 64, 2.0, 512, True, 30.0, 100_000)
