@@ -47,9 +47,7 @@ from .conftest import MODEL_CONFIG, format_rows, save_result
 NUM_REQUESTS = 1000
 DAY, SEED = 100, 11
 PIPELINE_CONFIG = PipelineConfig(recall_size=30, exposure_size=10)
-CLUSTER_CONFIG = ClusterConfig(
-    max_batch=64, max_wait_ms=4.0, queue_depth=2048, cache_enabled=False
-)
+CLUSTER_CONFIG = ClusterConfig(max_batch=64, queue_depth=2048, cache_enabled=False)
 
 
 def _setup(eleme_bench, num_requests):

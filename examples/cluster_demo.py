@@ -68,8 +68,7 @@ def main() -> None:
           "(coalescing queues, response cache) ...")
     frontend = build_cluster(
         dataset.world, model, encoder, state,
-        ClusterConfig(num_workers=args.workers, max_batch=64, max_wait_ms=4.0,
-                      cache_ttl_seconds=600.0),
+        ClusterConfig(num_workers=args.workers, max_batch=64, cache_ttl_seconds=600.0),
         pipeline_config=pipeline_config,
     )
 

@@ -63,7 +63,7 @@ def main() -> None:
         ModelConfig(embedding_dim=8, attention_dim=32, tower_units=(64, 32)),
     )
     pipeline_config = PipelineConfig(recall_size=20, exposure_size=6)
-    cluster_config = ClusterConfig(num_workers=2, max_wait_ms=1.0)
+    cluster_config = ClusterConfig(num_workers=2)
 
     with tempfile.TemporaryDirectory(prefix="durable-demo-") as directory:
         durable_dir = Path(directory)

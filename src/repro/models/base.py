@@ -227,7 +227,9 @@ class BaseCTRModel(nn.Module):
         """Freeze this model version's item-side tables for the candidate
         universe (``item_static_ids`` in ``item_static_table`` layout)."""
         with nn.no_grad(), nn.inference_mode():
-            return self._item_tables(item_static_ids)
+            tables = self._item_tables(item_static_ids)
+        tables.weights_t = nn.transposed_weights(self)
+        return tables
 
     def score_two_tower(self, split_batch: Dict[str, np.ndarray], tables) -> np.ndarray:
         """Fused late-binding score over a split batch (``encode_split``).
@@ -245,7 +247,7 @@ class BaseCTRModel(nn.Module):
             )
         if len(split_batch["candidates"]) == 0:
             return np.zeros(0, dtype=np.float32)
-        with nn.no_grad(), nn.inference_mode():
+        with nn.no_grad(), nn.inference_mode(), nn.frozen_weights(tables.weights_t):
             return self._fused_logit(split_batch, tables).sigmoid().data.reshape(-1)
 
     def _item_tables(self, item_static_ids: np.ndarray):

@@ -45,17 +45,22 @@ one GEMM per request).  Models without a split are scored by
 
 Tables are plain float32 arrays tied to the model version that built them
 (``model_uid``); ``BaseCTRModel.score_two_tower`` refuses another version's
-tables.
+tables.  The same object carries the other thing a model version freezes:
+the contiguous transposes of its ``Linear`` weights (``weights_t``,
+:func:`repro.nn.transposed_weights`), which ``score_two_tower`` — and nothing
+else — scopes onto the scoring thread, so a one-request score stops paying a
+weight copy per layer.  One uid, one slot in ``Ranker``, one invalidation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
 
 from ..features.schema import FieldName
+from ..nn import Parameter
 
 __all__ = [
     "ItemTowerTables",
@@ -74,18 +79,22 @@ class ItemTowerTables:
     version with them.  ``static_cols`` is the width of the static item block inside the
     candidate-item field embedding (``num_static_features * embedding_dim``).
     ``tables`` maps a name to a float32 ``(num_items, width)`` array.
+    ``weights_t`` holds that version's transposed ``Linear`` weights, filled
+    in by ``BaseCTRModel.precompute_item_tables``.
     """
 
     model_uid: int
     static_cols: int
     tables: Dict[str, np.ndarray]
+    weights_t: Dict[Parameter, np.ndarray] = field(default_factory=dict)
 
     def gather(self, name: str, indices: np.ndarray) -> np.ndarray:
         return self.tables[name][np.asarray(indices, dtype=np.int64)]
 
     @property
     def nbytes(self) -> int:
-        return int(sum(table.nbytes for table in self.tables.values()))
+        frozen = (*self.tables.values(), *self.weights_t.values())
+        return int(sum(array.nbytes for array in frozen))
 
 
 # ---------------------------------------------------------------------- #

@@ -24,7 +24,9 @@ from .layers import (
     Sigmoid,
     Softmax,
     Tanh,
+    frozen_weights,
     get_activation,
+    transposed_weights,
 )
 from .module import Module, ModuleList, Sequential, inference_mode, is_inference
 from .parameter import Parameter
@@ -53,7 +55,9 @@ __all__ = [
     "Sigmoid",
     "Softmax",
     "Tanh",
+    "frozen_weights",
     "get_activation",
+    "transposed_weights",
     "Module",
     "ModuleList",
     "Sequential",

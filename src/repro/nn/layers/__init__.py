@@ -9,7 +9,7 @@ from .attention import (
 )
 from .dropout import Dropout
 from .embedding import Embedding
-from .linear import Linear
+from .linear import Linear, frozen_weights, transposed_weights
 from .mlp import MLP
 from .normalization import BatchNorm1d, LayerNorm
 
@@ -28,6 +28,8 @@ __all__ = [
     "Dropout",
     "Embedding",
     "Linear",
+    "frozen_weights",
+    "transposed_weights",
     "MLP",
     "BatchNorm1d",
     "LayerNorm",

@@ -67,10 +67,8 @@ class ClusterConfig:
 
     num_workers: int = 4
     virtual_nodes: int = 64
-    #: Coalescing: at most this many requests per micro-batch ...
+    #: Coalescing: at most this many already-queued requests per micro-batch.
     max_batch: int = 64
-    #: ... gathered for at most this long after the first arrival.
-    max_wait_ms: float = 2.0
     #: Admission control: pending requests per worker before backpressure.
     queue_depth: int = 512
     cache_enabled: bool = True
@@ -270,6 +268,7 @@ class ClusterFrontend:
             "batches_run": sum(w["batches_run"] for w in workers),
             "rejected": sum(w["rejected"] for w in workers),
             "batch_failures": sum(w["batch_failures"] for w in workers),
+            "on_done_failures": sum(w["on_done_failures"] for w in workers),
         }
         combined["mean_batch"] = (
             combined["requests_served"] / max(combined["batches_run"], 1)
@@ -381,7 +380,6 @@ def build_cluster(
                     f"worker-{index}",
                     engine,
                     max_batch=config.max_batch,
-                    max_wait_ms=config.max_wait_ms,
                     queue_depth=config.queue_depth,
                     metrics=metrics,
                 )

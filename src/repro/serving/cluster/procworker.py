@@ -4,9 +4,9 @@ The threaded :class:`~repro.serving.cluster.worker.ClusterWorker` escapes
 nothing — CPU-bound ranking serialises on the GIL, so adding workers adds
 only coalescing.  This module runs each replica's *pipeline* in a real
 ``multiprocessing`` process (spawn context) and changes nothing else:
-:class:`ProcessWorkerHandle` **is** a ``ClusterWorker`` — queue, dispatcher,
-coalescing deadline, admission control, counters and ``model_version`` are
-the inherited ones, in the parent — whose ``engine`` is a
+:class:`ProcessWorkerHandle` **is** a ``ClusterWorker`` — queue,
+work-conserving dispatcher, admission control, counters and
+``model_version`` are the inherited ones, in the parent — whose ``engine`` is a
 :class:`_RemoteEngine`, the child's pipeline one frame away.  So
 :class:`ClusterFrontend`, :class:`RollingDeploy` and the load generator
 drive either kind unchanged.
@@ -355,8 +355,8 @@ class ProcessWorkerHandle(ClusterWorker):
         config = pool.config
         super().__init__(
             worker_id, _RemoteEngine(self, pool.pipeline_config.order_probability),
-            max_batch=config.max_batch, max_wait_ms=config.max_wait_ms,
-            queue_depth=config.queue_depth, metrics=StageMetrics(),
+            max_batch=config.max_batch, queue_depth=config.queue_depth,
+            metrics=StageMetrics(),
         )
         self.respawns = 0
         self.process = None

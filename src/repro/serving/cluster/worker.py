@@ -4,12 +4,13 @@ A :class:`ClusterWorker` owns one serving engine — a
 :class:`repro.serving.pipeline.ServingPipeline` or a
 :class:`repro.serving.pipeline.ScenarioRouter` of per-scenario variants —
 and a bounded request queue drained by a dedicated dispatcher thread.  The
-dispatcher *coalesces*: it blocks for the first pending request, then keeps
-gathering until either ``max_batch`` requests are in hand or the
-``max_wait_ms`` deadline passes, and serves the whole micro-batch through
-one ``run_many`` call.  Under load this turns per-request arrivals into the
-batched scoring path (one model forward per micro-batch — the engine-level
-throughput win); when idle, a lone request waits at most ``max_wait_ms``.
+dispatcher is *work-conserving*: it blocks for the first pending request,
+takes whatever else is already queued (up to ``max_batch``) and serves the
+micro-batch through one ``run_many`` call — it never waits for a batch to
+fill.  An idle worker therefore serves a lone request at once, and batches
+grow by themselves exactly while a batch is executing: under load
+per-request arrivals still turn into the batched scoring path (one model
+forward per micro-batch — the engine-level throughput win).
 
 Admission control is the bounded queue: a non-blocking submit against a
 full queue raises :class:`ClusterOverloadError` instead of letting latency
@@ -28,7 +29,6 @@ from __future__ import annotations
 import copy
 import queue
 import threading
-import time
 from concurrent.futures import Future
 from typing import Callable, List, Optional, Union
 
@@ -69,20 +69,16 @@ class ClusterWorker:
         worker_id: str,
         engine: Union[ServingPipeline, ScenarioRouter],
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         queue_depth: int = 512,
         metrics: Optional[StageMetrics] = None,
     ) -> None:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         if queue_depth <= 0:
             raise ValueError("queue_depth must be positive")
         self.worker_id = worker_id
         self.engine = engine
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.queue: "queue.Queue[_Pending]" = queue.Queue(maxsize=queue_depth)
         #: The worker's own telemetry accumulator (every pipeline variant of
         #: this worker records into it); merged cluster-wide by the frontend.
@@ -94,6 +90,7 @@ class ClusterWorker:
         self.batches_run = 0
         self.rejected = 0
         self.batch_failures = 0
+        self.on_done_failures = 0
         self._stop = threading.Event()
         # Held while a micro-batch executes and while a model swaps: swaps
         # are atomic between micro-batches, never inside one.
@@ -181,15 +178,11 @@ class ClusterWorker:
             except queue.Empty:
                 continue
             batch = [first]
-            deadline = time.monotonic() + self.max_wait_ms / 1e3
+            # Only what is already queued: whatever arrives while this batch
+            # executes is the next one.
             while len(batch) < self.max_batch:
-                remaining = deadline - time.monotonic()
                 try:
-                    if remaining <= 0:
-                        # Deadline passed: take only what is already queued.
-                        batch.append(self.queue.get_nowait())
-                    else:
-                        batch.append(self.queue.get(timeout=remaining))
+                    batch.append(self.queue.get_nowait())
                 except queue.Empty:
                     break
             self._execute(batch)
@@ -210,7 +203,7 @@ class ClusterWorker:
                 try:
                     pending.on_done(response)
                 except Exception:  # noqa: BLE001 - cache fill must not kill serving
-                    pass
+                    self.on_done_failures += 1
             pending.future.set_result(response)
 
     # ------------------------------------------------------------------ #
@@ -255,6 +248,7 @@ class ClusterWorker:
             "mean_batch": self.requests_served / max(self.batches_run, 1),
             "rejected": self.rejected,
             "batch_failures": self.batch_failures,
+            "on_done_failures": self.on_done_failures,
             "model_version": self.model_version,
             "depth": self.depth,
         }

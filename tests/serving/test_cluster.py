@@ -228,8 +228,6 @@ class TestCoalescingWorker:
         with pytest.raises(ValueError):
             self.build_worker(eleme_dataset, cluster_setup, max_batch=0)
         with pytest.raises(ValueError):
-            self.build_worker(eleme_dataset, cluster_setup, max_wait_ms=-1)
-        with pytest.raises(ValueError):
             self.build_worker(eleme_dataset, cluster_setup, queue_depth=0)
 
 
@@ -350,6 +348,22 @@ class TestCacheIntegration:
             np.testing.assert_array_equal(first.items, again.items)
             served = sum(w.requests_served for w in frontend.workers.values())
         assert served == 1  # the hit never reached a worker queue
+
+    def test_a_broken_cache_fill_is_served_through_and_counted(self, eleme_dataset,
+                                                               cluster_setup, monkeypatch):
+        """The fill hook runs on the dispatcher: its failure must neither fail
+        the request nor vanish — the frontend's aggregate counts it."""
+        contexts = sample_burst_contexts(eleme_dataset.world, 6, day=2, seed=43)
+        with self.build_frontend(eleme_dataset, cluster_setup) as frontend:
+            def broken_put(key, response):
+                raise OSError("cache is on fire")
+
+            monkeypatch.setattr(frontend.cache, "put", broken_put)
+            responses = frontend.serve_many(contexts)
+            assert [response.context for response in responses] == contexts
+            stats = frontend.stats()
+        assert stats["on_done_failures"] == 6 and stats["batch_failures"] == 0
+        assert stats["requests_served"] == 6 and stats["cache"]["entries"] == 0
 
     def test_feedback_invalidates_user_entries(self, eleme_dataset, cluster_setup):
         _, encoder, model = cluster_setup

@@ -583,7 +583,7 @@ class TestFullStackDurability:
         recovered, _ = store2.recover(world, encoder=encoder)
         frontend = build_cluster(
             world, model, encoder, recovered,
-            config=ClusterConfig(num_workers=2, max_wait_ms=0.5),
+            config=ClusterConfig(num_workers=2),
             pipeline_config=self.PIPELINE,
             durable=store2,
         )

@@ -73,7 +73,7 @@ from repro.data.world import RequestContext
 pytestmark = pytest.mark.proc_cluster
 
 PIPELINE_CONFIG = PipelineConfig(recall_size=12, exposure_size=5)
-PROC_CONFIG = ClusterConfig(num_workers=2, cache_enabled=False, max_wait_ms=2.0)
+PROC_CONFIG = ClusterConfig(num_workers=2, cache_enabled=False)
 
 
 def fresh_state(eleme_dataset):
@@ -489,7 +489,7 @@ class TestRpcChannelUnderContention:
         contexts = sample_burst_contexts(dataset.world, 8, day=100, seed=31)
         frontend = build_cluster(
             dataset.world, model, encoder, state,
-            config=ClusterConfig(num_workers=1, cache_enabled=False, max_wait_ms=0.5),
+            config=ClusterConfig(num_workers=1, cache_enabled=False),
             pipeline_config=PIPELINE_CONFIG, process_workers=True,
         )
         handle = frontend.pool.workers[0]
@@ -587,6 +587,13 @@ class TestWeightsOnlySegments:
             for name, table in expected.tables.items():
                 assert built.tables[name].dtype == table.dtype == np.float32
                 assert built.tables[name].tobytes() == table.tobytes()
+            # The frozen weight transposes too: private, writable copies of
+            # the child's own (read-only, shared) parameters, the parent's bytes.
+            assert set(map(id, built.weights_t)) <= set(map(id, ranker.model.parameters()))
+            assert [w.tobytes() for w in built.weights_t.values()] == [
+                w.tobytes() for w in expected.weights_t.values()
+            ] and built.weights_t
+            assert all(w.flags.owndata for w in built.weights_t.values())
             # And the real worker process serves the same bytes from them.
             TestProcessClusterParity._assert_parity(served, frontend.serve_many(contexts))
             del ranker, built, served

@@ -548,6 +548,155 @@ class TestItemTableSlot:
         assert seen == {0, 1}
 
 
+class TestFrozenWeights:
+    """The contiguous transposed ``Linear`` weights are frozen with the item
+    tables: built once per ``serving_uid`` in the ranker's slot, read only
+    inside ``score_two_tower``, invalidated by ``weights_changed()`` alone."""
+
+    @staticmethod
+    def _perturb(model, seed=0):
+        rng = np.random.default_rng(seed)
+        for parameter in model.parameters():
+            parameter.data += rng.normal(scale=0.05, size=parameter.shape).astype(np.float32)
+
+    @pytest.mark.parametrize("model_name", SUPPORTED)
+    def test_store_is_the_transpose_of_every_wide_linear(self, eleme_dataset,
+                                                         small_model_config,
+                                                         serving_setup, model_name):
+        state, encoder = serving_setup
+        model = create_model(model_name, eleme_dataset.schema, small_model_config)
+        ranker = Ranker(model, encoder)
+        ranker.score_many(_burst(eleme_dataset, 3), state)
+        store = ranker.item_tables[1].weights_t
+        wide = [m for m in model.modules() if isinstance(m, nn.Linear) and m.out_features > 1]
+        assert store and len(store) == len(wide)
+        for layer in wide:
+            frozen = store[layer.weight]
+            assert frozen.flags["C_CONTIGUOUS"] and frozen is not layer.weight.data
+            assert np.array_equal(frozen, layer.weight.data.T)
+        assert ranker.item_tables[1].nbytes >= sum(w.nbytes for w in store.values())
+
+    @pytest.mark.parametrize("model_name", SUPPORTED)
+    def test_in_place_write_then_weights_changed_follows_the_weights(
+            self, eleme_dataset, small_model_config, serving_setup, model_name):
+        """score -> write weights in place + ``weights_changed()`` -> score:
+        byte-equal to a fresh model loaded with the same state."""
+        state, encoder = serving_setup
+        model = create_model(model_name, eleme_dataset.schema, small_model_config)
+        ranker = Ranker(model, encoder)
+        requests = _ragged_burst(eleme_dataset)
+        before = ranker.score_many(requests, state)
+        stale = ranker.item_tables[1]
+
+        self._perturb(model)
+        model.weights_changed()
+        after = ranker.score_many(requests, state)
+        assert ranker.item_tables[1].weights_t is not stale.weights_t
+
+        fresh = create_model(model_name, eleme_dataset.schema, small_model_config)
+        fresh.load_state_dict(model.state_dict())
+        expected = Ranker(fresh, encoder).score_many(requests, state)
+        for old, got, want in zip(before, after, expected):
+            assert np.array_equal(got, want)
+            assert not np.array_equal(got, old)
+
+    @pytest.mark.parametrize("model_name", ("basm", "din"))
+    def test_frozen_scores_equal_per_call_transposes(self, eleme_dataset,
+                                                     small_model_config, serving_setup,
+                                                     model_name):
+        """Same bytes with the store as without it (the parent's arithmetic)."""
+        state, encoder = serving_setup
+        model = _create(
+            model_name if model_name == "basm" else f"{model_name}-perturbed",
+            eleme_dataset.schema, small_model_config,
+        )
+        tables = model.precompute_item_tables(encoder.item_static_table(state))
+        for requests in (_ragged_burst(eleme_dataset), _burst(eleme_dataset, 1)):
+            split = _split(encoder, requests, state)
+            frozen = model.score_two_tower(split, tables)
+            store, tables.weights_t = tables.weights_t, {}
+            try:
+                assert np.array_equal(frozen, model.score_two_tower(split, tables))
+            finally:
+                tables.weights_t = store
+
+    def test_a_deepcopy_replica_builds_its_own(self, eleme_dataset, small_model_config,
+                                               serving_setup):
+        import copy
+
+        state, encoder = serving_setup
+        model = create_model("basm", eleme_dataset.schema, small_model_config)
+        replica = copy.deepcopy(model)
+        assert replica.serving_uid == model.serving_uid
+        requests = _burst(eleme_dataset, 4)
+        rankers = [Ranker(model, encoder), Ranker(replica, encoder)]
+        scores = [np.concatenate(r.score_many(requests, state)) for r in rankers]
+        assert np.array_equal(*scores)
+        own, theirs = (r.item_tables[1].weights_t for r in rankers)
+        assert set(map(id, theirs)) <= set(map(id, replica.parameters()))
+        assert not set(map(id, own)) & set(map(id, theirs))
+        # Another instance's store is never wrong, only unused: the replica
+        # scored with the original's tables transposes per call, same bytes.
+        split = _split(encoder, requests, state)
+        assert np.array_equal(replica.score_two_tower(split, rankers[0].item_tables[1]),
+                              scores[0])
+
+    def test_flat_predict_never_reads_the_store(self, eleme_dataset, small_model_config,
+                                                serving_setup):
+        """What gradcheck does — perturb a weight in place under ``no_grad``,
+        no uid minted — is reflected by ``predict`` at once: the store is
+        reachable from ``score_two_tower`` only."""
+        from repro.nn.layers import linear
+
+        state, encoder = serving_setup
+        model = create_model("basm", eleme_dataset.schema, small_model_config)
+        ranker = Ranker(model, encoder)
+        requests = _burst(eleme_dataset, 4)
+        ranker.score_many(requests, state)  # the store now exists
+        assert getattr(linear._FROZEN, "store", None) is None  # ... and is out of scope
+        before = np.concatenate(_full_forward(model, encoder, requests, state))
+        with nn.no_grad():
+            self._perturb(model, seed=1)
+            after = np.concatenate(_full_forward(model, encoder, requests, state))
+        fresh = create_model("basm", eleme_dataset.schema, small_model_config)
+        fresh.load_state_dict(model.state_dict())
+        assert not np.array_equal(after, before)
+        assert np.array_equal(
+            after, np.concatenate(_full_forward(fresh, encoder, requests, state))
+        )
+
+    def test_store_is_scoped_to_the_scoring_thread_and_call(self, eleme_dataset,
+                                                            small_model_config,
+                                                            serving_setup):
+        from repro.nn.layers import linear
+
+        state, encoder = serving_setup
+        model = create_model("din", eleme_dataset.schema, small_model_config)
+        tables = model.precompute_item_tables(encoder.item_static_table(state))
+        seen = []
+        original = model._fused_logit
+
+        def spying(split_batch, tables):
+            seen.append(getattr(linear._FROZEN, "store", None))
+            other = []
+            thread = threading.Thread(
+                target=lambda: other.append(getattr(linear._FROZEN, "store", None))
+            )
+            thread.start()
+            thread.join(timeout=10)
+            seen.append(other)
+            raise RuntimeError("boom")
+
+        model._fused_logit = spying
+        try:
+            with pytest.raises(RuntimeError, match="boom"):
+                model.score_two_tower(_split(encoder, _burst(eleme_dataset, 2), state), tables)
+        finally:
+            model._fused_logit = original
+        assert seen[0] is tables.weights_t and seen[1] == [None]
+        assert getattr(linear._FROZEN, "store", None) is None  # restored on the way out
+
+
 class TestThreadSafePredict:
     def test_predict_never_flips_shared_training_mode(self, eleme_dataset,
                                                       small_model_config,

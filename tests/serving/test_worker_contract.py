@@ -5,11 +5,15 @@ process replica (:class:`ProcessWorkerHandle`, a ``ClusterWorker`` whose
 engine's ``run_many`` crosses a pipe) share one queue, one dispatcher and
 one set of counters — so admission control, batch-failure containment,
 swap atomicity, shutdown and ``stats()`` are stated once here and run
-against both kinds.
+against both kinds.  So is the dispatch policy (work-conserving: a batch is
+whatever is already queued, never waited for), stepped one ``run_many`` at a
+time through a gate on the engine — events with hard timeouts, no sleep and
+no clock.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import pytest
@@ -32,8 +36,9 @@ from repro.serving import (
 PIPELINE_CONFIG = PipelineConfig(recall_size=12, exposure_size=5)
 STATS_KEYS = {
     "worker", "requests_served", "batches_run", "mean_batch", "rejected",
-    "batch_failures", "model_version", "depth",
+    "batch_failures", "on_done_failures", "model_version", "depth",
 }
+WAIT_S = 60.0  # a hard timeout on every wait: it fails the test, never paces it
 
 
 class Deployment:
@@ -94,6 +99,45 @@ def deployment(request, eleme_dataset, small_model_config):
     made = Deployment(request.param, eleme_dataset, small_model_config)
     yield made
     made.close()
+
+
+class Gate:
+    """Holds a worker's engine at the door of ``run_many``.
+
+    Every call records the contexts it was handed and the worker's
+    ``model_version`` on the way in and out, signals ``entered`` and blocks
+    until :meth:`open` lets exactly one call through — so the test decides
+    what is in the queue at the moment the dispatcher comes back for more.
+    Works on both kinds: a process replica's ``run_many`` is parent-side.
+    """
+
+    def __init__(self, worker: ClusterWorker) -> None:
+        self.batches = []
+        self.versions = []
+        self._entered = threading.Semaphore(0)
+        self._opened = threading.Semaphore(0)
+        inner = worker.engine.run_many
+
+        def run_many(requests):
+            self.batches.append([getattr(item, "context", item) for item in requests])
+            version = worker.model_version
+            self._entered.release()
+            if not self._opened.acquire(timeout=WAIT_S):
+                raise TimeoutError("the test never opened the gate")
+            responses = inner(requests)
+            self.versions.append((version, worker.model_version))
+            return responses
+
+        worker.engine.run_many = run_many
+
+    def await_batch(self) -> list:
+        """Block until the dispatcher is inside ``run_many``; its batch."""
+        assert self._entered.acquire(timeout=WAIT_S), "no batch reached the engine"
+        return self.batches[-1]
+
+    def open(self, times: int = 1) -> None:
+        for _ in range(times):
+            self._opened.release()
 
 
 def same_bytes(left, right) -> bool:
@@ -193,3 +237,119 @@ class TestWorkerContract:
         assert stats["requests_served"] == stats["batches_run"] == 1
         assert stats["mean_batch"] == 1.0 and stats["depth"] == 0
         assert worker.metrics.stats("rank").calls == 1
+
+
+class TestDispatchPolicy:
+    """Work-conserving dispatch: block for the first request, take what is
+    already queued (up to ``max_batch``), execute.  No timer to wait out."""
+
+    def test_a_lone_request_is_a_batch_of_one(self, deployment):
+        worker = deployment.worker(max_batch=8)
+        gate = Gate(worker)
+        worker.start()
+        context = deployment.contexts(1, seed=31)[0]
+        future = worker.submit(context)
+        # The idle dispatcher took it straight to the engine: nothing else was
+        # queued, and it did not wait for anything else to be.
+        assert gate.await_batch() == [context]
+        assert worker.depth == 0 and not future.done()
+        gate.open()
+        assert future.result(timeout=WAIT_S).context == context
+        assert worker.stats()["mean_batch"] == 1.0
+
+    def test_batches_grow_only_while_one_is_executing(self, deployment):
+        worker = deployment.worker(max_batch=4)
+        gate = Gate(worker)
+        worker.start()
+        contexts = deployment.contexts(8, seed=32)
+        futures = [worker.submit(contexts[0])]
+        assert gate.await_batch() == contexts[:1]
+        # Gate shut = a batch is executing: k = 6 arrivals queue up behind it
+        # and leave as min(k, max_batch) = 4 in submit order, then the rest.
+        futures += [worker.submit(context) for context in contexts[1:7]]
+        assert worker.depth == 6
+        gate.open()
+        assert gate.await_batch() == contexts[1:5]
+        assert worker.depth == 2
+        gate.open()
+        assert gate.await_batch() == contexts[5:7]
+        # Fewer than max_batch are queued and the dispatcher does not wait for
+        # more: the eighth request, submitted now, is its own batch.
+        futures.append(worker.submit(contexts[7]))
+        gate.open()
+        assert gate.await_batch() == contexts[7:]
+        gate.open()
+        responses = [future.result(timeout=WAIT_S) for future in futures]
+        assert [response.context for response in responses] == contexts
+        assert len(gate.batches) == worker.batches_run == 4
+        expected = deployment.baseline(deployment.model_a, contexts)
+        assert all(same_bytes(got, want) for got, want in zip(responses, expected))
+
+    def test_swap_lands_between_gated_batches(self, deployment):
+        worker = deployment.worker(max_batch=2)
+        gate = Gate(worker)
+        worker.start()
+        contexts = deployment.contexts(5, seed=33)
+        futures = [worker.submit(context) for context in contexts[:1]]
+        gate.await_batch()
+        futures += [worker.submit(context) for context in contexts[1:]]
+        swapped = threading.Event()
+        swapper = threading.Thread(
+            target=lambda: (worker.swap_model(deployment.model_b), swapped.set())
+        )
+        swapper.start()
+        # A batch is executing, so the swap cannot have landed ...
+        assert worker.model_version == 0 and not swapped.is_set()
+        gate.open(times=3)
+        responses = [future.result(timeout=WAIT_S) for future in futures]
+        assert swapped.wait(timeout=WAIT_S) and worker.model_version == 1
+        swapper.join(timeout=WAIT_S)
+        assert not swapper.is_alive()
+        # ... and when it does, it is never inside one: the version a batch
+        # saw on the way in is the version it saw on the way out.
+        assert len(gate.versions) == 3
+        assert all(entered == left for entered, left in gate.versions)
+        old = deployment.baseline(deployment.model_a, contexts)
+        new = deployment.baseline(deployment.model_b, contexts)
+        for index, (version, _) in enumerate(gate.versions):
+            served_by = new if version else old
+            for slot in ([0], [1, 2], [3, 4])[index]:
+                assert same_bytes(responses[slot], served_by[slot])
+
+    def test_full_queue_still_rejects_while_a_batch_executes(self, deployment):
+        worker = deployment.worker(max_batch=2, queue_depth=3)
+        gate = Gate(worker)
+        worker.start()
+        contexts = deployment.contexts(5, seed=34)
+        futures = [worker.submit(contexts[0])]
+        gate.await_batch()
+        futures += [worker.submit(context, block=False) for context in contexts[1:4]]
+        with pytest.raises(ClusterOverloadError):
+            worker.submit(contexts[4], block=False)
+        assert worker.rejected == 1 and worker.depth == 3
+        gate.open(times=3)
+        assert [f.result(timeout=WAIT_S).context for f in futures] == contexts[:4]
+        assert gate.batches == [contexts[:1], contexts[1:3], contexts[3:4]]
+
+
+class TestOnDoneFailuresAreCounted:
+    def test_a_raising_hook_is_contained_and_counted(self, deployment):
+        """A broken cache fill must not kill serving — nor stay invisible."""
+        worker = deployment.worker(max_batch=4)
+        contexts = deployment.contexts(3, seed=35)
+        filled = []
+
+        def broken(response):
+            raise OSError("cache is on fire")
+
+        futures = [
+            worker.submit(contexts[0], on_done=broken),
+            worker.submit(contexts[1], on_done=filled.append),
+            worker.submit(contexts[2], on_done=broken),
+        ]
+        worker.start()
+        responses = [future.result(timeout=WAIT_S) for future in futures]
+        assert [response.context for response in responses] == contexts
+        assert filled == [responses[1]]
+        assert worker.on_done_failures == 2 == worker.stats()["on_done_failures"]
+        assert worker.batch_failures == 0 and worker.requests_served == 3

@@ -161,7 +161,29 @@ def test_second_coalescing_loop_is_gone():
 
     # No new option: the bench builds its clusters from exactly these.
     assert [field.name for field in dataclasses.fields(ClusterConfig)] == [
-        "num_workers", "virtual_nodes", "max_batch", "max_wait_ms", "queue_depth",
+        "num_workers", "virtual_nodes", "max_batch", "queue_depth",
         "cache_enabled", "cache_ttl_seconds", "cache_max_entries",
     ]
-    assert ClusterConfig() == ClusterConfig(4, 64, 64, 2.0, 512, True, 30.0, 100_000)
+    assert ClusterConfig() == ClusterConfig(4, 64, 64, 512, True, 30.0, 100_000)
+
+
+def test_coalescing_timer_is_gone():
+    """The dispatcher is work-conserving: it takes what is already queued and
+    executes.  No wait knob, no deadline and no clock in the worker core."""
+    import inspect
+
+    import pytest
+
+    from repro.serving.cluster import ClusterConfig, procworker, worker
+
+    source = inspect.getsource(worker)
+    for forbidden in ("max_wait", "deadline", "monotonic", "import time"):
+        assert forbidden not in source, f"cluster/worker.py still mentions {forbidden!r}"
+    assert "max_wait" not in inspect.getsource(procworker)
+    for target in (worker.ClusterWorker, ClusterConfig):
+        parameters = inspect.signature(target).parameters
+        assert not [name for name in parameters if "wait" in name or "timer" in name]
+    with pytest.raises(TypeError):
+        ClusterConfig(max_wait_ms=2.0)
+    with pytest.raises(TypeError):
+        worker.ClusterWorker("worker-0", object(), max_wait_ms=2.0)
