@@ -7,8 +7,8 @@ objects, keyed so that staleness is *structural* rather than policed:
 
 ``(user, context-hash, model-version, feature-version)``
 
-* the **context hash** covers every request field (day, hour, period, city,
-  coordinates, geohash), so "the same request" means byte-the-same inputs;
+* the **context hash** is the context's :mod:`repro.serving.wire` bytes,
+  every field included, so "the same request" means byte-the-same inputs;
 * the **model version** is the owning worker's hot-swap counter — a
   :class:`repro.serving.cluster.deploy.RollingDeploy` bump strands every
   entry served by the previous model;
@@ -33,23 +33,16 @@ from collections import OrderedDict
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
 from ...data.world import RequestContext
+from .. import wire
 from ..pipeline import ServeResponse
 
 __all__ = ["ResponseCache", "context_hash"]
 
 
-def context_hash(context: RequestContext) -> Tuple:
-    """Hashable identity of one request context (every field, exact)."""
-    return (
-        context.user_index,
-        context.day,
-        context.hour,
-        context.time_period,
-        context.city,
-        context.latitude,
-        context.longitude,
-        context.geohash,
-    )
+def context_hash(context: RequestContext) -> bytes:
+    """Hashable identity of one request context: its wire bytes (every
+    field, exact)."""
+    return wire.pack_context(context)
 
 
 class ResponseCache:
@@ -80,7 +73,7 @@ class ResponseCache:
     def key_for(context: RequestContext, model_version: int, feature_version: int) -> Tuple:
         """The full cache key: request identity x model x user-feature version.
 
-        The user is part of :func:`context_hash` (its leading field), so the
+        The user is part of :func:`context_hash` (its leading bytes), so the
         key needs no separate user element.
         """
         return (context_hash(context), model_version, feature_version)

@@ -15,12 +15,16 @@ Data plane (per worker, one duplex ``Pipe`` driven as an RPC channel — see
 :meth:`ProcessWorkerHandle._call`): ``engine.run_many`` sends **one**
 :data:`~repro.serving.cluster.codec.SERVE_BATCH` frame per coalesced
 micro-batch and blocks for **one** reply, a :data:`RESPONSE_BATCH` or one
-:data:`ERROR` that the dispatcher sets on every future of that batch; swap /
-stats / sync calls have the same shape; :data:`FEEDBACK` replication frames
-are one-way and :data:`STOP` ends the child.  The child is a strict
+:data:`ERROR` that the dispatcher sets on every future of that batch; swap
+and sync calls have the same shape; :data:`FEEDBACK` replication frames are
+one-way and :data:`STOP` ends the child.  The child is a strict
 read-a-frame / answer-a-frame loop — no deadline, no polling, no gathering —
 so a swap is atomic between micro-batches by construction, the invariant
-the thread worker's execution lock gives.
+the thread worker's execution lock gives.  Telemetry rides the reply: a
+:data:`RESPONSE_BATCH` carries the stage records of the batch it answers and
+the handle books them into its own :class:`StageMetrics`, so a process
+replica's ``metrics`` is a plain parent-side object, as a thread replica's
+is, that no call waits for and no respawn resets.
 
 State plane — the **single-writer** discipline: the parent process owns the
 authoritative :class:`ServingState`.  Click feedback funnels through
@@ -75,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
 
 __all__ = ["ProcessWorkerHandle", "WorkerBootstrap"]
 
-#: How long a control call (swap / stats / sync) waits for its reply before
+#: How long a control call (swap / sync) waits for its reply before
 #: the replica is declared hung — see :meth:`ProcessWorkerHandle._call`.
 _CONTROL_TIMEOUT_S = 30.0
 
@@ -206,17 +210,13 @@ class _ChildWorker:
 
         if kind == codec.SERVE_BATCH:
             requests = codec.decode_batch(payload, codec.decode_serve)
-            return codec.encode_batch(
-                codec.RESPONSE_BATCH, codec.encode_serve_response,
-                self.pipeline.run_many(requests),
-            )
+            metrics = self.pipeline.metrics
+            metrics.reset()  # the reply carries this batch's stages alone
+            responses = self.pipeline.run_many(requests)
+            return codec.encode_response_batch(responses, metrics)
         if kind == codec.SWAP:
             self._install_model(codec.decode_control(payload)["manifest"])
             return codec.encode_control(codec.SWAPPED)
-        if kind == codec.STATS:
-            return codec.encode_control(
-                codec.STATS_REPLY, {"metrics": self.pipeline.metrics.to_payload()}
-            )
         if kind == codec.SYNC:
             return codec.encode_control(
                 codec.SYNC_REPLY,
@@ -284,7 +284,8 @@ class _RemoteEngine:
     pipeline, one frame away.
 
     ``run_many`` is the whole data plane — one batch frame out, one reply
-    frame back.  ``feedback`` is the single-writer funnel: where a thread
+    frame back, whose stage records it books into the handle's ``metrics``.
+    ``feedback`` is the single-writer funnel: where a thread
     worker's pipeline writes the shared state, every click here must mutate
     the *parent's* authoritative state (journal + listener broadcast
     replicate it outward), with the signature and semantics of
@@ -307,9 +308,11 @@ class _RemoteEngine:
             codec.encode_batch(codec.SERVE_BATCH, codec.encode_serve, requests),
             codec.RESPONSE_BATCH,
         )
-        responses = codec.decode_batch(reply, codec.decode_serve_response)
+        responses, stages = codec.decode_response_batch(reply)
         if len(responses) != len(requests):
             raise RuntimeError(f"{len(requests)} requests, {len(responses)} responses")
+        for stage in stages:
+            self.handle.metrics.record(*stage)
         return responses
 
     def swap_model(self, model: BaseCTRModel) -> BaseCTRModel:
@@ -548,23 +551,6 @@ class ProcessWorkerHandle(ClusterWorker):
         return codec.decode_control(
             self._call(codec.encode_control(codec.SYNC), codec.SYNC_REPLY, timeout)
         )
-
-    @property
-    def metrics(self) -> StageMetrics:
-        """This replica's StageMetrics, fetched over the pipe (the last copy
-        fetched while the process is down)."""
-        try:
-            reply = self._call(
-                codec.encode_control(codec.STATS), codec.STATS_REPLY, _CONTROL_TIMEOUT_S
-            )
-            self._metrics = StageMetrics.from_payload(codec.decode_control(reply)["metrics"])
-        except RuntimeError:
-            pass
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, metrics: StageMetrics) -> None:
-        self._metrics = metrics  # ClusterWorker.__init__ assigns the empty one
 
     def stats(self) -> dict:
         return {**super().stats(), "respawns": self.respawns}

@@ -155,7 +155,7 @@ class ProcessWorkerPool:
                 workers = self.workers
 
                 def fanout(sequence, event, _workers=workers) -> None:
-                    raw = event.to_bytes()  # serialise once, fan to N pumps
+                    raw = event.to_bytes()  # the journal's encode, fanned to N pumps
                     for worker in _workers:
                         worker.enqueue_feedback(sequence, raw)
 

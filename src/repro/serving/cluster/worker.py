@@ -42,12 +42,6 @@ __all__ = ["ClusterOverloadError", "ClusterWorker"]
 class ClusterOverloadError(RuntimeError):
     """A worker's queue is full and the submit was not allowed to block."""
 
-    def __reduce__(self):
-        # Raised inside worker processes and shipped back over the pipe /
-        # pickled into futures; reduce to the message string so the
-        # round-tripped exception is this type with this text, nothing more.
-        return (ClusterOverloadError, (str(self),))
-
 
 class _Pending:
     """One enqueued request with its completion future and cache hook."""

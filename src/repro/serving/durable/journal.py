@@ -9,12 +9,16 @@ record with a monotonically increasing sequence number.  The journal is a
 recovery (:mod:`repro.serving.durable.recovery`) replays committed records on
 top of the latest snapshot to reconstruct the exact live state.
 
-On-disk layout::
+On-disk layout (format v2)::
 
-    8 bytes   file header  b"RJRNL" + format version
+    8 bytes   file header  b"RJRNL" + format version + 2 zero bytes
     per record:
       16 bytes  struct <QII: sequence, payload length, CRC32(payload)
-      N bytes   payload (canonical JSON of the FeedbackEvent)
+      N bytes   payload: the FeedbackEvent as :mod:`repro.serving.wire`
+                context + arrays items (int64), clicks (float64), orders (bool)
+
+A process worker's ``FEEDBACK`` frame carries these payload bytes verbatim.
+A file of another format version is refused, not converted.
 
 A torn final record — the classic crash-mid-append — is detected by the
 length prefix and CRC and discarded on the next open (``repair=True``), so a
@@ -38,17 +42,18 @@ Durability is governed by the fsync policy:
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ...data.world import RequestContext
+from .. import wire
 
 __all__ = [
     "FSYNC_POLICIES",
@@ -60,7 +65,7 @@ __all__ = [
 ]
 
 #: Bumped whenever the on-disk record layout changes incompatibly.
-JOURNAL_FORMAT_VERSION = 1
+JOURNAL_FORMAT_VERSION = 2
 
 FSYNC_POLICIES = ("every-write", "interval", "off")
 
@@ -69,6 +74,9 @@ _RECORD_HEADER = struct.Struct("<QII")  # sequence, payload length, CRC32
 #: Sanity ceiling on one record's payload; anything larger is a torn/corrupt
 #: length prefix, not a real event (events are a few hundred bytes).
 _MAX_PAYLOAD = 1 << 26
+#: An event's arrays in record order — items, clicks, orders — and the dtype
+#: each is stored as (float64 holds any float32 click label exactly).
+_ARRAY_DTYPES = (np.dtype(np.int64), np.dtype(np.float64), np.dtype(np.bool_))
 
 
 class JournalCorruptError(RuntimeError):
@@ -90,49 +98,41 @@ class FeedbackEvent:
     clicks: np.ndarray
     orders: np.ndarray
 
+    def __post_init__(self) -> None:
+        # Checked on construction — so on decode too: a record that would
+        # fail halfway through ``apply_feedback`` (an index past ``items``,
+        # an order per click missing) can be neither written nor read back.
+        clicked = int(np.count_nonzero(np.asarray(self.clicks) > 0))
+        if len(self.clicks) != len(self.items) or len(self.orders) != clicked:
+            raise ValueError(f"inconsistent feedback event: {len(self.items)} items, "
+                             f"{len(self.clicks)} labels, {len(self.orders)} orders "
+                             f"for {clicked} clicks")
+
     def to_bytes(self) -> bytes:
-        # Fields are spelled out (no dataclasses.asdict) because this runs
-        # inside the state lock on every feedback event — asdict's recursive
-        # deepcopy alone would roughly double the journal overhead.
-        context = self.context
-        payload = {
-            "ctx": {
-                "user_index": int(context.user_index),
-                "day": int(context.day),
-                "hour": int(context.hour),
-                "time_period": int(context.time_period),
-                "city": int(context.city),
-                "latitude": float(context.latitude),
-                "longitude": float(context.longitude),
-                "geohash": str(context.geohash),
-            },
-            "items": np.asarray(self.items, dtype=np.int64).reshape(-1).tolist(),
-            # repr-based JSON floats round-trip float64 (and hence float32)
-            # values exactly, so the replayed labels are bit-identical.
-            "clicks": np.asarray(self.clicks, dtype=np.float64).reshape(-1).tolist(),
-            "orders": np.asarray(self.orders, dtype=bool).reshape(-1).tolist(),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> bytes:
+        # Encoded once per event: the journal and the process pool's
+        # replication fan-out both ask for it, inside the state lock.
+        arrays = (self.items, self.clicks, self.orders)
+        return wire.pack_context(self.context) + b"".join(
+            wire.pack_array(np.asarray(values, dtype=dtype).reshape(-1))
+            for values, dtype in zip(arrays, _ARRAY_DTYPES)
+        )
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "FeedbackEvent":
-        payload = json.loads(blob.decode("utf-8"))
-        context = payload["ctx"]
-        return cls(
-            context=RequestContext(
-                user_index=int(context["user_index"]),
-                day=int(context["day"]),
-                hour=int(context["hour"]),
-                time_period=int(context["time_period"]),
-                city=int(context["city"]),
-                latitude=float(context["latitude"]),
-                longitude=float(context["longitude"]),
-                geohash=str(context["geohash"]),
-            ),
-            items=np.asarray(payload["items"], dtype=np.int64),
-            clicks=np.asarray(payload["clicks"], dtype=np.float64),
-            orders=np.asarray(payload["orders"], dtype=bool),
-        )
+        context, offset = wire.unpack_context(blob, 0)
+        arrays = []
+        for dtype in _ARRAY_DTYPES:
+            array, offset = wire.unpack_array(blob, offset)
+            if array is None or array.dtype != dtype:
+                found = "None" if array is None else array.dtype
+                raise ValueError(f"feedback event array is {found}, expected {dtype}")
+            arrays.append(array)
+        wire.expect_end(blob, offset)
+        return cls(context, *arrays)
 
 
 @dataclass
@@ -196,7 +196,7 @@ def scan_journal(path) -> JournalScan:
             )
         try:
             event = FeedbackEvent.from_bytes(payload)
-        except (ValueError, KeyError, TypeError) as error:
+        except ValueError as error:
             raise JournalCorruptError(
                 f"{path}: undecodable committed record at byte {offset}: {error}"
             ) from error

@@ -5,7 +5,11 @@ click/order/exposure counters, the per-(item, period) tables, every user's
 behaviour history, the replay-buffer window (entry order and dtypes
 preserved), the recent-context warm list, and the journal high-water
 sequence number — into one ``state-NNNNNN.npz`` generation in the same
-spirit as :mod:`repro.models.store`'s versioned checkpoints.
+spirit as :mod:`repro.models.store`'s versioned checkpoints.  Bulk state is
+npz arrays (numpy's own format); the recent contexts are one ``uint8`` array
+of back-to-back :mod:`repro.serving.wire` contexts; the manifest (scalars,
+replay bookkeeping, checksum) is JSON.  A generation of another format
+version is refused, not converted.
 
 Writes are atomic (write-temp-then-``os.replace``), so a crash mid-snapshot
 can never leave a truncated generation visible to :meth:`SnapshotStore.
@@ -21,7 +25,6 @@ state is byte-identical to the live reference.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -32,8 +35,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...data.world import RequestContext
 from ...utils import atomic_savez
+from .. import wire
 from ..replay import LoggedImpression, ReplayBuffer
 from ..state import ServingState, UserHistoryState
 
@@ -48,7 +51,7 @@ __all__ = [
 ]
 
 #: Bumped whenever the on-disk snapshot layout changes incompatibly.
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 
 _MANIFEST_KEY = "__manifest__"
 _GENERATION_PATTERN = re.compile(r"^state-(\d{6,})\.npz$")
@@ -101,28 +104,6 @@ def _checksum(arrays: Dict[str, np.ndarray], manifest: Dict[str, object]) -> str
     return digest.hexdigest()
 
 
-def _context_to_json(context: RequestContext) -> Dict[str, object]:
-    raw = dataclasses.asdict(context)
-    return {
-        key: (float(value) if isinstance(value, float) else
-              value if isinstance(value, str) else int(value))
-        for key, value in raw.items()
-    }
-
-
-def _context_from_json(payload: Dict[str, object]) -> RequestContext:
-    return RequestContext(
-        user_index=int(payload["user_index"]),
-        day=int(payload["day"]),
-        hour=int(payload["hour"]),
-        time_period=int(payload["time_period"]),
-        city=int(payload["city"]),
-        latitude=float(payload["latitude"]),
-        longitude=float(payload["longitude"]),
-        geohash=str(payload["geohash"]),
-    )
-
-
 # ---------------------------------------------------------------------- #
 # payload extraction / application
 # ---------------------------------------------------------------------- #
@@ -168,6 +149,10 @@ def extract_payload(state: ServingState) -> SnapshotPayload:
         arrays["history_prefixes"] = prefixes
         for column, values in columns.items():
             arrays[f"history_{column}"] = values
+        arrays["recent_contexts"] = np.frombuffer(
+            b"".join(wire.pack_context(context) for context in state.recent_contexts),
+            dtype=np.uint8,
+        )
 
         manifest: Dict[str, object] = {
             "format_version": SNAPSHOT_FORMAT_VERSION,
@@ -175,9 +160,6 @@ def extract_payload(state: ServingState) -> SnapshotPayload:
             "geohash_match_prefix": int(state.geohash_match_prefix),
             "num_users": int(len(state.user_clicks)),
             "num_items": int(len(state.item_clicks)),
-            "recent_contexts": [
-                _context_to_json(context) for context in state.recent_contexts
-            ],
             "replay": None,
         }
         replay = state.replay
@@ -240,10 +222,12 @@ def apply_payload(state: ServingState, payload: SnapshotPayload,
             cities=[int(v) for v in arrays["history_cities"][start:stop]],
             geohash_prefixes=[str(v) for v in arrays["history_prefixes"][start:stop]],
         )
-    state.recent_contexts = deque(
-        (_context_from_json(entry) for entry in manifest["recent_contexts"]),
-        maxlen=state.recent_contexts.maxlen,
-    )
+    packed = arrays["recent_contexts"].tobytes()
+    contexts, offset = [], 0
+    while offset < len(packed):
+        context, offset = wire.unpack_context(packed, offset)
+        contexts.append(context)
+    state.recent_contexts = deque(contexts, maxlen=state.recent_contexts.maxlen)
     replay_manifest = manifest.get("replay")
     if replay_manifest is not None:
         if replay is None:
@@ -363,10 +347,9 @@ class SnapshotStore:
         except Exception as error:  # noqa: BLE001 - any unzip/parse failure
             raise SnapshotCorruptError(f"{path}: unreadable ({error})") from error
         version = int(manifest.get("format_version", 0))
-        if version > SNAPSHOT_FORMAT_VERSION:
+        if version != SNAPSHOT_FORMAT_VERSION:
             raise SnapshotCorruptError(
-                f"{path}: snapshot format v{version} is newer than supported "
-                f"v{SNAPSHOT_FORMAT_VERSION}"
+                f"{path}: snapshot format v{version}, supported v{SNAPSHOT_FORMAT_VERSION}"
             )
         payload = SnapshotPayload(arrays=arrays, manifest=manifest)
         if payload.checksum() != manifest.get("checksum"):

@@ -220,45 +220,6 @@ class StageMetrics:
         self._stages.clear()
 
     # ------------------------------------------------------------------ #
-    def to_payload(self) -> dict:
-        """A JSON-able dump of every stage — the cross-process wire form.
-
-        Worker processes cannot share an accumulator object with the
-        frontend, so they ship this payload over the control pipe and the
-        parent rebuilds a :class:`StageMetrics` to merge like any thread
-        worker's.
-        """
-        return {
-            "max_samples": self.max_samples,
-            "stages": {
-                name: {
-                    "calls": stats.calls,
-                    "requests": stats.requests,
-                    "items_in": stats.items_in,
-                    "items_out": stats.items_out,
-                    "seconds": stats.seconds,
-                    "latencies": [float(value) for value in stats.latencies],
-                }
-                for name, stats in self._stages.items()
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "StageMetrics":
-        metrics = cls(max_samples=int(payload.get("max_samples", 4096)))
-        for name, entry in payload.get("stages", {}).items():
-            stats = metrics._stages[name] = StageStats(
-                latencies=deque(maxlen=metrics.max_samples)
-            )
-            stats.calls = int(entry["calls"])
-            stats.requests = int(entry["requests"])
-            stats.items_in = int(entry["items_in"])
-            stats.items_out = int(entry["items_out"])
-            stats.seconds = float(entry["seconds"])
-            stats.latencies.extend(float(value) for value in entry["latencies"])
-        return metrics
-
-    # ------------------------------------------------------------------ #
     def latency_percentiles(self, stage: str,
                             percentiles: Sequence[float] = (50, 95, 99)) -> Dict[str, float]:
         """Per-call latency percentiles (seconds) for one stage, e.g. ``p50``."""
@@ -555,13 +516,19 @@ class ServingPipeline:
         responses = [ServeResponse(request=self._as_request(item)) for item in requests]
         if not responses:
             return []
+        records = []
         for stage in self.stages:
             items_in = sum(_payload_size(response) for response in responses)
             start = time.perf_counter()
             stage.process(responses, self.state)
             elapsed = time.perf_counter() - start
             items_out = sum(_payload_size(response) for response in responses)
-            self.metrics.record(stage.name, elapsed, len(responses), items_in, items_out)
+            records.append((stage.name, elapsed, len(responses), items_in, items_out))
+        # Booked once every stage has run: telemetry counts served batches,
+        # so a batch that raises records no stage — the rule a process
+        # replica follows too, whose failed batch answers with an ERROR.
+        for record in records:
+            self.metrics.record(*record)
         return responses
 
     # ------------------------------------------------------------------ #

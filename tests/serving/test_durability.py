@@ -15,10 +15,12 @@ own policies because their loss-window expectations depend on them.
 
 from __future__ import annotations
 
+import json
 import shutil
 import sys
 import tempfile
 import threading
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +49,8 @@ from repro.serving import (
     state_fingerprint,
 )
 from repro.serving.durable import scan_journal
-from repro.serving.durable.journal import _FILE_MAGIC
+from repro.serving.durable.journal import _FILE_MAGIC, _RECORD_HEADER
+from repro.serving.durable.snapshot import SnapshotCorruptError
 
 pytestmark = pytest.mark.durability
 
@@ -79,30 +82,60 @@ class TestFeedbackEvent:
         context = world.sample_request_context(1, rng)
         event = FeedbackEvent(
             context=context,
-            items=np.array([3, 1, 7], dtype=np.int64),
-            # Awkward floats on purpose: JSON must round-trip them exactly.
-            clicks=np.array([1.0, 1 / 3, 0.1], dtype=np.float64),
-            orders=np.array([True, False], dtype=bool),
+            items=np.array([3, 1, 7, 2], dtype=np.int64),
+            # Awkward floats on purpose: they must round-trip bit-exactly.
+            clicks=np.array([1.0, 1 / 3, 0.1, 0.0], dtype=np.float64),
+            orders=np.array([True, False, True], dtype=bool),
         )
         back = FeedbackEvent.from_bytes(event.to_bytes())
         assert back.context == context
         assert np.array_equal(back.items, event.items)
         assert back.clicks.tobytes() == event.clicks.tobytes()
         assert np.array_equal(back.orders, event.orders)
+        assert back.to_bytes() == event.to_bytes()
+
+    def test_inconsistent_events_are_refused_on_both_sides(self, world, tmp_path):
+        """A record whose clicks outrun its items, or whose orders miss a
+        click, would raise halfway through ``apply_feedback`` and leave the
+        state half-applied: it can be neither built nor read back, and a
+        CRC-valid one in a journal is corruption."""
+        from repro.serving import wire
+
+        context = world.sample_request_context(1, np.random.default_rng(0))
+        bad = [
+            (np.array([3, 1]), np.array([1.0, 0.0, 1.0]), np.array([True, False])),
+            (np.array([3, 1, 7]), np.array([1.0, 0.0, 1.0]), np.array([True])),
+            (np.array([3, 1, 7]), np.array([1.0, 0.0, 1.0]), np.array([True, True, True])),
+        ]
+        for items, clicks, orders in bad:
+            with pytest.raises(ValueError, match="inconsistent"):
+                FeedbackEvent(context=context, items=items, clicks=clicks, orders=orders)
+            blob = wire.pack_context(context) + b"".join(
+                wire.pack_array(array) for array in (items, clicks, orders)
+            )
+            with pytest.raises(ValueError, match="inconsistent"):
+                FeedbackEvent.from_bytes(blob)
+            path = tmp_path / f"bad-{len(items)}-{len(orders)}.log"
+            path.write_bytes(
+                _FILE_MAGIC
+                + _RECORD_HEADER.pack(1, len(blob), zlib.crc32(blob)) + blob
+                + _RECORD_HEADER.pack(2, len(blob), zlib.crc32(blob)) + blob
+            )
+            with pytest.raises(JournalCorruptError, match="undecodable"):
+                scan_journal(path)
 
 
 class TestJournal:
     def _events(self, world, count):
         rng = np.random.default_rng(7)
-        return [
-            FeedbackEvent(
-                context=world.sample_request_context(day % 3, rng),
-                items=rng.integers(0, 40, size=3),
-                clicks=(rng.random(3) < 0.5).astype(np.float64),
-                orders=rng.random(1) < 0.5,
-            )
-            for day in range(count)
-        ]
+        events = []
+        for day in range(count):
+            context = world.sample_request_context(day % 3, rng)
+            items = rng.integers(0, 40, size=3)
+            clicks = (rng.random(3) < 0.5).astype(np.float64)
+            orders = rng.random(int(clicks.sum())) < 0.5  # one per click
+            events.append(FeedbackEvent(context=context, items=items, clicks=clicks, orders=orders))
+        return events
 
     def test_append_scan_roundtrip(self, world, tmp_path):
         events = self._events(world, 5)
@@ -167,6 +200,11 @@ class TestJournal:
         future.write_bytes(b"RJRNL" + bytes([99]) + b"\x00\x00")
         with pytest.raises(JournalCorruptError, match="format"):
             scan_journal(future)
+        # The JSON-record format is refused, not converted.
+        older = tmp_path / "v1.log"
+        older.write_bytes(b"RJRNL" + bytes([1]) + b"\x00\x00")
+        with pytest.raises(JournalCorruptError, match="format v1, supported v2"):
+            scan_journal(older)
 
     def test_fsync_off_buffers_until_sync(self, tmp_path, world):
         path = tmp_path / "j.log"
@@ -413,6 +451,23 @@ class TestSnapshots:
         assert store.generations() == [1]
         payload, info, skipped = store.load_latest_valid()
         assert info.generation == 1 and skipped == []
+
+    def test_other_format_versions_are_refused(self, world, tmp_path):
+        """A v1 generation (recent contexts as JSON in the manifest) is not
+        read as v2: loading it names both versions, and recovery skips it."""
+        store = SnapshotStore(tmp_path)
+        state = ServingState(world)
+        drive_feedback(state, world, seed=51, count=3)
+        info = store.write(state)
+        with np.load(info.path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        manifest = json.loads(str(arrays["__manifest__"]))
+        manifest["format_version"] = 1
+        arrays["__manifest__"] = np.array(json.dumps(manifest, sort_keys=True))
+        np.savez(info.path, **arrays)
+        with pytest.raises(SnapshotCorruptError, match="format v1, supported v2"):
+            store.load(info.generation)
+        assert store.load_latest_valid() == (None, None, [info.generation])
 
     def test_genesis_snapshot_captures_adopted_state(self, world, tmp_path):
         """A state with pre-journal history must be snapshotted on attach,

@@ -23,9 +23,9 @@ The process cluster's proof burden, per suite:
   publisher holds no live segments and ``/dev/shm`` holds no files with the
   pool's prefix (the CI job additionally runs ``-W error::UserWarning`` so a
   resource-tracker leak warning at interpreter exit fails the build);
-* **one pipe, many callers** — serving, feedback, sync, stats and swaps
-  from more threads than cores share one RPC channel with no correlation
-  ids, and every caller still gets its own reply;
+* **one pipe, many callers** — serving, feedback, two sync callers and
+  swaps from more threads than cores share one RPC channel with no
+  correlation ids, and every caller still gets its own reply;
 * **single-writer feedback** — a multi-threaded feedback burst through the
   frontend keeps the journal dense-sequenced (1..N, no gaps or duplicates)
   while every worker replica converges to the writer's fingerprint;
@@ -67,7 +67,7 @@ from repro.serving.cluster import codec
 from repro.serving.cluster.procworker import WorkerBootstrap, _ChildWorker
 from repro.serving.durable.journal import scan_journal
 from repro.serving.durable.snapshot import state_fingerprint
-from repro.serving.pipeline import ServeRequest, ServeResponse
+from repro.serving.pipeline import ServeRequest, ServeResponse, StageMetrics
 from repro.data.world import RequestContext
 
 pytestmark = pytest.mark.proc_cluster
@@ -198,12 +198,14 @@ class TestBatchFrames:
         assert all(type(request.context.user_index) is int for request in decoded)
         assert type(decoded[0].context.latitude) is float
 
-        frame = codec.encode_batch(
-            codec.RESPONSE_BATCH, codec.encode_serve_response, responses
-        )
+        metrics = StageMetrics()
+        metrics.record("recall", 0.25, 3, 0, 17)
+        metrics.record("rank", 0.5, 3, 17, 4)
+        frame = codec.encode_response_batch(responses, metrics)
         kind, payload = codec.decode_frame(frame)
         assert kind == codec.RESPONSE_BATCH
-        decoded = codec.decode_batch(payload, codec.decode_serve_response)
+        decoded, stages = codec.decode_response_batch(payload)
+        assert stages == [("recall", 0.25, 3, 0, 17), ("rank", 0.5, 3, 17, 4)]
         assert [response.request for response in decoded] == requests
         np.testing.assert_array_equal(decoded[0].scores, responses[0].scores)
         assert decoded[0].scores.dtype == np.float32
@@ -213,6 +215,8 @@ class TestBatchFrames:
 
         empty = codec.encode_batch(codec.SERVE_BATCH, codec.encode_serve, [])
         assert codec.decode_batch(empty[1:], codec.decode_serve) == []
+        empty = codec.encode_response_batch([], StageMetrics())
+        assert codec.decode_response_batch(empty[1:]) == ([], [])
 
     def test_position_mismatch_is_loud(self):
         requests, _ = self.batch()
@@ -370,8 +374,15 @@ class TestCrashRespawnAndLeaks:
                     rng=np.random.default_rng(5),
                 )
             victim = pool.workers[0]
+            metrics = victim.metrics
+            counted = {name: metrics.stats(name).calls for name in metrics.stages()}
+            assert counted and counted["rank"] == victim.batches_run > 0
             _kill_and_await_respawn(victim)
             assert victim.respawns == 1
+            # The telemetry is the handle's, not the process's: a respawn
+            # neither replaces nor empties it.
+            assert victim.metrics is metrics
+            assert {name: metrics.stats(name).calls for name in counted} == counted
 
             # Warm boot: the replica recovered snapshot ⊕ journal ⊕ stream up
             # to the writer's exact state.
@@ -383,6 +394,7 @@ class TestCrashRespawnAndLeaks:
             again = frontend.serve_many(contexts)
             assert len(again) == len(contexts)
             assert all(response.items is not None for response in again)
+            assert metrics.stats("rank").calls == victim.batches_run > counted["rank"]
         finally:
             frontend.close()
         # Unclean death happened mid-run; shutdown must still unlink all.
@@ -480,9 +492,9 @@ class TestCrashRespawnAndLeaks:
 
 class TestRpcChannelUnderContention:
     def test_concurrent_callers_each_get_their_own_reply(self, proc_setup):
-        """More callers than cores on one pipe.  Serving, feedback, sync,
-        stats and swaps share it with no correlation ids: a reply read by the
-        wrong caller would surface as a wrong-kind error, a response for
+        """More callers than cores on one pipe.  Serving, feedback, two sync
+        callers and swaps share it with no correlation ids: a reply read by
+        the wrong caller would surface as a wrong-kind error, a response for
         another request, or a replica that drifted from the writer."""
         dataset, encoder, model = proc_setup
         state = fresh_state(dataset)
@@ -511,9 +523,6 @@ class TestRpcChannelUnderContention:
         def sync():
             assert set(handle.sync()) == {"applied_seq", "fingerprint"}
 
-        def stats():
-            assert handle.metrics.stats("rank").calls >= 0
-
         try:
             clicked = frontend.serve_many(contexts)[0]
             threads = [
@@ -521,7 +530,7 @@ class TestRpcChannelUnderContention:
                 guarded(lambda: frontend.feedback(
                     clicked, np.ones(len(clicked.items)), rng=np.random.default_rng(7)
                 ), 40),
-                guarded(sync, 40), guarded(stats, 40),
+                guarded(sync, 40), guarded(sync, 40),
                 guarded(lambda: handle.swap_model(copy.deepcopy(model)), 3),
             ]
             interval = sys.getswitchinterval()
@@ -686,6 +695,46 @@ class TestSingleWriterFeedback:
             for handle in frontend.pool.workers:
                 reply = TestProcessClusterParity._synced(handle, state.feedback_seq)
                 assert reply["applied_seq"] == state.feedback_seq
+                assert reply["fingerprint"] == parent_fingerprint
+        finally:
+            frontend.close()
+            durable.close()
+        assert frontend.pool.leaked_segments() == []
+
+    def test_each_committed_event_is_encoded_once(self, proc_setup, tmp_path, monkeypatch):
+        """Journal and replication fan-out both attached: the journal record
+        and every replica's FEEDBACK frame carry one encoding of the event."""
+        from repro.serving import wire
+
+        dataset, encoder, model = proc_setup
+        state = fresh_state(dataset)
+        durable = DurableStateStore(tmp_path / "durable", fsync="off")
+        frontend = build_cluster(
+            dataset.world, model, encoder, state,
+            config=PROC_CONFIG, pipeline_config=PIPELINE_CONFIG,
+            process_workers=True, durable=durable,
+        )
+        try:
+            responses = frontend.serve_many(
+                sample_burst_contexts(dataset.world, 5, day=100, seed=37)
+            )
+            assert state.journal is not None and len(frontend.pool.workers) == 2
+            encodes = []
+            pack_context = wire.pack_context
+            monkeypatch.setattr(
+                wire, "pack_context",
+                lambda context: encodes.append(context) or pack_context(context),
+            )
+            for index, response in enumerate(responses):
+                frontend.feedback(
+                    response, np.ones(len(response.items)), rng=np.random.default_rng(index)
+                )
+            monkeypatch.undo()
+            assert state.feedback_seq == len(responses)
+            assert encodes == [response.context for response in responses]
+            parent_fingerprint = state_fingerprint(state)
+            for handle in frontend.pool.workers:
+                reply = TestProcessClusterParity._synced(handle, state.feedback_seq)
                 assert reply["fingerprint"] == parent_fingerprint
         finally:
             frontend.close()

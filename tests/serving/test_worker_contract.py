@@ -4,11 +4,11 @@ A thread replica (:class:`ClusterWorker` over an in-process pipeline) and a
 process replica (:class:`ProcessWorkerHandle`, a ``ClusterWorker`` whose
 engine's ``run_many`` crosses a pipe) share one queue, one dispatcher and
 one set of counters — so admission control, batch-failure containment,
-swap atomicity, shutdown and ``stats()`` are stated once here and run
-against both kinds.  So is the dispatch policy (work-conserving: a batch is
-whatever is already queued, never waited for), stepped one ``run_many`` at a
-time through a gate on the engine — events with hard timeouts, no sleep and
-no clock.
+swap atomicity, shutdown, ``stats()`` and the stage telemetry in
+``worker.metrics`` are stated once here and run against both kinds.  So is
+the dispatch policy (work-conserving: a batch is whatever is already queued,
+never waited for), stepped one ``run_many`` at a time through a gate on the
+engine — events with hard timeouts, no sleep and no clock.
 """
 
 from __future__ import annotations
@@ -67,6 +67,17 @@ class Deployment:
             self.dataset.world, model, self.encoder, self.fresh_state(), PIPELINE_CONFIG
         )
         return pipeline.run_many(contexts)
+
+    def stage_counts(self, batches):
+        """What one pipeline books serving ``batches``, one ``run_many`` each."""
+        metrics = StageMetrics()
+        pipeline = build_pipeline(
+            self.dataset.world, self.model_a, self.encoder, self.fresh_state(),
+            PIPELINE_CONFIG, metrics=metrics,
+        )
+        for batch in batches:
+            pipeline.run_many(batch)
+        return stage_counts(metrics)
 
     def worker(self, **knobs) -> ClusterWorker:
         """An *unstarted* worker: requests submitted before ``start()`` sit in
@@ -140,6 +151,15 @@ class Gate:
             self._opened.release()
 
 
+def stage_counts(metrics: StageMetrics) -> dict:
+    """Per stage: calls, requests, items in, items out (the exact counters)."""
+    return {
+        name: (stats.calls, stats.requests, stats.items_in, stats.items_out)
+        for name in metrics.stages()
+        for stats in [metrics.stats(name)]
+    }
+
+
 def same_bytes(left, right) -> bool:
     return all(
         getattr(left, name).tobytes() == getattr(right, name).tobytes()
@@ -161,6 +181,11 @@ class TestWorkerContract:
         expected = deployment.baseline(deployment.model_a, contexts)
         assert all(same_bytes(got, want) for got, want in zip(responses, expected))
         assert [response.context for response in responses] == contexts
+        # The worker's telemetry is what one pipeline books for those three
+        # micro-batches — in the parent, for a process replica too.
+        assert stage_counts(worker.metrics) == deployment.stage_counts(
+            [contexts[:8], contexts[8:16], contexts[16:]]
+        )
 
     def test_full_queue_rejects_nonblocking_submits(self, deployment):
         worker = deployment.worker(queue_depth=4)
@@ -237,6 +262,59 @@ class TestWorkerContract:
         assert stats["requests_served"] == stats["batches_run"] == 1
         assert stats["mean_batch"] == 1.0 and stats["depth"] == 0
         assert worker.metrics.stats("rank").calls == 1
+
+
+class TestStageTelemetry:
+    """``worker.metrics`` is a plain parent-side :class:`StageMetrics` in both
+    kinds: a process replica's stage records ride its batch replies."""
+
+    def test_reading_metrics_does_not_wait_for_a_batch(self, deployment):
+        worker = deployment.worker(max_batch=4)
+        gate = Gate(worker)
+        worker.start()
+        contexts = deployment.contexts(2, seed=36)
+        first = worker.submit(contexts[0])
+        gate.await_batch()
+        gate.open()
+        first.result(timeout=WAIT_S)
+        second = worker.submit(contexts[1])
+        gate.await_batch()  # held inside run_many from here on
+        seen = []
+        reader = threading.Thread(
+            target=lambda: seen.append(stage_counts(worker.metrics)), daemon=True
+        )
+        reader.start()
+        reader.join(timeout=WAIT_S)
+        assert not reader.is_alive(), "reading worker.metrics waited for the batch"
+        assert seen == [deployment.stage_counts([contexts[:1]])]
+        gate.open()
+        second.result(timeout=WAIT_S)
+        assert stage_counts(worker.metrics) == deployment.stage_counts(
+            [contexts[:1], contexts[1:]]
+        )
+
+    def test_a_failed_batch_records_no_stage(self, deployment):
+        """The rule, in both kinds: telemetry counts served batches, as
+        ``batches_run`` does.  A batch that raises records no stage — not even
+        the ones that ran before the stage that raised."""
+        worker = deployment.worker(max_batch=4)
+        contexts = deployment.contexts(6, seed=37)
+        # Recall serves this context; the rank stage's encoder rejects it.
+        poison = replace(contexts[1], time_period=-1)
+        recall = build_pipeline(
+            deployment.dataset.world, deployment.model_a, deployment.encoder,
+            deployment.fresh_state(), PIPELINE_CONFIG,
+        ).stage("recall")
+        assert len(recall.strategy.recall_many([poison])[0]) > 0
+        first = [contexts[0], poison, contexts[2], contexts[3]]
+        futures = [worker.submit(context) for context in first + contexts[4:6]]
+        worker.start()
+        for future in futures[:4]:
+            assert type(future.exception(timeout=WAIT_S)) is ValueError
+        for future in futures[4:]:
+            assert future.exception(timeout=WAIT_S) is None
+        assert worker.batch_failures == 1 and worker.batches_run == 1
+        assert stage_counts(worker.metrics) == deployment.stage_counts([contexts[4:6]])
 
 
 class TestDispatchPolicy:

@@ -187,3 +187,58 @@ def test_coalescing_timer_is_gone():
         ClusterConfig(max_wait_ms=2.0)
     with pytest.raises(TypeError):
         worker.ClusterWorker("worker-0", object(), max_wait_ms=2.0)
+
+
+def test_stats_rpc_is_gone():
+    """Telemetry rides the batch reply: no STATS round trip, no payload form
+    of ``StageMetrics``, and a process handle's ``metrics`` is the attribute
+    ``ClusterWorker`` sets — not a property that calls the child."""
+    from repro.serving import StageMetrics
+    from repro.serving.cluster import codec
+    from repro.serving.cluster.procworker import ProcessWorkerHandle
+
+    for name in ("STATS", "STATS_REPLY"):
+        assert not hasattr(codec, name), f"codec still has {name}"
+    for name in ("to_payload", "from_payload"):
+        assert not hasattr(StageMetrics, name), f"StageMetrics still has {name}"
+    assert "metrics" not in vars(ProcessWorkerHandle)
+
+
+def test_request_context_layout_is_known_by_one_module():
+    """``repro.serving.wire`` is the one byte layout for a context: the pipe
+    codec, the journal and the snapshot go through it.  Within
+    ``src/repro/serving``, no other module spells a context out — names every
+    field of ``RequestContext`` in one statement, as a struct pack, a JSON
+    dict, a keyword constructor or a tuple of its fields does."""
+    import ast
+    import dataclasses
+
+    import repro.serving.durable.journal as journal
+    import repro.serving.durable.snapshot as snapshot
+    from repro.data.world import RequestContext
+
+    assert "json" not in Path(journal.__file__).read_text(encoding="utf-8")
+    for name in ("_context_to_json", "_context_from_json"):
+        assert not hasattr(snapshot, name), f"snapshot still has {name}"
+
+    fields = {field.name for field in dataclasses.fields(RequestContext)}
+    compound = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.If, ast.For,
+                ast.While, ast.With, ast.Try, ast.Module)
+    serving = REPO_ROOT / "src" / "repro" / "serving"
+    spelled = set()
+    for path in sorted(serving.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for statement in ast.walk(tree):
+            if not isinstance(statement, ast.stmt) or isinstance(statement, compound):
+                continue
+            named = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.keyword):
+                    named.add(node.arg)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    named.add(node.value)
+            if fields <= named:
+                spelled.add(path.relative_to(serving).as_posix())
+    assert spelled == {"wire.py"}
