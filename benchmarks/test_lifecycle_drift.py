@@ -8,7 +8,7 @@ synthetic world:
 1. train a registry model offline and publish it to a versioned
    :class:`repro.models.ModelStore`;
 2. reload the checkpoint and hot-swap it into a running
-   :class:`PersonalizationPlatform` — scores must be **bitwise identical** to
+   :class:`ServingPipeline` — scores must be **bitwise identical** to
    the original in-memory model (checkpointing is not allowed to change a
    single prediction);
 3. shift the world's ground-truth preferences
@@ -16,7 +16,7 @@ synthetic world:
    traffic, logging impressions/clicks into the replay buffer;
 4. every evening, the :class:`IncrementalTrainer` refreshes a warm-started
    copy on the day's log, publishes the next version, and hot-swaps it into
-   the platform (pinned feature tables survive, behaviour snapshots expire);
+   the pipeline (pinned feature tables survive, behaviour snapshots expire);
 5. finally both models score a fresh late-window slice labelled by the
    *drifted* click model — the refreshed model must beat the frozen one.
 """
@@ -29,10 +29,11 @@ from repro.data import ElemeDatasetConfig, LogGenerator, make_eleme_dataset
 from repro.models import ModelStore, create_model
 from repro.serving import (
     OnlineRequestEncoder,
-    PersonalizationPlatform,
+    PipelineConfig,
     ReplayBuffer,
     ServingState,
     auc_on_slice,
+    build_pipeline,
     sample_labeled_slice,
 )
 from repro.training import IncrementalTrainer, OnlineTrainConfig, Trainer
@@ -62,11 +63,11 @@ EXPOSURE_SIZE = 6
 DRIFT_MAGNITUDE = 1.0
 
 
-def _serve_day(platform, world, state, day, num_requests, rng, window=64):
+def _serve_day(pipeline, world, state, day, num_requests, rng, window=64):
     """One simulated day: micro-batched serving with ground-truth feedback."""
     contexts = [world.sample_request_context(day, rng) for _ in range(num_requests)]
     for start in range(0, len(contexts), window):
-        impressions = platform.serve_many(contexts[start:start + window])
+        impressions = pipeline.run_many(contexts[start:start + window])
         for impression in impressions:
             context = impression.context
             probabilities = world.click_probabilities(
@@ -75,7 +76,7 @@ def _serve_day(platform, world, state, day, num_requests, rng, window=64):
                 positions=np.arange(len(impression)), rng=rng,
             )
             clicks = (rng.random(len(impression)) < probabilities).astype(np.float32)
-            platform.feedback(impression, clicks, rng=rng)
+            pipeline.feedback(impression, clicks, rng=rng)
 
 
 def test_refreshed_model_beats_frozen_under_drift(tmp_path):
@@ -94,16 +95,18 @@ def test_refreshed_model_beats_frozen_under_drift(tmp_path):
 
     # --- checkpoint -> reload -> hot-swap parity --------------------------- #
     reloaded, _ = store.load(v1.name, schema)
-    platform = PersonalizationPlatform(
+    pipeline = build_pipeline(
         world, frozen, encoder, state,
-        recall_size=RECALL_SIZE, exposure_size=EXPOSURE_SIZE,
+        PipelineConfig(scenario="platform", recall_size=RECALL_SIZE,
+                       exposure_size=EXPOSURE_SIZE),
     )
+    ranker = pipeline.stage("rank").ranker
     rng = np.random.default_rng(101)
     probe = world.sample_request_context(dataset.config.num_days, rng)
-    candidates = platform.recall.recall(probe)
-    in_memory_scores = platform.ranker.score(probe, candidates, state)
-    platform.swap_model(reloaded)
-    reloaded_scores = platform.ranker.score(probe, candidates, state)
+    candidates = pipeline.stage("recall").strategy.recall(probe)
+    in_memory_scores = ranker.score(probe, candidates, state)
+    pipeline.swap_model(reloaded)
+    reloaded_scores = ranker.score(probe, candidates, state)
     assert np.array_equal(in_memory_scores, reloaded_scores), (
         "a reloaded checkpoint must serve bitwise-identical scores"
     )
@@ -124,13 +127,13 @@ def test_refreshed_model_beats_frozen_under_drift(tmp_path):
     refresh_log = []
     for day_offset in range(SERVING_DAYS):
         day = start_day + day_offset
-        _serve_day(platform, world, state, day, REQUESTS_PER_DAY, serve_rng)
+        _serve_day(pipeline, world, state, day, REQUESTS_PER_DAY, serve_rng)
         result = trainer.refresh(replay)
         version = store.publish(
             refreshed, step_count=offline.steps + trainer.total_steps,
             metadata={"phase": "online", "day": day},
         )
-        platform.swap_model(refreshed)  # promote tonight's build
+        pipeline.swap_model(refreshed)  # promote tonight's build
         refresh_log.append(
             {
                 "Day": day_offset + 1,

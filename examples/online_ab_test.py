@@ -7,14 +7,17 @@ Run with:  python examples/online_ab_test.py
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.data import ElemeDatasetConfig, LogGenerator, make_eleme_dataset
 from repro.models import ModelConfig, create_model
 from repro.serving import (
     ABTestConfig,
     ABTestSimulator,
     OnlineRequestEncoder,
-    PersonalizationPlatform,
+    PipelineConfig,
     ServingState,
+    build_pipeline,
 )
 from repro.training import TrainConfig, Trainer
 
@@ -37,12 +40,12 @@ def main() -> None:
     state = ServingState.from_log_generator(generator, dataset.log)
     encoder = OnlineRequestEncoder(dataset.world, dataset.schema)
 
-    # A single end-to-end request through the TPP-style platform.
-    platform = PersonalizationPlatform(dataset.world, basm_model, encoder, state)
-    import numpy as np
-
+    # A single end-to-end request through the TPP-style serving pipeline.
+    pipeline = build_pipeline(
+        dataset.world, basm_model, encoder, state, PipelineConfig(scenario="platform")
+    )
     context = dataset.world.sample_request_context(day=100, rng=np.random.default_rng(1))
-    impression = platform.serve(context)
+    impression = pipeline.run(context)
     print(f"\nServed one request at hour {context.hour} in city {context.city + 1}: "
           f"{len(impression)} items, top score {impression.scores[0]:.3f}")
 

@@ -4,7 +4,7 @@ Walks the third pillar of the system end to end — offline training, batched
 serving, **continuous refresh**:
 
 1. train a model offline and publish it to a versioned model store;
-2. reload the checkpoint and hot-swap it into a running platform
+2. reload the checkpoint and hot-swap it into a running serving pipeline
    (bitwise-identical scores, feature cache kept warm);
 3. let user preferences drift, serve traffic, and log impressions/clicks
    into the replay buffer;
@@ -30,10 +30,11 @@ from repro.data import ElemeDatasetConfig, LogGenerator, make_eleme_dataset
 from repro.models import ModelConfig, ModelStore, create_model
 from repro.serving import (
     OnlineRequestEncoder,
-    PersonalizationPlatform,
+    PipelineConfig,
     ReplayBuffer,
     ServingState,
     auc_on_slice,
+    build_pipeline,
     sample_labeled_slice,
 )
 from repro.training import IncrementalTrainer, OnlineTrainConfig, TrainConfig, Trainer
@@ -42,12 +43,12 @@ RECALL_SIZE = 12
 EXPOSURE_SIZE = 6
 
 
-def serve_day(platform, world, day, num_requests, rng, window=64):
+def serve_day(pipeline, world, day, num_requests, rng, window=64):
     """Serve one day of traffic in micro-batched windows with click feedback."""
     contexts = [world.sample_request_context(day, rng) for _ in range(num_requests)]
     clicks_seen = 0
     for start in range(0, len(contexts), window):
-        impressions = platform.serve_many(contexts[start:start + window])
+        impressions = pipeline.run_many(contexts[start:start + window])
         for impression in impressions:
             context = impression.context
             probabilities = world.click_probabilities(
@@ -57,7 +58,7 @@ def serve_day(platform, world, day, num_requests, rng, window=64):
             )
             clicks = (rng.random(len(impression)) < probabilities).astype(np.float32)
             clicks_seen += int(clicks.sum())
-            platform.feedback(impression, clicks, rng=rng)
+            pipeline.feedback(impression, clicks, rng=rng)
     return clicks_seen
 
 
@@ -95,11 +96,12 @@ def main() -> None:
     state = ServingState.from_log_generator(generator, dataset.log)
     encoder = OnlineRequestEncoder(world, schema)
     deployed, _ = store.load(v1.name, schema)
-    platform = PersonalizationPlatform(
+    pipeline = build_pipeline(
         world, deployed, encoder, state,
-        recall_size=RECALL_SIZE, exposure_size=EXPOSURE_SIZE,
+        PipelineConfig(scenario="platform", recall_size=RECALL_SIZE,
+                       exposure_size=EXPOSURE_SIZE),
     )
-    print(f"Deployed {v1.tag} behind the platform "
+    print(f"Deployed {v1.tag} behind the serving pipeline "
           f"(schema fingerprint {schema.fingerprint()}).")
 
     # --- drift + serve + nightly refresh ----------------------------------- #
@@ -117,13 +119,13 @@ def main() -> None:
     start_day = dataset.config.num_days
     for day_offset in range(args.days):
         day = start_day + day_offset
-        clicks = serve_day(platform, world, day, args.requests_per_day, rng)
+        clicks = serve_day(pipeline, world, day, args.requests_per_day, rng)
         result = trainer.refresh(replay)
         version = store.publish(
             deployed, step_count=offline.steps + trainer.total_steps,
             metadata={"phase": "online", "day": day},
         )
-        platform.swap_model(deployed)
+        pipeline.swap_model(deployed)
         print(f"  day {day_offset + 1}: {args.requests_per_day} requests, "
               f"{clicks} clicks | refresh {result.steps} steps "
               f"@ lr {result.learning_rate:.4f}, mean loss {result.mean_loss:.4f} "

@@ -23,8 +23,7 @@ from .. import nn
 from ..features.schema import FeatureSchema, FieldName
 from ..nn import Tensor
 
-__all__ = ["ModelConfig", "FieldEmbedder", "BaseCTRModel",
-           "batch_num_rows", "slice_batch"]
+__all__ = ["ModelConfig", "FieldEmbedder", "BaseCTRModel", "batch_num_rows"]
 
 #: Serving identities handed out to model instances (see
 #: ``BaseCTRModel.serving_uid``).  A module-level counter, so two models never
@@ -35,33 +34,6 @@ _SERVING_UIDS = itertools.count(1)
 def batch_num_rows(batch: Dict[str, np.ndarray]) -> int:
     """Number of rows (impressions) in a model batch dictionary."""
     return int(len(batch["labels"]))
-
-
-_UNIQUE_KEYS = ("behavior_unique", "behavior_mask_unique", "behavior_st_mask_unique")
-
-
-def slice_batch(batch: Dict[str, np.ndarray], start: int, stop: int) -> Dict[str, np.ndarray]:
-    """Row-slice every array of a model batch dictionary (views, no copies).
-
-    Deduplicated behaviour arrays (``behavior_unique`` + ``behavior_row_map``)
-    are not row-aligned; the slice keeps only the unique sequences its rows
-    reference and re-bases the row map onto them.
-    """
-    sliced: Dict[str, np.ndarray] = {}
-    for key, value in batch.items():
-        if key == "fields":
-            sliced[key] = {name: ids[start:stop] for name, ids in value.items()}
-        elif key == "behavior_row_map":
-            referenced, rebased = np.unique(value[start:stop], return_inverse=True)
-            sliced[key] = rebased.astype(np.int64)
-            for unique_key in _UNIQUE_KEYS:
-                if unique_key in batch:
-                    sliced[unique_key] = batch[unique_key][referenced]
-        elif key in _UNIQUE_KEYS:
-            continue  # handled alongside behavior_row_map
-        else:
-            sliced[key] = value[start:stop]
-    return sliced
 
 
 @dataclass
@@ -262,15 +234,8 @@ class BaseCTRModel(nn.Module):
             f"model {self.name!r} does not support the two-tower split"
         )
 
-    def predict(self, batch: Dict[str, np.ndarray],
-                micro_batch_size: Optional[int] = None) -> np.ndarray:
+    def predict(self, batch: Dict[str, np.ndarray]) -> np.ndarray:
         """Inference without building a gradient graph.
-
-        ``micro_batch_size`` optionally chunks the flat batch along the row
-        axis so arbitrarily large serving bursts run in bounded memory; every
-        row-wise layer (and eval-mode batch norm, which uses running
-        statistics) is independent across rows, so chunked and whole-batch
-        predictions are identical.
 
         Eval semantics come from the thread-local
         :class:`repro.nn.module.inference_mode` rather than flipping
@@ -279,17 +244,7 @@ class BaseCTRModel(nn.Module):
         could observe — or clobber — another thread's mode mid-forward.
         """
         with nn.no_grad(), nn.inference_mode():
-            if micro_batch_size is None:
-                return self.forward(batch).data.reshape(-1)
-            if micro_batch_size <= 0:
-                raise ValueError("micro_batch_size must be positive")
-            total = batch_num_rows(batch)
-            pieces = [
-                self.forward(slice_batch(batch, start, min(start + micro_batch_size, total)))
-                .data.reshape(-1)
-                for start in range(0, total, micro_batch_size)
-            ]
-            return np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.float32)
+            return self.forward(batch).data.reshape(-1)
 
     def export_item_embeddings(self, item_feature_ids: np.ndarray,
                                l2_normalize: bool = True) -> np.ndarray:

@@ -41,11 +41,6 @@ class ABTestConfig:
     treatment_share: float = 0.5
     order_probability: float = 0.3
     seed: int = 97
-    #: Requests scored together per bucket.  1 reproduces the original
-    #: strictly-sequential loop; larger values treat each window of requests
-    #: as concurrent (scored against the state snapshot at window start, with
-    #: feedback applied afterwards) and run one forward pass per micro-batch.
-    micro_batch_size: int = 1
 
 
 @dataclass
@@ -209,8 +204,9 @@ class ABTestSimulator:
         into the treatment arm while the control arm keeps the frozen model,
         turning the A/B split into an old-vs-refreshed canary.  Schema
         compatibility is fingerprint-checked and volatile feature-cache
-        entries are invalidated (pinned static tables survive), exactly as in
-        :meth:`repro.serving.platform.PersonalizationPlatform.swap_model`.
+        entries are invalidated (pinned static tables survive) by the same
+        :func:`repro.serving.ranker.hot_swap` that
+        :meth:`repro.serving.pipeline.ServingPipeline.swap_model` drives.
         Returns the replaced model.
         """
         if bucket not in ("control", "treatment"):
@@ -283,30 +279,11 @@ class ABTestSimulator:
                 pipeline.stage("exposure").order_probability = cfg.order_probability
             day_control = CTRCounter()
             day_treatment = CTRCounter()
-            if cfg.micro_batch_size <= 1:
-                # Strictly sequential: each request sees all earlier feedback.
-                for _ in range(cfg.requests_per_day):
-                    context = self.world.sample_request_context(day, self.rng)
-                    response = self.router.run(context)
-                    account(response, day_control, day_treatment)
-            else:
-                # High-throughput mode: requests inside one window are
-                # concurrent — the router groups the window per bucket and
-                # runs each group through its pipeline's micro-batched path
-                # off the same state snapshot, with clicks fed back once the
-                # window is served.  Per-request deterministic recall makes
-                # the grouping order irrelevant to the served pools.
-                remaining = cfg.requests_per_day
-                while remaining > 0:
-                    window = min(cfg.micro_batch_size, remaining)
-                    remaining -= window
-                    contexts = [
-                        self.world.sample_request_context(day, self.rng)
-                        for _ in range(window)
-                    ]
-                    responses = self.router.run_many(contexts)
-                    for response in responses:
-                        account(response, day_control, day_treatment)
+            # Strictly sequential: each request sees all earlier feedback.
+            for _ in range(cfg.requests_per_day):
+                context = self.world.sample_request_context(day, self.rng)
+                response = self.router.run(context)
+                account(response, day_control, day_treatment)
 
             daily.append(
                 {

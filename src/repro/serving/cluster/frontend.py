@@ -16,8 +16,8 @@ before waiting on any response, so concurrent arrivals coalesce into the
 workers' micro-batches, and returns responses in input order.
 
 The frontend is provably safe to put in front of a single pipeline: stages
-never mutate serving state, every worker's pipeline variants are built from
-the same configuration over the same shared :class:`ServingState`, and
+never mutate serving state, every worker's pipeline is built from the
+same configuration over the same shared :class:`ServingState`, and
 recall draws per-request deterministic randomness — so for any request set
 the cluster's (items, scores, candidates) are byte-identical to the
 single-pipeline baseline, whichever shard served them and however they were
@@ -25,18 +25,17 @@ micro-batched (pinned by ``tests/serving/test_cluster.py`` and
 ``benchmarks/test_cluster_scaling.py``).
 
 ``build_cluster`` assembles the canonical deployment: N workers, each with
-its own pipeline (or :class:`ScenarioRouter` of per-scenario variants)
-built by :func:`repro.serving.pipeline.build_pipeline` and its own
-:class:`StageMetrics` accumulator, behind one frontend with one ring and
-one response cache.
+its own pipeline built by :func:`repro.serving.pipeline.build_pipeline` and
+its own :class:`StageMetrics` accumulator, behind one frontend with one ring
+and one response cache.
 """
 
 from __future__ import annotations
 
 import copy
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,10 +45,8 @@ from ..durable import DurableStateStore
 from ..encoder import OnlineRequestEncoder
 from ..pipeline import (
     PipelineConfig,
-    ScenarioRouter,
     ServeRequest,
     ServeResponse,
-    ServingPipeline,
     StageMetrics,
     build_pipeline,
 )
@@ -288,26 +285,20 @@ def build_cluster(
     state: ServingState,
     config: Optional[ClusterConfig] = None,
     pipeline_config: Optional[PipelineConfig] = None,
-    scenario_configs: Optional[Dict[str, PipelineConfig]] = None,
-    classifier: Optional[Callable[[RequestContext], str]] = None,
-    default_scenario: Optional[str] = None,
-    unknown_tag: str = "raise",
     durable: Optional[DurableStateStore] = None,
     process_workers: bool = False,
 ) -> ClusterFrontend:
     """Assemble N identical worker replicas behind one frontend.
 
-    Every worker gets its *own* pipeline variants (own ranker, own recall
+    Every worker's engine is its *own* pipeline, built by
+    :func:`build_pipeline` from ``pipeline_config`` (own ranker, own recall
     strategy built from the same seed — identical per-request pools by the
     recall determinism invariant) over the *shared* ``state``, plus its own
     ``StageMetrics`` and — like a production replica loading the published
     checkpoint — its own deep copy of the model (``predict`` flips the
     model's train/eval mode around every forward, so a shared model object
     would race across concurrently serving workers; parameters are copied
-    bitwise, so replicas score identically).  With ``scenario_configs`` each
-    worker's engine is a :class:`ScenarioRouter` over per-scenario variants
-    (all feeding that worker's accumulator); otherwise a single pipeline per
-    ``pipeline_config``.
+    bitwise, so replicas score identically).
 
     With ``durable`` the cluster's feedback path journals into that store:
     ``state`` is attached (genesis snapshot included when the store is
@@ -324,25 +315,19 @@ def build_cluster(
     published once into shared memory, the parent process is the single
     feedback writer, and a supervisor respawns dead workers warm from the
     durable store (the pool creates a throwaway one when ``durable`` is
-    None).  Scenario routing is not yet supported in process mode.
+    None).
     """
     config = config or ClusterConfig()
-    if scenario_configs is not None and not scenario_configs:
-        raise ValueError("scenario_configs must name at least one scenario")
+    pipeline_config = pipeline_config or PipelineConfig()
     pool = None
     if process_workers:
-        if scenario_configs is not None:
-            raise ValueError(
-                "process_workers does not support scenario routing yet; "
-                "use thread workers for ScenarioRouter deployments"
-            )
         # Imported lazily: supervisor imports this module for ClusterConfig.
         from .supervisor import ProcessWorkerPool
 
         pool = ProcessWorkerPool(
             world, model, encoder, state,
             config=config,
-            pipeline_config=pipeline_config or PipelineConfig(),
+            pipeline_config=pipeline_config,
             durable=durable,
         )
         pool.start()
@@ -356,25 +341,10 @@ def build_cluster(
         workers = []
         for index in range(config.num_workers):
             metrics = StageMetrics()
-            replica = copy.deepcopy(model)
-            engine: Union[ServingPipeline, ScenarioRouter]
-            if scenario_configs is not None:
-                pipelines = {
-                    name: build_pipeline(
-                        world, replica, encoder, state,
-                        replace(scenario_config, scenario=name), metrics=metrics,
-                    )
-                    for name, scenario_config in scenario_configs.items()
-                }
-                engine = ScenarioRouter(
-                    pipelines, default=default_scenario, classifier=classifier,
-                    unknown_tag=unknown_tag,
-                )
-            else:
-                engine = build_pipeline(
-                    world, replica, encoder, state,
-                    pipeline_config or PipelineConfig(), metrics=metrics,
-                )
+            engine = build_pipeline(
+                world, copy.deepcopy(model), encoder, state, pipeline_config,
+                metrics=metrics,
+            )
             workers.append(
                 ClusterWorker(
                     f"worker-{index}",

@@ -8,8 +8,8 @@ only coalescing.  This module runs each replica's *pipeline* in a real
 work-conserving dispatcher, admission control, counters and
 ``model_version`` are the inherited ones, in the parent — whose ``engine`` is a
 :class:`_RemoteEngine`, the child's pipeline one frame away.  So
-:class:`ClusterFrontend`, :class:`RollingDeploy` and the load generator
-drive either kind unchanged.
+:class:`ClusterFrontend` and :class:`RollingDeploy` drive either kind
+unchanged.
 
 Data plane (per worker, one duplex ``Pipe`` driven as an RPC channel — see
 :meth:`ProcessWorkerHandle._call`): ``engine.run_many`` sends **one**

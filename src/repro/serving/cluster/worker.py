@@ -1,16 +1,16 @@
 """One serving-cluster worker: a coalescing request queue over a pipeline.
 
 A :class:`ClusterWorker` owns one serving engine — a
-:class:`repro.serving.pipeline.ServingPipeline` or a
-:class:`repro.serving.pipeline.ScenarioRouter` of per-scenario variants —
-and a bounded request queue drained by a dedicated dispatcher thread.  The
-dispatcher is *work-conserving*: it blocks for the first pending request,
-takes whatever else is already queued (up to ``max_batch``) and serves the
-micro-batch through one ``run_many`` call — it never waits for a batch to
-fill.  An idle worker therefore serves a lone request at once, and batches
-grow by themselves exactly while a batch is executing: under load
-per-request arrivals still turn into the batched scoring path (one model
-forward per micro-batch — the engine-level throughput win).
+:class:`repro.serving.pipeline.ServingPipeline`, or for a process replica
+the child's pipeline one frame away — and a bounded request queue drained
+by a dedicated dispatcher thread.  The dispatcher is *work-conserving*: it
+blocks for the first pending request, takes whatever else is already queued
+(up to ``max_batch``) and serves the micro-batch through one ``run_many``
+call — it never waits for a batch to fill.  An idle worker therefore serves
+a lone request at once, and batches grow by themselves exactly while a
+batch is executing: under load per-request arrivals still turn into the
+batched scoring path (one model forward per micro-batch — the engine-level
+throughput win).
 
 Admission control is the bounded queue: a non-blocking submit against a
 full queue raises :class:`ClusterOverloadError` instead of letting latency
@@ -34,7 +34,7 @@ from typing import Callable, List, Optional, Union
 
 from ...data.world import RequestContext
 from ...models.base import BaseCTRModel
-from ..pipeline import ScenarioRouter, ServeRequest, ServingPipeline, StageMetrics
+from ..pipeline import ServeRequest, ServingPipeline, StageMetrics
 
 __all__ = ["ClusterOverloadError", "ClusterWorker"]
 
@@ -61,7 +61,7 @@ class ClusterWorker:
     def __init__(
         self,
         worker_id: str,
-        engine: Union[ServingPipeline, ScenarioRouter],
+        engine: ServingPipeline,
         max_batch: int = 64,
         queue_depth: int = 512,
         metrics: Optional[StageMetrics] = None,
@@ -74,8 +74,8 @@ class ClusterWorker:
         self.engine = engine
         self.max_batch = max_batch
         self.queue: "queue.Queue[_Pending]" = queue.Queue(maxsize=queue_depth)
-        #: The worker's own telemetry accumulator (every pipeline variant of
-        #: this worker records into it); merged cluster-wide by the frontend.
+        #: The worker's own telemetry accumulator (its pipeline records into
+        #: it); merged cluster-wide by the frontend.
         self.metrics = metrics
         #: Bumped on every ``swap_model``; part of the response-cache key, so
         #: a deploy strands all entries served by the previous model.
@@ -203,19 +203,13 @@ class ClusterWorker:
     # ------------------------------------------------------------------ #
     # model lifecycle
     # ------------------------------------------------------------------ #
-    def pipelines(self) -> List[ServingPipeline]:
-        """The worker's pipeline variants (one, or the router's values)."""
-        if isinstance(self.engine, ScenarioRouter):
-            return list(self.engine.pipelines.values())
-        return [self.engine]
-
     def swap_model(self, model: BaseCTRModel, replicate: bool = True) -> BaseCTRModel:
-        """Promote ``model`` on every pipeline variant, between micro-batches.
+        """Promote ``model`` on the worker's engine, between micro-batches.
 
-        Drives :meth:`ServingPipeline.swap_model` per variant (schema
-        fingerprint check, volatile feature-cache drop, embedding-ANN vector
-        re-export) — the per-shard building block :class:`RollingDeploy`
-        sequences.  Returns the previous model for rollback.
+        Drives :meth:`ServingPipeline.swap_model` (schema fingerprint check,
+        volatile feature-cache drop, embedding-ANN vector re-export) — the
+        per-shard building block :class:`RollingDeploy` sequences.  Returns
+        the previous model for rollback.
 
         ``replicate`` (the default) installs this worker's *own deep copy*
         of the model, like a production replica loading its own copy of the
@@ -229,9 +223,9 @@ class ClusterWorker:
         with self._exec_lock:
             if replicate:
                 model = copy.deepcopy(model)
-            swapped = [pipeline.swap_model(model) for pipeline in self.pipelines()]
+            previous = self.engine.swap_model(model)
             self.model_version += 1
-            return swapped[0]
+            return previous
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:

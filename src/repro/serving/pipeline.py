@@ -2,10 +2,9 @@
 
 The deployment the paper describes is a *staged* flow — Recall → feature
 assembly → Real-Time Prediction → exposure — adapted per spatiotemporal
-scenario.  Earlier revisions hard-coded that flow inside
-:class:`repro.serving.platform.PersonalizationPlatform`; this module makes it
-first-class so every consumer (the platform facade, the A/B simulator, the
-load generator, examples) runs the *same* stage graph and anything can be
+scenario.  This module makes it first-class: every consumer (a cluster
+worker, the A/B simulator, the examples) builds its one pipeline with
+:func:`build_pipeline` and runs the *same* stage graph, and anything can be
 inserted, measured, or varied per scenario:
 
 * :class:`ServeRequest` / :class:`ServeResponse` — typed envelopes carrying a
@@ -271,7 +270,7 @@ class PipelineStage:
     The contract is batch-first on purpose: ``ServingPipeline.run`` wraps a
     single request into a one-element batch, so the sequential and the
     micro-batched path execute *identical* stage code — the property behind
-    the platform's serve/serve_many bit-parity guarantee.  Stages must
+    the pipeline's run/run_many bit-parity guarantee.  Stages must
     preserve the batch's length and order, and must not mutate ``state``
     during serving (feedback is the separate :meth:`ExposureLogStage.feedback`
     path).
@@ -288,10 +287,9 @@ class RecallStage(PipelineStage):
     """Fill ``candidates`` from a :class:`RecallStrategy`: one ``recall_many``
     call for the whole micro-batch.
 
-    With ``pool_size=None`` the strategy's own configured pool size applies
-    (exactly what the pre-pipeline platform did); a scenario variant can
-    override it to give, say, dense city tiers a larger pool than sparse
-    ones without duplicating the strategy.
+    With ``pool_size=None`` the strategy's own configured pool size applies;
+    a scenario variant can override it to give, say, dense city tiers a
+    larger pool than sparse ones without duplicating the strategy.
     """
 
     name = "recall"
@@ -356,22 +354,17 @@ class CategoryDiversityRule(RerankRule):
 
     A classic exposure rule: the score-ordered list is scanned greedily and
     items exceeding ``max_per_category`` are demoted behind the compliant
-    ones (``overflow="demote"``, keeps the list length) or removed outright
-    (``overflow="drop"``).  Relative order inside each group is preserved,
-    so the rule is stable and idempotent.
+    ones, so the list keeps its length.  Relative order inside each group is
+    preserved, so the rule is stable and idempotent.
     """
 
     name = "category_diversity"
 
-    def __init__(self, world: SyntheticWorld, max_per_category: int,
-                 overflow: str = "demote") -> None:
+    def __init__(self, world: SyntheticWorld, max_per_category: int) -> None:
         if max_per_category <= 0:
             raise ValueError("max_per_category must be positive")
-        if overflow not in ("demote", "drop"):
-            raise ValueError(f"unknown overflow policy {overflow!r}")
         self.world = world
         self.max_per_category = max_per_category
-        self.overflow = overflow
 
     def apply(self, items: np.ndarray, scores: np.ndarray,
               context: RequestContext, state: ServingState) -> tuple:
@@ -384,17 +377,16 @@ class CategoryDiversityRule(RerankRule):
             (kept if counts[category] <= self.max_per_category else overflow).append(position)
         if not overflow:
             return items, scores
-        order = kept + overflow if self.overflow == "demote" else kept
+        order = kept + overflow
         return items[order], scores[order]
 
 
 class RerankStage(PipelineStage):
     """Apply business rules to the exposed list, after model ranking.
 
-    This is the insertion point the monolithic platform never had: exposure
-    policies (diversity caps, boosts, compliance filters) plug in here
-    without touching recall or the scoring engine.  With no rules the stage
-    is an exact pass-through.
+    The insertion point for exposure policies (diversity caps, boosts,
+    compliance filters): they plug in here without touching recall or the
+    scoring engine.  With no rules the stage is an exact pass-through.
     """
 
     name = "rerank"
@@ -435,16 +427,21 @@ class ExposureLogStage(PipelineStage):
     def process(self, batch: Sequence[ServeResponse], state: ServingState) -> None:
         self.exposures_logged += int(sum(len(response) for response in batch))
 
-    def feedback(self, state: ServingState, response: "ServeResponse | object",
+    def feedback(self, state: ServingState, response: ServeResponse,
                  clicks: np.ndarray, rng: Optional[np.random.Generator] = None) -> None:
-        """Apply click feedback for one served response (or impression)."""
+        """Apply click feedback for one served response.
+
+        The counters move only once the state accepted the feedback, so a
+        rejected call (labels that do not match the exposed items) books
+        nothing.
+        """
         clicks = np.asarray(clicks)
-        self.feedbacks_logged += 1
-        self.clicks_logged += int((clicks > 0).sum())
         state.record_clicks(
             response.context, response.items, clicks,
             order_probability=self.order_probability, rng=rng,
         )
+        self.feedbacks_logged += 1
+        self.clicks_logged += int((clicks > 0).sum())
 
 
 # ---------------------------------------------------------------------- #
@@ -466,7 +463,6 @@ class ServingPipeline:
         state: ServingState,
         metrics: Optional[StageMetrics] = None,
         name: str = "default",
-        order_probability: float = 0.3,
     ) -> None:
         if not stages:
             raise ValueError("a pipeline needs at least one stage")
@@ -477,13 +473,7 @@ class ServingPipeline:
         self.state = state
         self.metrics = metrics if metrics is not None else StageMetrics()
         self.name = name
-        #: Order-simulation probability used by the :meth:`feedback` fallback
-        #: when no :class:`ExposureLogStage` is present (a stage's own
-        #: configured value wins otherwise).
-        self.order_probability = order_probability
         self._served = 0
-        exposure_stages = [s for s in self.stages if isinstance(s, ExposureLogStage)]
-        self._exposure_stage = exposure_stages[0] if exposure_stages else None
 
     # ------------------------------------------------------------------ #
     def stage(self, name: str) -> PipelineStage:
@@ -535,8 +525,8 @@ class ServingPipeline:
     def swap_model(self, model: BaseCTRModel) -> BaseCTRModel:
         """Promote ``model`` on this pipeline and return the previous one.
 
-        The one swap routine behind the platform, the thread worker and the
-        process worker: :func:`repro.serving.ranker.hot_swap` on the rank
+        The one swap routine behind the thread worker and the process
+        worker: :func:`repro.serving.ranker.hot_swap` on the rank
         stage's ranker (schema fingerprint check, volatile feature-cache
         drop), then — when the recall strategy carries an embedding-ANN
         channel — its item vectors are re-exported from the incoming model,
@@ -552,22 +542,15 @@ class ServingPipeline:
         return previous
 
     # ------------------------------------------------------------------ #
-    def feedback(self, response: "ServeResponse | object", clicks: np.ndarray,
+    def feedback(self, response: ServeResponse, clicks: np.ndarray,
                  rng: Optional[np.random.Generator] = None) -> None:
-        """Report observed clicks for a served response (or legacy impression).
+        """Report observed clicks for a served response.
 
-        Routed through the pipeline's :class:`ExposureLogStage` when present
-        (replay logging, order simulation with the stage's configured
-        probability); without one the state is updated directly, preserving
-        the pre-pipeline behaviour.
+        Routed through the pipeline's :class:`ExposureLogStage` (replay
+        logging, order simulation with the stage's configured probability).
+        Raises ``KeyError`` for a pipeline without an exposure stage.
         """
-        if self._exposure_stage is not None:
-            self._exposure_stage.feedback(self.state, response, clicks, rng=rng)
-        else:
-            self.state.record_clicks(
-                response.context, response.items, clicks,
-                order_probability=self.order_probability, rng=rng,
-            )
+        self.stage("exposure").feedback(self.state, response, clicks, rng=rng)
 
 
 # ---------------------------------------------------------------------- #
@@ -591,9 +574,7 @@ class PipelineConfig:
     #: Head cap for :class:`CategoryDiversityRule`; ``None`` disables the
     #: rerank stage entirely (exact pass-through of the ranked list).
     max_per_category: Optional[int] = None
-    rerank_overflow: str = "demote"
-    #: Include the exposure/feedback stage (replay hookup).
-    log_exposures: bool = True
+    #: Order-simulation probability of the exposure/feedback stage.
     order_probability: float = 0.3
     seed: int = 3
 
@@ -611,11 +592,11 @@ def build_pipeline(
     """Construct the canonical recall → rank [→ rerank] → exposure pipeline.
 
     ``recall``/``ranker`` may be supplied to share a stage across pipelines
-    (the A/B simulator shares one recall stage between buckets; the platform
-    reuses its ranker for hot-swap); otherwise the default fused
-    multi-channel recall (quota-weighted per ``config.recall_quotas``) and a
-    fresh ranker are built.  A supplied ``recall`` keeps its own configured
-    pool size, exactly like the pre-pipeline platform did.
+    (the A/B simulator shares one recall stage between buckets and keeps
+    each bucket's ranker for :meth:`ABTestSimulator.promote`); otherwise the
+    default fused multi-channel recall (quota-weighted per
+    ``config.recall_quotas``) and a fresh ranker are built.  A supplied
+    ``recall`` keeps its own configured pool size.
     """
     config = config or PipelineConfig()
     if recall is None:
@@ -631,19 +612,9 @@ def build_pipeline(
         RankStage(ranker, config.exposure_size),
     ]
     if config.max_per_category is not None:
-        stages.append(
-            RerankStage([
-                CategoryDiversityRule(
-                    world, config.max_per_category, overflow=config.rerank_overflow
-                )
-            ])
-        )
-    if config.log_exposures:
-        stages.append(ExposureLogStage(order_probability=config.order_probability))
-    return ServingPipeline(
-        stages, state, metrics=metrics, name=config.scenario,
-        order_probability=config.order_probability,
-    )
+        stages.append(RerankStage([CategoryDiversityRule(world, config.max_per_category)]))
+    stages.append(ExposureLogStage(order_probability=config.order_probability))
+    return ServingPipeline(stages, state, metrics=metrics, name=config.scenario)
 
 
 # ---------------------------------------------------------------------- #
@@ -659,13 +630,9 @@ class ScenarioRouter:
     ``classifier`` derives the tag from the request context; otherwise the
     ``default`` scenario serves the request.  ``run_many`` groups a mixed
     burst by scenario, runs each group through its pipeline's micro-batched
-    path, and returns responses in input order.
-
-    ``unknown_tag`` picks the policy for an explicit tag with no pipeline:
-    ``"raise"`` (the default — a typo'd tag fails loudly instead of silently
-    serving the wrong variant) or ``"fallback"`` (degrade like an untagged
-    request: classifier first, then the default scenario — the lenient mode
-    for traffic from callers deploying new tags ahead of the router).
+    path, and returns responses in input order.  A tag with no pipeline —
+    explicit or classified — raises ``ValueError``: a typo'd tag fails
+    loudly instead of silently serving the wrong variant.
     """
 
     def __init__(
@@ -673,12 +640,9 @@ class ScenarioRouter:
         pipelines: Dict[str, ServingPipeline],
         default: Optional[str] = None,
         classifier: Optional[Callable[[RequestContext], str]] = None,
-        unknown_tag: str = "raise",
     ) -> None:
         if not pipelines:
             raise ValueError("a router needs at least one pipeline")
-        if unknown_tag not in ("raise", "fallback"):
-            raise ValueError(f"unknown_tag must be 'raise' or 'fallback', got {unknown_tag!r}")
         self.pipelines = dict(pipelines)
         if default is None:
             default = next(iter(self.pipelines))
@@ -686,7 +650,6 @@ class ScenarioRouter:
             raise ValueError(f"default scenario {default!r} has no pipeline")
         self.default = default
         self.classifier = classifier
-        self.unknown_tag = unknown_tag
 
     # ------------------------------------------------------------------ #
     def scenario_of(self, request: Union[ServeRequest, RequestContext]) -> str:
@@ -694,12 +657,8 @@ class ScenarioRouter:
         if isinstance(request, RequestContext):
             request = ServeRequest(context=request)
         scenario = request.scenario
-        if scenario and scenario not in self.pipelines and self.unknown_tag == "fallback":
-            scenario = ""  # degrade to the untagged path: classifier, then default
         if not scenario and self.classifier is not None:
             scenario = self.classifier(request.context)
-            if scenario not in self.pipelines and self.unknown_tag == "fallback":
-                scenario = ""
         if not scenario:
             scenario = self.default
         if scenario not in self.pipelines:

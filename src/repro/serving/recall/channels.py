@@ -4,8 +4,8 @@ Four production-style retrieval scenarios — :class:`GeoGridChannel` (indexed
 geo retrieval), :class:`EmbeddingANNChannel` (item-embedding similarity),
 :class:`PopularityChannel` (live click counters) and
 :class:`UserHistoryChannel` (recent shops and categories) — plus
-:class:`LocationBasedRecall`, the seed proximity sampler kept as the
-benchmark-parity escape hatch.
+:class:`LocationBasedRecall`, the seed proximity sampler that the A/B
+simulator's paper-figure benchmarks (Table VII, Fig. 12) pin as their recall.
 
 Every class implements ``recall_many`` only.  What a batch shares (a distance
 matrix per 3x3 block, a ranking per (city, period) or (city, category), one
@@ -47,10 +47,10 @@ class LocationBasedRecall(RecallStrategy):
     Candidates are restricted to the request's city and sampled with
     inverse-distance weights, computed with a full distance scan over the
     city pool — this is the baseline the indexed :class:`GeoGridChannel` is
-    benchmarked against, and the escape hatch
-    ``PersonalizationPlatform(..., recall=LocationBasedRecall(world))`` that
-    keeps a benchmark on the seed *sampling strategy* instead of the fused
-    multi-channel stage.
+    benchmarked against, and the strategy passed as ``recall=`` to
+    :func:`repro.serving.pipeline.build_pipeline` or
+    :class:`repro.serving.ab_test.ABTestSimulator` to keep a benchmark on the
+    seed *sampling strategy* instead of the fused multi-channel stage.
 
     Randomisation is keyed to the request via :func:`request_rng` rather
     than drawn from a shared mutated generator (which made the seed

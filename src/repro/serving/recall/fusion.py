@@ -115,10 +115,10 @@ class MultiChannelRecall(RecallStrategy):
     """The multi-channel Recall stage: fan out, fuse, guarantee a full pool.
 
     Drop-in replacement for the seed proximity sampler behind the same
-    :class:`RecallStrategy` interface the platform, the A/B simulator and
-    the burst generator consume: ``recall_many`` makes one call per channel
-    for the whole micro-batch and ``recall`` is the batch of one.  Each
-    channel can ask for its own :func:`request_rng` stream per request, so
+    :class:`RecallStrategy` interface the pipeline's recall stage, the A/B
+    simulator and the burst generator consume: ``recall_many`` makes one call
+    per channel for the whole micro-batch and ``recall`` is the batch of one.
+    Each channel can ask for its own :func:`request_rng` stream per request, so
     pools are a pure function of (request, state) — the property behind the
     batched/sequential serving parity guarantee.  When even fusion plus
     backfill cannot fill the pool (a city with fewer items than

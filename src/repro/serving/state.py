@@ -344,10 +344,19 @@ class ServingState:
         dense.  The journal record is the commitment point: order outcomes
         are drawn from ``rng`` *before* the append, so replaying the record
         reproduces ``user_orders`` byte-identically without re-rolling.
+
+        One label per exposed item (both 1-D) is checked first, journal or
+        not: a mismatched call raises ``ValueError`` before any order is drawn
+        or any sequence number, history or counter moves.
         """
+        clicks_array = np.asarray(clicks)
+        if clicks_array.ndim != 1 or np.ndim(items) != 1 or len(clicks_array) != len(items):
+            raise ValueError(
+                f"feedback needs one label per exposed item: {np.shape(items)} items, "
+                f"{clicks_array.shape} labels"
+            )
         with self.lock:
             rng = rng if rng is not None else np.random.default_rng(0)
-            clicks_array = np.asarray(clicks)
             clicked = np.where(clicks_array > 0)[0]
             orders = np.fromiter(
                 (rng.random() < order_probability for _ in range(len(clicked))),

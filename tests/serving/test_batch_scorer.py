@@ -8,15 +8,13 @@ import pytest
 from repro.data import LogGenerator
 from repro.models import create_model
 from repro.serving import (
-    ABTestConfig,
-    ABTestSimulator,
     FeatureCache,
     OnlineRequestEncoder,
-    PersonalizationPlatform,
     PipelineConfig,
     Ranker,
     ScoreRequest,
     ServingState,
+    build_pipeline,
     generate_burst,
 )
 
@@ -76,20 +74,6 @@ class TestBatchedScoreParity:
             scores = Ranker(model, encoder, max_batch_rows=rows).score_many(requests, state)
             for left, right in zip(reference, scores):
                 assert np.array_equal(left, right)
-
-    def test_chunked_predict_matches_whole_batch(self, eleme_dataset, engine_setup):
-        """model.predict(micro_batch_size=...) re-bases the dedup row map correctly."""
-        state, encoder, model = engine_setup
-        requests = generate_burst(eleme_dataset.world, 12, recall_size=9, seed=5)
-        batch, _ = encoder.encode_many(
-            [request.context for request in requests],
-            [request.candidates for request in requests],
-            state,
-        )
-        whole = model.predict(batch)
-        for chunk in (1, 23):  # chunk=1 exercises the single-row (gemv) path
-            chunked = model.predict(batch, micro_batch_size=chunk)
-            np.testing.assert_allclose(whole, chunked, atol=1e-8)
 
     def test_single_candidate_request_parity(self, eleme_dataset, engine_setup):
         """A 1-candidate request must score identically alone and inside a batch."""
@@ -181,12 +165,13 @@ class TestRankerBatchedPaths:
     def test_platform_serve_many_matches_serve_order(self, eleme_dataset, engine_setup,
                                                      small_model_config):
         state, encoder, model = engine_setup
-        platform = PersonalizationPlatform(
-            eleme_dataset.world, model, encoder, state, recall_size=12, exposure_size=5
+        pipeline = build_pipeline(
+            eleme_dataset.world, model, encoder, state,
+            PipelineConfig(recall_size=12, exposure_size=5),
         )
         rng = np.random.default_rng(12)
         contexts = [eleme_dataset.world.sample_request_context(72, rng) for _ in range(6)]
-        impressions = platform.serve_many(contexts)
+        impressions = pipeline.run_many(contexts)
         assert len(impressions) == 6
         assert all(len(impression) == 5 for impression in impressions)
 
@@ -206,46 +191,31 @@ class TestServePathParity:
         self, eleme_dataset, engine_setup
     ):
         state, encoder, model = engine_setup
-        platform = PersonalizationPlatform(
-            eleme_dataset.world, model, encoder, state, recall_size=14, exposure_size=5
+        pipeline = build_pipeline(
+            eleme_dataset.world, model, encoder, state,
+            PipelineConfig(recall_size=14, exposure_size=5),
         )
         rng = np.random.default_rng(21)
         contexts = [eleme_dataset.world.sample_request_context(75, rng) for _ in range(10)]
-        batched = platform.serve_many(contexts)
-        sequential = [platform.serve(context) for context in contexts]
+        batched = pipeline.run_many(contexts)
+        sequential = [pipeline.run(context) for context in contexts]
         for left, right in zip(sequential, batched):
             np.testing.assert_array_equal(left.items, right.items)
             np.testing.assert_array_equal(left.scores, right.scores)
 
     def test_recall_pools_independent_of_serving_order(self, eleme_dataset, engine_setup):
         state, encoder, model = engine_setup
-        platform = PersonalizationPlatform(
-            eleme_dataset.world, model, encoder, state, recall_size=12, exposure_size=4
+        pipeline = build_pipeline(
+            eleme_dataset.world, model, encoder, state,
+            PipelineConfig(recall_size=12, exposure_size=4),
         )
         rng = np.random.default_rng(22)
         contexts = [eleme_dataset.world.sample_request_context(76, rng) for _ in range(6)]
-        forward = [platform.recall.recall(context) for context in contexts]
-        backward = [platform.recall.recall(context) for context in reversed(contexts)]
+        recall = pipeline.stage("recall").strategy
+        forward = [recall.recall(context) for context in contexts]
+        backward = [recall.recall(context) for context in reversed(contexts)]
         for pool, again in zip(forward, reversed(backward)):
             np.testing.assert_array_equal(pool, again)
-
-
-class TestBatchedABTest:
-    def test_micro_batched_ab_run_accounts_every_exposure(self, eleme_dataset, engine_setup,
-                                                          small_model_config):
-        state, encoder, model = engine_setup
-        control = create_model("base_din", eleme_dataset.schema, small_model_config)
-        simulator = ABTestSimulator(
-            eleme_dataset.world, control, model, encoder, state,
-            ABTestConfig(num_days=2, requests_per_day=23, recall_size=12,
-                         exposure_size=4, seed=5, micro_batch_size=8),
-        )
-        result = simulator.run()
-        assert len(result.daily) == 2
-        total = result.control.exposures + result.treatment.exposures
-        assert total == 2 * 23 * 4
-        assert 0 <= result.average_control_ctr <= 1
-        assert 0 <= result.average_treatment_ctr <= 1
 
 
 class TestFeatureCache:

@@ -25,7 +25,6 @@ from repro.serving import (
     ResponseCache,
     RollingDeploy,
     RollingDeployError,
-    ScenarioRouter,
     ServingState,
     build_cluster,
     build_pipeline,
@@ -270,40 +269,6 @@ class TestClusterParity:
             for context in contexts:
                 first = frontend.worker_for(context)
                 assert frontend.worker_for(context) is first
-
-    def test_scenario_router_cluster_matches_baseline_router(
-        self, eleme_dataset, cluster_setup
-    ):
-        state, encoder, model = cluster_setup
-        scenario_configs = {
-            "dense": PipelineConfig(recall_size=14, exposure_size=6),
-            "sparse": PipelineConfig(recall_size=10, exposure_size=3),
-        }
-        classifier = lambda context: "sparse" if context.city >= 2 else "dense"  # noqa: E731
-        baseline = ScenarioRouter(
-            {
-                name: build_pipeline(
-                    eleme_dataset.world, model, encoder, state, config
-                )
-                for name, config in scenario_configs.items()
-            },
-            default="dense",
-            classifier=classifier,
-        )
-        contexts = sample_burst_contexts(eleme_dataset.world, 40, day=2, seed=33)
-        reference = baseline.run_many(contexts)
-        with build_cluster(
-            eleme_dataset.world, model, encoder, state,
-            ClusterConfig(num_workers=3, cache_enabled=False),
-            scenario_configs=scenario_configs,
-            classifier=classifier,
-            default_scenario="dense",
-        ) as frontend:
-            responses = frontend.serve_many(contexts)
-        for ref, response in zip(reference, responses):
-            assert ref.request.scenario == response.request.scenario
-            np.testing.assert_array_equal(ref.items, response.items)
-            np.testing.assert_array_equal(ref.scores, response.scores)
 
     def test_merged_metrics_cover_whole_burst(self, eleme_dataset, cluster_setup):
         state, encoder, model = cluster_setup

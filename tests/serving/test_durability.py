@@ -15,6 +15,7 @@ own policies because their loss-window expectations depend on them.
 
 from __future__ import annotations
 
+import copy
 import json
 import shutil
 import sys
@@ -123,6 +124,40 @@ class TestFeedbackEvent:
             )
             with pytest.raises(JournalCorruptError, match="undecodable"):
                 scan_journal(path)
+
+
+class TestMismatchedFeedback:
+    """``record_clicks`` checks one label per exposed item before anything
+    moves — no order drawn, no sequence number taken — journal or not."""
+
+    @pytest.mark.parametrize(
+        "clicks", [[1.0, 0.0, 1.0], [1.0], [[1.0], [0.0]]], ids=["longer", "shorter", "2-D"]
+    )
+    def test_bare_state_refuses_and_moves_nothing(self, world, clicks):
+        state = ServingState(world)
+        context = world.sample_request_context(1, np.random.default_rng(0))
+        user = context.user_index
+        state.record_clicks(context, np.array([5, 7]), np.array([1.0, 1.0]),
+                            rng=np.random.default_rng(1))
+        rng = np.random.default_rng(2)
+        next_draw = copy.deepcopy(rng).random()
+        before = (state_fingerprint(state), int(state.user_version[user]), state.feedback_seq)
+        with pytest.raises(ValueError, match="one label per exposed item"):
+            state.record_clicks(context, np.array([5, 7]), np.array(clicks), rng=rng)
+        after = (state_fingerprint(state), int(state.user_version[user]), state.feedback_seq)
+        assert after == before
+        assert rng.random() == next_draw
+
+    def test_shorter_labels_refused_as_on_a_durable_state(self, world, tmp_path):
+        context = world.sample_request_context(1, np.random.default_rng(0))
+        bare = ServingState(world)
+        durable = ServingState(world)
+        with DurableStateStore(tmp_path / "store", fsync="off") as store:
+            store.attach(durable)
+            for state in (durable, bare):
+                with pytest.raises(ValueError):
+                    state.record_clicks(context, np.array([5, 7, 9]), np.array([1.0, 0.0]))
+                assert state.feedback_seq == 0
 
 
 class TestJournal:

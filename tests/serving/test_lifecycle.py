@@ -11,10 +11,11 @@ from repro.serving import (
     ABTestConfig,
     ABTestSimulator,
     OnlineRequestEncoder,
-    PersonalizationPlatform,
+    PipelineConfig,
     Ranker,
     ReplayBuffer,
     ServingState,
+    build_pipeline,
     generate_burst,
 )
 from repro.training import IncrementalTrainer, OnlineTrainConfig, Trainer
@@ -29,20 +30,20 @@ def serving_setup(eleme_dataset):
     return state, encoder
 
 
-def _serve_traffic(platform, world, num_requests, day=50, seed=13, exposure=6):
+def _serve_traffic(pipeline, world, num_requests, day=50, seed=13, exposure=6):
     """Serve requests and feed ground-truth clicks back; returns contexts."""
     rng = np.random.default_rng(seed)
     contexts = []
     for _ in range(num_requests):
         context = world.sample_request_context(day, rng)
-        impression = platform.serve(context)
+        impression = pipeline.run(context)
         probabilities = world.click_probabilities(
             context.user_index, impression.items, context.hour, context.city,
             (context.latitude, context.longitude),
             positions=np.arange(len(impression)), rng=rng,
         )
         clicks = (rng.random(len(impression)) < probabilities).astype(np.float32)
-        platform.feedback(impression, clicks, rng=rng)
+        pipeline.feedback(impression, clicks, rng=rng)
         contexts.append(context)
     return contexts
 
@@ -55,20 +56,21 @@ def test_replay_logs_every_exposure_including_no_click(
 ):
     state, encoder = serving_setup
     model = create_model("base_din", eleme_dataset.schema, small_model_config)
-    platform = PersonalizationPlatform(
-        eleme_dataset.world, model, encoder, state, recall_size=10, exposure_size=5
+    pipeline = build_pipeline(
+        eleme_dataset.world, model, encoder, state,
+        PipelineConfig(recall_size=10, exposure_size=5),
     )
     replay = state.attach_replay(ReplayBuffer(encoder, max_impressions=100))
 
     # Zero-click feedback must still be logged: those rows are the negatives.
     context = eleme_dataset.world.sample_request_context(50, np.random.default_rng(0))
-    impression = platform.serve(context)
-    platform.feedback(impression, np.zeros(len(impression), dtype=np.float32))
+    impression = pipeline.run(context)
+    pipeline.feedback(impression, np.zeros(len(impression), dtype=np.float32))
     assert len(replay) == 1
     assert replay.rows_logged == len(impression)
     assert replay.clicks_logged == 0
 
-    _serve_traffic(platform, eleme_dataset.world, 20)
+    _serve_traffic(pipeline, eleme_dataset.world, 20)
     assert len(replay) == 21
     assert replay.impressions_logged == 21
     assert replay.num_rows == replay.rows_logged
@@ -88,11 +90,12 @@ def test_replay_logs_every_exposure_including_no_click(
 def test_replay_window_evicts_oldest(eleme_dataset, small_model_config, serving_setup):
     state, encoder = serving_setup
     model = create_model("base_din", eleme_dataset.schema, small_model_config)
-    platform = PersonalizationPlatform(
-        eleme_dataset.world, model, encoder, state, recall_size=8, exposure_size=4
+    pipeline = build_pipeline(
+        eleme_dataset.world, model, encoder, state,
+        PipelineConfig(recall_size=8, exposure_size=4),
     )
     replay = state.attach_replay(ReplayBuffer(encoder, max_impressions=5))
-    _serve_traffic(platform, eleme_dataset.world, 12)
+    _serve_traffic(pipeline, eleme_dataset.world, 12)
 
     assert len(replay) == 5                      # window bounded
     assert replay.impressions_logged == 12       # lifetime counter keeps going
@@ -106,18 +109,19 @@ def test_replay_captures_pre_feedback_features(
     """The logged behaviour sequence must not contain the clicked item itself."""
     state, encoder = serving_setup
     model = create_model("base_din", eleme_dataset.schema, small_model_config)
-    platform = PersonalizationPlatform(
-        eleme_dataset.world, model, encoder, state, recall_size=8, exposure_size=4
+    pipeline = build_pipeline(
+        eleme_dataset.world, model, encoder, state,
+        PipelineConfig(recall_size=8, exposure_size=4),
     )
     replay = state.attach_replay(ReplayBuffer(encoder))
 
     rng = np.random.default_rng(1)
     context = eleme_dataset.world.sample_request_context(50, rng)
     history_before = len(state.history(context.user_index))
-    impression = platform.serve(context)
+    impression = pipeline.run(context)
     clicks = np.zeros(len(impression), dtype=np.float32)
     clicks[0] = 1.0
-    platform.feedback(impression, clicks, rng=rng)
+    pipeline.feedback(impression, clicks, rng=rng)
 
     assert len(state.history(context.user_index)) == history_before + 1
     logged = replay.merged_batch()
@@ -134,11 +138,12 @@ def test_incremental_refresh_learns_and_decays_lr(
 ):
     state, encoder = serving_setup
     model = create_model("base_din", eleme_dataset.schema, small_model_config)
-    platform = PersonalizationPlatform(
-        eleme_dataset.world, model, encoder, state, recall_size=10, exposure_size=5
+    pipeline = build_pipeline(
+        eleme_dataset.world, model, encoder, state,
+        PipelineConfig(recall_size=10, exposure_size=5),
     )
     replay = state.attach_replay(ReplayBuffer(encoder))
-    _serve_traffic(platform, eleme_dataset.world, 60)
+    _serve_traffic(pipeline, eleme_dataset.world, 60)
 
     config = OnlineTrainConfig(batch_size=64, passes_per_refresh=2,
                                learning_rate=0.05, lr_decay=0.5, seed=3)
@@ -162,11 +167,12 @@ def test_incremental_refresh_skips_tiny_windows(
 ):
     state, encoder = serving_setup
     model = create_model("base_din", eleme_dataset.schema, small_model_config)
-    platform = PersonalizationPlatform(
-        eleme_dataset.world, model, encoder, state, recall_size=8, exposure_size=4
+    pipeline = build_pipeline(
+        eleme_dataset.world, model, encoder, state,
+        PipelineConfig(recall_size=8, exposure_size=4),
     )
     replay = state.attach_replay(ReplayBuffer(encoder))
-    _serve_traffic(platform, eleme_dataset.world, 3)
+    _serve_traffic(pipeline, eleme_dataset.world, 3)
 
     before = {key: value.copy() for key, value in model.state_dict().items()}
     trainer = IncrementalTrainer(model, OnlineTrainConfig(min_impressions=8))
@@ -189,12 +195,14 @@ def test_in_place_refresh_never_scores_with_stale_tables(
     state, encoder = serving_setup
     world = eleme_dataset.world
     model = create_model("base_din", eleme_dataset.schema, small_model_config)
-    platform = PersonalizationPlatform(world, model, encoder, state,
-                                       recall_size=10, exposure_size=5)
+    pipeline = build_pipeline(
+        world, model, encoder, state,
+        PipelineConfig(recall_size=10, exposure_size=5),
+    )
     replay = state.attach_replay(ReplayBuffer(encoder))
-    _serve_traffic(platform, world, 60)
+    _serve_traffic(pipeline, world, 60)
     requests = generate_burst(world, 6, recall_size=10, seed=5)
-    ranker = platform.ranker
+    ranker = pipeline.stage("rank").ranker
 
     def assert_fused_matches_full_forward():
         batch, offsets = encoder.encode_many(
@@ -212,7 +220,7 @@ def test_in_place_refresh_never_scores_with_stale_tables(
     assert not trainer.refresh(replay).skipped
     assert not np.array_equal(before[0], ranker.score_many(requests, state)[0])
     assert_fused_matches_full_forward()      # without a swap
-    platform.swap_model(model)
+    pipeline.swap_model(model)
     assert_fused_matches_full_forward()      # and with one
     assert model.serving_uid != uid
 
@@ -232,19 +240,20 @@ def test_hot_swap_serves_exactly_the_new_model(
     old = create_model("base_din", eleme_dataset.schema, small_model_config)
     new = create_model("base_din", eleme_dataset.schema,
                        type(small_model_config)(**{**small_model_config.__dict__, "seed": 9}))
-    platform = PersonalizationPlatform(
-        eleme_dataset.world, old, encoder, state, recall_size=10, exposure_size=5
+    pipeline = build_pipeline(
+        eleme_dataset.world, old, encoder, state,
+        PipelineConfig(recall_size=10, exposure_size=5),
     )
 
     rng = np.random.default_rng(4)
     context = eleme_dataset.world.sample_request_context(50, rng)
-    candidates = platform.recall.recall(context)
+    candidates = pipeline.stage("recall").strategy.recall(context)
 
-    previous = platform.swap_model(new)
+    previous = pipeline.swap_model(new)
     assert previous is old
-    assert platform.ranker.model is new
+    assert pipeline.stage("rank").ranker.model is new
 
-    swapped_scores = platform.ranker.score(context, candidates, state)
+    swapped_scores = pipeline.stage("rank").ranker.score(context, candidates, state)
     reference_scores = Ranker(new, encoder).score(context, candidates, state)
     assert np.array_equal(swapped_scores, reference_scores)
 
@@ -254,15 +263,16 @@ def test_hot_swap_keeps_pinned_tables_drops_volatile(
 ):
     state, encoder = serving_setup
     model = create_model("base_din", eleme_dataset.schema, small_model_config)
-    platform = PersonalizationPlatform(
-        eleme_dataset.world, model, encoder, state, recall_size=10, exposure_size=5
+    pipeline = build_pipeline(
+        eleme_dataset.world, model, encoder, state,
+        PipelineConfig(recall_size=10, exposure_size=5),
     )
-    _serve_traffic(platform, eleme_dataset.world, 10)
+    _serve_traffic(pipeline, eleme_dataset.world, 10)
     assert state.features.num_pinned > 0
     assert state.features.num_volatile > 0
     pinned_before = state.features.num_pinned
 
-    platform.swap_model(create_model("base_din", eleme_dataset.schema, small_model_config))
+    pipeline.swap_model(create_model("base_din", eleme_dataset.schema, small_model_config))
     assert state.features.num_volatile == 0
     assert state.features.num_pinned == pinned_before
 
@@ -272,12 +282,13 @@ def test_hot_swap_rejects_schema_mismatch(
 ):
     state, encoder = serving_setup
     model = create_model("base_din", eleme_dataset.schema, small_model_config)
-    platform = PersonalizationPlatform(
-        eleme_dataset.world, model, encoder, state, recall_size=8, exposure_size=4
+    pipeline = build_pipeline(
+        eleme_dataset.world, model, encoder, state,
+        PipelineConfig(recall_size=8, exposure_size=4),
     )
     alien = create_model("base_din", public_dataset.schema, small_model_config)
     with pytest.raises(ValueError, match="schema"):
-        platform.swap_model(alien)
+        pipeline.swap_model(alien)
 
 
 # ---------------------------------------------------------------------- #

@@ -14,8 +14,8 @@ from repro.serving import (
     ABTestSimulator,
     CategoryDiversityRule,
     ExposureLogStage,
+    MultiChannelRecall,
     OnlineRequestEncoder,
-    PersonalizationPlatform,
     PipelineConfig,
     Ranker,
     RankStage,
@@ -50,44 +50,47 @@ def sample_contexts(world, count, day=80, seed=100):
     return [world.sample_request_context(day, rng) for _ in range(count)]
 
 
-class TestFacadeParity:
-    """The platform facade over the pipeline must equal the legacy monolith."""
+class TestServeParity:
+    """``build_pipeline``'s graph must equal recall-then-rank run by hand."""
 
     def test_serve_matches_legacy_recall_then_rank(self, eleme_dataset, pipeline_setup):
         """Bitwise parity with the pre-pipeline flow, re-enacted by hand."""
         state, encoder, model = pipeline_setup
-        platform = PersonalizationPlatform(
-            eleme_dataset.world, model, encoder, state, recall_size=14, exposure_size=5
+        pipeline = build_pipeline(
+            eleme_dataset.world, model, encoder, state,
+            PipelineConfig(recall_size=14, exposure_size=5),
         )
         for context in sample_contexts(eleme_dataset.world, 8):
-            impression = platform.serve(context)
+            impression = pipeline.run(context)
             # The exact statement sequence of the pre-pipeline serve():
-            candidates = platform.recall.recall(context)
-            items, scores = platform.ranker.rank(context, candidates, state, 5)
+            candidates = pipeline.stage("recall").strategy.recall(context)
+            items, scores = pipeline.stage("rank").ranker.rank(context, candidates, state, 5)
             np.testing.assert_array_equal(impression.items, items)
             np.testing.assert_array_equal(impression.scores, scores)
 
     def test_serve_many_matches_serve_bitwise(self, eleme_dataset, pipeline_setup):
         state, encoder, model = pipeline_setup
-        platform = PersonalizationPlatform(
-            eleme_dataset.world, model, encoder, state, recall_size=12, exposure_size=4
+        pipeline = build_pipeline(
+            eleme_dataset.world, model, encoder, state,
+            PipelineConfig(recall_size=12, exposure_size=4),
         )
         contexts = sample_contexts(eleme_dataset.world, 9, seed=101)
-        batched = platform.serve_many(contexts)
+        batched = pipeline.run_many(contexts)
         for context, from_batch in zip(contexts, batched):
-            single = platform.serve(context)
+            single = pipeline.run(context)
             np.testing.assert_array_equal(single.items, from_batch.items)
             np.testing.assert_array_equal(single.scores, from_batch.scores)
 
     def test_exposure_size_property_still_adjustable(self, eleme_dataset, pipeline_setup):
         state, encoder, model = pipeline_setup
-        platform = PersonalizationPlatform(
-            eleme_dataset.world, model, encoder, state, recall_size=12, exposure_size=4
+        pipeline = build_pipeline(
+            eleme_dataset.world, model, encoder, state,
+            PipelineConfig(recall_size=12, exposure_size=4),
         )
         context = sample_contexts(eleme_dataset.world, 1, seed=102)[0]
-        assert len(platform.serve(context)) == 4
-        platform.exposure_size = 7
-        assert len(platform.serve(context)) == 7
+        assert len(pipeline.run(context)) == 4
+        pipeline.stage("rank").exposure_size = 7
+        assert len(pipeline.run(context)) == 7
 
     def test_recall_param_accepts_strategy_protocol(self, eleme_dataset, pipeline_setup):
         state, encoder, model = pipeline_setup
@@ -99,11 +102,12 @@ class TestFacadeParity:
             RecallStrategy,
         )
         pinned = LocationBasedRecall(eleme_dataset.world, pool_size=9)
-        platform = PersonalizationPlatform(
-            eleme_dataset.world, model, encoder, state, exposure_size=3, recall=pinned
+        pipeline = build_pipeline(
+            eleme_dataset.world, model, encoder, state, PipelineConfig(exposure_size=3),
+            recall=pinned,
         )
-        assert platform.recall is pinned
-        assert len(platform.serve(sample_contexts(eleme_dataset.world, 1)[0])) == 3
+        assert pipeline.stage("recall").strategy is pinned
+        assert len(pipeline.run(sample_contexts(eleme_dataset.world, 1)[0])) == 3
 
 
 class TestFeedbackReplayParity:
@@ -117,8 +121,9 @@ class TestFeedbackReplayParity:
         state_b = fresh_state(eleme_dataset)
         replay_a = state_a.attach_replay(ReplayBuffer(encoder, max_impressions=50))
         replay_b = state_b.attach_replay(ReplayBuffer(encoder, max_impressions=50))
-        platform = PersonalizationPlatform(
-            eleme_dataset.world, model, encoder, state_a, recall_size=12, exposure_size=5
+        pipeline = build_pipeline(
+            eleme_dataset.world, model, encoder, state_a,
+            PipelineConfig(recall_size=12, exposure_size=5),
         )
 
         contexts = sample_contexts(eleme_dataset.world, 6, seed=103)
@@ -126,10 +131,10 @@ class TestFeedbackReplayParity:
         rng_b = np.random.default_rng(7)
         click_rng = np.random.default_rng(8)
         for context in contexts:
-            impression = platform.serve(context)
+            impression = pipeline.run(context)
             clicks = (click_rng.random(len(impression)) < 0.4).astype(np.float32)
             # Pipeline-routed feedback on state A ...
-            platform.feedback(impression, clicks, rng=rng_a)
+            pipeline.feedback(impression, clicks, rng=rng_a)
             # ... direct legacy call on state B.
             state_b.record_clicks(context, impression.items, clicks, rng=rng_b)
 
@@ -147,36 +152,52 @@ class TestFeedbackReplayParity:
         np.testing.assert_array_equal(state_a.item_clicks, state_b.item_clicks)
         np.testing.assert_array_equal(state_a.user_version, state_b.user_version)
 
-    def test_pipeline_without_exposure_stage_falls_back_to_state(
+    def test_pipeline_without_exposure_stage_refuses_feedback(
         self, eleme_dataset, pipeline_setup
     ):
+        """Feedback goes through the exposure stage or nowhere: a bare graph
+        raises ``KeyError`` like ``swap_model`` does without a rank stage."""
         state, encoder, model = pipeline_setup
-        pipeline = ServingPipeline(
-            [RecallStage(PersonalizationPlatform(
-                eleme_dataset.world, model, encoder, state, recall_size=10
-            ).recall), RankStage(Ranker(model, encoder), 4)],
-            state,
+        recall = MultiChannelRecall.build(
+            eleme_dataset.world, state, encoder=encoder, model=model, pool_size=10
         )
+        pipeline = ServingPipeline([RecallStage(recall), RankStage(Ranker(model, encoder), 4)],
+                                   state)
         response = pipeline.run(sample_contexts(eleme_dataset.world, 1, seed=104)[0])
-        before = int(state.user_clicks[response.context.user_index])
-        pipeline.feedback(response, np.ones(len(response)), rng=np.random.default_rng(0))
-        assert int(state.user_clicks[response.context.user_index]) == before + len(response)
+        before = int(state.feedback_seq)
+        with pytest.raises(KeyError, match="exposure"):
+            pipeline.feedback(response, np.ones(len(response)), rng=np.random.default_rng(0))
+        assert state.feedback_seq == before
 
-    def test_fallback_feedback_honors_configured_order_probability(
+    def test_feedback_honors_configured_order_probability(
         self, eleme_dataset, pipeline_setup
     ):
         state, encoder, model = pipeline_setup
         pipeline = build_pipeline(
             eleme_dataset.world, model, encoder, state,
-            PipelineConfig(exposure_size=4, log_exposures=False, order_probability=1.0),
+            PipelineConfig(exposure_size=4, order_probability=1.0),
         )
-        assert [stage.name for stage in pipeline.stages] == ["recall", "rank"]
+        assert pipeline.stage("exposure").order_probability == 1.0
         response = pipeline.run(sample_contexts(eleme_dataset.world, 1, seed=116)[0])
         user = response.context.user_index
         orders_before = int(state.user_orders[user])
         pipeline.feedback(response, np.ones(len(response)), rng=np.random.default_rng(1))
         # order_probability=1.0 -> every click becomes an order.
         assert int(state.user_orders[user]) == orders_before + len(response)
+
+    def test_rejected_feedback_books_nothing(self, eleme_dataset, pipeline_setup):
+        """Labels that do not match the exposed items leave the exposure
+        stage's counters where they were."""
+        state, encoder, model = pipeline_setup
+        pipeline = build_pipeline(
+            eleme_dataset.world, model, encoder, state, PipelineConfig(exposure_size=4),
+        )
+        stage = pipeline.stage("exposure")
+        response = pipeline.run(sample_contexts(eleme_dataset.world, 1, seed=119)[0])
+        counters = (stage.feedbacks_logged, stage.clicks_logged)
+        with pytest.raises(ValueError):
+            pipeline.feedback(response, np.ones(len(response) + 1))
+        assert (stage.feedbacks_logged, stage.clicks_logged) == counters
 
 
 class TestStageMetrics:
@@ -304,25 +325,12 @@ class TestRerankStage:
         again, _ = rule.apply(reranked, rescored, None, state)
         np.testing.assert_array_equal(again, reranked)
 
-    def test_category_diversity_drop_policy_shrinks_list(self, eleme_dataset, pipeline_setup):
-        state, _, _ = pipeline_setup
-        world = eleme_dataset.world
-        category = int(world.item_category[0])
-        same = [item for item in range(world.config.num_items)
-                if int(world.item_category[item]) == category][:4]
-        items = np.asarray(same)
-        scores = np.linspace(0.8, 0.5, len(items), dtype=np.float32)
-        rule = CategoryDiversityRule(world, max_per_category=2, overflow="drop")
-        kept, kept_scores = rule.apply(items, scores, None, state)
-        assert len(kept) == 2 and len(kept_scores) == 2
-        np.testing.assert_array_equal(kept, items[:2])
-
     def test_rerank_stage_without_rules_is_passthrough(self, eleme_dataset, pipeline_setup):
         state, encoder, model = pipeline_setup
         ranker = Ranker(model, encoder)
-        recall = PersonalizationPlatform(
-            eleme_dataset.world, model, encoder, state, recall_size=12
-        ).recall
+        recall = MultiChannelRecall.build(
+            eleme_dataset.world, state, encoder=encoder, model=model, pool_size=12, seed=3
+        )
         with_stage = ServingPipeline(
             [RecallStage(recall), RankStage(ranker, 5), RerankStage()], state
         )
@@ -333,25 +341,39 @@ class TestRerankStage:
         np.testing.assert_array_equal(left.items, right.items)
         np.testing.assert_array_equal(left.scores, right.scores)
 
-    def test_pipeline_with_diversity_cap_enforces_it_end_to_end(
+    def test_pipeline_with_diversity_cap_demotes_end_to_end(
         self, eleme_dataset, pipeline_setup
     ):
+        """The capped list is the ranked list with its overflow moved last:
+        a compliant head, then only items over their category's cap."""
         state, encoder, model = pipeline_setup
-        pipeline = build_pipeline(
-            eleme_dataset.world, model, encoder, state,
-            PipelineConfig(recall_size=20, exposure_size=8, max_per_category=2,
-                           rerank_overflow="drop"),
+        world = eleme_dataset.world
+        capped = build_pipeline(
+            world, model, encoder, state,
+            PipelineConfig(recall_size=20, exposure_size=8, max_per_category=2),
         )
-        for context in sample_contexts(eleme_dataset.world, 5, seed=108):
-            response = pipeline.run(context)
-            categories = eleme_dataset.world.item_category[response.items]
-            assert np.bincount(categories).max() <= 2
+        ranked = build_pipeline(
+            world, model, encoder, state, PipelineConfig(recall_size=20, exposure_size=8),
+        )
+        demoted = 0
+        for context in sample_contexts(world, 5, seed=108):
+            response = capped.run(context)
+            reference = ranked.run(context)
+            assert len(response) == 8
+            assert sorted(response.items.tolist()) == sorted(reference.items.tolist())
+            counts: dict = {}
+            over = []
+            for category in world.item_category[response.items].tolist():
+                counts[category] = counts.get(category, 0) + 1
+                over.append(counts[category] > 2)
+            head = over.index(True) if True in over else len(over)
+            assert all(over[head:])
+            demoted += len(over) - head
+        assert demoted > 0  # the cap actually bit on this burst
 
     def test_invalid_rule_configuration(self, eleme_dataset):
         with pytest.raises(ValueError):
             CategoryDiversityRule(eleme_dataset.world, max_per_category=0)
-        with pytest.raises(ValueError):
-            CategoryDiversityRule(eleme_dataset.world, 2, overflow="explode")
 
 
 class TestScenarioRouter:
@@ -448,32 +470,18 @@ class TestScenarioRouter:
             assert response.context is request.context  # input order held
             assert len(response.items) == (3 if response.request.scenario == "sparse" else 6)
 
-    def test_unknown_tag_fallback_policy_degrades_to_classifier_then_default(
-        self, eleme_dataset, pipeline_setup
-    ):
+    def test_unknown_tag_always_raises(self, eleme_dataset, pipeline_setup):
+        """An explicit or classified tag with no pipeline never degrades to
+        another variant."""
         state, encoder, model = pipeline_setup
         classifier = lambda context: "sparse"  # noqa: E731
-        pipelines = self.build_router(eleme_dataset, state, encoder, model).pipelines
-        lenient = ScenarioRouter(
-            pipelines, default="dense", classifier=classifier, unknown_tag="fallback"
-        )
+        router = self.build_router(eleme_dataset, state, encoder, model, classifier)
         context = sample_contexts(eleme_dataset.world, 1, seed=118)[0]
-        # Unknown explicit tag -> classifier wins.
-        served = lenient.run(ServeRequest(context=context, scenario="not-a-scenario"))
-        assert served.request.scenario == "sparse"
-        # Classifier itself returns an unknown tag -> default wins.
-        lenient.classifier = lambda context: "also-unknown"  # noqa: E731
-        served = lenient.run(ServeRequest(context=context, scenario="not-a-scenario"))
-        assert served.request.scenario == "dense"
-        # No classifier at all -> unknown tag degrades straight to default.
-        lenient.classifier = None
-        assert lenient.scenario_of(ServeRequest(context=context, scenario="nope")) == "dense"
-        # The strict default still raises on the same input.
-        strict = ScenarioRouter(pipelines, default="dense")
-        with pytest.raises(ValueError):
-            strict.run(ServeRequest(context=context, scenario="not-a-scenario"))
-        with pytest.raises(ValueError):
-            ScenarioRouter(pipelines, default="dense", unknown_tag="sometimes")
+        with pytest.raises(ValueError, match="not-a-scenario"):
+            router.run(ServeRequest(context=context, scenario="not-a-scenario"))
+        router.classifier = lambda context: "also-unknown"  # noqa: E731
+        with pytest.raises(ValueError, match="also-unknown"):
+            router.run(context)
 
     def test_router_does_not_mutate_caller_envelopes(self, eleme_dataset, pipeline_setup):
         """An untagged request is re-classified on every routing, not tagged once."""
@@ -526,11 +534,6 @@ class TestPipelineConstruction:
         assert [s.name for s in with_rerank.stages] == [
             "recall", "rank", "rerank", "exposure",
         ]
-        bare = build_pipeline(
-            eleme_dataset.world, model, encoder, state,
-            PipelineConfig(log_exposures=False),
-        )
-        assert [s.name for s in bare.stages] == ["recall", "rank"]
 
     def test_request_ids_assigned_and_exposure_counter(self, eleme_dataset, pipeline_setup):
         state, encoder, model = pipeline_setup

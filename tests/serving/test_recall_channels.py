@@ -21,12 +21,13 @@ from repro.serving import (
     LocationBasedRecall,
     MultiChannelRecall,
     OnlineRequestEncoder,
-    PersonalizationPlatform,
+    PipelineConfig,
     PopularityChannel,
     RecallChannel,
     RecallFusion,
     ServingState,
     UserHistoryChannel,
+    build_pipeline,
     request_rng,
     sample_burst_contexts,
 )
@@ -474,23 +475,25 @@ class TestMultiChannelRecall:
     def test_platform_escape_hatch_uses_given_recall(self, eleme_dataset, recall_setup):
         state, encoder, model = recall_setup
         legacy = LocationBasedRecall(eleme_dataset.world, pool_size=9, seed=5)
-        platform = PersonalizationPlatform(
+        pipeline = build_pipeline(
             eleme_dataset.world, model, encoder, state,
-            recall_size=9, exposure_size=4, recall=legacy,
+            PipelineConfig(scenario="platform", recall_size=9, exposure_size=4),
+            recall=legacy,
         )
-        assert platform.recall is legacy
+        assert pipeline.stage("recall").strategy is legacy
         context = _context(eleme_dataset.world, seed=11)
-        impression = platform.serve(context)
+        impression = pipeline.run(context)
         assert len(impression) == 4
 
     def test_swap_model_refreshes_ann_vectors(self, eleme_dataset, recall_setup,
                                               small_model_config):
         state, encoder, model = recall_setup
         world = eleme_dataset.world
-        platform = PersonalizationPlatform(
-            world, model, encoder, state, recall_size=10, exposure_size=4
+        pipeline = build_pipeline(
+            world, model, encoder, state,
+            PipelineConfig(scenario="platform", recall_size=10, exposure_size=4),
         )
-        ann = [channel for channel in platform.recall.channels
+        ann = [channel for channel in pipeline.stage("recall").strategy.channels
                if isinstance(channel, EmbeddingANNChannel)]
         assert len(ann) == 1
         before = ann[0].item_embeddings.copy()
@@ -505,7 +508,7 @@ class TestMultiChannelRecall:
             for city in sorted(world.items_by_city)
         ]
         stale = ann[0].recall_many(contexts, state, 10, None)
-        platform.swap_model(replacement)
+        pipeline.swap_model(replacement)
         assert not np.array_equal(before, ann[0].item_embeddings)
         # Every city's scoring matrix moved with the swap, not only the
         # item-ordered one: the refreshed channel answers like a fresh build.
@@ -556,7 +559,13 @@ class TestMultiChannelRecall:
 
         def score():
             try:
-                for _ in range(60):
+                # At least 60 rounds, then on until both versions were seen:
+                # a refresher the scheduler starves at first must not turn
+                # the race into a red run (bounded, so a refresher that never
+                # runs still fails the ``seen`` assert below).
+                for rounds in range(20_000):
+                    if rounds >= 60 and len(seen) == 2:
+                        break
                     for slot, got in enumerate(channel.recall_many(contexts, state, 10, None)):
                         matches = [np.array_equal(got, want[slot]) for want in expected]
                         assert any(matches), "list belongs to neither version"

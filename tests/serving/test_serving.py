@@ -13,9 +13,10 @@ from repro.serving import (
     ABTestSimulator,
     LocationBasedRecall,
     OnlineRequestEncoder,
-    PersonalizationPlatform,
+    PipelineConfig,
     Ranker,
     ServingState,
+    build_pipeline,
 )
 
 
@@ -145,14 +146,15 @@ class TestRecallAndRanking:
     def test_platform_serves_and_accepts_feedback(self, eleme_dataset, serving_setup, small_model_config):
         state, encoder = serving_setup
         model = create_model("basm", eleme_dataset.schema, small_model_config)
-        platform = PersonalizationPlatform(
-            eleme_dataset.world, model, encoder, state, recall_size=15, exposure_size=6
+        pipeline = build_pipeline(
+            eleme_dataset.world, model, encoder, state,
+            PipelineConfig(scenario="platform", recall_size=15, exposure_size=6),
         )
         rng = np.random.default_rng(5)
         context = eleme_dataset.world.sample_request_context(62, rng)
-        impression = platform.serve(context)
+        impression = pipeline.run(context)
         assert len(impression) == 6
-        platform.feedback(impression, np.zeros(6), rng=rng)
+        pipeline.feedback(impression, np.zeros(6), rng=rng)
 
 
 class TestABSimulation:

@@ -399,22 +399,6 @@ class TestFusedEdgeCases:
             alone = Ranker(model, encoder).score_many([request], state)[0]
             assert np.array_equal(alone, packed[index])
 
-    def test_chunked_predict_parity_on_supporting_model(self, eleme_dataset,
-                                                        small_model_config,
-                                                        serving_setup):
-        """Full-forward chunked predict still matches whole-batch (oracle path)."""
-        state, encoder = serving_setup
-        model = create_model("base_din", eleme_dataset.schema, small_model_config)
-        requests = _burst(eleme_dataset, 10)
-        batch, _ = encoder.encode_many(
-            [r.context for r in requests], [r.candidates for r in requests], state
-        )
-        whole = model.predict(batch)
-        for chunk in (1, 17):
-            np.testing.assert_allclose(
-                model.predict(batch, micro_batch_size=chunk), whole, atol=1e-8
-            )
-
 
 class TestItemTableSlot:
     def test_tables_built_once_per_version(self, eleme_dataset, small_model_config,

@@ -204,6 +204,73 @@ def test_stats_rpc_is_gone():
     assert "metrics" not in vars(ProcessWorkerHandle)
 
 
+def test_one_serving_entry():
+    """``build_pipeline`` for one replica, ``build_cluster`` for N: the
+    facade, the thread-only scenario cluster and the options only tests set
+    stay deleted."""
+    import dataclasses
+    import importlib
+    import inspect
+
+    import pytest
+
+    import repro.models.base as models_base
+    import repro.serving
+    from repro.models import BaseCTRModel
+    from repro.serving import (
+        ABTestConfig,
+        CategoryDiversityRule,
+        ClusterWorker,
+        PipelineConfig,
+        ScenarioRouter,
+        ServingPipeline,
+        build_cluster,
+    )
+
+    facade = ("PersonalizationPlatform", "ServedImpression")
+    for name in facade:
+        assert not hasattr(repro.serving, name), f"repro.serving still exports {name}"
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.serving.platform")
+
+    removed_parameters = {
+        build_cluster: {"scenario_configs", "classifier", "default_scenario", "unknown_tag"},
+        ScenarioRouter: {"unknown_tag"},
+        ServingPipeline: {"order_probability"},
+        CategoryDiversityRule: {"overflow"},
+        BaseCTRModel.predict: {"micro_batch_size"},
+    }
+    for target, names in removed_parameters.items():
+        left = names & set(inspect.signature(target).parameters)
+        assert not left, f"{target.__qualname__} still takes {sorted(left)}"
+    removed_fields = {
+        PipelineConfig: {"log_exposures", "rerank_overflow"},
+        ABTestConfig: {"micro_batch_size"},
+    }
+    for config, names in removed_fields.items():
+        left = names & {field.name for field in dataclasses.fields(config)}
+        assert not left, f"{config.__name__} still has {sorted(left)}"
+    for name in ("slice_batch", "_UNIQUE_KEYS"):
+        assert not hasattr(models_base, name), f"repro.models.base still has {name}"
+    assert not hasattr(ClusterWorker, "pipelines")
+
+    names = facade + (
+        "scenario_configs", "default_scenario", "unknown_tag", "log_exposures",
+        "rerank_overflow", "micro_batch_size", "slice_batch", "serving/platform.py",
+    )
+    texts = [
+        path for folder in ("src", "examples") for path in (REPO_ROOT / folder).rglob("*.py")
+    ] + [REPO_ROOT / "README.md", REPO_ROOT / "docs" / "ARCHITECTURE.md",
+         REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+    found = [
+        f"{path.relative_to(REPO_ROOT)}: {name}"
+        for path in texts
+        for name in names
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert not found, f"removed names still mentioned: {found}"
+
+
 def test_request_context_layout_is_known_by_one_module():
     """``repro.serving.wire`` is the one byte layout for a context: the pipe
     codec, the journal and the snapshot go through it.  Within
