@@ -7,14 +7,21 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from ..features.buckets import bucketize, log_bucketize
-from ..features.crosses import (
-    cross_activity_time_period,
-    cross_category_match,
-    cross_distance_time_period,
-)
+from ..features.buckets import log_bucketize
+from ..features.crosses import cross_category_match
 from ..features.schema import FeatureSchema, FieldName
-from ..features.vocabulary import HashingVocabulary
+from ..features.table_ids import (
+    behavior_ids,
+    combine_ids,
+    context_ids,
+    distance_buckets,
+    feature_ids,
+    geohash_ids,
+    item_dynamic_ids,
+    item_static_ids,
+    user_ids,
+    user_static_ids,
+)
 from .log import ImpressionLog
 from .world import SyntheticWorld
 
@@ -132,23 +139,30 @@ def _prior_item_clicks(log: ImpressionLog, num_items: int) -> np.ndarray:
     return prior
 
 
-def _encode_behavior(log: ImpressionLog, schema: FeatureSchema,
-                     column_features: Sequence[str], columns: Sequence[int]) -> np.ndarray:
-    """Translate the raw behaviour columns into global ids for ``schema``."""
-    raw = log.behavior_raw[:, :, list(columns)]
-    encoded = np.zeros_like(raw)
-    for output_column, feature_name in enumerate(column_features):
-        spec = schema.spec(feature_name)
-        local = np.clip(raw[:, :, output_column], 0, spec.vocab_size - 1)
-        encoded[:, :, output_column] = schema.global_ids(feature_name, local)
-    return encoded
+def _encoded(log: ImpressionLog, schema: FeatureSchema, fields: Dict[str, np.ndarray]
+             ) -> EncodedDataset:
+    """Wrap one encoder's field ids with the log's behaviour and row columns."""
+    return EncodedDataset(
+        schema=schema,
+        field_ids=fields,
+        behavior_ids=behavior_ids(schema, log.behavior_raw),
+        behavior_mask=log.behavior_mask,
+        behavior_st_mask=log.behavior_st_mask,
+        session_index=log.session_index,
+        labels=log.label.astype(np.float32),
+        time_period=log.impression_period(),
+        city=log.impression_city(),
+        hour=log.impression_hour(),
+        day=log.impression_day(),
+        position=log.position,
+    )
 
 
-def _geohash_ids(log: ImpressionLog, schema: FeatureSchema, feature_name: str) -> np.ndarray:
-    spec = schema.spec(feature_name)
-    vocabulary = HashingVocabulary(spec.vocab_size, name=feature_name)
-    session_ids = vocabulary.lookup_array(log.session_geohash)
-    return session_ids[log.session_index]
+def _context_field(log: ImpressionLog, schema: FeatureSchema) -> np.ndarray:
+    return context_ids(
+        schema, log.impression_period(), log.impression_hour(), log.impression_city(),
+        geohash_ids(schema, log.session_geohash)[log.session_index], log.impression_day(),
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -159,99 +173,21 @@ def encode_eleme_log(log: ImpressionLog, world: SyntheticWorld, schema: FeatureS
     users = log.impression_user()
     items = log.item_index
     periods = log.impression_period()
-    hours = log.impression_hour()
-    cities = log.impression_city()
-    distance_norm = log.distance / (2.0 * world.config.city_radius_degrees)
-    distance_bucket = np.clip(bucketize(distance_norm, np.linspace(0.2, 1.8, 9)), 1, 10)
-    price_bucket = np.clip(bucketize(world.item_price[items], np.linspace(0.1, 0.9, 9)), 1, 10)
-    quality_bucket = np.clip(bucketize(world.item_quality[items], np.linspace(0.1, 0.9, 9)), 1, 10)
+    distance_bucket = distance_buckets(log.distance, world.config.city_radius_degrees)
     prior_clicks = _prior_item_clicks(log, world.config.num_items)
-    click_bucket = log_bucketize(prior_clicks, 10)
-    user_clicks = log.session_user_clicks[log.session_index]
-    user_orders = log.session_user_orders[log.session_index]
-
-    def gid(name: str, local: np.ndarray) -> np.ndarray:
-        spec = schema.spec(name)
-        return schema.global_ids(name, np.clip(local, 0, spec.vocab_size - 1))
-
-    user_field = np.stack(
-        [
-            gid("user_id", users + 1),
-            gid("user_gender", world.user_gender[users]),
-            gid("user_age_bucket", world.user_age_bucket[users]),
-            gid("user_order_count_bucket", log_bucketize(user_orders, 11)),
-            gid("user_click_count_bucket", log_bucketize(user_clicks, 11)),
-            gid("user_active_level", world.user_active_level[users]),
-        ],
-        axis=1,
-    )
-    item_field = np.stack(
-        [
-            gid("item_id", items + 1),
-            gid("item_category", world.item_category[items] + 1),
-            gid("item_brand", world.item_brand[items] + 1),
-            gid("item_price_bucket", price_bucket),
-            gid("shop_quality_bucket", quality_bucket),
-            gid("shop_click_bucket", click_bucket),
-            gid("item_distance_bucket", distance_bucket),
-            gid("item_position", log.position + 1),
-        ],
-        axis=1,
-    )
-    weekday = log.session_weekday[log.session_index]
-    context_field = np.stack(
-        [
-            gid("ctx_time_period", periods + 1),
-            gid("ctx_hour", hours + 1),
-            gid("ctx_city_id", cities + 1),
-            schema.global_ids("ctx_geohash", _geohash_ids(log, schema, "ctx_geohash")),
-            gid("ctx_weekday", weekday + 1),
-            gid("ctx_is_weekend", (weekday >= 5).astype(np.int64) + 1),
-        ],
-        axis=1,
-    )
-    combine_field = np.stack(
-        [
-            gid(
-                "cross_user_activity_x_period",
-                cross_activity_time_period(world.user_active_level[users], periods),
-            ),
-            gid(
-                "cross_category_match",
-                cross_category_match(world.user_top_category[users], world.item_category[items]),
-            ),
-            gid(
-                "cross_distance_x_period",
-                cross_distance_time_period(distance_bucket, periods),
-            ),
-        ],
-        axis=1,
-    )
-    behavior = _encode_behavior(
-        log,
-        schema,
-        ["seq_item_id", "seq_category", "seq_brand", "seq_time_period", "seq_hour", "seq_city_id"],
-        columns=[0, 1, 2, 3, 4, 5],
-    )
-    return EncodedDataset(
-        schema=schema,
-        field_ids={
-            FieldName.USER: user_field,
-            FieldName.CANDIDATE_ITEM: item_field,
-            FieldName.CONTEXT: context_field,
-            FieldName.COMBINE: combine_field,
-        },
-        behavior_ids=behavior,
-        behavior_mask=log.behavior_mask,
-        behavior_st_mask=log.behavior_st_mask,
-        session_index=log.session_index,
-        labels=log.label.astype(np.float32),
-        time_period=periods,
-        city=cities,
-        hour=hours,
-        day=log.impression_day(),
-        position=log.position,
-    )
+    return _encoded(log, schema, {
+        FieldName.USER: user_ids(
+            schema, user_static_ids(schema, world)[users],
+            log.session_user_orders[log.session_index], log.session_user_clicks[log.session_index],
+        ),
+        FieldName.CANDIDATE_ITEM: np.concatenate(
+            [item_static_ids(schema, world)[items],
+             item_dynamic_ids(schema, prior_clicks, distance_bucket, log.position)],
+            axis=1,
+        ),
+        FieldName.CONTEXT: _context_field(log, schema),
+        FieldName.COMBINE: combine_ids(schema, world, users, items, periods, distance_bucket),
+    })
 
 
 # ---------------------------------------------------------------------- #
@@ -261,71 +197,27 @@ def encode_public_log(log: ImpressionLog, world: SyntheticWorld, schema: Feature
     """Encode an impression log with the leaner public-data schema."""
     users = log.impression_user()
     items = log.item_index
-    periods = log.impression_period()
-    hours = log.impression_hour()
-    cities = log.impression_city()
     prior_clicks = _prior_item_clicks(log, world.config.num_items)
     user_clicks = log.session_user_clicks[log.session_index]
-
-    def gid(name: str, local: np.ndarray) -> np.ndarray:
-        spec = schema.spec(name)
-        return schema.global_ids(name, np.clip(local, 0, spec.vocab_size - 1))
-
-    user_field = np.stack(
-        [
-            gid("user_id", users + 1),
-            gid("user_click_count_bucket", log_bucketize(user_clicks, 9)),
-        ],
-        axis=1,
-    )
-    item_field = np.stack(
-        [
-            gid("item_id", items + 1),
-            gid("item_category", world.item_category[items] + 1),
-            gid("item_popularity_bucket", log_bucketize(prior_clicks, 10)),
-        ],
-        axis=1,
-    )
-    context_field = np.stack(
-        [
-            gid("ctx_time_period", periods + 1),
-            gid("ctx_hour", hours + 1),
-            gid("ctx_city_id", cities + 1),
-            schema.global_ids("ctx_geohash", _geohash_ids(log, schema, "ctx_geohash")),
-        ],
-        axis=1,
-    )
-    combine_field = np.stack(
-        [
-            gid(
-                "cross_category_match",
-                cross_category_match(world.user_top_category[users], world.item_category[items]),
-            ),
-        ],
-        axis=1,
-    )
-    behavior = _encode_behavior(
-        log,
-        schema,
-        ["seq_item_id", "seq_category", "seq_time_period", "seq_city_id"],
-        columns=[0, 1, 3, 5],
-    )
-    return EncodedDataset(
-        schema=schema,
-        field_ids={
-            FieldName.USER: user_field,
-            FieldName.CANDIDATE_ITEM: item_field,
-            FieldName.CONTEXT: context_field,
-            FieldName.COMBINE: combine_field,
-        },
-        behavior_ids=behavior,
-        behavior_mask=log.behavior_mask,
-        behavior_st_mask=log.behavior_st_mask,
-        session_index=log.session_index,
-        labels=log.label.astype(np.float32),
-        time_period=periods,
-        city=cities,
-        hour=hours,
-        day=log.impression_day(),
-        position=log.position,
-    )
+    return _encoded(log, schema, {
+        FieldName.USER: np.stack(
+            [
+                feature_ids(schema, "user_id", users + 1),
+                feature_ids(schema, "user_click_count_bucket", log_bucketize(user_clicks, 9)),
+            ],
+            axis=1,
+        ),
+        FieldName.CANDIDATE_ITEM: np.stack(
+            [
+                feature_ids(schema, "item_id", items + 1),
+                feature_ids(schema, "item_category", world.item_category[items] + 1),
+                feature_ids(schema, "item_popularity_bucket", log_bucketize(prior_clicks, 10)),
+            ],
+            axis=1,
+        ),
+        FieldName.CONTEXT: _context_field(log, schema),
+        FieldName.COMBINE: feature_ids(
+            schema, "cross_category_match",
+            cross_category_match(world.user_top_category[users], world.item_category[items]),
+        )[:, None],
+    })

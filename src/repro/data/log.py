@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..features.behavior import BehaviorHistory
 from ..features.time_features import hour_to_time_period
 from .world import RequestContext, SyntheticWorld
 
@@ -139,34 +140,6 @@ class ImpressionLog:
         )
 
 
-class _UserHistory:
-    """Mutable per-user behaviour history used while simulating."""
-
-    __slots__ = ("items", "categories", "brands", "periods", "hours", "cities", "geohash_prefixes")
-
-    def __init__(self) -> None:
-        self.items: List[int] = []
-        self.categories: List[int] = []
-        self.brands: List[int] = []
-        self.periods: List[int] = []
-        self.hours: List[int] = []
-        self.cities: List[int] = []
-        self.geohash_prefixes: List[str] = []
-
-    def append(self, item: int, category: int, brand: int, period: int, hour: int,
-               city: int, geohash_prefix: str) -> None:
-        self.items.append(item)
-        self.categories.append(category)
-        self.brands.append(brand)
-        self.periods.append(period)
-        self.hours.append(hour)
-        self.cities.append(city)
-        self.geohash_prefixes.append(geohash_prefix)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
 class LogGenerator:
     """Simulate impression logs from a :class:`SyntheticWorld`."""
 
@@ -178,7 +151,7 @@ class LogGenerator:
         # the statistics features reflect everything seen so far.
         self._user_clicks = np.zeros(world.config.num_users, dtype=np.int64)
         self._user_orders = np.zeros(world.config.num_users, dtype=np.int64)
-        self._histories: Dict[int, _UserHistory] = {}
+        self._histories: Dict[int, BehaviorHistory] = {}
         if self.config.warmup_events_per_user > 0:
             self._bootstrap_histories()
 
@@ -201,7 +174,7 @@ class LogGenerator:
             if count == 0:
                 continue
             city = int(world.user_city[user])
-            history = self._histories.setdefault(user, _UserHistory())
+            history = self._histories.setdefault(user, BehaviorHistory())
             prefix = world.user_home_geohash[user][: cfg.geohash_match_prefix]
             hours = rng.choice(24, size=count, p=world.hour_request_share)
             periods = hour_to_time_period(hours)
@@ -268,7 +241,11 @@ class LogGenerator:
                 clicks = (self.rng.random(len(candidates)) < probabilities).astype(np.float32)
 
                 # Snapshot the behaviour sequence *before* appending today's clicks.
-                ids, mask, st_mask = self._behavior_snapshot(context)
+                history = self._histories.get(context.user_index) or BehaviorHistory()
+                ids, mask, st_mask = history.snapshot(
+                    context.time_period, context.geohash[: cfg.geohash_match_prefix],
+                    cfg.max_behavior_length,
+                )
 
                 session_index.append(np.full(len(candidates), session_counter, dtype=np.int64))
                 position.append(positions)
@@ -315,53 +292,16 @@ class LogGenerator:
         )
 
     # ------------------------------------------------------------------ #
-    def _behavior_snapshot(self, context: RequestContext):
-        cfg = self.config
-        length = cfg.max_behavior_length
-        ids = np.zeros((length, 6), dtype=np.int64)
-        mask = np.zeros(length, dtype=np.float32)
-        st_mask = np.zeros(length, dtype=np.float32)
-        history = self._histories.get(context.user_index)
-        if history is None or len(history) == 0:
-            return ids, mask, st_mask
-        start = max(0, len(history) - length)
-        request_prefix = context.geohash[: cfg.geohash_match_prefix]
-        for row, source in enumerate(range(start, len(history))):
-            ids[row] = (
-                history.items[source] + 1,       # shift: 0 is padding
-                history.categories[source] + 1,
-                history.brands[source] + 1,
-                history.periods[source] + 1,
-                history.hours[source] + 1,
-                history.cities[source] + 1,
-            )
-            mask[row] = 1.0
-            if (
-                history.periods[source] == context.time_period
-                and history.geohash_prefixes[source] == request_prefix
-            ):
-                st_mask[row] = 1.0
-        return ids, mask, st_mask
-
     def _update_user_state(self, context: RequestContext, candidates: np.ndarray,
                            clicks: np.ndarray) -> None:
         cfg = self.config
         clicked = np.where(clicks > 0)[0]
         if len(clicked) == 0:
             return
-        history = self._histories.setdefault(context.user_index, _UserHistory())
-        prefix = context.geohash[: cfg.geohash_match_prefix]
-        for index in clicked:
-            item = int(candidates[index])
-            history.append(
-                item,
-                int(self.world.item_category[item]),
-                int(self.world.item_brand[item]),
-                context.time_period,
-                context.hour,
-                context.city,
-                prefix,
-            )
-            self._user_clicks[context.user_index] += 1
-            if self.rng.random() < cfg.order_probability:
-                self._user_orders[context.user_index] += 1
+        user = context.user_index
+        self._histories.setdefault(user, BehaviorHistory()).append_clicks(
+            candidates[clicked], self.world, context, cfg.geohash_match_prefix
+        )
+        self._user_clicks[user] += len(clicked)
+        orders = self.rng.random(len(clicked)) < cfg.order_probability
+        self._user_orders[user] += int(orders.sum())

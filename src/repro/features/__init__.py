@@ -1,6 +1,6 @@
 """Feature engineering: schema, vocabularies, spatiotemporal features."""
 
-from .behavior import BehaviorEvent, BehaviorSequence, spatiotemporal_match_mask
+from .behavior import BEHAVIOR_COLUMNS, BehaviorHistory
 from .buckets import bucketize, log_bucketize, quantile_buckets
 from .crosses import cross_activity_time_period, cross_category_match, cross_distance_time_period
 from .geohash import (
@@ -22,9 +22,8 @@ from .time_features import (
 from .vocabulary import HashingVocabulary, Vocabulary
 
 __all__ = [
-    "BehaviorEvent",
-    "BehaviorSequence",
-    "spatiotemporal_match_mask",
+    "BEHAVIOR_COLUMNS",
+    "BehaviorHistory",
     "bucketize",
     "log_bucketize",
     "quantile_buckets",

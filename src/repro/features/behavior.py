@@ -1,123 +1,94 @@
-"""User behaviour sequences and spatiotemporal filtering.
+"""User behaviour history and its request-time snapshot.
 
 BASM's StSTL (paper Section II-C) filters the user's historical behaviours by
 the *current* request's time-period and geohash to build a "personalized
-spatiotemporal filtering behaviour" representation.  This module provides the
-behaviour-event container, padding/truncation to fixed-length arrays, and the
-spatiotemporal match masks.
+spatiotemporal filtering behaviour" representation.  :class:`BehaviorHistory`
+is the one history type: the offline log generator simulates with it and the
+online serving state serves from it, and both read a request's behaviour
+window through its one :meth:`BehaviorHistory.snapshot`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["BehaviorEvent", "BehaviorSequence", "spatiotemporal_match_mask"]
+__all__ = ["BEHAVIOR_COLUMNS", "BehaviorHistory"]
+
+#: The sequence feature each id column of a snapshot holds, in column order
+#: (the raw layout of ``ImpressionLog.behavior_raw``).
+BEHAVIOR_COLUMNS = (
+    "seq_item_id", "seq_category", "seq_brand", "seq_time_period", "seq_hour", "seq_city_id",
+)
 
 
-@dataclass(frozen=True)
-class BehaviorEvent:
-    """One historical click: item attributes plus its spatiotemporal context."""
+@dataclass
+class BehaviorHistory:
+    """One user's clicks, oldest first, as seven parallel columns."""
 
-    item_id: int
-    category: int
-    brand: int
-    time_period: int
-    hour: int
-    city_id: int
-    geohash: str
-    timestamp: float = 0.0
+    items: List[int] = field(default_factory=list)
+    categories: List[int] = field(default_factory=list)
+    brands: List[int] = field(default_factory=list)
+    periods: List[int] = field(default_factory=list)
+    hours: List[int] = field(default_factory=list)
+    cities: List[int] = field(default_factory=list)
+    geohash_prefixes: List[str] = field(default_factory=list)
 
-
-class BehaviorSequence:
-    """An ordered (oldest-first) list of :class:`BehaviorEvent`."""
-
-    def __init__(self, events: Optional[Sequence[BehaviorEvent]] = None) -> None:
-        self.events: List[BehaviorEvent] = list(events or [])
+    #: The integer columns, in :data:`BEHAVIOR_COLUMNS` order.
+    ID_COLUMNS = ("items", "categories", "brands", "periods", "hours", "cities")
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.items)
 
-    def append(self, event: BehaviorEvent) -> None:
-        self.events.append(event)
+    def copy(self) -> "BehaviorHistory":
+        return BehaviorHistory(self.items.copy(), self.categories.copy(), self.brands.copy(),
+                               self.periods.copy(), self.hours.copy(), self.cities.copy(),
+                               self.geohash_prefixes.copy())
 
-    def recent(self, count: int) -> "BehaviorSequence":
-        """The most recent ``count`` events (still oldest-first)."""
-        if count <= 0:
-            return BehaviorSequence([])
-        return BehaviorSequence(self.events[-count:])
+    def append(self, item: int, category: int, brand: int, period: int, hour: int,
+               city: int, geohash_prefix: str) -> None:
+        self.items.append(item)
+        self.categories.append(category)
+        self.brands.append(brand)
+        self.periods.append(period)
+        self.hours.append(hour)
+        self.cities.append(city)
+        self.geohash_prefixes.append(geohash_prefix)
 
-    def mean_length(self) -> int:
-        return len(self.events)
+    def append_clicks(self, items: Sequence[int], world, context, prefix_length: int) -> None:
+        """Append the items clicked on one request, in click order.
 
-    # ------------------------------------------------------------------ #
-    # spatiotemporal filtering (StSTL input)
-    # ------------------------------------------------------------------ #
-    def filter_spatiotemporal(
-        self,
-        time_period: int,
-        geohash: str,
-        geohash_prefix_length: int = 4,
-    ) -> "BehaviorSequence":
-        """Behaviours that match the request's time-period and geohash prefix.
-
-        The paper filters by time-period and geohash; using a geohash *prefix*
-        makes "same area" robust to the exact cell boundary.
+        Category and brand come from ``world``; time-period, hour, city and
+        geohash prefix from the request ``context``.
         """
-        prefix = geohash[:geohash_prefix_length]
-        matched = [
-            event
-            for event in self.events
-            if event.time_period == time_period and event.geohash[:geohash_prefix_length] == prefix
-        ]
-        return BehaviorSequence(matched)
+        prefix = context.geohash[:prefix_length]
+        for item in items:
+            item = int(item)
+            self.append(item, int(world.item_category[item]), int(world.item_brand[item]),
+                        context.time_period, context.hour, context.city, prefix)
 
-    # ------------------------------------------------------------------ #
-    # array conversion
-    # ------------------------------------------------------------------ #
-    def to_arrays(self, max_length: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Pad/truncate to ``(max_length, 6)`` local-id array plus a mask.
+    def snapshot(self, time_period: int, geohash_prefix: str, max_length: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The last ``max_length`` clicks as a request sees them.
 
-        Column order matches the ``seq_*`` features of the Ele.me schema:
-        item_id, category, brand, time_period, hour, city_id.  Every raw value
-        is shifted by one so that 0 stays the reserved padding id, matching
-        the convention of :class:`repro.data.LogGenerator`.
+        Returns ``(ids, mask, st_mask)``: ``(max_length, 6)`` int64 raw ids in
+        :data:`BEHAVIOR_COLUMNS` order, shifted by one so 0 stays padding; the
+        float32 valid-position mask; and the float32 mask of clicks made in the
+        request's time-period under the request's geohash prefix.
         """
-        ids = np.zeros((max_length, 6), dtype=np.int64)
+        ids = np.zeros((max_length, len(self.ID_COLUMNS)), dtype=np.int64)
         mask = np.zeros(max_length, dtype=np.float32)
-        recent = self.events[-max_length:]
-        for row, event in enumerate(recent):
-            ids[row] = (
-                event.item_id + 1,
-                event.category + 1,
-                event.brand + 1,
-                event.time_period + 1,
-                event.hour + 1,
-                event.city_id + 1,
-            )
-            mask[row] = 1.0
-        return ids, mask
-
-
-def spatiotemporal_match_mask(
-    sequence_time_periods: np.ndarray,
-    sequence_geohash_cells: np.ndarray,
-    sequence_mask: np.ndarray,
-    request_time_period: np.ndarray,
-    request_geohash_cell: np.ndarray,
-) -> np.ndarray:
-    """Vectorised spatiotemporal filter over already-encoded batches.
-
-    Parameters are integer-coded: ``sequence_time_periods`` and
-    ``sequence_geohash_cells`` have shape ``(batch, seq_len)``; the request
-    arrays have shape ``(batch,)``.  Returns a float mask of shape
-    ``(batch, seq_len)`` that is 1 only where the behaviour is real (per
-    ``sequence_mask``) *and* matches both the request time-period and geohash
-    cell.
-    """
-    sequence_mask = np.asarray(sequence_mask, dtype=np.float32)
-    period_match = sequence_time_periods == np.asarray(request_time_period)[:, None]
-    cell_match = sequence_geohash_cells == np.asarray(request_geohash_cell)[:, None]
-    return (sequence_mask * period_match * cell_match).astype(np.float32)
+        st_mask = np.zeros(max_length, dtype=np.float32)
+        start = max(0, len(self) - max_length)
+        count = len(self) - start
+        if count == 0:
+            return ids, mask, st_mask
+        window = np.array([getattr(self, name)[start:] for name in self.ID_COLUMNS],
+                          dtype=np.int64).T
+        ids[:count] = window + 1
+        mask[:count] = 1.0
+        prefixes = np.asarray(self.geohash_prefixes[start:], dtype=object)
+        st_mask[:count] = (window[:, 3] == time_period) & (prefixes == geohash_prefix)
+        return ids, mask, st_mask

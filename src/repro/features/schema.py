@@ -94,11 +94,11 @@ class FeatureSchema:
                 raise ValueError(
                     f"sequence feature {spec.name!r} must belong to the user_behavior field"
                 )
-        seen = set()
+        self._specs: Dict[str, FeatureSpec] = {}
         for spec in self.features + self.sequence_features:
-            if spec.name in seen:
+            if spec.name in self._specs:
                 raise ValueError(f"duplicate feature name {spec.name!r}")
-            seen.add(spec.name)
+            self._specs[spec.name] = spec
 
         # Assign contiguous global-id ranges.
         self._offsets: Dict[str, int] = {}
@@ -127,10 +127,10 @@ class FeatureSchema:
         return local_ids + self._offsets[feature_name]
 
     def spec(self, feature_name: str) -> FeatureSpec:
-        for spec in self.features + self.sequence_features:
-            if spec.name == feature_name:
-                return spec
-        raise KeyError(f"unknown feature {feature_name!r}")
+        spec = self._specs.get(feature_name)
+        if spec is None:
+            raise KeyError(f"unknown feature {feature_name!r}")
+        return spec
 
     def field_features(self, field_name: str) -> List[FeatureSpec]:
         """Non-sequence features belonging to ``field_name`` in schema order."""

@@ -295,10 +295,9 @@ def build_cluster(
     strategy built from the same seed — identical per-request pools by the
     recall determinism invariant) over the *shared* ``state``, plus its own
     ``StageMetrics`` and — like a production replica loading the published
-    checkpoint — its own deep copy of the model (``predict`` flips the
-    model's train/eval mode around every forward, so a shared model object
-    would race across concurrently serving workers; parameters are copied
-    bitwise, so replicas score identically).
+    checkpoint — its own deep copy of the model (a deployed model must not
+    change under serving while its caller keeps training the same object
+    in place; parameters are copied bitwise, so replicas score identically).
 
     With ``durable`` the cluster's feedback path journals into that store:
     ``state`` is attached (genesis snapshot included when the store is

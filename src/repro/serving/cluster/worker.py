@@ -213,12 +213,13 @@ class ClusterWorker:
 
         ``replicate`` (the default) installs this worker's *own deep copy*
         of the model, like a production replica loading its own copy of the
-        published checkpoint.  This is a thread-safety requirement, not a
-        nicety: ``predict`` flips the model's train/eval mode around every
-        forward, so a model object shared by concurrently serving workers
-        would race (one worker's mode restore flips batch-norm to batch
-        statistics under another worker's forward).  Pass ``replicate=False``
-        only to reinstall a model this worker already owns (rollback).
+        published checkpoint.  Concurrent forwards of one model object are
+        safe (eval semantics come from the thread-local ``inference_mode``);
+        the copy is about ownership: a deployed model must not change under
+        serving while its caller keeps training the same object in place
+        (``Trainer.fit``, ``IncrementalTrainer.refresh``).  Pass
+        ``replicate=False`` only to reinstall a model this worker already
+        owns (rollback).
         """
         with self._exec_lock:
             if replicate:

@@ -35,10 +35,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ...features.behavior import BehaviorHistory
 from ...utils import atomic_savez
 from .. import wire
 from ..replay import LoggedImpression, ReplayBuffer
-from ..state import ServingState, UserHistoryState
+from ..state import ServingState
 
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
@@ -129,14 +130,7 @@ def extract_payload(state: ServingState) -> SnapshotPayload:
         )
         offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
         total = int(offsets[-1])
-        columns = {
-            "items": np.empty(total, dtype=np.int64),
-            "categories": np.empty(total, dtype=np.int64),
-            "brands": np.empty(total, dtype=np.int64),
-            "periods": np.empty(total, dtype=np.int64),
-            "hours": np.empty(total, dtype=np.int64),
-            "cities": np.empty(total, dtype=np.int64),
-        }
+        columns = {name: np.empty(total, dtype=np.int64) for name in BehaviorHistory.ID_COLUMNS}
         prefixes = np.empty(total, dtype=_PREFIX_DTYPE)
         for index, user in enumerate(users):
             history = state.histories[int(user)]
@@ -213,14 +207,10 @@ def apply_payload(state: ServingState, payload: SnapshotPayload,
     offsets = arrays["history_offsets"]
     for index, user in enumerate(users):
         start, stop = int(offsets[index]), int(offsets[index + 1])
-        state.histories[int(user)] = UserHistoryState(
-            items=[int(v) for v in arrays["history_items"][start:stop]],
-            categories=[int(v) for v in arrays["history_categories"][start:stop]],
-            brands=[int(v) for v in arrays["history_brands"][start:stop]],
-            periods=[int(v) for v in arrays["history_periods"][start:stop]],
-            hours=[int(v) for v in arrays["history_hours"][start:stop]],
-            cities=[int(v) for v in arrays["history_cities"][start:stop]],
-            geohash_prefixes=[str(v) for v in arrays["history_prefixes"][start:stop]],
+        state.histories[int(user)] = BehaviorHistory(
+            **{name: arrays[f"history_{name}"][start:stop].tolist()
+               for name in BehaviorHistory.ID_COLUMNS},
+            geohash_prefixes=arrays["history_prefixes"][start:stop].tolist(),
         )
     packed = arrays["recent_contexts"].tobytes()
     contexts, offset = [], 0

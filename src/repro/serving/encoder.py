@@ -1,10 +1,12 @@
 """Online request encoding: assemble a scoring batch for one or many requests.
 
-This is the serving-side twin of :func:`repro.data.encoding.encode_eleme_log`:
-given the live :class:`ServingState`, a request context and a candidate list,
-it produces exactly the batch dictionary the models were trained on.  A unit
-test asserts the two encoders agree feature-by-feature, so offline/online
-consistency (a classic production failure mode) is guarded.
+The serving side of :func:`repro.data.encoding.encode_eleme_log`: given the
+live :class:`ServingState`, a request context and a candidate list, it
+produces exactly the batch dictionary the models were trained on.  Both call
+the same Table I id builders (:mod:`repro.features.table_ids`), and a unit
+test asserts an offline session and the same request served online encode to
+equal bytes, so offline/online consistency (a classic production failure
+mode) is guarded.
 
 The encoder is numpy-batch-first: candidate features are assembled with
 vectorised gathers from precomputed per-item/per-user global-id tables (held
@@ -23,21 +25,21 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..data.world import RequestContext, SyntheticWorld
-from ..features.buckets import bucketize, log_bucketize
-from ..features.crosses import (
-    cross_activity_time_period,
-    cross_category_match,
-    cross_distance_time_period,
-)
 from ..features.schema import FeatureSchema, FieldName
-from ..features.vocabulary import HashingVocabulary
+from ..features.table_ids import (
+    behavior_ids,
+    combine_ids,
+    context_ids,
+    distance_buckets,
+    geohash_ids,
+    item_dynamic_ids,
+    item_static_ids,
+    user_ids,
+    user_static_ids,
+)
 from .state import ServingState
 
 __all__ = ["OnlineRequestEncoder"]
-
-#: Column layout of the raw behaviour-snapshot array in ServingState.
-_SNAPSHOT_COLUMNS = ["seq_item_id", "seq_category", "seq_brand", "seq_time_period",
-                     "seq_hour", "seq_city_id"]
 
 
 class OnlineRequestEncoder:
@@ -46,22 +48,12 @@ class OnlineRequestEncoder:
     def __init__(self, world: SyntheticWorld, schema: FeatureSchema) -> None:
         self.world = world
         self.schema = schema
-        self._geohash_vocab = HashingVocabulary(
-            schema.spec("ctx_geohash").vocab_size, name="ctx_geohash"
-        )
         self._geohash_ids: Dict[str, int] = {}
-
-    # ------------------------------------------------------------------ #
-    def _gid(self, name: str, local: np.ndarray) -> np.ndarray:
-        spec = self.schema.spec(name)
-        return self.schema.global_ids(name, np.clip(local, 0, spec.vocab_size - 1))
 
     def _geohash_id(self, geohash: str) -> int:
         cached = self._geohash_ids.get(geohash)
         if cached is None:
-            cached = int(self.schema.global_ids(
-                "ctx_geohash", np.array([self._geohash_vocab.lookup(geohash)])
-            )[0])
+            cached = int(geohash_ids(self.schema, [geohash])[0])
             self._geohash_ids[geohash] = cached
         return cached
 
@@ -75,86 +67,13 @@ class OnlineRequestEncoder:
         by gathering these rows from a model's embedding table
         (:meth:`repro.models.base.BaseCTRModel.export_item_embeddings`).
         """
-
-        def build() -> np.ndarray:
-            world = self.world
-            num_items = world.config.num_items
-            all_items = np.arange(num_items, dtype=np.int64)
-            price_bucket = np.clip(
-                bucketize(world.item_price, np.linspace(0.1, 0.9, 9)), 1, 10
-            )
-            quality_bucket = np.clip(
-                bucketize(world.item_quality, np.linspace(0.1, 0.9, 9)), 1, 10
-            )
-            return np.stack(
-                [
-                    self._gid("item_id", all_items + 1),
-                    self._gid("item_category", world.item_category + 1),
-                    self._gid("item_brand", world.item_brand + 1),
-                    self._gid("item_price_bucket", price_bucket),
-                    self._gid("shop_quality_bucket", quality_bucket),
-                ],
-                axis=1,
-            )
-
-        return state.features.lookup(("item_static", self.schema.name), 0, build, pinned=True)
+        return state.features.lookup(("item_static", self.schema.name), 0,
+                                     lambda: item_static_ids(self.schema, self.world), pinned=True)
 
     def _user_static_table(self, state: ServingState) -> np.ndarray:
         """``(num_users, 4)`` global ids: user_id, gender, age bucket, active level."""
-
-        def build() -> np.ndarray:
-            world = self.world
-            all_users = np.arange(world.config.num_users, dtype=np.int64)
-            return np.stack(
-                [
-                    self._gid("user_id", all_users + 1),
-                    self._gid("user_gender", world.user_gender),
-                    self._gid("user_age_bucket", world.user_age_bucket),
-                    self._gid("user_active_level", world.user_active_level),
-                ],
-                axis=1,
-            )
-
-        return state.features.lookup(("user_static", self.schema.name), 0, build, pinned=True)
-
-    # ------------------------------------------------------------------ #
-    # per-request rows (count-independent, so computed once per request)
-    # ------------------------------------------------------------------ #
-    def _user_rows(self, users: np.ndarray, state: ServingState) -> np.ndarray:
-        """``(num_requests, 6)`` user-field global ids, one row per request."""
-        static = self._user_static_table(state)
-        rows = np.empty((len(users), 6), dtype=np.int64)
-        rows[:, 0] = static[users, 0]
-        rows[:, 1] = static[users, 1]
-        rows[:, 2] = static[users, 2]
-        rows[:, 3] = self._gid("user_order_count_bucket",
-                               log_bucketize(state.user_orders[users], 11))
-        rows[:, 4] = self._gid("user_click_count_bucket",
-                               log_bucketize(state.user_clicks[users], 11))
-        rows[:, 5] = static[users, 3]
-        return rows
-
-    def _context_rows(self, contexts: Sequence[RequestContext]) -> np.ndarray:
-        """``(num_requests, 6)`` context-field global ids, one row per request."""
-        days = np.array([context.day for context in contexts], dtype=np.int64)
-        weekday = days % 7
-        rows = np.empty((len(contexts), 6), dtype=np.int64)
-        rows[:, 0] = self._gid(
-            "ctx_time_period",
-            np.array([context.time_period for context in contexts], dtype=np.int64) + 1,
-        )
-        rows[:, 1] = self._gid(
-            "ctx_hour", np.array([context.hour for context in contexts], dtype=np.int64) + 1
-        )
-        rows[:, 2] = self._gid(
-            "ctx_city_id", np.array([context.city for context in contexts], dtype=np.int64) + 1
-        )
-        rows[:, 3] = np.array(
-            [self._geohash_id(context.geohash) for context in contexts], dtype=np.int64
-        )
-        rows[:, 4] = self._gid("ctx_weekday", weekday + 1)
-        rows[:, 5] = self._gid("ctx_is_weekend", (weekday >= 5).astype(np.int64) + 1)
-        return rows
+        return state.features.lookup(("user_static", self.schema.name), 0,
+                                     lambda: user_static_ids(self.schema, self.world), pinned=True)
 
     def _behavior_entry(
         self, context: RequestContext, state: ServingState
@@ -174,16 +93,7 @@ class OnlineRequestEncoder:
             raw, mask, st_mask = state.behavior_snapshot(
                 context, self.schema.max_sequence_length
             )
-            sequence_features = [spec.name for spec in self.schema.sequence_features]
-            encoded = np.zeros(
-                (self.schema.max_sequence_length, len(sequence_features)), dtype=np.int64
-            )
-            for column, feature_name in enumerate(sequence_features):
-                source_column = _SNAPSHOT_COLUMNS.index(feature_name)
-                spec = self.schema.spec(feature_name)
-                local = np.clip(raw[:, source_column], 0, spec.vocab_size - 1)
-                encoded[:, column] = self.schema.global_ids(feature_name, local)
-            return encoded, mask, st_mask
+            return behavior_ids(self.schema, raw), mask, st_mask
 
         return state.features.lookup(key, int(state.user_version[user]), build)
 
@@ -232,54 +142,43 @@ class OnlineRequestEncoder:
         if positions_list is None:
             positions = np.arange(total, dtype=np.int64) - offsets[row_map]
         else:
-            parts = [
-                np.arange(counts[i], dtype=np.int64) if p is None
-                else np.asarray(p, dtype=np.int64)
-                for i, p in enumerate(positions_list)
-            ]
+            if len(positions_list) != num_requests:
+                raise ValueError(
+                    f"{len(positions_list)} position entries for {num_requests} requests"
+                )
+            parts = []
+            for index, (count, given) in enumerate(zip(counts, positions_list)):
+                part = np.asarray(np.arange(count) if given is None else given, dtype=np.int64)
+                if part.shape != (count,):
+                    raise ValueError(
+                        f"request {index}: {count} candidates but positions of shape {part.shape}"
+                    )
+                parts.append(part)
             positions = (np.concatenate(parts) if total else np.zeros(0, dtype=np.int64))
 
         users = np.array([context.user_index for context in contexts], dtype=np.int64)
         periods = np.array([context.time_period for context in contexts], dtype=np.int64)
         cities = np.array([context.city for context in contexts], dtype=np.int64)
         hours = np.array([context.hour for context in contexts], dtype=np.int64)
+        days = np.array([context.day for context in contexts], dtype=np.int64)
+        geohashes = np.array(
+            [self._geohash_id(context.geohash) for context in contexts], dtype=np.int64
+        )
         locations = np.array(
             [[context.latitude, context.longitude] for context in contexts], dtype=np.float64
         ).reshape(num_requests, 2)
 
-        # --- candidate item field (vectorised over all rows) ------------ #
-        item_static = self.item_static_table(state)
+        # --- candidate item and combine fields (vectorised over all rows) #
         distance = world.distances_to_locations(flat_candidates, locations[row_map])
-        distance_norm = distance / (2.0 * world.config.city_radius_degrees)
-        distance_bucket = np.clip(bucketize(distance_norm, np.linspace(0.2, 1.8, 9)), 1, 10)
-        click_bucket = log_bucketize(state.item_clicks[flat_candidates], 10)
-        row_periods = periods[row_map]
-
-        item_field = np.empty((total, 8), dtype=np.int64)
-        item_field[:, :5] = item_static[flat_candidates]
-        item_field[:, 5] = self._gid("shop_click_bucket", click_bucket)
-        item_field[:, 6] = self._gid("item_distance_bucket", distance_bucket)
-        item_field[:, 7] = self._gid("item_position", positions + 1)
-
-        # --- combine (cross) field -------------------------------------- #
-        combine_field = np.empty((total, 3), dtype=np.int64)
-        combine_field[:, 0] = self._gid(
-            "cross_user_activity_x_period",
-            cross_activity_time_period(
-                world.user_active_level[users][row_map], row_periods
-            ),
+        distance_bucket = distance_buckets(distance, world.config.city_radius_degrees)
+        item_field = np.concatenate(
+            [self.item_static_table(state)[flat_candidates],
+             item_dynamic_ids(self.schema, state.item_clicks[flat_candidates],
+                              distance_bucket, positions)],
+            axis=1,
         )
-        combine_field[:, 1] = self._gid(
-            "cross_category_match",
-            cross_category_match(
-                world.user_top_category[users][row_map],
-                world.item_category[flat_candidates],
-            ),
-        )
-        combine_field[:, 2] = self._gid(
-            "cross_distance_x_period",
-            cross_distance_time_period(distance_bucket, row_periods),
-        )
+        combine_field = combine_ids(self.schema, world, users[row_map], flat_candidates,
+                                    periods[row_map], distance_bucket)
 
         # --- behaviour sequences (cached, deduplicated per request) ----- #
         # One slot per request that actually has candidate rows: a request
@@ -308,8 +207,9 @@ class OnlineRequestEncoder:
             "row_map": row_map,
             "candidates": flat_candidates,
             "positions": positions,
-            "user_rows": self._user_rows(users, state),
-            "context_rows": self._context_rows(contexts),
+            "user_rows": user_ids(self.schema, self._user_static_table(state)[users],
+                                  state.user_orders[users], state.user_clicks[users]),
+            "context_rows": context_ids(self.schema, periods, hours, cities, geohashes, days),
             "item_field": item_field,
             "combine_field": combine_field,
             "behavior_unique": behavior_unique,

@@ -48,6 +48,8 @@ class ScoreRequest:
 
     def __post_init__(self) -> None:
         self.candidates = np.asarray(self.candidates, dtype=np.int64)
+        if self.positions is not None:
+            self.positions = np.asarray(self.positions, dtype=np.int64)
 
     def __len__(self) -> int:
         return int(len(self.candidates))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING, Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple,
 )
@@ -31,60 +30,14 @@ import numpy as np
 
 from ..data.log import ImpressionLog, LogGenerator
 from ..data.world import RequestContext, SyntheticWorld
+from ..features.behavior import BehaviorHistory
 from ..features.time_features import TimePeriod
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (cycle guards)
     from .durable.journal import Journal
     from .replay import ReplayBuffer
 
-__all__ = ["UserHistoryState", "FeatureCache", "ServingState"]
-
-
-@dataclass
-class UserHistoryState:
-    """Behaviour history of one user (parallel lists, oldest first)."""
-
-    items: List[int] = field(default_factory=list)
-    categories: List[int] = field(default_factory=list)
-    brands: List[int] = field(default_factory=list)
-    periods: List[int] = field(default_factory=list)
-    hours: List[int] = field(default_factory=list)
-    cities: List[int] = field(default_factory=list)
-    geohash_prefixes: List[str] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def append(self, item: int, category: int, brand: int, period: int, hour: int,
-               city: int, geohash_prefix: str) -> None:
-        self.items.append(item)
-        self.categories.append(category)
-        self.brands.append(brand)
-        self.periods.append(period)
-        self.hours.append(hour)
-        self.cities.append(city)
-        self.geohash_prefixes.append(geohash_prefix)
-
-    def window_arrays(self, start: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised view of the history tail from ``start``.
-
-        Returns ``(ids, prefixes)`` where ``ids`` is an ``(n, 6)`` int64 array
-        with columns (item, category, brand, period, hour, city) and
-        ``prefixes`` is the matching array of geohash prefixes.
-        """
-        ids = np.array(
-            [
-                self.items[start:],
-                self.categories[start:],
-                self.brands[start:],
-                self.periods[start:],
-                self.hours[start:],
-                self.cities[start:],
-            ],
-            dtype=np.int64,
-        ).T
-        prefixes = np.asarray(self.geohash_prefixes[start:], dtype=object)
-        return ids, prefixes
+__all__ = ["FeatureCache", "ServingState"]
 
 
 class FeatureCache:
@@ -206,7 +159,7 @@ class ServingState:
         self.item_period_clicks = np.zeros(
             (world.config.num_items, len(TimePeriod)), dtype=np.int64
         )
-        self.histories: Dict[int, UserHistoryState] = {}
+        self.histories: Dict[int, BehaviorHistory] = {}
         self.features = FeatureCache()
         #: Serialises every state write (``record_clicks``, replay logging)
         #: and the multi-array history reads (``behavior_snapshot``), so
@@ -247,17 +200,7 @@ class ServingState:
         state = cls(generator.world, geohash_match_prefix=generator.config.geohash_match_prefix)
         state.user_clicks = generator._user_clicks.copy()
         state.user_orders = generator._user_orders.copy()
-        for user, history in generator._histories.items():
-            adopted = UserHistoryState(
-                items=list(history.items),
-                categories=list(history.categories),
-                brands=list(history.brands),
-                periods=list(history.periods),
-                hours=list(history.hours),
-                cities=list(history.cities),
-                geohash_prefixes=list(history.geohash_prefixes),
-            )
-            state.histories[user] = adopted
+        state.histories = {user: history.copy() for user, history in generator._histories.items()}
         if log is not None:
             labels = log.label.astype(np.int64)
             np.add.at(state.item_clicks, log.item_index, labels)
@@ -269,28 +212,15 @@ class ServingState:
         return state
 
     # ------------------------------------------------------------------ #
-    def history(self, user_index: int) -> UserHistoryState:
-        return self.histories.setdefault(user_index, UserHistoryState())
+    def history(self, user_index: int) -> BehaviorHistory:
+        return self.histories.setdefault(user_index, BehaviorHistory())
 
     def behavior_snapshot(self, context: RequestContext, max_length: int):
         """Current behaviour arrays for one request: raw ids, mask, st-filter mask."""
-        ids = np.zeros((max_length, 6), dtype=np.int64)
-        mask = np.zeros(max_length, dtype=np.float32)
-        st_mask = np.zeros(max_length, dtype=np.float32)
         with self.lock:
-            history = self.histories.get(context.user_index)
-            if history is None or len(history) == 0:
-                return ids, mask, st_mask
-            start = max(0, len(history) - max_length)
-            count = len(history) - start
-            window, prefixes = history.window_arrays(start)
-        ids[:count] = window + 1
-        mask[:count] = 1.0
-        prefix = context.geohash[: self.geohash_match_prefix]
-        st_mask[:count] = (
-            (window[:, 3] == context.time_period) & (prefixes == prefix)
-        ).astype(np.float32)
-        return ids, mask, st_mask
+            history = self.histories.get(context.user_index) or BehaviorHistory()
+            return history.snapshot(context.time_period,
+                                    context.geohash[: self.geohash_match_prefix], max_length)
 
     def attach_replay(self, replay: "ReplayBuffer") -> "ReplayBuffer":
         """Start logging every fed-back exposure into ``replay``."""
@@ -397,19 +327,11 @@ class ServingState:
             clicked = np.where(np.asarray(clicks) > 0)[0]
             if len(clicked) == 0:
                 return
-            history = self.history(context.user_index)
-            prefix = context.geohash[: self.geohash_match_prefix]
-            for slot, index in enumerate(clicked):
-                item = int(items[index])
-                history.append(
-                    item,
-                    int(self.world.item_category[item]),
-                    int(self.world.item_brand[item]),
-                    context.time_period,
-                    context.hour,
-                    context.city,
-                    prefix,
-                )
+            clicked_items = np.asarray(items, dtype=np.int64)[clicked]
+            self.history(context.user_index).append_clicks(
+                clicked_items, self.world, context, self.geohash_match_prefix
+            )
+            for slot, item in enumerate(clicked_items.tolist()):
                 self.user_clicks[context.user_index] += 1
                 self.item_clicks[item] += 1
                 self.item_period_clicks[item, context.time_period] += 1

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.features import (
-    BehaviorEvent,
-    BehaviorSequence,
+    BEHAVIOR_COLUMNS,
+    BehaviorHistory,
     FeatureSchema,
     FeatureSpec,
     FieldName,
@@ -23,7 +23,6 @@ from repro.features import (
     log_bucketize,
     public_schema,
     quantile_buckets,
-    spatiotemporal_match_mask,
 )
 
 
@@ -183,52 +182,79 @@ class TestCrosses:
             cross_activity_time_period(np.array([9]), np.array([0]))
 
 
-class TestBehaviorSequence:
-    def _event(self, period=1, geohash="wtw3s5", item=7):
-        return BehaviorEvent(
-            item_id=item, category=2, brand=3, time_period=period, hour=12,
-            city_id=1, geohash=geohash,
-        )
+class TestBehaviorHistory:
+    """The one history type: append, copy and the request-time snapshot."""
 
-    def test_append_and_recent(self):
-        sequence = BehaviorSequence()
-        for index in range(5):
-            sequence.append(self._event(item=index))
-        recent = sequence.recent(2)
-        assert len(recent) == 2
-        assert recent.events[-1].item_id == 4
+    @staticmethod
+    def _history(events):
+        history = BehaviorHistory()
+        for item, period, prefix in events:
+            history.append(item, 2, 3, period, 12, 1, prefix)
+        return history
 
-    def test_spatiotemporal_filter_matches_period_and_prefix(self):
-        sequence = BehaviorSequence(
-            [
-                self._event(period=1, geohash="wtw3s5"),
-                self._event(period=1, geohash="wtw9zz"),
-                self._event(period=3, geohash="wtw3s5"),
-            ]
-        )
-        filtered = sequence.filter_spatiotemporal(time_period=1, geohash="wtw3s1", geohash_prefix_length=4)
-        assert len(filtered) == 1
+    @staticmethod
+    def _reference_snapshot(history, time_period, prefix, max_length):
+        """Row by row, as the log generator built it before the merge."""
+        ids = np.zeros((max_length, 6), dtype=np.int64)
+        mask = np.zeros(max_length, dtype=np.float32)
+        st_mask = np.zeros(max_length, dtype=np.float32)
+        start = max(0, len(history) - max_length)
+        for row, source in enumerate(range(start, len(history))):
+            ids[row] = [getattr(history, name)[source] + 1 for name in history.ID_COLUMNS]
+            mask[row] = 1.0
+            if (history.periods[source] == time_period
+                    and history.geohash_prefixes[source] == prefix):
+                st_mask[row] = 1.0
+        return ids, mask, st_mask
 
-    def test_to_arrays_padding_and_shift(self):
-        sequence = BehaviorSequence([self._event(item=0)])
-        ids, mask = sequence.to_arrays(max_length=4)
-        assert ids.shape == (4, 6)
-        assert mask.tolist() == [1.0, 0.0, 0.0, 0.0]
-        # time-period is shifted by one so 0 stays the padding id
-        assert ids[0, 3] == 2
+    def test_columns_follow_the_sequence_feature_names(self):
+        assert len(BEHAVIOR_COLUMNS) == len(BehaviorHistory.ID_COLUMNS) == 6
+        assert {spec.name for spec in eleme_schema().sequence_features} == set(BEHAVIOR_COLUMNS)
+        assert {spec.name for spec in public_schema().sequence_features} <= set(BEHAVIOR_COLUMNS)
+
+    def test_copy_is_independent(self):
+        history = self._history([(0, 1, "wtw3"), (1, 2, "wtw3")])
+        copied = history.copy()
+        copied.append(9, 9, 9, 9, 9, 9, "zzzz")
+        assert len(history) == 2 and len(copied) == 3
+        assert copied.items[:2] == history.items
+
+    def test_st_mask_matches_period_and_prefix(self):
+        history = self._history([(7, 1, "wtw3"), (7, 1, "wtw9"), (7, 3, "wtw3")])
+        ids, mask, st_mask = history.snapshot(1, "wtw3", max_length=4)
+        assert mask.tolist() == [1.0, 1.0, 1.0, 0.0]
+        assert st_mask.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    def test_padding_and_shift(self):
+        ids, mask, st_mask = self._history([(0, 1, "wtw3")]).snapshot(1, "wtw3", 4)
+        assert ids.shape == (4, 6) and ids.dtype == np.int64
+        assert mask.dtype == st_mask.dtype == np.float32
+        # every column is shifted by one so 0 stays the padding id
+        assert ids[0].tolist() == [1, 3, 4, 2, 13, 2]
         assert np.all(ids[1:] == 0)
+        empty = BehaviorHistory().snapshot(1, "wtw3", 4)
+        assert [array.sum() for array in empty] == [0, 0.0, 0.0]
 
-    def test_to_arrays_truncates_to_most_recent(self):
-        sequence = BehaviorSequence([self._event(item=index) for index in range(10)])
-        ids, mask = sequence.to_arrays(max_length=3)
+    def test_truncates_to_most_recent(self):
+        history = self._history([(index, 1, "wtw3") for index in range(10)])
+        ids, mask, _ = history.snapshot(1, "wtw3", max_length=3)
         assert mask.sum() == 3
-        assert ids[-1, 0] == 10  # item 9 shifted by +1
+        assert ids[:, 0].tolist() == [8, 9, 10]  # items 7..9 shifted by +1
 
-    def test_vectorised_match_mask(self):
-        periods = np.array([[1, 2, 1], [3, 3, 0]])
-        cells = np.array([[5, 5, 6], [7, 8, 0]])
-        mask = np.array([[1, 1, 1], [1, 1, 0]], dtype=np.float32)
-        request_period = np.array([1, 3])
-        request_cell = np.array([5, 8])
-        result = spatiotemporal_match_mask(periods, cells, mask, request_period, request_cell)
-        assert result.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    @settings(max_examples=60, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(st.integers(0, 50), st.integers(0, 4), st.sampled_from(["wtw3", "wtw9"])),
+            max_size=40,
+        ),
+        period=st.integers(0, 4),
+        prefix=st.sampled_from(["wtw3", "wtw9"]),
+        max_length=st.integers(1, 30),
+    )
+    def test_snapshot_equals_row_by_row_reference(self, events, period, prefix, max_length):
+        history = self._history(events)
+        got = history.snapshot(period, prefix, max_length)
+        want = self._reference_snapshot(history, period, prefix, max_length)
+        for got_array, want_array in zip(got, want):
+            assert got_array.dtype == want_array.dtype
+            assert np.array_equal(got_array, want_array)

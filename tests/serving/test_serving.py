@@ -66,56 +66,71 @@ class TestOnlineEncoderConsistency:
         assert batch["behavior"].shape[0] == len(candidates)
         assert batch["fields"][FieldName.CONTEXT].max() < eleme_dataset.schema.total_vocab_size
 
-    def test_offline_and_online_encoders_agree(self, eleme_dataset):
-        """Offline/online feature consistency: the same request must encode identically.
+    def test_offline_and_online_encoders_agree(self, eleme_dataset, monkeypatch):
+        """Offline/online feature consistency: the same request encodes to the
+        same bytes in every column of every field and in the behaviour arrays.
 
-        We re-simulate a single extra session with a fresh generator that has the
-        same state, then encode the same request online and compare the static
-        candidate-item and context features (user counters are request-level
-        snapshots in both paths).
+        A serving state adopts a fresh generator *before* it simulates one
+        day, and the sampled request contexts are recorded on the way.  For
+        the day's first session the two sides then hold the same histories
+        and counters: the offline "clicks before this day" are 0 and so are
+        the adopted live item counters, so no column needs excluding —
+        distance included, since the recorded context keeps its location.
         """
         from repro.data.encoding import encode_eleme_log
 
-        generator = LogGenerator(eleme_dataset.world, eleme_dataset.config.log_config())
+        world, schema = eleme_dataset.world, eleme_dataset.schema
+        generator = LogGenerator(world, eleme_dataset.config.log_config())
+        state = ServingState.from_log_generator(generator)
+        contexts = []
+        sample = world.sample_request_context
+
+        def recording(day, rng):
+            contexts.append(sample(day, rng))
+            return contexts[-1]
+
+        monkeypatch.setattr(world, "sample_request_context", recording)
         log = generator.simulate(num_days=1, start_day=90)
-        offline = encode_eleme_log(log, eleme_dataset.world, eleme_dataset.schema)
+        monkeypatch.undo()
+        offline = encode_eleme_log(log, world, schema)
 
-        state = ServingState(eleme_dataset.world,
-                             geohash_match_prefix=generator.config.geohash_match_prefix)
-        encoder = OnlineRequestEncoder(eleme_dataset.world, eleme_dataset.schema)
-
-        # Re-encode the first session online with the same candidates/positions.
         session = 0
         impressions = np.where(log.session_index == session)[0]
-        from repro.data.world import RequestContext
+        encoder = OnlineRequestEncoder(world, schema)
+        online = encoder.encode(contexts[session], log.item_index[impressions], state,
+                                positions=log.position[impressions])
+        expected = offline.batch(impressions)
+        for field in (FieldName.USER, FieldName.CANDIDATE_ITEM, FieldName.CONTEXT,
+                      FieldName.COMBINE):
+            assert np.array_equal(expected["fields"][field], online["fields"][field]), field
+        for name in ("behavior", "behavior_mask", "behavior_st_mask", "time_period",
+                     "city", "hour", "position"):
+            assert expected[name].dtype == online[name].dtype, name
+            assert np.array_equal(expected[name], online[name]), name
+        # The session's user has a history, so the behaviour arrays are exercised.
+        assert expected["behavior_mask"].sum() > 0
 
-        context = RequestContext(
-            user_index=int(log.session_user[session]),
-            day=int(log.session_day[session]),
-            hour=int(log.session_hour[session]),
-            time_period=int(log.session_period[session]),
-            city=int(log.session_city[session]),
-            latitude=0.0,
-            longitude=0.0,
-            geohash=log.session_geohash[session],
+    def test_positions_must_match_candidates_per_request(self, eleme_dataset, serving_setup):
+        """4 + 4 candidates with 3 + 5 positions used to pass: request 0's last
+        row took request 1's first position."""
+        state, encoder = serving_setup
+        rng = np.random.default_rng(5)
+        contexts = [eleme_dataset.world.sample_request_context(53, rng) for _ in range(2)]
+        candidates = [eleme_dataset.world.candidate_items(c, 4, rng) for c in contexts]
+        assert [len(c) for c in candidates] == [4, 4]
+        bad = (
+            [np.arange(3), np.arange(5)],            # shifted across requests
+            [np.arange(4)],                          # one entry short
+            [np.arange(4), np.arange(4), None],      # one entry too many
+            [np.arange(4).reshape(2, 2), np.arange(4)],
         )
-        # Use the item's own location offsets through the world helper by giving
-        # the online encoder the exact same distances: we reconstruct the request
-        # location from the offline distance of the first candidate is overkill;
-        # instead compare only the distance-independent features.
-        candidates = log.item_index[impressions]
-        positions = log.position[impressions]
-        online = encoder.encode(context, candidates, state, positions=positions)
-
-        offline_item = offline.field_ids[FieldName.CANDIDATE_ITEM][impressions]
-        online_item = online["fields"][FieldName.CANDIDATE_ITEM]
-        # Columns: item_id, category, brand, price, quality, clicks, distance, position.
-        static_columns = [0, 1, 2, 3, 4, 7]
-        assert np.array_equal(offline_item[:, static_columns], online_item[:, static_columns])
-
-        offline_context = offline.field_ids[FieldName.CONTEXT][impressions]
-        online_context = online["fields"][FieldName.CONTEXT]
-        assert np.array_equal(offline_context, online_context)
+        for positions_list in bad:
+            for encode in (encoder.encode_many, encoder.encode_split):
+                with pytest.raises(ValueError, match="position"):
+                    encode(contexts, candidates, state, positions_list=positions_list)
+        batch, _ = encoder.encode_many(contexts, candidates, state,
+                                       positions_list=[np.arange(4), None])
+        assert batch["position"].tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
 class TestRecallAndRanking:

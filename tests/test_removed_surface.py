@@ -309,3 +309,57 @@ def test_request_context_layout_is_known_by_one_module():
             if fields <= named:
                 spelled.add(path.relative_to(serving).as_posix())
     assert spelled == {"wire.py"}
+
+
+def test_one_request_time_feature_view():
+    """The offline log and the online state share one behaviour history with
+    one snapshot, and both encoders one id builder per Table I field: the
+    parallel history types, the row-loop snapshot and the encoders' private
+    copies of the id layout stay deleted."""
+    import inspect
+
+    import repro.data.encoding as encoding
+    import repro.data.log as log
+    import repro.features as features
+    import repro.features.behavior as behavior
+    import repro.serving as serving
+    import repro.serving.encoder as encoder
+    import repro.serving.state as state
+    from repro.data import LogGenerator
+    from repro.features.table_ids import behavior_ids
+
+    removed = {
+        features: ("BehaviorEvent", "BehaviorSequence", "spatiotemporal_match_mask"),
+        behavior: ("BehaviorEvent", "BehaviorSequence", "spatiotemporal_match_mask"),
+        log: ("_UserHistory",),
+        state: ("UserHistoryState",),
+        serving: ("UserHistoryState",),
+        encoder: ("_SNAPSHOT_COLUMNS",),
+        encoding: ("_encode_behavior", "_geohash_ids"),
+    }
+    for module, names in removed.items():
+        left = [name for name in names if hasattr(module, name)]
+        assert not left, f"{module.__name__} still has {left}"
+    assert not hasattr(LogGenerator, "_behavior_snapshot")
+    assert not hasattr(behavior.BehaviorHistory, "window_arrays")
+    for name in ("_gid", "_user_rows", "_context_rows", "_geohash_vocab"):
+        assert not hasattr(encoder.OnlineRequestEncoder, name), name
+    assert list(inspect.signature(behavior_ids).parameters) == ["schema", "raw"]
+
+    # Each piece of the view is spelled in exactly one module under src/.
+    owners = {
+        "geohash_prefixes.append(": "features/behavior.py",
+        "np.linspace(0.1, 0.9, 9)": "features/table_ids.py",
+        "np.linspace(0.2, 1.8, 9)": "features/table_ids.py",
+        "cross_activity_time_period(": "features/table_ids.py",
+        "cross_distance_time_period(": "features/table_ids.py",
+        "HashingVocabulary(": "features/table_ids.py",
+    }
+    source = REPO_ROOT / "src" / "repro"
+    for needle, owner in owners.items():
+        found = sorted(
+            path.relative_to(source).as_posix() for path in source.rglob("*.py")
+            if needle in path.read_text(encoding="utf-8")
+            and path.name not in ("crosses.py", "vocabulary.py")
+        )
+        assert found == [owner], f"{needle!r} spelled in {found}"
