@@ -97,8 +97,7 @@ def test_refreshed_model_beats_frozen_under_drift(tmp_path):
     reloaded, _ = store.load(v1.name, schema)
     pipeline = build_pipeline(
         world, frozen, encoder, state,
-        PipelineConfig(scenario="platform", recall_size=RECALL_SIZE,
-                       exposure_size=EXPOSURE_SIZE),
+        PipelineConfig(recall_size=RECALL_SIZE, exposure_size=EXPOSURE_SIZE),
     )
     ranker = pipeline.stage("rank").ranker
     rng = np.random.default_rng(101)

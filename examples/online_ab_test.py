@@ -15,7 +15,6 @@ from repro.serving import (
     ABTestConfig,
     ABTestSimulator,
     OnlineRequestEncoder,
-    PipelineConfig,
     ServingState,
     build_pipeline,
 )
@@ -41,9 +40,7 @@ def main() -> None:
     encoder = OnlineRequestEncoder(dataset.world, dataset.schema)
 
     # A single end-to-end request through the TPP-style serving pipeline.
-    pipeline = build_pipeline(
-        dataset.world, basm_model, encoder, state, PipelineConfig(scenario="platform")
-    )
+    pipeline = build_pipeline(dataset.world, basm_model, encoder, state)
     context = dataset.world.sample_request_context(day=100, rng=np.random.default_rng(1))
     impression = pipeline.run(context)
     print(f"\nServed one request at hour {context.hour} in city {context.city + 1}: "

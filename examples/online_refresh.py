@@ -98,8 +98,7 @@ def main() -> None:
     deployed, _ = store.load(v1.name, schema)
     pipeline = build_pipeline(
         world, deployed, encoder, state,
-        PipelineConfig(scenario="platform", recall_size=RECALL_SIZE,
-                       exposure_size=EXPOSURE_SIZE),
+        PipelineConfig(recall_size=RECALL_SIZE, exposure_size=EXPOSURE_SIZE),
     )
     print(f"Deployed {v1.tag} behind the serving pipeline "
           f"(schema fingerprint {schema.fingerprint()}).")

@@ -1,11 +1,14 @@
 """Online A/B experiment simulator (paper Table VII and Fig. 12).
 
 Users are split 50/50 by a deterministic hash into a control bucket (served by
-the base model, a DIN variant) and a treatment bucket (served by BASM).  Each
-simulated day the system handles requests end-to-end: LBS recall, model
-ranking, top-k exposure, and user clicks drawn from the ground-truth click
-model of the synthetic world (with position bias applied to the displayed
-rank).  The result object reports daily CTR per bucket (Table VII) and CTR /
+the base model, a DIN variant) and a treatment bucket (served by BASM).  The
+simulator holds two pipelines — the one recall → rank → exposure graph over a
+shared recall stage, differing only in the rank stage's model — and serves
+each request through the pipeline of its user's bucket.  Each simulated day
+the system handles requests end-to-end: recall, model ranking, top-k
+exposure, and user clicks drawn from the ground-truth click model of the
+synthetic world (with position bias applied to the displayed rank), fed back
+through the same bucket's exposure stage.  The result object reports daily CTR per bucket (Table VII) and CTR /
 exposure-ratio per time-period and city (Fig. 12).
 """
 
@@ -21,7 +24,7 @@ from ..features.time_features import TimePeriod
 from ..metrics.ctr import CTRCounter, relative_improvement
 from ..models.base import BaseCTRModel
 from .encoder import OnlineRequestEncoder
-from .pipeline import PipelineConfig, ScenarioRouter, ServeResponse, build_pipeline
+from .pipeline import PipelineConfig, build_pipeline
 from .ranker import Ranker, hot_swap
 from .recall import MultiChannelRecall
 from .recall.base import RecallStrategy
@@ -165,30 +168,23 @@ class ABTestSimulator:
         self.recall = recall if recall is not None else MultiChannelRecall.build(
             world, state, pool_size=self.config.recall_size, seed=self.config.seed + 1,
         )
-        #: Each bucket is one pipeline variant over the shared recall stage;
-        #: the experiment is "same pipeline graph, different rank stage" —
-        #: which is exactly what a model A/B test should be.  The router's
-        #: classifier is the deterministic user-hash bucketing, so scenario
-        #: dispatch and experiment bucketing are the same mechanism.
-        self.router = ScenarioRouter(
-            {
-                name: build_pipeline(
-                    world, ranker.model, encoder, state,
-                    PipelineConfig(
-                        scenario=name,
-                        exposure_size=self.config.exposure_size,
-                        order_probability=self.config.order_probability,
-                    ),
-                    recall=self.recall, ranker=ranker,
-                )
-                for name, ranker in (
-                    ("control", self.control_ranker),
-                    ("treatment", self.treatment_ranker),
-                )
-            },
-            default="control",
-            classifier=lambda context: self._bucket_of(context.user_index),
-        )
+        #: Each bucket is the one pipeline graph over the shared recall
+        #: stage with its own rank stage — which is exactly what a model A/B
+        #: test should be.  Requests go to ``pipelines[_bucket_of(user)]``.
+        self.pipelines = {
+            name: build_pipeline(
+                world, ranker.model, encoder, state,
+                PipelineConfig(
+                    exposure_size=self.config.exposure_size,
+                    order_probability=self.config.order_probability,
+                ),
+                recall=self.recall, ranker=ranker,
+            )
+            for name, ranker in (
+                ("control", self.control_ranker),
+                ("treatment", self.treatment_ranker),
+            )
+        }
         self.rng = np.random.default_rng(self.config.seed)
 
     # ------------------------------------------------------------------ #
@@ -228,69 +224,49 @@ class ABTestSimulator:
         """
         cfg = self.config
         daily: List[Dict[str, float]] = []
-        control_total = CTRCounter()
-        treatment_total = CTRCounter()
-        control_by_period = CTRCounter()
-        treatment_by_period = CTRCounter()
-        control_by_city = CTRCounter()
-        treatment_by_city = CTRCounter()
-
-        def account(response: ServeResponse, day_control, day_treatment):
-            """Draw ground-truth clicks for one exposure and book every counter."""
-            context = response.context
-            exposed = response.items
-            display_positions = np.arange(len(exposed))
-            probabilities = self.world.click_probabilities(
-                context.user_index,
-                exposed,
-                context.hour,
-                context.city,
-                (context.latitude, context.longitude),
-                positions=display_positions,
-                rng=self.rng,
-            )
-            clicks = (self.rng.random(len(exposed)) < probabilities).astype(np.float32)
-            exposures = int(len(exposed))
-            click_count = int(clicks.sum())
-
-            if response.scenario == "treatment":
-                day_treatment.update(exposures, click_count)
-                treatment_total.update(exposures, click_count)
-                treatment_by_period.update(exposures, click_count, group=context.time_period)
-                treatment_by_city.update(exposures, click_count, group=context.city)
-            else:
-                day_control.update(exposures, click_count)
-                control_total.update(exposures, click_count)
-                control_by_period.update(exposures, click_count, group=context.time_period)
-                control_by_city.update(exposures, click_count, group=context.city)
-
-            # Feedback flows through the serving pipeline's exposure stage,
-            # so replay logging and order simulation live in one place.
-            self.router.feedback(response, clicks, rng=self.rng)
+        totals = {bucket: CTRCounter() for bucket in self.pipelines}
+        by_period = {bucket: CTRCounter() for bucket in self.pipelines}
+        by_city = {bucket: CTRCounter() for bucket in self.pipelines}
 
         for day_offset in range(cfg.num_days):
             day = start_day + day_offset
-            # The pre-pipeline loop read the config on every request; keep
-            # that contract by syncing the mutable knobs into the bucket
-            # pipelines' stages each day (a ``config`` mutated between runs
-            # or from an ``on_day_end`` hook still takes effect).
-            for pipeline in self.router.pipelines.values():
-                pipeline.stage("rank").exposure_size = cfg.exposure_size
-                pipeline.stage("exposure").order_probability = cfg.order_probability
-            day_control = CTRCounter()
-            day_treatment = CTRCounter()
+            today = {bucket: CTRCounter() for bucket in self.pipelines}
             # Strictly sequential: each request sees all earlier feedback.
             for _ in range(cfg.requests_per_day):
                 context = self.world.sample_request_context(day, self.rng)
-                response = self.router.run(context)
-                account(response, day_control, day_treatment)
+                bucket = self._bucket_of(context.user_index)
+                pipeline = self.pipelines[bucket]
+                response = pipeline.run(context)
+                # Ground-truth clicks for the exposure, with position bias
+                # applied to the displayed rank.
+                exposed = response.items
+                probabilities = self.world.click_probabilities(
+                    context.user_index,
+                    exposed,
+                    context.hour,
+                    context.city,
+                    (context.latitude, context.longitude),
+                    positions=np.arange(len(exposed)),
+                    rng=self.rng,
+                )
+                clicks = (self.rng.random(len(exposed)) < probabilities).astype(np.float32)
+                exposures, click_count = int(len(exposed)), int(clicks.sum())
+                today[bucket].update(exposures, click_count)
+                totals[bucket].update(exposures, click_count)
+                by_period[bucket].update(exposures, click_count, group=context.time_period)
+                by_city[bucket].update(exposures, click_count, group=context.city)
+                # Feedback flows through the bucket pipeline's exposure stage,
+                # so replay logging and order simulation live in one place.
+                pipeline.feedback(response, clicks, rng=self.rng)
 
             daily.append(
                 {
                     "day": day_offset + 1,
-                    "control_ctr": day_control.ctr,
-                    "treatment_ctr": day_treatment.ctr,
-                    "relative_improvement": relative_improvement(day_treatment.ctr, day_control.ctr),
+                    "control_ctr": today["control"].ctr,
+                    "treatment_ctr": today["treatment"].ctr,
+                    "relative_improvement": relative_improvement(
+                        today["treatment"].ctr, today["control"].ctr
+                    ),
                 }
             )
             if on_day_end is not None:
@@ -298,10 +274,10 @@ class ABTestSimulator:
 
         return ABTestResult(
             daily=daily,
-            control=control_total,
-            treatment=treatment_total,
-            control_by_period=control_by_period,
-            treatment_by_period=treatment_by_period,
-            control_by_city=control_by_city,
-            treatment_by_city=treatment_by_city,
+            control=totals["control"],
+            treatment=totals["treatment"],
+            control_by_period=by_period["control"],
+            treatment_by_period=by_period["treatment"],
+            control_by_city=by_city["control"],
+            treatment_by_city=by_city["treatment"],
         )

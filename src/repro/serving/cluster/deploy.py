@@ -14,14 +14,16 @@ the cache key.
 A failed health check (or a swap error) aborts the deploy and rolls every
 already-swapped shard back to the previous model, so the cluster ends on
 exactly one version either way — new everywhere on success, old everywhere
-on failure (:class:`RollingDeployError` carries the partial report).
+on failure (:class:`RollingDeployError` carries the partial report).  A
+restore that itself fails (a dead process child) does not stop the others;
+the shard is named in the report's ``rollback_failures``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,6 +65,9 @@ class DeployReport:
     shards: List[ShardDeployResult] = field(default_factory=list)
     completed: bool = False
     rolled_back: bool = False
+    #: Shards whose rollback restore raised: worker id -> the error's repr.
+    #: They may still serve the aborted model.
+    rollback_failures: Dict[str, str] = field(default_factory=dict)
     #: Snapshot generation published before the first swap (durable clusters
     #: only): the warm-rollback point — a crash mid-deploy recovers the full
     #: feedback window as of promotion start, not a cold state.
@@ -83,7 +88,11 @@ class DeployReport:
             f" [pre-deploy snapshot gen {self.pre_deploy_snapshot}]"
             if self.pre_deploy_snapshot is not None else ""
         )
-        return f"rolling deploy {status} — {detail or '(no shards)'}{snapshot}"
+        failed = (
+            f" [rollback FAILED on {', '.join(self.rollback_failures)}]"
+            if self.rollback_failures else ""
+        )
+        return f"rolling deploy {status} — {detail or '(no shards)'}{snapshot}{failed}"
 
 
 class RollingDeployError(RuntimeError):
@@ -156,8 +165,7 @@ class RollingDeploy:
             try:
                 previous = worker.swap_model(model)
             except Exception as error:
-                self._rollback(swapped)
-                report.rolled_back = bool(swapped)
+                self._rollback(swapped, report)
                 report.shards.append(
                     ShardDeployResult(
                         worker_id=worker.worker_id, healthy=False,
@@ -165,7 +173,8 @@ class RollingDeploy:
                     )
                 )
                 raise RollingDeployError(
-                    f"swap failed on shard {worker.worker_id!r}: {error}", report
+                    f"swap failed on shard {worker.worker_id!r}: {error}"
+                    f"{_rollback_note(report)}", report
                 ) from error
             swapped.append((worker, previous))
             healthy, probe_seconds, error = self._probe(worker)
@@ -177,23 +186,35 @@ class RollingDeploy:
                 )
             )
             if not healthy:
-                self._rollback(swapped)
-                report.rolled_back = True
+                self._rollback(swapped, report)
                 raise RollingDeployError(
                     f"health check failed on shard {worker.worker_id!r} "
-                    f"({error}); cluster rolled back", report
+                    f"({error}){_rollback_note(report)}", report
                 )
         report.completed = True
         return report
 
     @staticmethod
-    def _rollback(swapped: List[tuple]) -> None:
+    def _rollback(swapped: List[tuple], report: DeployReport) -> None:
         """Restore the previous model on every already-swapped shard.
 
         Each restore is itself a version-bumping swap, so cache entries
         written against the aborted version are stranded too.  The previous
         model is already this worker's own replica, so it is reinstalled
-        as-is (``replicate=False``).
+        as-is (``replicate=False``).  Every restore is attempted: one that
+        raises is recorded in ``report.rollback_failures`` and the next
+        shard is restored all the same.
         """
         for worker, previous in reversed(swapped):
-            worker.swap_model(previous, replicate=False)
+            try:
+                worker.swap_model(previous, replicate=False)
+            except Exception as error:  # noqa: BLE001 - the other shards still roll back
+                report.rollback_failures[worker.worker_id] = repr(error)
+        report.rolled_back = bool(swapped)
+
+
+def _rollback_note(report: DeployReport) -> str:
+    """How the rollback went, for the error message."""
+    if report.rollback_failures:
+        return f"; rollback FAILED on {sorted(report.rollback_failures)}"
+    return "; cluster rolled back" if report.rolled_back else ""

@@ -107,7 +107,6 @@ class ClusterFrontend:
         #: the frontend closes the pool (processes, segments, supervisor).
         self.pool = pool
         self.ring = ConsistentHashRing(list(self.workers), virtual_nodes=virtual_nodes)
-        self.cache_bypasses = 0
         self.warmed_requests = 0
         self.start()
 
@@ -181,8 +180,6 @@ class ClusterFrontend:
 
             def on_done(response: ServeResponse, _key=key, _cache=cache) -> None:
                 _cache.put(_key, response)
-        else:
-            self.cache_bypasses += 1
         return worker.submit(request, on_done=on_done, block=block, timeout=timeout)
 
     def serve(

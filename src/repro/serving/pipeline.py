@@ -1,30 +1,25 @@
 """Composable serving pipeline: the orchestration layer of the paper's Fig. 13.
 
 The deployment the paper describes is a *staged* flow — Recall → feature
-assembly → Real-Time Prediction → exposure — adapted per spatiotemporal
-scenario.  This module makes it first-class: every consumer (a cluster
-worker, the A/B simulator, the examples) builds its one pipeline with
-:func:`build_pipeline` and runs the *same* stage graph, and anything can be
-inserted, measured, or varied per scenario:
+assembly → Real-Time Prediction → exposure.  The spatiotemporal adaptation
+lives inside the model (StAEL / StSTL / StABT), so serving runs one graph.
+This module makes that graph first-class: every consumer (a cluster worker,
+the A/B simulator, the examples) builds its pipeline with
+:func:`build_pipeline` and runs the *same* stages, each one measured:
 
 * :class:`ServeRequest` / :class:`ServeResponse` — typed envelopes carrying a
-  request id and scenario tag through the stages;
+  request id through the stages;
 * :class:`PipelineStage` — the stage contract (batch-first: a stage processes
   a list of envelopes, so the sequential path is just a batch of one and the
   two paths cannot drift apart);
 * concrete stages — :class:`RecallStage`, :class:`RankStage`,
-  :class:`RerankStage` (pluggable business rules, e.g.
-  :class:`CategoryDiversityRule`), :class:`ExposureLogStage` (the
-  feedback/replay hookup);
+  :class:`ExposureLogStage` (the feedback/replay hookup);
 * :class:`ServingPipeline` — executes the stage graph for one request
   (``run``) or a concurrent burst (``run_many``) while recording per-stage
   telemetry (latency, candidate counts in/out) in a :class:`StageMetrics`
   accumulator;
 * :class:`PipelineConfig` + :func:`build_pipeline` — config-driven
-  construction of the canonical recall → rank → rerank → exposure graph;
-* :class:`ScenarioRouter` — dispatches requests to per-scenario pipeline
-  variants (city-tier or daypart-specific recall quotas / exposure sizes),
-  the serving-side analog of the paper's scenario adaptation.
+  construction of the recall → rank → exposure graph.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
+from typing import Deque, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,14 +47,10 @@ __all__ = [
     "PipelineStage",
     "RecallStage",
     "RankStage",
-    "RerankRule",
-    "CategoryDiversityRule",
-    "RerankStage",
     "ExposureLogStage",
     "ServingPipeline",
     "PipelineConfig",
     "build_pipeline",
-    "ScenarioRouter",
 ]
 
 
@@ -70,9 +61,9 @@ __all__ = [
 class ServeRequest:
     """One serving request as the pipeline sees it.
 
-    ``request_id`` is assigned by the pipeline when empty; ``scenario`` is the
-    routing tag — empty means "unrouted" and lets a :class:`ScenarioRouter`
-    classify the request from its context.
+    ``request_id`` is assigned by the pipeline when empty; ``scenario`` is a
+    free-form tag the pipeline carries through untouched (an untagged
+    request is tagged ``"default"``).
     """
 
     context: RequestContext
@@ -86,7 +77,7 @@ class ServeResponse:
 
     ``candidates`` is the recalled pool (set by :class:`RecallStage`),
     ``items``/``scores`` the exposed list in display order (set by
-    :class:`RankStage`, possibly reordered by :class:`RerankStage`).
+    :class:`RankStage`).
     """
 
     request: ServeRequest
@@ -97,10 +88,6 @@ class ServeResponse:
     @property
     def context(self) -> RequestContext:
         return self.request.context
-
-    @property
-    def scenario(self) -> str:
-        return self.request.scenario
 
     def __len__(self) -> int:
         return 0 if self.items is None else int(len(self.items))
@@ -140,10 +127,9 @@ class StageStats:
 class StageMetrics:
     """Per-stage latency and candidate-count accumulator.
 
-    One instance can be shared across pipelines (e.g. every scenario variant
-    of a router feeding one accumulator) — stages are keyed by name, and
-    recording is append-only.  ``max_samples`` bounds the per-stage latency
-    window the percentiles are computed over (totals stay exact).
+    One instance can be shared across pipelines — stages are keyed by name,
+    and recording is append-only.  ``max_samples`` bounds the per-stage
+    latency window the percentiles are computed over (totals stay exact).
     """
 
     def __init__(self, max_samples: int = 4096) -> None:
@@ -285,25 +271,15 @@ class PipelineStage:
 
 class RecallStage(PipelineStage):
     """Fill ``candidates`` from a :class:`RecallStrategy`: one ``recall_many``
-    call for the whole micro-batch.
-
-    With ``pool_size=None`` the strategy's own configured pool size applies;
-    a scenario variant can override it to give, say, dense city tiers a
-    larger pool than sparse ones without duplicating the strategy.
-    """
+    call for the whole micro-batch, at the strategy's own pool size."""
 
     name = "recall"
 
-    def __init__(self, strategy: RecallStrategy, pool_size: Optional[int] = None) -> None:
-        if pool_size is not None and pool_size <= 0:
-            raise ValueError("pool_size must be positive when given")
+    def __init__(self, strategy: RecallStrategy) -> None:
         self.strategy = strategy
-        self.pool_size = pool_size
 
     def process(self, batch: Sequence[ServeResponse], state: ServingState) -> None:
-        pools = self.strategy.recall_many(
-            [response.context for response in batch], self.pool_size
-        )
+        pools = self.strategy.recall_many([response.context for response in batch])
         for response, pool in zip(batch, pools):
             response.candidates = pool
 
@@ -332,76 +308,6 @@ class RankStage(PipelineStage):
         for response, result in zip(batch, ranked):
             response.items = result.items
             response.scores = result.scores
-
-
-class RerankRule:
-    """One pluggable business rule applied by :class:`RerankStage`.
-
-    Rules receive the exposed list in display order and return the adjusted
-    ``(items, scores)`` pair.  They must be pure (no state mutation) and
-    deterministic — re-running a rule on its own output is a no-op.
-    """
-
-    name = "rule"
-
-    def apply(self, items: np.ndarray, scores: np.ndarray,
-              context: RequestContext, state: ServingState) -> tuple:
-        raise NotImplementedError
-
-
-class CategoryDiversityRule(RerankRule):
-    """Cap how many items of one category appear in the head of the list.
-
-    A classic exposure rule: the score-ordered list is scanned greedily and
-    items exceeding ``max_per_category`` are demoted behind the compliant
-    ones, so the list keeps its length.  Relative order inside each group is
-    preserved, so the rule is stable and idempotent.
-    """
-
-    name = "category_diversity"
-
-    def __init__(self, world: SyntheticWorld, max_per_category: int) -> None:
-        if max_per_category <= 0:
-            raise ValueError("max_per_category must be positive")
-        self.world = world
-        self.max_per_category = max_per_category
-
-    def apply(self, items: np.ndarray, scores: np.ndarray,
-              context: RequestContext, state: ServingState) -> tuple:
-        counts: Dict[int, int] = {}
-        kept: List[int] = []
-        overflow: List[int] = []
-        for position, item in enumerate(items):
-            category = int(self.world.item_category[int(item)])
-            counts[category] = counts.get(category, 0) + 1
-            (kept if counts[category] <= self.max_per_category else overflow).append(position)
-        if not overflow:
-            return items, scores
-        order = kept + overflow
-        return items[order], scores[order]
-
-
-class RerankStage(PipelineStage):
-    """Apply business rules to the exposed list, after model ranking.
-
-    The insertion point for exposure policies (diversity caps, boosts,
-    compliance filters): they plug in here without touching recall or the
-    scoring engine.  With no rules the stage is an exact pass-through.
-    """
-
-    name = "rerank"
-
-    def __init__(self, rules: Sequence[RerankRule] = ()) -> None:
-        self.rules = list(rules)
-
-    def process(self, batch: Sequence[ServeResponse], state: ServingState) -> None:
-        if not self.rules:
-            return
-        for response in batch:
-            items, scores = response.items, response.scores
-            for rule in self.rules:
-                items, scores = rule.apply(items, scores, response.context, state)
-            response.items, response.scores = items, scores
 
 
 class ExposureLogStage(PipelineStage):
@@ -462,7 +368,6 @@ class ServingPipeline:
         stages: Sequence[PipelineStage],
         state: ServingState,
         metrics: Optional[StageMetrics] = None,
-        name: str = "default",
     ) -> None:
         if not stages:
             raise ValueError("a pipeline needs at least one stage")
@@ -472,7 +377,6 @@ class ServingPipeline:
         self.stages = list(stages)
         self.state = state
         self.metrics = metrics if metrics is not None else StageMetrics()
-        self.name = name
         self._served = 0
 
     # ------------------------------------------------------------------ #
@@ -481,14 +385,14 @@ class ServingPipeline:
         for stage in self.stages:
             if stage.name == name:
                 return stage
-        raise KeyError(f"pipeline {self.name!r} has no stage {name!r}")
+        raise KeyError(f"the pipeline has no stage {name!r}")
 
     def _as_request(self, request: Union[ServeRequest, RequestContext]) -> ServeRequest:
         """Normalise the input envelope without mutating the caller's object."""
         if isinstance(request, RequestContext):
             request = ServeRequest(context=request)
-        request_id = request.request_id or f"{self.name}-{self._served}"
-        scenario = request.scenario or self.name
+        request_id = request.request_id or f"default-{self._served}"
+        scenario = request.scenario or "default"
         if request_id != request.request_id or scenario != request.scenario:
             request = replace(request, request_id=request_id, scenario=scenario)
         self._served += 1
@@ -558,23 +462,16 @@ class ServingPipeline:
 # ---------------------------------------------------------------------- #
 @dataclass
 class PipelineConfig:
-    """Declarative description of one pipeline variant.
+    """Declarative description of the one pipeline graph.
 
-    A :class:`ScenarioRouter` setup is just a dict of these — one per
-    spatiotemporal scenario (daypart, city tier, campaign) — differing in
-    recall pool size, channel quotas, exposure size, or rerank policy.
+    ``recall_size`` and ``seed`` shape the default fused recall (ignored
+    when an explicit ``recall`` strategy is supplied), ``exposure_size`` the
+    rank stage's top-k and ``order_probability`` the exposure stage's order
+    simulation.
     """
 
-    scenario: str = "default"
     recall_size: int = 30
     exposure_size: int = 10
-    #: Relative per-channel quota weights for the fused recall stage
-    #: (ignored when an explicit ``recall`` strategy is supplied).
-    recall_quotas: Optional[Dict[str, float]] = None
-    #: Head cap for :class:`CategoryDiversityRule`; ``None`` disables the
-    #: rerank stage entirely (exact pass-through of the ranked list).
-    max_per_category: Optional[int] = None
-    #: Order-simulation probability of the exposure/feedback stage.
     order_probability: float = 0.3
     seed: int = 3
 
@@ -589,119 +486,25 @@ def build_pipeline(
     ranker: Optional[Ranker] = None,
     metrics: Optional[StageMetrics] = None,
 ) -> ServingPipeline:
-    """Construct the canonical recall → rank [→ rerank] → exposure pipeline.
+    """Construct the recall → rank → exposure pipeline.
 
     ``recall``/``ranker`` may be supplied to share a stage across pipelines
     (the A/B simulator shares one recall stage between buckets and keeps
     each bucket's ranker for :meth:`ABTestSimulator.promote`); otherwise the
-    default fused multi-channel recall (quota-weighted per
-    ``config.recall_quotas``) and a fresh ranker are built.  A supplied
-    ``recall`` keeps its own configured pool size.
+    default fused multi-channel recall and a fresh ranker are built.  A
+    supplied ``recall`` keeps its own configured pool size.
     """
     config = config or PipelineConfig()
     if recall is None:
         recall = MultiChannelRecall.build(
             world, state, encoder=encoder, model=model,
-            pool_size=config.recall_size, quotas=config.recall_quotas,
-            seed=config.seed,
+            pool_size=config.recall_size, seed=config.seed,
         )
     if ranker is None:
         ranker = Ranker(model, encoder)
     stages: List[PipelineStage] = [
         RecallStage(recall),
         RankStage(ranker, config.exposure_size),
+        ExposureLogStage(order_probability=config.order_probability),
     ]
-    if config.max_per_category is not None:
-        stages.append(RerankStage([CategoryDiversityRule(world, config.max_per_category)]))
-    stages.append(ExposureLogStage(order_probability=config.order_probability))
-    return ServingPipeline(stages, state, metrics=metrics, name=config.scenario)
-
-
-# ---------------------------------------------------------------------- #
-# scenario routing
-# ---------------------------------------------------------------------- #
-class ScenarioRouter:
-    """Dispatch requests to per-scenario pipeline variants.
-
-    The serving-side analog of the paper's scenario adaptation: one pipeline
-    per spatiotemporal scenario (breakfast vs. late-night dayparts, dense vs.
-    sparse city tiers, an experiment bucket…), selected per request.  An
-    explicit non-empty ``ServeRequest.scenario`` tag wins; otherwise the
-    ``classifier`` derives the tag from the request context; otherwise the
-    ``default`` scenario serves the request.  ``run_many`` groups a mixed
-    burst by scenario, runs each group through its pipeline's micro-batched
-    path, and returns responses in input order.  A tag with no pipeline —
-    explicit or classified — raises ``ValueError``: a typo'd tag fails
-    loudly instead of silently serving the wrong variant.
-    """
-
-    def __init__(
-        self,
-        pipelines: Dict[str, ServingPipeline],
-        default: Optional[str] = None,
-        classifier: Optional[Callable[[RequestContext], str]] = None,
-    ) -> None:
-        if not pipelines:
-            raise ValueError("a router needs at least one pipeline")
-        self.pipelines = dict(pipelines)
-        if default is None:
-            default = next(iter(self.pipelines))
-        if default not in self.pipelines:
-            raise ValueError(f"default scenario {default!r} has no pipeline")
-        self.default = default
-        self.classifier = classifier
-
-    # ------------------------------------------------------------------ #
-    def scenario_of(self, request: Union[ServeRequest, RequestContext]) -> str:
-        """Resolve which scenario serves this request (validated)."""
-        if isinstance(request, RequestContext):
-            request = ServeRequest(context=request)
-        scenario = request.scenario
-        if not scenario and self.classifier is not None:
-            scenario = self.classifier(request.context)
-        if not scenario:
-            scenario = self.default
-        if scenario not in self.pipelines:
-            raise ValueError(
-                f"no pipeline for scenario {scenario!r} "
-                f"(known: {sorted(self.pipelines)})"
-            )
-        return scenario
-
-    def pipeline_for(self, request: Union[ServeRequest, RequestContext]) -> ServingPipeline:
-        return self.pipelines[self.scenario_of(request)]
-
-    # ------------------------------------------------------------------ #
-    def run(self, request: Union[ServeRequest, RequestContext]) -> ServeResponse:
-        return self.run_many([request])[0]
-
-    def run_many(
-        self, requests: Sequence[Union[ServeRequest, RequestContext]]
-    ) -> List[ServeResponse]:
-        """Serve a mixed burst, grouped per scenario, in input order."""
-        normalized = []
-        groups: Dict[str, List[int]] = {}
-        for index, item in enumerate(requests):
-            request = ServeRequest(context=item) if isinstance(item, RequestContext) else item
-            scenario = self.scenario_of(request)
-            if request.scenario != scenario:
-                # Carry the resolved tag on a copy — the caller's envelope is
-                # left untouched, so replaying it (or re-routing it with a
-                # different classifier) re-resolves instead of honouring a
-                # stale tag.
-                request = replace(request, scenario=scenario)
-            normalized.append(request)
-            groups.setdefault(scenario, []).append(index)
-        responses: List[Optional[ServeResponse]] = [None] * len(normalized)
-        for scenario, members in groups.items():
-            served = self.pipelines[scenario].run_many([normalized[i] for i in members])
-            for index, response in zip(members, served):
-                responses[index] = response
-        return responses  # type: ignore[return-value]
-
-    def feedback(self, response: ServeResponse, clicks: np.ndarray,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        """Route click feedback to the pipeline that served the response."""
-        self.pipelines[self.scenario_of(response.request)].feedback(
-            response, clicks, rng=rng
-        )
+    return ServingPipeline(stages, state, metrics=metrics)

@@ -94,7 +94,8 @@ class RecallChannel:
     requests of one call and must be treated as read-only.
     """
 
-    #: Stable identifier; fusion quotas and the canonical blend order key on it.
+    #: Stable identifier; the fusion's canonical blend order (name-sorted, which
+    #: also decides who gets a remainder slot of the equal split) keys on it.
     name = "channel"
 
     def recall_many(self, contexts: Sequence[RequestContext], state: ServingState,

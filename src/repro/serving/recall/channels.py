@@ -29,6 +29,20 @@ __all__ = ["LocationBasedRecall", "GeoGridChannel", "EmbeddingANNChannel",
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
+#: Coarsest geohash precision :class:`GeoGridChannel` degrades to.
+GEO_MIN_PRECISION = 4
+#: Recent clicks averaged into :class:`EmbeddingANNChannel`'s query vector.
+ANN_HISTORY_WINDOW = 10
+#: :class:`PopularityChannel` score weights of the per-period click count and
+#: of the static quality prior, beside the overall count (weight 1).
+POPULARITY_PERIOD_WEIGHT = 1.0
+POPULARITY_QUALITY_WEIGHT = 0.5
+#: :class:`UserHistoryChannel`: recent clicks read, share of the list given
+#: to revisits, and per-event recency decay of the category weights.
+HISTORY_WINDOW = 20
+HISTORY_REVISIT_SHARE = 0.3
+HISTORY_RECENCY_DECAY = 0.9
+
 
 def _top_k_by_score(pool: np.ndarray, scores: np.ndarray, size: int) -> np.ndarray:
     """Highest-scoring ``size`` items of ``pool``, score ties by pool position.
@@ -95,19 +109,18 @@ class GeoGridChannel(RecallChannel):
     groups its requests by gathered block, so each block is ranked once as a
     (requests x items) distance matrix.
 
-    ``min_precision`` bounds how coarse the degradation may go before the
-    channel falls back to the request's city pool; the default (4, cells of
-    roughly 0.18°) keeps a 3x3 block well inside one synthetic city, so the
-    grid never silently recalls another city's shops.
+    The finest precision is the world's geohash precision; the coarsest is
+    :data:`GEO_MIN_PRECISION` (cells of roughly 0.18°), which keeps a 3x3
+    block well inside one synthetic city, so the grid falls back to the
+    request's city pool rather than silently recall another city's shops.
     """
 
     name = "geo_grid"
 
-    def __init__(self, world: SyntheticWorld, max_precision: Optional[int] = None,
-                 min_precision: int = 4) -> None:
+    def __init__(self, world: SyntheticWorld) -> None:
         self.world = world
-        self.max_precision = max_precision or world.config.geohash_precision
-        self.min_precision = min(min_precision, self.max_precision)
+        self.max_precision = world.config.geohash_precision
+        self.min_precision = min(GEO_MIN_PRECISION, self.max_precision)
         self._index: Dict[int, Dict[str, np.ndarray]] = {}
         for precision in range(self.min_precision, self.max_precision + 1):
             cells: Dict[str, List[int]] = {}
@@ -178,12 +191,8 @@ class EmbeddingANNChannel(RecallChannel):
 
     name = "embedding_ann"
 
-    def __init__(self, world: SyntheticWorld, item_embeddings: np.ndarray,
-                 history_window: int = 10) -> None:
-        if history_window <= 0:
-            raise ValueError("history_window must be positive")
+    def __init__(self, world: SyntheticWorld, item_embeddings: np.ndarray) -> None:
         self.world = world
-        self.history_window = history_window
         self._vectors = self._normalize(item_embeddings)
 
     def _normalize(self, embeddings: np.ndarray) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
@@ -204,11 +213,11 @@ class EmbeddingANNChannel(RecallChannel):
         return self._vectors[0]
 
     @classmethod
-    def from_model(cls, world: SyntheticWorld, encoder, model, state: ServingState,
-                   history_window: int = 10) -> "EmbeddingANNChannel":
+    def from_model(cls, world: SyntheticWorld, encoder, model,
+                   state: ServingState) -> "EmbeddingANNChannel":
         """Build the channel from a registry model's exported item vectors."""
         table = encoder.item_static_table(state)
-        return cls(world, model.export_item_embeddings(table), history_window=history_window)
+        return cls(world, model.export_item_embeddings(table))
 
     def refresh(self, item_embeddings: np.ndarray) -> None:
         """Swap in a freshly exported embedding matrix (model promotion)."""
@@ -227,7 +236,7 @@ class EmbeddingANNChannel(RecallChannel):
         with state.lock:
             histories = state.histories
             recents = [
-                history.items[-self.history_window:] if history else None
+                history.items[-ANN_HISTORY_WINDOW:] if history else None
                 for history in (histories.get(context.user_index) for context in contexts)
             ]
         out: List[np.ndarray] = []
@@ -259,11 +268,8 @@ class PopularityChannel(RecallChannel):
 
     name = "popularity"
 
-    def __init__(self, world: SyntheticWorld, period_weight: float = 1.0,
-                 quality_weight: float = 0.5) -> None:
+    def __init__(self, world: SyntheticWorld) -> None:
         self.world = world
-        self.period_weight = period_weight
-        self.quality_weight = quality_weight
 
     def recall_many(self, contexts: Sequence[RequestContext], state: ServingState,
                     size: int, rng_for: RngFor) -> List[np.ndarray]:
@@ -276,9 +282,9 @@ class PopularityChannel(RecallChannel):
                 pool = self.world.recall_pool(context.city)
                 scores = (
                     np.log1p(state.item_clicks[pool])
-                    + self.period_weight
+                    + POPULARITY_PERIOD_WEIGHT
                     * np.log1p(state.item_period_clicks[pool, context.time_period])
-                    + self.quality_weight * self.world.item_quality[pool]
+                    + POPULARITY_QUALITY_WEIGHT * self.world.item_quality[pool]
                 )
                 top = ranked[key] = _top_k_by_score(pool, scores, size)
             out.append(top)
@@ -298,29 +304,23 @@ class UserHistoryChannel(RecallChannel):
 
     name = "user_history"
 
-    def __init__(self, world: SyntheticWorld, history_window: int = 20,
-                 revisit_share: float = 0.3, recency_decay: float = 0.9) -> None:
-        if not 0.0 <= revisit_share <= 1.0:
-            raise ValueError("revisit_share must be in [0, 1]")
+    def __init__(self, world: SyntheticWorld) -> None:
         self.world = world
-        self.history_window = history_window
-        self.revisit_share = revisit_share
-        self.recency_decay = recency_decay
 
     def recall_many(self, contexts: Sequence[RequestContext], state: ServingState,
                     size: int, rng_for: RngFor) -> List[np.ndarray]:
-        window = self.history_window
         # Snapshot both parallel lists under the state lock: a concurrent
         # feedback append between the two slices would misalign item and
         # category windows (and the recency weights computed from them).
         with state.lock:
             histories = state.histories
             windows = [
-                (history.items[-window:], history.categories[-window:]) if history else None
+                (history.items[-HISTORY_WINDOW:], history.categories[-HISTORY_WINDOW:])
+                if history else None
                 for history in (histories.get(context.user_index) for context in contexts)
             ]
         item_city = self.world.item_city
-        revisit_budget = int(round(self.revisit_share * size))
+        revisit_budget = int(round(HISTORY_REVISIT_SHARE * size))
         slices: Dict[Tuple[int, int], Dict[int, None]] = {}
         out: List[np.ndarray] = []
         for context, snapshot in zip(contexts, windows):
@@ -341,7 +341,7 @@ class UserHistoryChannel(RecallChannel):
             # Tier 2 — expand favourite categories into same-city items, most
             # loved category first (recency weights: the latest event gets
             # weight 1, older ones decay), each slice ranked by live popularity.
-            weights = self.recency_decay ** np.arange(len(items) - 1, -1, -1, dtype=np.float64)
+            weights = HISTORY_RECENCY_DECAY ** np.arange(len(items) - 1, -1, -1, dtype=np.float64)
             category_weight: Dict[int, float] = {}
             for category, weight in zip(categories, weights.tolist()):
                 category_weight[category] = category_weight.get(category, 0.0) + weight

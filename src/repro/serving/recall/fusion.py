@@ -1,6 +1,6 @@
 """Channel fusion: blend per-channel candidate lists into one pool.
 
-:class:`RecallFusion` is the pure merge policy — dedup, quota blend,
+:class:`RecallFusion` is the pure merge policy — dedup, equal-quota blend,
 truncate — and :class:`MultiChannelRecall` is the serving-facing recall
 strategy that fans a micro-batch out over its channels (one ``recall_many``
 per channel), fuses each request's lists and guarantees a full pool.  The
@@ -35,35 +35,20 @@ __all__ = ["RecallFusion", "MultiChannelRecall"]
 class RecallFusion:
     """Deduplicate, quota-blend and truncate channel outputs.
 
-    ``quotas`` are relative weights per channel name (missing names default
-    to weight 1).  Pool slots are split by largest-remainder apportionment;
+    Pool slots are split equally over the channels (:meth:`quota_counts`);
     each channel first fills its own slots with its best unseen items, then
     unused capacity is backfilled round-robin from channels that still have
     candidates, so a short channel (cold-start user, sparse grid cell) never
     shrinks the pool while others have material.
     """
 
-    def __init__(self, quotas: Optional[Dict[str, float]] = None) -> None:
-        self.quotas = dict(quotas) if quotas else {}
-        for name, weight in self.quotas.items():
-            if weight < 0:
-                raise ValueError(f"quota weight for {name!r} must be non-negative")
-
-    def quota_counts(self, names: Sequence[str], pool_size: int) -> Dict[str, int]:
-        """Largest-remainder split of ``pool_size`` slots over ``names``."""
+    @staticmethod
+    def quota_counts(names: Sequence[str], pool_size: int) -> Dict[str, int]:
+        """Equal split of ``pool_size`` slots over ``names``; the remainder
+        goes one slot each to the first names in sorted order."""
         names = sorted(names)
-        weights = np.array([self.quotas.get(name, 1.0) for name in names], dtype=np.float64)
-        total = weights.sum()
-        if total <= 0:
-            weights = np.ones(len(names))
-            total = float(len(names))
-        exact = pool_size * weights / total
-        counts = np.floor(exact).astype(np.int64)
-        remainders = exact - counts
-        # Hand leftover slots to the largest remainders; ties go in name order.
-        for index in np.argsort(-remainders, kind="stable")[: pool_size - int(counts.sum())]:
-            counts[index] += 1
-        return dict(zip(names, (int(c) for c in counts)))
+        share, remainder = divmod(pool_size, len(names))
+        return {name: share + (index < remainder) for index, name in enumerate(names)}
 
     def fuse(self, channel_candidates: Dict[str, np.ndarray], pool_size: int) -> np.ndarray:
         """Blend one request's per-channel ranked arrays (the batch of one)."""
@@ -128,7 +113,7 @@ class MultiChannelRecall(RecallStrategy):
 
     def __init__(self, world: SyntheticWorld, state: ServingState,
                  channels: Sequence[RecallChannel], pool_size: int = 30,
-                 quotas: Optional[Dict[str, float]] = None, seed: int = 5) -> None:
+                 seed: int = 5) -> None:
         if pool_size <= 0:
             raise ValueError("pool_size must be positive")
         if not channels:
@@ -140,13 +125,12 @@ class MultiChannelRecall(RecallStrategy):
         self.state = state
         self.channels = list(channels)
         self.pool_size = pool_size
-        self.fusion = RecallFusion(quotas)
+        self.fusion = RecallFusion()
         self.seed = seed
 
     @classmethod
     def build(cls, world: SyntheticWorld, state: ServingState, encoder=None, model=None,
-              pool_size: int = 30, quotas: Optional[Dict[str, float]] = None,
-              seed: int = 5) -> "MultiChannelRecall":
+              pool_size: int = 30, seed: int = 5) -> "MultiChannelRecall":
         """The default channel stack: geo grid, popularity, user history,
         plus embedding-ANN when a model (and its encoder) is available.
 
@@ -160,7 +144,7 @@ class MultiChannelRecall(RecallStrategy):
             if encoder is None:
                 raise ValueError("building an embedding channel requires the encoder")
             channels.append(EmbeddingANNChannel.from_model(world, encoder, model, state))
-        return cls(world, state, channels, pool_size=pool_size, quotas=quotas, seed=seed)
+        return cls(world, state, channels, pool_size=pool_size, seed=seed)
 
     def channel_results(self, contexts: Sequence[RequestContext],
                         pool_size: Optional[int] = None) -> Dict[str, List[np.ndarray]]:

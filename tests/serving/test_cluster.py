@@ -429,6 +429,57 @@ class TestRollingDeploy:
             np.testing.assert_array_equal(ref.items, response.items)
             np.testing.assert_array_equal(ref.scores, response.scores)
 
+    def test_failed_restore_still_restores_every_other_shard(
+        self, eleme_dataset, cluster_setup, small_model_config, monkeypatch
+    ):
+        """One shard's rollback restore raises (a dead process child, say):
+        every other shard is restored all the same, and the caller gets a
+        ``RollingDeployError`` whose report names the shard."""
+        from dataclasses import replace
+
+        state, encoder, model = cluster_setup
+        refreshed = create_model(
+            "basm", eleme_dataset.schema, replace(small_model_config, seed=78)
+        )
+        probes = sample_burst_contexts(eleme_dataset.world, 2, day=2, seed=57)
+        with build_cluster(
+            eleme_dataset.world, model, encoder, state,
+            ClusterConfig(num_workers=3, cache_enabled=False),
+            pipeline_config=PIPELINE_CONFIG,
+        ) as frontend:
+            workers = list(frontend.workers.values())
+            served = {w.worker_id: w.engine.stage("rank").ranker.model for w in workers}
+            broken = workers[1]
+            swap = broken.swap_model
+
+            def swap_model(new_model, replicate=True):
+                if not replicate:
+                    raise RuntimeError("worker process died")
+                return swap(new_model, replicate)
+
+            monkeypatch.setattr(broken, "swap_model", swap_model)
+            # Every shard swaps; the last one's probe fails -> roll back all three.
+            verdicts = iter([True, True, False])
+            deploy = RollingDeploy(
+                frontend, probes, health_check=lambda responses: next(verdicts, True),
+            )
+            with pytest.raises(RollingDeployError) as excinfo:
+                deploy.run(refreshed)
+            report = excinfo.value.report
+            assert report.rolled_back and not report.completed
+            assert list(report.rollback_failures) == [broken.worker_id]
+            assert "worker process died" in report.rollback_failures[broken.worker_id]
+            assert broken.worker_id in str(excinfo.value)
+            assert "rollback FAILED" in report.summary()
+            for worker in workers:
+                model_now = worker.engine.stage("rank").ranker.model
+                if worker is broken:
+                    assert worker.model_version == 1
+                    assert model_now is not served[worker.worker_id]
+                else:
+                    assert worker.model_version == 2
+                    assert model_now is served[worker.worker_id]
+
     def test_schema_mismatch_aborts_without_serving_impact(
         self, eleme_dataset, public_dataset, cluster_setup, small_model_config
     ):

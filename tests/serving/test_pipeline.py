@@ -1,5 +1,6 @@
-"""Tests for the composable serving pipeline: parity with the legacy flow,
-stage telemetry, rerank rules, scenario routing, and the feedback/replay path.
+"""Tests for the serving pipeline: parity with the legacy flow, stage
+telemetry, the feedback/replay path, and the A/B simulator's two bucket
+pipelines.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from repro.models import create_model
 from repro.serving import (
     ABTestConfig,
     ABTestSimulator,
-    CategoryDiversityRule,
     ExposureLogStage,
     MultiChannelRecall,
     OnlineRequestEncoder,
@@ -22,8 +22,6 @@ from repro.serving import (
     RecallStage,
     RecallStrategy,
     ReplayBuffer,
-    RerankStage,
-    ScenarioRouter,
     ServeRequest,
     ServingPipeline,
     ServingState,
@@ -225,13 +223,13 @@ class TestStageMetrics:
         assert [row["Stage"] for row in rows] == ["recall", "rank", "exposure"]
         assert "rank" in metrics.summary()
 
-    def test_shared_metrics_across_scenario_variants(self, eleme_dataset, pipeline_setup):
+    def test_shared_metrics_across_pipelines(self, eleme_dataset, pipeline_setup):
         state, encoder, model = pipeline_setup
         metrics = StageMetrics()
-        for scenario in ("a", "b"):
+        for _ in range(2):
             pipeline = build_pipeline(
                 eleme_dataset.world, model, encoder, state,
-                PipelineConfig(scenario=scenario, recall_size=10, exposure_size=3),
+                PipelineConfig(recall_size=10, exposure_size=3),
                 metrics=metrics,
             )
             pipeline.run(sample_contexts(eleme_dataset.world, 1, seed=106)[0])
@@ -301,213 +299,6 @@ class TestStageMetrics:
             StageMetrics(max_samples=0)
 
 
-class TestRerankStage:
-    def test_category_diversity_demotes_overflow(self, eleme_dataset, pipeline_setup):
-        state, _, _ = pipeline_setup
-        world = eleme_dataset.world
-        # Hand-build an exposed list dominated by one category.
-        by_category = {}
-        for item in range(world.config.num_items):
-            by_category.setdefault(int(world.item_category[item]), []).append(item)
-        dominant = max(by_category.values(), key=len)[:4]
-        other = next(v for v in by_category.values() if v[0] not in dominant)[:2]
-        items = np.array(dominant[:3] + other[:1] + dominant[3:4] + other[1:2])
-        scores = np.linspace(0.9, 0.4, len(items), dtype=np.float32)
-
-        rule = CategoryDiversityRule(world, max_per_category=2)
-        reranked, rescored = rule.apply(items, scores, None, state)
-        assert sorted(reranked.tolist()) == sorted(items.tolist())
-        categories = world.item_category[reranked]
-        # No category exceeds the cap within the compliant head.
-        head = categories[:4]
-        assert max(np.bincount(head).max(), 0) <= 2
-        # Idempotent: applying again changes nothing.
-        again, _ = rule.apply(reranked, rescored, None, state)
-        np.testing.assert_array_equal(again, reranked)
-
-    def test_rerank_stage_without_rules_is_passthrough(self, eleme_dataset, pipeline_setup):
-        state, encoder, model = pipeline_setup
-        ranker = Ranker(model, encoder)
-        recall = MultiChannelRecall.build(
-            eleme_dataset.world, state, encoder=encoder, model=model, pool_size=12, seed=3
-        )
-        with_stage = ServingPipeline(
-            [RecallStage(recall), RankStage(ranker, 5), RerankStage()], state
-        )
-        without = ServingPipeline([RecallStage(recall), RankStage(ranker, 5)], state)
-        context = sample_contexts(eleme_dataset.world, 1, seed=107)[0]
-        left = with_stage.run(context)
-        right = without.run(context)
-        np.testing.assert_array_equal(left.items, right.items)
-        np.testing.assert_array_equal(left.scores, right.scores)
-
-    def test_pipeline_with_diversity_cap_demotes_end_to_end(
-        self, eleme_dataset, pipeline_setup
-    ):
-        """The capped list is the ranked list with its overflow moved last:
-        a compliant head, then only items over their category's cap."""
-        state, encoder, model = pipeline_setup
-        world = eleme_dataset.world
-        capped = build_pipeline(
-            world, model, encoder, state,
-            PipelineConfig(recall_size=20, exposure_size=8, max_per_category=2),
-        )
-        ranked = build_pipeline(
-            world, model, encoder, state, PipelineConfig(recall_size=20, exposure_size=8),
-        )
-        demoted = 0
-        for context in sample_contexts(world, 5, seed=108):
-            response = capped.run(context)
-            reference = ranked.run(context)
-            assert len(response) == 8
-            assert sorted(response.items.tolist()) == sorted(reference.items.tolist())
-            counts: dict = {}
-            over = []
-            for category in world.item_category[response.items].tolist():
-                counts[category] = counts.get(category, 0) + 1
-                over.append(counts[category] > 2)
-            head = over.index(True) if True in over else len(over)
-            assert all(over[head:])
-            demoted += len(over) - head
-        assert demoted > 0  # the cap actually bit on this burst
-
-    def test_invalid_rule_configuration(self, eleme_dataset):
-        with pytest.raises(ValueError):
-            CategoryDiversityRule(eleme_dataset.world, max_per_category=0)
-
-
-class TestScenarioRouter:
-    def build_router(self, eleme_dataset, state, encoder, model, classifier=None):
-        pipelines = {
-            name: build_pipeline(
-                eleme_dataset.world, model, encoder, state,
-                PipelineConfig(scenario=name, recall_size=size, exposure_size=k),
-            )
-            for name, size, k in (("dense", 16, 6), ("sparse", 10, 3))
-        }
-        return ScenarioRouter(pipelines, default="dense", classifier=classifier)
-
-    def test_explicit_tag_routes_and_sizes_differ(self, eleme_dataset, pipeline_setup):
-        state, encoder, model = pipeline_setup
-        router = self.build_router(eleme_dataset, state, encoder, model)
-        context = sample_contexts(eleme_dataset.world, 1, seed=109)[0]
-        dense = router.run(ServeRequest(context=context, scenario="dense"))
-        sparse = router.run(ServeRequest(context=context, scenario="sparse"))
-        assert len(dense.items) == 6 and len(sparse.items) == 3
-        assert dense.request.scenario == "dense"
-
-    def test_classifier_fills_missing_tag(self, eleme_dataset, pipeline_setup):
-        state, encoder, model = pipeline_setup
-        classifier = lambda context: "sparse" if context.city >= 2 else "dense"  # noqa: E731
-        router = self.build_router(eleme_dataset, state, encoder, model, classifier)
-        contexts = sample_contexts(eleme_dataset.world, 10, seed=110)
-        responses = router.run_many(contexts)
-        for context, response in zip(contexts, responses):
-            expected = classifier(context)
-            assert response.request.scenario == expected
-            assert len(response.items) == (3 if expected == "sparse" else 6)
-
-    def test_run_many_preserves_input_order_and_matches_run(
-        self, eleme_dataset, pipeline_setup
-    ):
-        state, encoder, model = pipeline_setup
-        router = self.build_router(eleme_dataset, state, encoder, model)
-        contexts = sample_contexts(eleme_dataset.world, 8, seed=111)
-        tags = ["dense", "sparse", "sparse", "dense", "sparse", "dense", "dense", "sparse"]
-        batched = router.run_many(
-            [ServeRequest(context=c, scenario=t) for c, t in zip(contexts, tags)]
-        )
-        for context, tag, response in zip(contexts, tags, batched):
-            assert response.request.scenario == tag
-            single = router.run(ServeRequest(context=context, scenario=tag))
-            np.testing.assert_array_equal(single.items, response.items)
-            np.testing.assert_array_equal(single.scores, response.scores)
-
-    def test_default_fallback_and_unknown_scenario(self, eleme_dataset, pipeline_setup):
-        state, encoder, model = pipeline_setup
-        router = self.build_router(eleme_dataset, state, encoder, model)
-        context = sample_contexts(eleme_dataset.world, 1, seed=112)[0]
-        assert router.scenario_of(context) == "dense"
-        with pytest.raises(ValueError):
-            router.run(ServeRequest(context=context, scenario="nonexistent"))
-        with pytest.raises(ValueError):
-            ScenarioRouter({}, default="x")
-        with pytest.raises(ValueError):
-            ScenarioRouter({"a": router.pipelines["dense"]}, default="b")
-
-    def test_empty_batch_returns_empty(self, eleme_dataset, pipeline_setup):
-        state, encoder, model = pipeline_setup
-        router = self.build_router(eleme_dataset, state, encoder, model)
-        assert router.run_many([]) == []
-        # Telemetry untouched by the empty burst.
-        assert all(
-            pipeline.metrics.stages() == [] or
-            pipeline.metrics.stats(pipeline.metrics.stages()[0]).requests >= 0
-            for pipeline in router.pipelines.values()
-        )
-
-    def test_mixed_burst_preserves_input_order_with_classifier_and_tags(
-        self, eleme_dataset, pipeline_setup
-    ):
-        """Explicit tags and classifier-derived tags interleaved in one burst."""
-        state, encoder, model = pipeline_setup
-        classifier = lambda context: "sparse" if context.user_index % 2 else "dense"  # noqa: E731
-        router = self.build_router(eleme_dataset, state, encoder, model, classifier)
-        contexts = sample_contexts(eleme_dataset.world, 12, seed=117)
-        requests = []
-        expected = []
-        for index, context in enumerate(contexts):
-            if index % 3 == 0:  # every third request pins a tag explicitly
-                tag = "dense" if index % 2 else "sparse"
-                requests.append(ServeRequest(context=context, scenario=tag))
-                expected.append(tag)
-            else:
-                requests.append(ServeRequest(context=context))
-                expected.append(classifier(context))
-        responses = router.run_many(requests)
-        assert [r.request.scenario for r in responses] == expected
-        for request, response in zip(requests, responses):
-            assert response.context is request.context  # input order held
-            assert len(response.items) == (3 if response.request.scenario == "sparse" else 6)
-
-    def test_unknown_tag_always_raises(self, eleme_dataset, pipeline_setup):
-        """An explicit or classified tag with no pipeline never degrades to
-        another variant."""
-        state, encoder, model = pipeline_setup
-        classifier = lambda context: "sparse"  # noqa: E731
-        router = self.build_router(eleme_dataset, state, encoder, model, classifier)
-        context = sample_contexts(eleme_dataset.world, 1, seed=118)[0]
-        with pytest.raises(ValueError, match="not-a-scenario"):
-            router.run(ServeRequest(context=context, scenario="not-a-scenario"))
-        router.classifier = lambda context: "also-unknown"  # noqa: E731
-        with pytest.raises(ValueError, match="also-unknown"):
-            router.run(context)
-
-    def test_router_does_not_mutate_caller_envelopes(self, eleme_dataset, pipeline_setup):
-        """An untagged request is re-classified on every routing, not tagged once."""
-        state, encoder, model = pipeline_setup
-        classifier = lambda context: "sparse"  # noqa: E731
-        router = self.build_router(eleme_dataset, state, encoder, model, classifier)
-        context = sample_contexts(eleme_dataset.world, 1, seed=115)[0]
-        request = ServeRequest(context=context)
-        response = router.run(request)
-        assert response.request.scenario == "sparse"
-        assert request.scenario == "" and request.request_id == ""
-        # Re-routing the same envelope under a new classifier re-resolves.
-        router.classifier = lambda context: "dense"  # noqa: E731
-        assert router.run(request).request.scenario == "dense"
-
-    def test_router_feedback_routes_to_serving_pipeline(self, eleme_dataset, pipeline_setup):
-        state, encoder, model = pipeline_setup
-        router = self.build_router(eleme_dataset, state, encoder, model)
-        context = sample_contexts(eleme_dataset.world, 1, seed=113)[0]
-        response = router.run(ServeRequest(context=context, scenario="sparse"))
-        stage = router.pipelines["sparse"].stage("exposure")
-        before = stage.feedbacks_logged
-        router.feedback(response, np.ones(len(response)), rng=np.random.default_rng(0))
-        assert stage.feedbacks_logged == before + 1
-
-
 class TestPipelineConstruction:
     def test_validation_errors(self, eleme_dataset, pipeline_setup):
         state, encoder, model = pipeline_setup
@@ -518,8 +309,6 @@ class TestPipelineConstruction:
             ServingPipeline([stage, RankStage(Ranker(model, encoder), 3)], state)
         with pytest.raises(ValueError):
             RankStage(Ranker(model, encoder), 0)
-        with pytest.raises(ValueError):
-            RecallStage(None, pool_size=0)
         with pytest.raises(KeyError):
             ServingPipeline([stage], state).stage("missing")
 
@@ -527,34 +316,41 @@ class TestPipelineConstruction:
         state, encoder, model = pipeline_setup
         default = build_pipeline(eleme_dataset.world, model, encoder, state)
         assert [stage.name for stage in default.stages] == ["recall", "rank", "exposure"]
-        with_rerank = build_pipeline(
-            eleme_dataset.world, model, encoder, state,
-            PipelineConfig(max_per_category=2),
-        )
-        assert [s.name for s in with_rerank.stages] == [
-            "recall", "rank", "rerank", "exposure",
-        ]
 
     def test_request_ids_assigned_and_exposure_counter(self, eleme_dataset, pipeline_setup):
         state, encoder, model = pipeline_setup
         pipeline = build_pipeline(
-            eleme_dataset.world, model, encoder, state,
-            PipelineConfig(scenario="tagged", exposure_size=4),
+            eleme_dataset.world, model, encoder, state, PipelineConfig(exposure_size=4),
         )
         contexts = sample_contexts(eleme_dataset.world, 3, seed=114)
         responses = pipeline.run_many(contexts)
         ids = [response.request.request_id for response in responses]
-        assert len(set(ids)) == 3 and all(id.startswith("tagged-") for id in ids)
-        assert all(response.request.scenario == "tagged" for response in responses)
+        assert len(set(ids)) == 3 and all(id.startswith("default-") for id in ids)
+        assert all(response.request.scenario == "default" for response in responses)
         stage = pipeline.stage("exposure")
         assert isinstance(stage, ExposureLogStage)
         assert stage.exposures_logged == 3 * 4
         assert pipeline.run_many([]) == []
 
+    def test_envelope_tags_pass_through_untouched(self, eleme_dataset, pipeline_setup):
+        """A caller's id and tag ride through as given; the caller's envelope
+        is never mutated when the pipeline fills in an empty one."""
+        state, encoder, model = pipeline_setup
+        pipeline = build_pipeline(
+            eleme_dataset.world, model, encoder, state, PipelineConfig(exposure_size=4),
+        )
+        context = sample_contexts(eleme_dataset.world, 1, seed=115)[0]
+        tagged = pipeline.run(ServeRequest(context=context, request_id="r-1", scenario="lunch"))
+        assert (tagged.request.request_id, tagged.request.scenario) == ("r-1", "lunch")
+        bare = ServeRequest(context=context)
+        assert pipeline.run(bare).request.scenario == "default"
+        assert bare.scenario == "" and bare.request_id == ""
+
 
 class TestABSimulatorOnPipelines:
-    def test_buckets_are_router_scenarios(self, eleme_dataset, pipeline_setup,
-                                          small_model_config):
+    def test_each_request_is_served_and_fed_back_by_its_bucket(
+        self, eleme_dataset, pipeline_setup, small_model_config
+    ):
         state, encoder, model = pipeline_setup
         control = create_model("base_din", eleme_dataset.schema, small_model_config)
         simulator = ABTestSimulator(
@@ -562,31 +358,19 @@ class TestABSimulatorOnPipelines:
             ABTestConfig(num_days=1, requests_per_day=10, recall_size=10,
                          exposure_size=4, seed=11),
         )
-        assert set(simulator.router.pipelines) == {"control", "treatment"}
-        rng = np.random.default_rng(0)
-        context = eleme_dataset.world.sample_request_context(50, rng)
-        assert simulator.router.scenario_of(context) == simulator._bucket_of(
-            context.user_index
-        )
+        assert set(simulator.pipelines) == {"control", "treatment"}
+        for name, ranker in (("control", simulator.control_ranker),
+                             ("treatment", simulator.treatment_ranker)):
+            pipeline = simulator.pipelines[name]
+            assert pipeline.stage("rank").ranker is ranker
+            assert pipeline.stage("recall").strategy is simulator.recall
         result = simulator.run()
         assert result.control.exposures + result.treatment.exposures == 10 * 4
-        # Both bucket pipelines actually served traffic (telemetry recorded).
-        assert any(
-            simulator.router.pipelines[name].metrics.stages()
-            for name in ("control", "treatment")
-        )
-
-    def test_config_mutation_before_run_still_takes_effect(
-        self, eleme_dataset, pipeline_setup, small_model_config
-    ):
-        """The pre-pipeline run() read the config per request; keep that."""
-        state, encoder, model = pipeline_setup
-        control = create_model("base_din", eleme_dataset.schema, small_model_config)
-        simulator = ABTestSimulator(
-            eleme_dataset.world, control, model, encoder, state,
-            ABTestConfig(num_days=1, requests_per_day=8, recall_size=10,
-                         exposure_size=4, seed=12),
-        )
-        simulator.config.exposure_size = 2
-        result = simulator.run()
-        assert result.control.exposures + result.treatment.exposures == 8 * 2
+        # Each bucket's counters and its pipeline's exposure stage saw the
+        # same requests: serving, booking and feedback used one bucket.
+        for name, counter in (("control", result.control),
+                              ("treatment", result.treatment)):
+            stage = simulator.pipelines[name].stage("exposure")
+            assert stage.exposures_logged == counter.exposures
+            assert stage.feedbacks_logged == counter.exposures // 4
+            assert stage.clicks_logged == counter.clicks

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -383,13 +382,13 @@ class TestRecallFusion:
         assert len(fused) == 9
         assert len(np.unique(fused)) == 9
 
-    def test_quotas_respected_when_channels_are_deep(self):
-        fusion = RecallFusion(quotas={"alpha": 2.0, "bravo": 1.0, "charlie": 1.0})
-        fused = fusion.fuse(self.CHANNELS, pool_size=8)
-        # alpha owns half the pool, the others a quarter each.
-        assert sum(1 for item in fused if item in {1, 2, 3, 4, 5, 6}) >= 4
+    def test_equal_quotas_respected_when_channels_are_deep(self):
+        fusion = RecallFusion()
         counts = fusion.quota_counts(list(self.CHANNELS), 8)
-        assert counts == {"alpha": 4, "bravo": 2, "charlie": 2}
+        assert counts == {"alpha": 3, "bravo": 3, "charlie": 2}
+        # Each channel fills its own slots with its best unseen items.
+        fused = fusion.fuse(self.CHANNELS, pool_size=8)
+        np.testing.assert_array_equal(fused, [1, 2, 3, 4, 7, 8, 11, 12])
 
     def test_stable_under_channel_permutation(self):
         forward = RecallFusion().fuse(dict(self.CHANNELS), pool_size=9)
@@ -413,15 +412,23 @@ class TestRecallFusion:
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            RecallFusion(quotas={"alpha": -1.0})
-        with pytest.raises(ValueError):
             RecallFusion().fuse(self.CHANNELS, pool_size=0)
 
-    def test_largest_remainder_accounts_every_slot(self):
-        counts = RecallFusion(quotas={"a": 1, "b": 1, "c": 1}).quota_counts(
-            ["a", "b", "c"], 10
-        )
-        assert sum(counts.values()) == 10
+    def test_equal_split_is_the_equal_weight_largest_remainder_split(self):
+        """The split the weighted fusion made with every weight at 1: the
+        remainder goes to the first names in sorted order, so no pool moved
+        when the weights went."""
+        fusion = RecallFusion()
+        for count in range(1, 7):
+            names = [f"channel{index}" for index in reversed(range(count))]
+            for pool_size in range(1, 300):
+                exact = np.full(count, pool_size / count)
+                reference = np.floor(exact).astype(np.int64)
+                leftover = pool_size - int(reference.sum())
+                reference[np.argsort(-(exact - reference), kind="stable")[:leftover]] += 1
+                counts = fusion.quota_counts(names, pool_size)
+                assert list(counts) == sorted(names)
+                assert list(counts.values()) == reference.tolist()
 
 
 class TestMultiChannelRecall:
@@ -477,7 +484,7 @@ class TestMultiChannelRecall:
         legacy = LocationBasedRecall(eleme_dataset.world, pool_size=9, seed=5)
         pipeline = build_pipeline(
             eleme_dataset.world, model, encoder, state,
-            PipelineConfig(scenario="platform", recall_size=9, exposure_size=4),
+            PipelineConfig(recall_size=9, exposure_size=4),
             recall=legacy,
         )
         assert pipeline.stage("recall").strategy is legacy
@@ -491,7 +498,7 @@ class TestMultiChannelRecall:
         world = eleme_dataset.world
         pipeline = build_pipeline(
             world, model, encoder, state,
-            PipelineConfig(scenario="platform", recall_size=10, exposure_size=4),
+            PipelineConfig(recall_size=10, exposure_size=4),
         )
         ann = [channel for channel in pipeline.stage("recall").strategy.channels
                if isinstance(channel, EmbeddingANNChannel)]
@@ -629,19 +636,37 @@ class _CountingLock:
         return self.lock.__exit__(*exc)
 
 
-class _LengthProbe(list):
-    """A history list that logs its length whenever a window is sliced off,
-    then yields the interpreter for ``pause`` seconds — long enough for a
-    feedback thread that is not locked out to append in between."""
+class _LockProbe(list):
+    """A history list that logs every window slice and every append as
+    (operation, length, whether ``lock`` was held).  A helper thread's
+    non-blocking acquire fails only while another thread owns the lock, and
+    nothing else runs that could own it, so the verdict is read from inside
+    the list and never depends on thread scheduling."""
 
-    def __init__(self, values, log, pause=0.0):
+    def __init__(self, values, log, lock):
         super().__init__(values)
-        self.log, self.pause = log, pause
+        self.log, self.lock = log, lock
+
+    def _held(self):
+        free = []
+
+        def try_lock():
+            if self.lock.acquire(blocking=False):
+                self.lock.release()
+                free.append(True)
+
+        helper = threading.Thread(target=try_lock)
+        helper.start()
+        helper.join()
+        return not free
 
     def __getitem__(self, key):
-        self.log.append(len(self))
-        time.sleep(self.pause)
+        self.log.append(("slice", len(self), self._held()))
         return super().__getitem__(key)
+
+    def append(self, value):
+        self.log.append(("append", len(self), self._held()))
+        super().append(value)
 
 
 class TestBatchContract:
@@ -722,38 +747,29 @@ class TestBatchContract:
         assert calls == [20]
 
     def test_feedback_during_recall_never_misaligns_history_windows(self, eleme_dataset):
-        """A feedback thread appends multi-click events while a batch
-        snapshots the same user's history: the item and the category window
-        are always cut from lists of equal length."""
+        """Feedback appends multi-click events to the history a batch
+        snapshots: every window slice and every append happens under
+        ``state.lock``, so no append can land between the item and the
+        category window, which are always cut from lists of equal length."""
         world = eleme_dataset.world
         state = _fresh_state(eleme_dataset)
         user = _warm_user(world, state)
         context = _context_for_user(world, user)
         history = state.histories[user]
-        item_lengths, category_lengths = [], []
-        history.items = _LengthProbe(history.items, item_lengths, pause=1e-3)
-        history.categories = _LengthProbe(history.categories, category_lengths)
+        item_log, category_log = [], []
+        history.items = _LockProbe(history.items, item_log, state.lock)
+        history.categories = _LockProbe(history.categories, category_log, state.lock)
         channel = UserHistoryChannel(world)
         clicked = world.recall_pool(context.city)[:5]
-        stop = threading.Event()
-
-        def feed():
-            while not stop.is_set():
-                state.record_clicks(context, clicked, np.ones(len(clicked)))
-
-        feeder = threading.Thread(target=feed)
-        try:
-            feeder.start()
-            for _ in range(25):
-                for found in channel.recall_many([context] * 8, state, 12, None):
-                    assert len(np.unique(found)) == len(found) > 0
-        finally:
-            stop.set()
-            feeder.join(timeout=30)
-        assert not feeder.is_alive()
-        assert len(item_lengths) == 25 * 8
-        assert item_lengths == category_lengths
-        assert len(set(item_lengths)) > 1, "the feeder never interleaved"
+        for _ in range(25):
+            for found in channel.recall_many([context] * 8, state, 12, None):
+                assert len(np.unique(found)) == len(found) > 0
+            state.record_clicks(context, clicked, np.ones(len(clicked)))
+        operations = [operation for operation, _, _ in item_log]
+        assert operations.count("slice") == 25 * 8 and operations.count("append") == 25 * 5
+        unlocked = [entry for entry in item_log + category_log if not entry[2]]
+        assert not unlocked, f"history touched without state.lock: {unlocked[:3]}"
+        assert item_log == category_log
 
     def test_fused_pools_match_the_parent_commit(self, eleme_dataset, small_model_config):
         """sha256 over the fused pools of a seeded 256-context sample (39 of

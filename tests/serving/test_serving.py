@@ -163,7 +163,7 @@ class TestRecallAndRanking:
         model = create_model("basm", eleme_dataset.schema, small_model_config)
         pipeline = build_pipeline(
             eleme_dataset.world, model, encoder, state,
-            PipelineConfig(scenario="platform", recall_size=15, exposure_size=6),
+            PipelineConfig(recall_size=15, exposure_size=6),
         )
         rng = np.random.default_rng(5)
         context = eleme_dataset.world.sample_request_context(62, rng)

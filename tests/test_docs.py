@@ -59,6 +59,36 @@ def test_verify_skill_is_checked_by_default():
     assert ".claude/skills/verify/SKILL.md" in _check_docs_module().DEFAULT_DOCS
 
 
+def test_dangling_example_import_fails_the_check(tmp_path, capsys):
+    """An example that imports a name the package no longer binds fails the
+    same check CI runs, read with ``ast`` and never executed."""
+    check_docs = _check_docs_module()
+    example = tmp_path / "example.py"
+    example.write_text(
+        "from repro.serving import ServingPipeline, build_pipeline\n"
+        "from repro.serving.pipeline import NoSuchRouter\n"
+        "from repro.models import create_model\n"
+        "from repro.serving import (\n    NoSuchStage,\n)\n"
+        "import numpy as np\n",
+        encoding="utf-8",
+    )
+    assert check_docs.check_imports(example) == [
+        (2, "repro.serving.pipeline.NoSuchRouter"),
+        (4, "repro.serving.NoSuchStage"),
+    ]
+    assert check_docs.main([str(example)]) == 1
+    assert "NoSuchRouter" in capsys.readouterr().out
+
+
+def test_every_example_is_checked_by_default(monkeypatch):
+    check_docs = _check_docs_module()
+    checked = []
+    monkeypatch.setattr(check_docs, "check_imports", lambda path: checked.append(path) or [])
+    monkeypatch.setattr(check_docs, "check_file", lambda path: [])
+    assert check_docs.main([]) == 0
+    assert sorted(checked) == EXAMPLES
+
+
 @pytest.mark.parametrize("path", EXAMPLES, ids=[path.name for path in EXAMPLES])
 def test_example_compiles_and_its_repro_imports_resolve(path):
     """No example is executed: it must compile, and every name it imports

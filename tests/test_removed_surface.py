@@ -219,10 +219,8 @@ def test_one_serving_entry():
     from repro.models import BaseCTRModel
     from repro.serving import (
         ABTestConfig,
-        CategoryDiversityRule,
         ClusterWorker,
         PipelineConfig,
-        ScenarioRouter,
         ServingPipeline,
         build_cluster,
     )
@@ -235,9 +233,7 @@ def test_one_serving_entry():
 
     removed_parameters = {
         build_cluster: {"scenario_configs", "classifier", "default_scenario", "unknown_tag"},
-        ScenarioRouter: {"unknown_tag"},
         ServingPipeline: {"order_probability"},
-        CategoryDiversityRule: {"overflow"},
         BaseCTRModel.predict: {"micro_batch_size"},
     }
     for target, names in removed_parameters.items():
@@ -363,3 +359,69 @@ def test_one_request_time_feature_view():
             and path.name not in ("crosses.py", "vocabulary.py")
         )
         assert found == [owner], f"{needle!r} spelled in {found}"
+
+
+def test_one_serving_graph_and_one_recall_configuration():
+    """Every pipeline is recall → rank → exposure and every recall stack the
+    default one: the scenario router, the rerank plug-in, the recall quota
+    weights and the knobs no caller set stay deleted."""
+    import dataclasses
+    import inspect
+
+    import repro.serving
+    import repro.serving.pipeline as pipeline
+    from repro.serving import (
+        ABTestSimulator,
+        EmbeddingANNChannel,
+        GeoGridChannel,
+        MultiChannelRecall,
+        PipelineConfig,
+        PopularityChannel,
+        RecallFusion,
+        RecallStage,
+        ServeResponse,
+        ServingPipeline,
+        UserHistoryChannel,
+    )
+    from repro.serving.cluster import ClusterFrontend
+
+    for name in ("ScenarioRouter", "RerankRule", "CategoryDiversityRule", "RerankStage"):
+        for module in (repro.serving, pipeline):
+            assert not hasattr(module, name), f"{module.__name__} still has {name}"
+    assert not (REPO_ROOT / "examples" / "scenario_pipeline.py").exists()
+
+    assert [field.name for field in dataclasses.fields(PipelineConfig)] == [
+        "recall_size", "exposure_size", "order_probability", "seed",
+    ]
+    removed_parameters = {
+        ServingPipeline: {"name"},
+        RecallStage: {"pool_size"},
+        RecallFusion: {"quotas"},
+        MultiChannelRecall: {"quotas"},
+        MultiChannelRecall.build: {"quotas"},
+        GeoGridChannel: {"max_precision", "min_precision"},
+        EmbeddingANNChannel: {"history_window"},
+        EmbeddingANNChannel.from_model: {"history_window"},
+        PopularityChannel: {"period_weight", "quality_weight"},
+        UserHistoryChannel: {"history_window", "revisit_share", "recency_decay"},
+    }
+    for target, names in removed_parameters.items():
+        left = names & set(inspect.signature(target).parameters)
+        assert not left, f"{target.__qualname__} still takes {sorted(left)}"
+    assert "scenario" not in vars(ServeResponse)  # the request keeps its tag
+    assert "router" not in inspect.getsource(ABTestSimulator)
+    assert "cache_bypasses" not in inspect.getsource(ClusterFrontend)
+
+    names = ("ScenarioRouter", "RerankStage", "RerankRule", "CategoryDiversityRule",
+             "max_per_category", "recall_quotas", "scenario_pipeline")
+    texts = [
+        path for folder in ("src", "examples") for path in (REPO_ROOT / folder).rglob("*.py")
+    ] + [REPO_ROOT / "README.md", REPO_ROOT / "docs" / "ARCHITECTURE.md",
+         REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+    found = [
+        f"{path.relative_to(REPO_ROOT)}: {name}"
+        for path in texts
+        for name in names
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert not found, f"removed names still mentioned: {found}"

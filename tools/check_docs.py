@@ -15,6 +15,10 @@ nothing:
   alias), followed through ``from … import`` into other ``repro`` modules
   and into class bodies.  The modules are read with ``ast``, never imported.
 
+Python files (by default every ``examples/*.py``) are checked the same way
+for their ``from repro… import name`` statements: each ``module.name`` must
+resolve, so deleting a name an example still imports fails here.
+
 Run from anywhere: paths are resolved relative to the repository root.
 Exit code 0 when clean, 1 with a listing of dangling references otherwise.
 """
@@ -129,8 +133,24 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
     return dangling
 
 
+def check_imports(path: Path) -> List[Tuple[int, str]]:
+    """Return (line number, ``module.name``) for every ``from repro… import
+    name`` in a Python file that does not resolve."""
+    dangling: List[Tuple[int, str]] = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.ImportFrom) and not node.level
+                and (node.module or "").split(".")[0] == "repro"):
+            for alias in node.names:
+                reference = f"{node.module}.{alias.name}"
+                if not _module_exists(reference):
+                    dangling.append((node.lineno, reference))
+    return dangling
+
+
 def main(arguments: Iterable[str]) -> int:
-    documents = list(arguments) or list(DEFAULT_DOCS)
+    documents = list(arguments) or list(DEFAULT_DOCS) + sorted(
+        path.relative_to(REPO_ROOT).as_posix() for path in (REPO_ROOT / "examples").glob("*.py")
+    )
     failures = 0
     for name in documents:
         path = REPO_ROOT / name
@@ -138,7 +158,8 @@ def main(arguments: Iterable[str]) -> int:
             print(f"MISSING DOC: {name}")
             failures += 1
             continue
-        for line_number, reference in check_file(path):
+        check = check_imports if path.suffix == ".py" else check_file
+        for line_number, reference in check(path):
             print(f"{name}:{line_number}: dangling reference {reference!r}")
             failures += 1
     if failures:
