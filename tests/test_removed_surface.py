@@ -253,6 +253,8 @@ def test_one_serving_entry():
     names = facade + (
         "scenario_configs", "default_scenario", "unknown_tag", "log_exposures",
         "rerank_overflow", "micro_batch_size", "slice_batch", "serving/platform.py",
+        "ScenarioRouter", "RerankStage", "RerankRule", "CategoryDiversityRule",
+        "max_per_category", "recall_quotas", "scenario_pipeline",
     )
     texts = [
         path for folder in ("src", "examples") for path in (REPO_ROOT / folder).rglob("*.py")
@@ -411,17 +413,3 @@ def test_one_serving_graph_and_one_recall_configuration():
     assert "scenario" not in vars(ServeResponse)  # the request keeps its tag
     assert "router" not in inspect.getsource(ABTestSimulator)
     assert "cache_bypasses" not in inspect.getsource(ClusterFrontend)
-
-    names = ("ScenarioRouter", "RerankStage", "RerankRule", "CategoryDiversityRule",
-             "max_per_category", "recall_quotas", "scenario_pipeline")
-    texts = [
-        path for folder in ("src", "examples") for path in (REPO_ROOT / folder).rglob("*.py")
-    ] + [REPO_ROOT / "README.md", REPO_ROOT / "docs" / "ARCHITECTURE.md",
-         REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
-    found = [
-        f"{path.relative_to(REPO_ROOT)}: {name}"
-        for path in texts
-        for name in names
-        if name in path.read_text(encoding="utf-8")
-    ]
-    assert not found, f"removed names still mentioned: {found}"
