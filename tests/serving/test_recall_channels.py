@@ -414,6 +414,10 @@ class TestRecallFusion:
         with pytest.raises(ValueError):
             RecallFusion().fuse(self.CHANNELS, pool_size=0)
 
+    def test_largest_remainder_accounts_every_slot(self):
+        counts = RecallFusion().quota_counts(["a", "b", "c"], 10)
+        assert sum(counts.values()) == 10
+
     def test_equal_split_is_the_equal_weight_largest_remainder_split(self):
         """The split the weighted fusion made with every weight at 1: the
         remainder goes to the first names in sorted order, so no pool moved

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -363,53 +365,86 @@ def test_one_request_time_feature_view():
         assert found == [owner], f"{needle!r} spelled in {found}"
 
 
+SERVING_GRAPH_REMOVED_CLASSES = (
+    "ScenarioRouter", "RerankRule", "CategoryDiversityRule", "RerankStage",
+)
+
+# (owner in ``repro.serving``, attribute path or None, removed parameter).
+SERVING_GRAPH_REMOVED_PARAMETERS = (
+    ("ServingPipeline", None, "name"),
+    ("RecallStage", None, "pool_size"),
+    ("RecallFusion", None, "quotas"),
+    ("MultiChannelRecall", None, "quotas"),
+    ("MultiChannelRecall", "build", "quotas"),
+    ("GeoGridChannel", None, "max_precision"),
+    ("GeoGridChannel", None, "min_precision"),
+    ("EmbeddingANNChannel", None, "history_window"),
+    ("EmbeddingANNChannel", "from_model", "history_window"),
+    ("PopularityChannel", None, "period_weight"),
+    ("PopularityChannel", None, "quality_weight"),
+    ("UserHistoryChannel", None, "history_window"),
+    ("UserHistoryChannel", None, "revisit_share"),
+    ("UserHistoryChannel", None, "recency_decay"),
+)
+
+
 def test_one_serving_graph_and_one_recall_configuration():
     """Every pipeline is recall → rank → exposure and every recall stack the
-    default one: the scenario router, the rerank plug-in, the recall quota
-    weights and the knobs no caller set stay deleted."""
+    default one: the scenario example, the response tag, the A/B router and
+    the frontend's write-only counter stay deleted, and the pipeline config
+    holds the four values of that one graph."""
     import dataclasses
     import inspect
 
-    import repro.serving
-    import repro.serving.pipeline as pipeline
-    from repro.serving import (
-        ABTestSimulator,
-        EmbeddingANNChannel,
-        GeoGridChannel,
-        MultiChannelRecall,
-        PipelineConfig,
-        PopularityChannel,
-        RecallFusion,
-        RecallStage,
-        ServeResponse,
-        ServingPipeline,
-        UserHistoryChannel,
-    )
+    from repro.serving import ABTestSimulator, PipelineConfig, ServeResponse
     from repro.serving.cluster import ClusterFrontend
 
-    for name in ("ScenarioRouter", "RerankRule", "CategoryDiversityRule", "RerankStage"):
-        for module in (repro.serving, pipeline):
-            assert not hasattr(module, name), f"{module.__name__} still has {name}"
     assert not (REPO_ROOT / "examples" / "scenario_pipeline.py").exists()
-
     assert [field.name for field in dataclasses.fields(PipelineConfig)] == [
         "recall_size", "exposure_size", "order_probability", "seed",
     ]
-    removed_parameters = {
-        ServingPipeline: {"name"},
-        RecallStage: {"pool_size"},
-        RecallFusion: {"quotas"},
-        MultiChannelRecall: {"quotas"},
-        MultiChannelRecall.build: {"quotas"},
-        GeoGridChannel: {"max_precision", "min_precision"},
-        EmbeddingANNChannel: {"history_window"},
-        EmbeddingANNChannel.from_model: {"history_window"},
-        PopularityChannel: {"period_weight", "quality_weight"},
-        UserHistoryChannel: {"history_window", "revisit_share", "recency_decay"},
-    }
-    for target, names in removed_parameters.items():
-        left = names & set(inspect.signature(target).parameters)
-        assert not left, f"{target.__qualname__} still takes {sorted(left)}"
     assert "scenario" not in vars(ServeResponse)  # the request keeps its tag
     assert "router" not in inspect.getsource(ABTestSimulator)
     assert "cache_bypasses" not in inspect.getsource(ClusterFrontend)
+
+
+@pytest.mark.parametrize("name", SERVING_GRAPH_REMOVED_CLASSES)
+def test_serving_graph_class_is_gone(name):
+    """The router and the rerank plug-in are exported by neither module."""
+    import repro.serving
+    import repro.serving.pipeline as pipeline
+
+    for module in (repro.serving, pipeline):
+        assert not hasattr(module, name), f"{module.__name__} still has {name}"
+
+
+@pytest.mark.parametrize("field", ["scenario", "recall_quotas", "max_per_category"])
+def test_pipeline_config_field_is_gone(field):
+    """The router tag, the quota weights and the diversity cap are not config."""
+    import dataclasses
+
+    from repro.serving import PipelineConfig
+
+    assert field not in {spec.name for spec in dataclasses.fields(PipelineConfig)}
+
+
+@pytest.mark.parametrize(
+    "owner, attribute, parameter",
+    SERVING_GRAPH_REMOVED_PARAMETERS,
+    ids=[
+        ".".join(filter(None, (owner, attribute, parameter)))
+        for owner, attribute, parameter in SERVING_GRAPH_REMOVED_PARAMETERS
+    ],
+)
+def test_serving_graph_option_is_gone(owner, attribute, parameter):
+    """The recall quota weights and the knobs no caller set are constants."""
+    import inspect
+
+    import repro.serving
+
+    target = getattr(repro.serving, owner)
+    if attribute is not None:
+        target = getattr(target, attribute)
+    assert parameter not in inspect.signature(target).parameters, (
+        f"{target.__qualname__} still takes {parameter}"
+    )
