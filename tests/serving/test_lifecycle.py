@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,71 @@ def test_in_place_refresh_never_scores_with_stale_tables(
     Trainer(fast_train_config).fit(model, eleme_dataset.train)
     assert_fused_matches_full_forward()
     assert model.serving_uid != uid
+
+
+# ---------------------------------------------------------------------- #
+# byte pins: serve -> feedback -> refresh, twice
+# ---------------------------------------------------------------------- #
+# sha256 digests of one seeded lifecycle run (BASM, shuffled two-pass
+# refreshes over a replay window smaller than the buffer), computed before the
+# replay window became an ``EncodedDataset`` trained through ``DataLoader``.
+# A refactor of the replay log, the snapshot of its window or the refresh loop
+# must leave every one of them unchanged.
+LIFECYCLE_DIGESTS = {
+    "round1.merged_batch": "7ad1d79459947ec6311ed468928f3f554c5762228a4e708cd383fb89760f30e8",
+    "round1.merged_last_n": "6845c9b387411ebd1b099261f7c6d7d3eabb32c06cec3c1f97f64cb9442e6ef8",
+    "round1.step_losses": "71ff20c717aedceb50d0f2dc692d8aec3c83126fc1bac3f68c326a6696f50f78",
+    "round1.state_dict": "56704c1c995a36ba6f26a2e1fec81c061729eebf45042e792d79ceef387c3497",
+    "round2.merged_batch": "e4dc982ed48580c9641ad6d30d53868b25baa559810cf2b9b5cbc3be8fdcc2e7",
+    "round2.merged_last_n": "f1822a455ac5a34c784da290d9a86ce5e84f3839fe166f3ea154db9ebb963a38",
+    "round2.step_losses": "e9036406ce77b4b87c8afe74e16163f17c0f8cf6aac42fbb9d80b45bd03159d8",
+    "round2.state_dict": "e366c1ee844a417b35c59934b8e41e00a25d509cc35684fd7197303bbb473b1f",
+}
+
+
+def _array_digest(arrays) -> str:
+    """sha256 over (name, dtype, shape, bytes) of every array, names sorted."""
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        array = np.ascontiguousarray(arrays[name])
+        digest.update(name.encode() + str(array.dtype).encode() + str(array.shape).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _batch_digest(batch) -> str:
+    flat = {f"fields.{name}": ids for name, ids in batch["fields"].items()}
+    flat.update((key, value) for key, value in batch.items() if key != "fields")
+    return _array_digest(flat)
+
+
+def test_lifecycle_bytes_are_pinned(eleme_dataset, small_model_config, serving_setup):
+    state, encoder = serving_setup
+    world = eleme_dataset.world
+    model = create_model("basm", eleme_dataset.schema, small_model_config)
+    pipeline = build_pipeline(
+        world, model, encoder, state, PipelineConfig(recall_size=10, exposure_size=5),
+    )
+    replay = state.attach_replay(ReplayBuffer(encoder, max_impressions=16))
+    trainer = IncrementalTrainer(model, OnlineTrainConfig(
+        batch_size=16, passes_per_refresh=2, replay_window=10, shuffle=True,
+        learning_rate=0.05, seed=11,
+    ))
+    digests = {}
+    for round_index, seed in ((1, 21), (2, 22)):
+        _serve_traffic(pipeline, world, 12, day=50 + round_index, seed=seed)
+        assert len(replay) == min(12 * round_index, 16)
+        prefix = f"round{round_index}"
+        digests[f"{prefix}.merged_batch"] = _batch_digest(replay.merged_batch())
+        digests[f"{prefix}.merged_last_n"] = _batch_digest(replay.merged_batch(last_n=4))
+        result = trainer.refresh(replay)
+        assert result.impressions == 10 and result.steps > 0
+        digests[f"{prefix}.step_losses"] = hashlib.sha256(
+            np.asarray(result.step_losses, dtype=np.float64).tobytes()
+        ).hexdigest()
+        digests[f"{prefix}.state_dict"] = _array_digest(model.state_dict())
+        pipeline.swap_model(model)
+    assert digests == LIFECYCLE_DIGESTS
 
 
 # ---------------------------------------------------------------------- #
