@@ -55,9 +55,6 @@ def test_batched_engine_score_parity(eleme_bench):
     sequential_scores = []
     for request in requests:
         batch = encoder.encode(request.context, request.candidates, state)
-        for dedup_key in ("behavior_unique", "behavior_mask_unique",
-                          "behavior_st_mask_unique", "behavior_row_map"):
-            batch.pop(dedup_key, None)
         sequential_scores.append(model.predict(batch))
 
     # Batched engine from a cold cache: cached, deduplicated encoding, one

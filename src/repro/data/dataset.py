@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Union
 
 import numpy as np
 
@@ -17,6 +17,8 @@ class DataLoader:
     Each batch is the dict produced by :meth:`EncodedDataset.batch`, i.e. all
     categorical fields as global-id arrays plus behaviour sequences, masks,
     labels and the spatiotemporal group keys needed by TAUC / CAUC.
+    ``seed`` may be a generator, which then drives the shuffle (and keeps
+    advancing across loaders that share it).
     """
 
     def __init__(
@@ -25,7 +27,7 @@ class DataLoader:
         batch_size: int = 1024,
         shuffle: bool = False,
         drop_last: bool = False,
-        seed: int = 0,
+        seed: Union[int, np.random.Generator] = 0,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")

@@ -23,17 +23,12 @@ from .. import nn
 from ..features.schema import FeatureSchema, FieldName
 from ..nn import Tensor
 
-__all__ = ["ModelConfig", "FieldEmbedder", "BaseCTRModel", "batch_num_rows"]
+__all__ = ["ModelConfig", "FieldEmbedder", "BaseCTRModel"]
 
 #: Serving identities handed out to model instances (see
 #: ``BaseCTRModel.serving_uid``).  A module-level counter, so two models never
 #: share a uid within one process.
 _SERVING_UIDS = itertools.count(1)
-
-
-def batch_num_rows(batch: Dict[str, np.ndarray]) -> int:
-    """Number of rows (impressions) in a model batch dictionary."""
-    return int(len(batch["labels"]))
 
 
 @dataclass
@@ -107,23 +102,7 @@ class FieldEmbedder(nn.Module):
         return embedded.reshape(batch, length, count * self.config.embedding_dim)
 
     def pool_behavior(self, batch: Dict[str, np.ndarray], target_field: Tensor) -> Tensor:
-        """Multi-head target attention pooling of the behaviour sequence.
-
-        Serving batches built by ``OnlineRequestEncoder.encode_many`` carry a
-        deduplicated ``behavior_unique`` array plus a ``behavior_row_map``
-        (row -> unique sequence); the expensive sequence embedding and
-        key/value projections then run once per request instead of once per
-        candidate row.
-        """
-        row_map = batch.get("behavior_row_map")
-        if row_map is not None:
-            sequence = self.embed_sequence(batch["behavior_unique"])
-            projected_sequence = self.sequence_proj(sequence)
-            query = self.target_proj(target_field)
-            return self.target_attention(
-                query, projected_sequence,
-                mask=batch["behavior_mask_unique"], row_map=row_map,
-            )
+        """Multi-head target attention pooling of the behaviour sequence."""
         sequence = self.embed_sequence(batch["behavior"])
         projected_sequence = self.sequence_proj(sequence)
         query = self.target_proj(target_field)

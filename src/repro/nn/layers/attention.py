@@ -115,10 +115,10 @@ class MultiHeadTargetAttention(Module):
     Output: ``(batch, dim)`` pooled user-interest representation.
 
     Serving batches stack many candidates that share one user's behaviour
-    sequence; passing ``row_map`` (``(batch,)`` ints into a deduplicated
-    ``sequence`` of shape ``(unique, seq_len, dim)``) lets the key/value
-    projections run once per unique sequence and be gathered per row — the
-    user-tower factorisation production rankers use.
+    sequence; :meth:`infer` takes the deduplicated layout (a ``row_map``
+    into one sequence per request), so the key/value projections run once
+    per unique sequence — the user-tower factorisation production rankers
+    use.
     """
 
     def __init__(
@@ -143,20 +143,14 @@ class MultiHeadTargetAttention(Module):
     def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
         return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
 
-    def forward(self, target: Tensor, sequence: Tensor, mask: Optional[np.ndarray] = None,
-                row_map: Optional[np.ndarray] = None) -> Tensor:
-        unique, seq_len, dim = sequence.shape
+    def forward(self, target: Tensor, sequence: Tensor,
+                mask: Optional[np.ndarray] = None) -> Tensor:
+        batch, seq_len, dim = sequence.shape
         if dim != self.dim:
             raise ValueError(f"sequence dim {dim} does not match attention dim {self.dim}")
-        batch = len(target) if row_map is not None else unique
         query = self.query_proj(target).reshape(batch, 1, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
-        key = self._split_heads(self.key_proj(sequence), unique, seq_len)
-        value = self._split_heads(self.value_proj(sequence), unique, seq_len)
-        if row_map is not None:
-            row_map = np.asarray(row_map, dtype=np.int64)
-            key = key[row_map]
-            value = value[row_map]
-            mask = None if mask is None else np.asarray(mask)[row_map]
+        key = self._split_heads(self.key_proj(sequence), batch, seq_len)
+        value = self._split_heads(self.value_proj(sequence), batch, seq_len)
         attended = self.attention(query, key, value, mask=mask)
         merged = attended.transpose(0, 2, 1, 3).reshape(batch, self.dim)
         return self.out_proj(merged)

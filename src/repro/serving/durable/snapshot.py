@@ -6,10 +6,12 @@ behaviour history, the replay-buffer window (entry order and dtypes
 preserved), the recent-context warm list, and the journal high-water
 sequence number — into one ``state-NNNNNN.npz`` generation in the same
 spirit as :mod:`repro.models.store`'s versioned checkpoints.  Bulk state is
-npz arrays (numpy's own format); the recent contexts are one ``uint8`` array
-of back-to-back :mod:`repro.serving.wire` contexts; the manifest (scalars,
-replay bookkeeping, checksum) is JSON.  A generation of another format
-version is refused, not converted.
+npz arrays (numpy's own format); replay entry ``i`` is its
+:class:`repro.data.encoding.EncodedDataset`'s own ``to_arrays`` export under
+``replayNNNNN.`` and is rebuilt with ``from_arrays``; the recent contexts
+are one ``uint8`` array of back-to-back :mod:`repro.serving.wire` contexts;
+the manifest (scalars, replay bookkeeping, checksum) is JSON.  A generation
+of another format version is refused, not converted.
 
 Writes are atomic (write-temp-then-``os.replace``), so a crash mid-snapshot
 can never leave a truncated generation visible to :meth:`SnapshotStore.
@@ -35,10 +37,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ...data.encoding import EncodedDataset
 from ...features.behavior import BehaviorHistory
 from ...utils import atomic_savez
 from .. import wire
-from ..replay import LoggedImpression, ReplayBuffer
+from ..replay import ReplayBuffer
 from ..state import ServingState
 
 __all__ = [
@@ -52,7 +55,7 @@ __all__ = [
 ]
 
 #: Bumped whenever the on-disk snapshot layout changes incompatibly.
-SNAPSHOT_FORMAT_VERSION = 2
+SNAPSHOT_FORMAT_VERSION = 3
 
 _MANIFEST_KEY = "__manifest__"
 _GENERATION_PATTERN = re.compile(r"^state-(\d{6,})\.npz$")
@@ -165,23 +168,10 @@ def extract_payload(state: ServingState) -> SnapshotPayload:
                 "impressions_logged": int(replay.impressions_logged),
                 "rows_logged": int(replay.rows_logged),
                 "clicks_logged": int(replay.clicks_logged),
-                "days": [int(impression.day) for impression in impressions],
-                "field_names": (
-                    list(impressions[0].fields) if impressions else []
-                ),
             }
             for index, impression in enumerate(impressions):
-                prefix = f"replay{index:05d}"
-                for name, ids in impression.fields.items():
-                    arrays[f"{prefix}.fields.{name}"] = ids.copy()
-                arrays[f"{prefix}.behavior"] = impression.behavior.copy()
-                arrays[f"{prefix}.behavior_mask"] = impression.behavior_mask.copy()
-                arrays[f"{prefix}.behavior_st_mask"] = impression.behavior_st_mask.copy()
-                arrays[f"{prefix}.labels"] = impression.labels.copy()
-                arrays[f"{prefix}.time_period"] = impression.time_period.copy()
-                arrays[f"{prefix}.city"] = impression.city.copy()
-                arrays[f"{prefix}.hour"] = impression.hour.copy()
-                arrays[f"{prefix}.position"] = impression.position.copy()
+                for name, array in impression.to_arrays().items():
+                    arrays[f"replay{index:05d}.{name}"] = array.copy()
     manifest["checksum"] = _checksum(arrays, manifest)
     return SnapshotPayload(arrays=arrays, manifest=manifest)
 
@@ -226,22 +216,15 @@ def apply_payload(state: ServingState, payload: SnapshotPayload,
                 "(pass an encoder to the recovery entry point)"
             )
         replay.max_impressions = int(replay_manifest["max_impressions"])
-        replay._impressions = deque(maxlen=replay.max_impressions)
-        field_names = list(replay_manifest["field_names"])
-        for index in range(int(replay_manifest["count"])):
-            prefix = f"replay{index:05d}"
-            replay._impressions.append(LoggedImpression(
-                fields={name: arrays[f"{prefix}.fields.{name}"] for name in field_names},
-                behavior=arrays[f"{prefix}.behavior"],
-                behavior_mask=arrays[f"{prefix}.behavior_mask"],
-                behavior_st_mask=arrays[f"{prefix}.behavior_st_mask"],
-                labels=arrays[f"{prefix}.labels"],
-                time_period=arrays[f"{prefix}.time_period"],
-                city=arrays[f"{prefix}.city"],
-                hour=arrays[f"{prefix}.hour"],
-                position=arrays[f"{prefix}.position"],
-                day=int(replay_manifest["days"][index]),
-            ))
+        entries: List[Dict[str, np.ndarray]] = [{} for _ in range(replay_manifest["count"])]
+        for key, array in arrays.items():
+            if key.startswith("replay"):
+                index, name = key[len("replay"):].split(".", 1)
+                entries[int(index)][name] = array
+        replay._impressions = deque(
+            (EncodedDataset.from_arrays(replay.encoder.schema, entry) for entry in entries),
+            maxlen=replay.max_impressions,
+        )
         replay.impressions_logged = int(replay_manifest["impressions_logged"])
         replay.rows_logged = int(replay_manifest["rows_logged"])
         replay.clicks_logged = int(replay_manifest["clicks_logged"])

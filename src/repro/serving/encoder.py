@@ -234,10 +234,10 @@ class OnlineRequestEncoder:
         sequences are already padded to ``schema.max_sequence_length``, so
         stacking needs no further padding.  All candidate-dependent features
         are assembled with one vectorised pass over the concatenated
-        candidate axis (no per-candidate Python loops), and the behaviour
-        sequence of each request is emitted once in ``behavior_unique`` with
-        a ``behavior_row_map`` so models can share the sequence computation
-        across that request's candidates.
+        candidate axis (no per-candidate Python loops).  The batch follows
+        the offline training contract (:meth:`repro.data.encoding.
+        EncodedDataset.batch`): every row carries its request's behaviour
+        sequence; :meth:`encode_split` keeps it once per request.
 
         Returns ``(batch, offsets)`` where ``offsets`` has
         ``len(contexts) + 1`` entries and request ``i`` owns rows
@@ -246,9 +246,6 @@ class OnlineRequestEncoder:
         parts = self._assemble(contexts, candidate_lists, state, positions_list)
         row_map = parts["row_map"]
         behavior_row_map = parts["behavior_row_map"]
-        behavior_unique = parts["behavior_unique"]
-        mask_unique = parts["behavior_mask_unique"]
-        st_mask_unique = parts["behavior_st_mask_unique"]
         total = len(row_map)
         batch = {
             "fields": {
@@ -257,13 +254,9 @@ class OnlineRequestEncoder:
                 FieldName.CONTEXT: parts["context_rows"][row_map],
                 FieldName.COMBINE: parts["combine_field"],
             },
-            "behavior": behavior_unique[behavior_row_map],
-            "behavior_mask": mask_unique[behavior_row_map],
-            "behavior_st_mask": st_mask_unique[behavior_row_map],
-            "behavior_unique": behavior_unique,
-            "behavior_mask_unique": mask_unique,
-            "behavior_st_mask_unique": st_mask_unique,
-            "behavior_row_map": behavior_row_map,
+            "behavior": parts["behavior_unique"][behavior_row_map],
+            "behavior_mask": parts["behavior_mask_unique"][behavior_row_map],
+            "behavior_st_mask": parts["behavior_st_mask_unique"][behavior_row_map],
             "labels": np.zeros(total, dtype=np.float32),
             "time_period": parts["periods"][row_map],
             "city": parts["cities"][row_map],

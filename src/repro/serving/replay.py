@@ -6,54 +6,35 @@ training.  :class:`ReplayBuffer` is that log: whenever click feedback reaches
 :meth:`repro.serving.state.ServingState.record_clicks`, the buffer encodes
 the exposed candidates with the same :class:`OnlineRequestEncoder` that
 served them — **before** the feedback mutates the user's history — and stores
-the resulting model batch with the observed clicks as labels.
+them, with the observed clicks as labels, as a one-session
+:class:`repro.data.encoding.EncodedDataset`: the offline training data's own
+type, behaviour stored once per exposure.
 
 Capturing features at feedback time (pre-mutation) keeps the replayed batch
 identical to what the ranker scored, so incremental training sees exactly the
 train/serve-consistent distribution, including the position of each exposed
-item.  A bounded window evicts the oldest impressions, mirroring the paper's
-daily-update recipe where each refresh consumes a recent slice of the log.
+item.  :meth:`ReplayBuffer.window` concatenates the newest exposures into one
+dataset, which the incremental trainer iterates with the offline
+:class:`repro.data.dataset.DataLoader`.  A bounded window evicts the oldest
+impressions, mirroring the paper's daily-update recipe where each refresh
+consumes a recent slice of the log.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, Optional
 
 import numpy as np
 
+from ..data.encoding import EncodedDataset
 from ..data.world import RequestContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (state imports replay)
     from .encoder import OnlineRequestEncoder
     from .state import ServingState
 
-__all__ = ["LoggedImpression", "ReplayBuffer"]
-
-
-@dataclass
-class LoggedImpression:
-    """One served exposure with its click feedback, encoded at serve state.
-
-    ``fields`` holds the per-candidate flat id arrays; the behaviour arrays
-    are stored once per impression (shape ``(1, L, k)``) and expanded back to
-    one row per candidate when a training batch is assembled.
-    """
-
-    fields: Dict[str, np.ndarray]
-    behavior: np.ndarray
-    behavior_mask: np.ndarray
-    behavior_st_mask: np.ndarray
-    labels: np.ndarray
-    time_period: np.ndarray
-    city: np.ndarray
-    hour: np.ndarray
-    position: np.ndarray
-    day: int
-
-    def __len__(self) -> int:
-        return int(len(self.labels))
+__all__ = ["ReplayBuffer"]
 
 
 class ReplayBuffer:
@@ -64,7 +45,8 @@ class ReplayBuffer:
             raise ValueError("max_impressions must be positive")
         self.encoder = encoder
         self.max_impressions = max_impressions
-        self._impressions: Deque[LoggedImpression] = deque(maxlen=max_impressions)
+        #: One single-session dataset per logged exposure, oldest first.
+        self._impressions: Deque[EncodedDataset] = deque(maxlen=max_impressions)
         #: Totals over the buffer's lifetime (evicted impressions included).
         self.impressions_logged = 0
         self.rows_logged = 0
@@ -89,7 +71,7 @@ class ReplayBuffer:
         context: RequestContext,
         items: np.ndarray,
         clicks: np.ndarray,
-    ) -> LoggedImpression:
+    ) -> EncodedDataset:
         """Encode one exposure against the *current* state and append it.
 
         Must be called before the clicks are applied to ``state`` (which is
@@ -97,73 +79,57 @@ class ReplayBuffer:
         features match what the model saw when it ranked the items.
         """
         items = np.asarray(items, dtype=np.int64)
-        labels = np.asarray(clicks, dtype=np.float32).reshape(-1)
+        labels = np.array(clicks, dtype=np.float32).reshape(-1)
         if len(items) != len(labels):
             raise ValueError("items and clicks must align")
+        count = len(items)
         batch = self.encoder.encode(
-            context, items, state, positions=np.arange(len(items), dtype=np.int64)
+            context, items, state, positions=np.arange(count, dtype=np.int64)
         )
-        impression = LoggedImpression(
-            fields={name: ids.copy() for name, ids in batch["fields"].items()},
-            behavior=batch["behavior_unique"].copy(),
-            behavior_mask=batch["behavior_mask_unique"].copy(),
-            behavior_st_mask=batch["behavior_st_mask_unique"].copy(),
-            labels=labels.copy(),
-            time_period=batch["time_period"].copy(),
-            city=batch["city"].copy(),
-            hour=batch["hour"].copy(),
-            position=batch["position"].copy(),
-            day=int(context.day),
+        # Every row carries the request's behaviour: keep it once (none for
+        # an exposure without rows, which then owns no session).
+        impression = EncodedDataset(
+            schema=self.encoder.schema,
+            field_ids=batch["fields"],
+            behavior_ids=batch["behavior"][:1].copy(),
+            behavior_mask=batch["behavior_mask"][:1].copy(),
+            behavior_st_mask=batch["behavior_st_mask"][:1].copy(),
+            session_index=np.zeros(count, dtype=np.int64),
+            labels=labels,
+            time_period=batch["time_period"],
+            city=batch["city"],
+            hour=batch["hour"],
+            day=np.full(count, context.day, dtype=np.int64),
+            position=batch["position"],
         )
         self._impressions.append(impression)
         self.impressions_logged += 1
-        self.rows_logged += len(impression)
+        self.rows_logged += count
         self.clicks_logged += int(labels.sum())
         return impression
 
     # ------------------------------------------------------------------ #
-    def merged_batch(self, last_n: Optional[int] = None) -> Dict[str, np.ndarray]:
-        """Concatenate the newest ``last_n`` impressions into one model batch.
+    def window(self, last_n: Optional[int] = None) -> EncodedDataset:
+        """The newest ``last_n`` impressions (default: all) as one dataset.
 
-        The result follows the offline training batch contract (flat
-        ``behavior`` per row, no dedup keys), so the standard trainer path —
-        gradients included — consumes it unchanged.  ``session`` numbers the
-        impressions within the window so grouped metrics keep working.
+        ``session_index`` numbers the impressions that have rows within the
+        window, so grouped metrics keep working.
         """
         impressions = list(self._impressions)
         if last_n is not None:
             if last_n <= 0:
                 raise ValueError("last_n must be positive")
             impressions = impressions[-last_n:]
-        impressions = [impression for impression in impressions if len(impression)]
         if not impressions:
-            raise ValueError("replay buffer window is empty")
+            raise ValueError("replay buffer is empty")
+        return EncodedDataset.concat(impressions)
 
-        counts = np.array([len(impression) for impression in impressions], dtype=np.int64)
-        session = np.repeat(np.arange(len(impressions), dtype=np.int64), counts)
-        field_names = list(impressions[0].fields)
-        batch: Dict[str, np.ndarray] = {
-            "fields": {
-                name: np.concatenate([impression.fields[name] for impression in impressions])
-                for name in field_names
-            },
-            "behavior": np.concatenate(
-                [np.repeat(imp.behavior, len(imp), axis=0) for imp in impressions]
-            ),
-            "behavior_mask": np.concatenate(
-                [np.repeat(imp.behavior_mask, len(imp), axis=0) for imp in impressions]
-            ),
-            "behavior_st_mask": np.concatenate(
-                [np.repeat(imp.behavior_st_mask, len(imp), axis=0) for imp in impressions]
-            ),
-            "labels": np.concatenate([impression.labels for impression in impressions]),
-            "time_period": np.concatenate([imp.time_period for imp in impressions]),
-            "city": np.concatenate([impression.city for impression in impressions]),
-            "hour": np.concatenate([impression.hour for impression in impressions]),
-            "session": session,
-            "position": np.concatenate([imp.position for imp in impressions]),
-        }
-        return batch
+    def merged_batch(self, last_n: Optional[int] = None) -> Dict[str, np.ndarray]:
+        """The whole :meth:`window` as one model batch (offline batch contract)."""
+        window = self.window(last_n)
+        if not len(window):
+            raise ValueError("replay buffer window is empty")
+        return window.batch(np.arange(len(window)))
 
     def summary(self) -> str:
         ctr = self.clicks_logged / max(self.rows_logged, 1)

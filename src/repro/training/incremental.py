@@ -8,33 +8,36 @@ reproduction's offline :class:`repro.training.trainer.Trainer` covers the
 initial fit; this module closes the loop:
 
 * :class:`repro.serving.replay.ReplayBuffer` accumulates the impressions and
-  clicks the serving stack observes;
+  clicks the serving stack observes, each as a one-session
+  :class:`repro.data.encoding.EncodedDataset`;
 * :class:`IncrementalTrainer` warm-starts from the deployed parameters and
-  runs mini-batch steps over a bounded replay window, reusing the exact
-  optimizer stack of the offline recipe (via
-  :func:`repro.training.trainer.build_optimizer`) with the learning rate
+  iterates the newest replay window with the offline
+  :class:`repro.data.dataset.DataLoader` through the offline step
+  (:func:`repro.training.trainer.train_step`) and optimizer stack
+  (:func:`repro.training.trainer.build_optimizer`), with the learning rate
   decayed refresh-over-refresh so late updates fine-tune instead of
   overwriting;
 * the refreshed model is then published to a
   :class:`repro.models.store.ModelStore` and hot-swapped into serving.
 
-Optimizer state (e.g. Adagrad accumulators) persists across refresh rounds,
-mirroring a long-running production trainer rather than a cold restart per
-day.
+Optimizer state (e.g. Adagrad accumulators) and the shuffle stream persist
+across refresh rounds, mirroring a long-running production trainer rather
+than a cold restart per day.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from ..models.base import BaseCTRModel, batch_num_rows
+from ..data.dataset import DataLoader
+from ..models.base import BaseCTRModel
 from ..nn import BCELoss
 from ..serving.replay import ReplayBuffer
 from .config import TrainConfig
-from .trainer import build_optimizer
+from .trainer import build_optimizer, train_step
 
 __all__ = ["OnlineTrainConfig", "IncrementalResult", "IncrementalTrainer"]
 
@@ -70,6 +73,8 @@ class OnlineTrainConfig:
             raise ValueError("batch_size must be positive")
         if self.passes_per_refresh <= 0:
             raise ValueError("passes_per_refresh must be positive")
+        if self.replay_window is not None and self.replay_window <= 0:
+            raise ValueError("replay_window must be None or positive")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must be in (0, 1]")
 
@@ -107,17 +112,6 @@ class IncrementalResult:
         return self.steps == 0
 
 
-def _take_rows(batch: Dict[str, np.ndarray], indices: np.ndarray) -> Dict[str, np.ndarray]:
-    """Row-select a flat (dedup-free) model batch by fancy index."""
-    taken: Dict[str, np.ndarray] = {}
-    for key, value in batch.items():
-        if key == "fields":
-            taken[key] = {name: ids[indices] for name, ids in value.items()}
-        else:
-            taken[key] = value[indices]
-    return taken
-
-
 class IncrementalTrainer:
     """Warm-started mini-batch trainer over a serving replay buffer."""
 
@@ -143,42 +137,39 @@ class IncrementalTrainer:
         """Run one refresh round over the newest replay window.
 
         Returns a skipped (zero-step) result when the window holds fewer than
-        ``min_impressions`` exposures; the model is untouched in that case.
+        ``min_impressions`` exposures or no candidate row at all; the model
+        is untouched in that case.
         """
         cfg = self.config
-        window = min(len(replay), cfg.replay_window) if cfg.replay_window else len(replay)
+        impressions = len(replay)
+        if cfg.replay_window is not None:
+            impressions = min(impressions, cfg.replay_window)
         result = IncrementalResult(
             round_index=self.rounds_completed + 1,
-            steps=0, rows=0, impressions=window,
+            steps=0, rows=0, impressions=impressions,
             learning_rate=self.learning_rate,
         )
-        if window < cfg.min_impressions:
+        if impressions == 0 or impressions < cfg.min_impressions:
+            return result
+        window = replay.window(impressions)
+        if not len(window):
             return result
 
-        batch_all = replay.merged_batch(last_n=window)
-        total = batch_num_rows(batch_all)
-        result.rows = total
+        result.rows = len(window)
         self.optimizer.lr = result.learning_rate
-
+        # The trainer's generator is the loader's (``default_rng`` returns a
+        # generator it is given), so the shuffle stream runs on across rounds.
+        loader = DataLoader(window, batch_size=cfg.batch_size, shuffle=cfg.shuffle,
+                            seed=self._rng)
         was_training = self.model.training
         self.model.train()
         try:
             for _ in range(cfg.passes_per_refresh):
-                order = (
-                    self._rng.permutation(total) if cfg.shuffle
-                    else np.arange(total, dtype=np.int64)
-                )
-                for start in range(0, total, cfg.batch_size):
-                    indices = order[start:start + cfg.batch_size]
-                    batch = _take_rows(batch_all, indices)
-                    predictions = self.model(batch)
-                    loss = self.loss_fn(predictions, batch["labels"])
-                    self.model.zero_grad()
-                    loss.backward()
-                    if cfg.gradient_clip_norm is not None:
-                        self.optimizer.clip_grad_norm(cfg.gradient_clip_norm)
-                    self.optimizer.step()
-                    result.step_losses.append(float(loss.item()))
+                for batch in loader:
+                    result.step_losses.append(train_step(
+                        self.model, batch, self.loss_fn, self.optimizer,
+                        cfg.gradient_clip_norm,
+                    ))
                     result.steps += 1
                     self.total_steps += 1
         finally:

@@ -16,7 +16,7 @@ from ..nn.optim import SGD, Adagrad, AdagradDecay, Adam, LinearWarmup
 from .config import TrainConfig
 from .evaluator import evaluate_model
 
-__all__ = ["TrainResult", "Trainer", "build_optimizer"]
+__all__ = ["TrainResult", "Trainer", "build_optimizer", "train_step"]
 
 
 def build_optimizer(model: BaseCTRModel, config: TrainConfig):
@@ -45,6 +45,22 @@ def build_optimizer(model: BaseCTRModel, config: TrainConfig):
             warmup_steps=config.warmup_steps,
         )
     return optimizer, scheduler
+
+
+def train_step(model: BaseCTRModel, batch, loss_fn: BCELoss, optimizer,
+               gradient_clip_norm: Optional[float]) -> float:
+    """One optimisation step on ``batch``; returns the batch loss.
+
+    The step of both the offline :class:`Trainer` and the online
+    :class:`repro.training.incremental.IncrementalTrainer`.
+    """
+    loss = loss_fn(model(batch), batch["labels"])
+    model.zero_grad()
+    loss.backward()
+    if gradient_clip_norm is not None:
+        optimizer.clip_grad_norm(gradient_clip_norm)
+    optimizer.step()
+    return float(loss.item())
 
 
 @dataclass
@@ -100,17 +116,10 @@ class Trainer:
                 epoch_loss = 0.0
                 epoch_batches = 0
                 for batch in loader:
-                    predictions = model(batch)
-                    loss = self.loss_fn(predictions, batch["labels"])
-                    model.zero_grad()
-                    loss.backward()
-                    if cfg.gradient_clip_norm is not None:
-                        optimizer.clip_grad_norm(cfg.gradient_clip_norm)
-                    optimizer.step()
+                    value = train_step(model, batch, self.loss_fn, optimizer,
+                                       cfg.gradient_clip_norm)
                     if scheduler is not None:
                         scheduler.step()
-
-                    value = float(loss.item())
                     step_losses.append(value)
                     epoch_loss += value
                     epoch_batches += 1

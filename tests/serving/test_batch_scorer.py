@@ -48,9 +48,6 @@ class TestBatchedScoreParity:
         sequential = []
         for request in requests:
             batch = encoder.encode(request.context, request.candidates, state)
-            for key in ("behavior_unique", "behavior_mask_unique",
-                        "behavior_st_mask_unique", "behavior_row_map"):
-                batch.pop(key)
             sequential.append(model.predict(batch))
         state.features.enabled = True
         state.features.clear()
@@ -112,14 +109,14 @@ class TestRankerEdgeCases:
         batch = encoder.encode(context, np.zeros(0, dtype=np.int64), state)
         assert model.predict(batch).shape == (0,)
         # Mixed inside one encoded batch: the empty request contributes no
-        # rows and no dedup slot, so every other request scores normally.
+        # rows, so every other request scores normally.
         other = generate_burst(eleme_dataset.world, 2, recall_size=7, seed=16)
         batch, offsets = encoder.encode_many(
             [other[0].context, context, other[1].context],
             [other[0].candidates, np.zeros(0, dtype=np.int64), other[1].candidates],
             state,
         )
-        assert batch["behavior_unique"].shape[0] == 2
+        assert batch["behavior"].shape[0] == len(other[0].candidates) + len(other[1].candidates)
         scores = model.predict(batch)
         assert len(scores) == len(other[0].candidates) + len(other[1].candidates)
         assert offsets[1] == offsets[2]
@@ -258,6 +255,6 @@ class TestFeatureCache:
                             rng=np.random.default_rng(0))
         after, _ = encoder.encode_many([context], [request.candidates], state)
         # The clicked items entered the history, so the snapshot must differ.
-        assert not np.array_equal(before["behavior_unique"], after["behavior_unique"]) or (
-            not np.array_equal(before["behavior_mask_unique"], after["behavior_mask_unique"])
+        assert not np.array_equal(before["behavior"], after["behavior"]) or (
+            not np.array_equal(before["behavior_mask"], after["behavior_mask"])
         )

@@ -488,21 +488,24 @@ class TestSnapshots:
         assert info.generation == 1 and skipped == []
 
     def test_other_format_versions_are_refused(self, world, tmp_path):
-        """A v1 generation (recent contexts as JSON in the manifest) is not
-        read as v2: loading it names both versions, and recovery skips it."""
+        """A v1 generation (recent contexts as JSON in the manifest) or a v2
+        one (replay entries spelled column by column) is not read as v3:
+        loading it names both versions, and recovery skips it."""
         store = SnapshotStore(tmp_path)
         state = ServingState(world)
         drive_feedback(state, world, seed=51, count=3)
         info = store.write(state)
         with np.load(info.path) as archive:
             arrays = {name: archive[name] for name in archive.files}
-        manifest = json.loads(str(arrays["__manifest__"]))
-        manifest["format_version"] = 1
-        arrays["__manifest__"] = np.array(json.dumps(manifest, sort_keys=True))
-        np.savez(info.path, **arrays)
-        with pytest.raises(SnapshotCorruptError, match="format v1, supported v2"):
-            store.load(info.generation)
-        assert store.load_latest_valid() == (None, None, [info.generation])
+        for version in (1, 2):
+            manifest = json.loads(str(arrays["__manifest__"]))
+            manifest["format_version"] = version
+            arrays["__manifest__"] = np.array(json.dumps(manifest, sort_keys=True))
+            np.savez(info.path, **arrays)
+            with pytest.raises(SnapshotCorruptError,
+                               match=f"format v{version}, supported v3"):
+                store.load(info.generation)
+            assert store.load_latest_valid() == (None, None, [info.generation])
 
     def test_genesis_snapshot_captures_adopted_state(self, world, tmp_path):
         """A state with pre-journal history must be snapshotted on attach,

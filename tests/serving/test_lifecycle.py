@@ -185,6 +185,36 @@ def test_incremental_refresh_skips_tiny_windows(
         assert np.array_equal(before[key], value), key
 
 
+@pytest.mark.parametrize("replay_window", [0, -3])
+def test_replay_window_must_be_none_or_positive(replay_window):
+    # 0 used to read as "whole buffer" and -3 skipped every refresh while
+    # reporting impressions=-3.
+    with pytest.raises(ValueError, match="replay_window"):
+        OnlineTrainConfig(replay_window=replay_window)
+
+
+def test_refresh_over_a_window_without_rows_is_skipped(
+    eleme_dataset, small_model_config, serving_setup
+):
+    """Enough exposures, none with a candidate row: nothing to train on."""
+    state, encoder = serving_setup
+    model = create_model("base_din", eleme_dataset.schema, small_model_config)
+    replay = state.attach_replay(ReplayBuffer(encoder))
+    rng = np.random.default_rng(2)
+    for _ in range(8):
+        context = eleme_dataset.world.sample_request_context(50, rng)
+        state.record_clicks(context, [], [])
+    assert len(replay) == 8 and replay.num_rows == 0
+
+    before = {key: value.copy() for key, value in model.state_dict().items()}
+    trainer = IncrementalTrainer(model, OnlineTrainConfig(min_impressions=8))
+    result = trainer.refresh(replay)
+    assert result.skipped and result.rows == 0 and result.impressions == 8
+    assert trainer.rounds_completed == 0
+    for key, value in model.state_dict().items():
+        assert np.array_equal(before[key], value), key
+
+
 def test_in_place_refresh_never_scores_with_stale_tables(
     eleme_dataset, small_model_config, fast_train_config, serving_setup
 ):

@@ -94,19 +94,15 @@ class TestReplayEdges:
         assert restored.clicks_logged == replay.clicks_logged
 
         for got, expected in zip(restored._impressions, replay._impressions):
-            assert got.day == expected.day
-            for name, array in expected.fields.items():
-                assert got.fields[name].dtype == np.int64
-                assert got.fields[name].tobytes() == array.tobytes()
-            for attribute in (
-                "behavior", "behavior_mask", "behavior_st_mask",
-                "labels", "time_period", "city", "hour", "position",
-            ):
-                got_array = getattr(got, attribute)
-                expected_array = getattr(expected, attribute)
-                assert got_array.dtype == expected_array.dtype, attribute
-                assert got_array.shape == expected_array.shape, attribute
-                assert got_array.tobytes() == expected_array.tobytes(), attribute
+            got_arrays, expected_arrays = got.to_arrays(), expected.to_arrays()
+            assert list(got_arrays) == list(expected_arrays)
+            for name, expected_array in expected_arrays.items():
+                got_array = got_arrays[name]
+                assert got_array.dtype == expected_array.dtype, name
+                assert got_array.shape == expected_array.shape, name
+                assert got_array.tobytes() == expected_array.tobytes(), name
+            for name in got.field_ids:
+                assert got.field_ids[name].dtype == np.int64
         assert restored._impressions[0].labels.dtype == np.float32
         assert restored._impressions[0].behavior_mask.dtype == np.float32
 

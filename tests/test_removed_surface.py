@@ -448,3 +448,45 @@ def test_serving_graph_option_is_gone(owner, attribute, parameter):
     assert parameter not in inspect.signature(target).parameters, (
         f"{target.__qualname__} still takes {parameter}"
     )
+
+
+@pytest.mark.parametrize("module, name", [
+    ("repro.serving", "LoggedImpression"),
+    ("repro.serving.replay", "LoggedImpression"),
+    ("repro.training.incremental", "_take_rows"),
+])
+def test_replay_copy_of_the_training_layout_is_gone(module, name):
+    """A logged exposure is an ``EncodedDataset`` and a refresh iterates it
+    with ``DataLoader``: no second impression type, no second row selector."""
+    import importlib
+
+    assert not hasattr(importlib.import_module(module), name), f"{module} still has {name}"
+
+
+def test_target_attention_forward_row_map_is_gone():
+    """The training ``forward`` pools one sequence per row; only ``infer``
+    takes the deduplicated layout."""
+    import inspect
+
+    from repro.nn import MultiHeadTargetAttention
+
+    assert "row_map" not in inspect.signature(MultiHeadTargetAttention.forward).parameters
+
+
+@pytest.mark.parametrize("key", [
+    "behavior_unique", "behavior_mask_unique", "behavior_st_mask_unique", "behavior_row_map",
+])
+def test_flat_batch_dedup_key_is_gone(eleme_dataset, key):
+    """``encode_many`` emits the offline batch contract; the deduplicated
+    behaviour layout lives in ``encode_split`` alone."""
+    import numpy as np
+
+    from repro.serving import OnlineRequestEncoder, ServingState
+
+    world = eleme_dataset.world
+    encoder = OnlineRequestEncoder(world, eleme_dataset.schema)
+    context = world.sample_request_context(1, np.random.default_rng(0))
+    batch, _ = encoder.encode_many([context], [np.arange(3)], ServingState(world))
+    assert key not in batch
+    split, _ = encoder.encode_split([context], [np.arange(3)], ServingState(world))
+    assert key in split
