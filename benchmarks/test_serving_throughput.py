@@ -40,7 +40,7 @@ def _max_abs_diff(left_scores, right_scores) -> float:
     )
 
 
-def test_batched_engine_score_parity(eleme_bench):
+def test_batched_engine_score_parity(eleme_bench, flat_join):
     generator = LogGenerator(eleme_bench.world, eleme_bench.config.log_config())
     state = ServingState.from_log_generator(generator, eleme_bench.log)
     encoder = OnlineRequestEncoder(eleme_bench.world, eleme_bench.schema)
@@ -54,7 +54,7 @@ def test_batched_engine_score_parity(eleme_bench):
     state.features.enabled = False
     sequential_scores = []
     for request in requests:
-        batch = encoder.encode(request.context, request.candidates, state)
+        batch, _ = flat_join(encoder, [request.context], [request.candidates], state)
         sequential_scores.append(model.predict(batch))
 
     # Batched engine from a cold cache: cached, deduplicated encoding, one
@@ -93,12 +93,12 @@ def test_batched_engine_score_parity(eleme_bench):
     assert cache_hit_rate >= 0.02, f"feature-cache hit rate {cache_hit_rate:.1%}"
 
 
-def test_two_tower_rank_parity(eleme_bench):
+def test_two_tower_rank_parity(eleme_bench, flat_join):
     """Fused two-tower rank vs. the exact full forward on one 1k burst.
 
     Both passes see the same 64-request scheduling windows: the fused one
     through :class:`Ranker`, the oracle as ``model.predict`` on the window's
-    ``encode_many`` batch, called directly.
+    flat batch (``flat_join``), called directly.
     """
     generator = LogGenerator(eleme_bench.world, eleme_bench.config.log_config())
     state = ServingState.from_log_generator(generator, eleme_bench.log)
@@ -113,13 +113,13 @@ def test_two_tower_rank_parity(eleme_bench):
         batch = requests[begin:begin + window]
         fused_scores.extend(fused.score_many(batch, state))
         with nn.no_grad():
-            rows, offsets = encoder.encode_many(
-                [r.context for r in batch], [r.candidates for r in batch], state
+            rows, offsets = flat_join(
+                encoder, [r.context for r in batch], [r.candidates for r in batch], state
             )
             scores = model.predict(rows)
         full_scores.extend(scores[offsets[i]:offsets[i + 1]] for i in range(len(batch)))
     max_diff = _max_abs_diff(full_scores, fused_scores)
-    assert fused.fused_batches > 0
+    assert fused.batches_run > 0
 
     save_result(
         "two_tower_rank",

@@ -136,7 +136,8 @@ class BaseCTRModel(nn.Module):
     #: (``_item_tables`` + ``_fused_logit`` over ``encode_split``, see
     #: :mod:`repro.models.two_tower`): per-request work done once per request,
     #: whatever of the item side is context-independent frozen per model
-    #: version.  ``Ranker`` scores every other model with the flat forward.
+    #: version.  ``Ranker`` serves no other model: its constructor and
+    #: ``hot_swap`` refuse one, which trains and evaluates offline only.
     supports_two_tower = False
 
     def __init__(self, schema: FeatureSchema, config: Optional[ModelConfig] = None) -> None:

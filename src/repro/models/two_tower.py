@@ -40,8 +40,8 @@ context, so it freezes nothing per item — its tables are empty — but StAEL's
 gates, StSTL's generated map and StABT's modulations are functions of the
 *request*: ``BASM._fused_logit`` computes them on one row per request and
 reaches the candidate rows through ``nn``'s ``RequestRows`` (broadcast, or
-one GEMM per request).  Models without a split are scored by
-:class:`repro.serving.ranker.Ranker` with the flat forward.
+one GEMM per request).  Models without a split are not served:
+:class:`repro.serving.ranker.Ranker` refuses them.
 
 Tables are plain float32 arrays tied to the model version that built them
 (``model_uid``); ``BaseCTRModel.score_two_tower`` refuses another version's

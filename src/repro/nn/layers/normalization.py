@@ -4,7 +4,7 @@ BatchNorm is central to the paper: the Spatiotemporal Adaptive Bias Tower
 modulates the learnable ``gamma`` / ``beta`` of each BN layer with
 context-generated offsets (paper Eq. 14-17).  The implementation therefore
 exposes the normalised activations and the raw parameters so that
-:class:`repro.models.basm.stabt.FusionBatchNorm` can re-use them.
+:class:`repro.models.basm.stabt.FusionLayer` can re-use them.
 """
 
 from __future__ import annotations

@@ -1,10 +1,15 @@
-"""Online request encoding: assemble a scoring batch for one or many requests.
+"""Online request encoding: one request-factored batch for many requests.
 
 The serving side of :func:`repro.data.encoding.encode_eleme_log`: given the
-live :class:`ServingState`, a request context and a candidate list, it
-produces exactly the batch dictionary the models were trained on.  Both call
-the same Table I id builders (:mod:`repro.features.table_ids`), and a unit
-test asserts an offline session and the same request served online encode to
+live :class:`ServingState`, request contexts and their candidate lists,
+:meth:`OnlineRequestEncoder.encode_split` produces the features the models
+were trained on, factored by request — user, context and behaviour once per
+request, item and combine fields once per candidate row.  It is the one
+serving encoding: the micro-batching engine in :mod:`repro.serving.ranker`
+scores it and :class:`repro.serving.replay.ReplayBuffer` joins it into the
+offline :class:`repro.data.encoding.EncodedDataset`.  Both sides call the
+same Table I id builders (:mod:`repro.features.table_ids`), and a unit test
+asserts an offline session and the same request served online encode to
 equal bytes, so offline/online consistency (a classic production failure
 mode) is guarded.
 
@@ -13,19 +18,16 @@ vectorised gathers from precomputed per-item/per-user global-id tables (held
 in the state's :class:`repro.serving.state.FeatureCache`), and encoded user
 behaviour sequences are cached between requests so a user browsing the same
 time-period and location pays the sequence-encoding cost only once.
-:meth:`OnlineRequestEncoder.encode_many` stacks many concurrent requests into
-one flat model batch for the micro-batching engine in
-:mod:`repro.serving.ranker`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..data.world import RequestContext, SyntheticWorld
-from ..features.schema import FeatureSchema, FieldName
+from ..features.schema import FeatureSchema
 from ..features.table_ids import (
     behavior_ids,
     combine_ids,
@@ -98,31 +100,27 @@ class OnlineRequestEncoder:
         return state.features.lookup(key, int(state.user_version[user]), build)
 
     # ------------------------------------------------------------------ #
-    def encode(
-        self,
-        context: RequestContext,
-        candidates: np.ndarray,
-        state: ServingState,
-        positions: Optional[np.ndarray] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Build the batch dict for ``candidates`` under ``context``."""
-        batch, _ = self.encode_many([context], [candidates], state,
-                                    positions_list=[positions])
-        return batch
-
-    def _assemble(
+    def encode_split(
         self,
         contexts: Sequence[RequestContext],
         candidate_lists: Sequence[np.ndarray],
         state: ServingState,
-        positions_list: Optional[Sequence[Optional[np.ndarray]]] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Shared feature assembly behind ``encode_many`` / ``encode_split``.
+    ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+        """Encode many concurrent requests into one request-factored batch.
 
-        Computes every request-level and row-level id array exactly once;
-        the two public encoders only differ in packaging (broadcast flat
-        batch vs request-factored split batch), so they cannot drift apart
-        feature-wise.
+        Per-request arrays (``user_rows``, ``context_rows``, the deduplicated
+        behaviour sequences) stay one row per request; per-row arrays carry
+        only what varies per candidate (``candidates`` for the frozen
+        item-table gather, ``item_field``, ``combine_ids``), assembled with
+        one vectorised pass over the concatenated candidate axis.
+        ``row_map`` maps rows to requests for the late-binding broadcast
+        inside ``score_two_tower``; ``behavior_row_map`` maps rows to
+        behaviour slots.  A candidate's position is its rank within its
+        request.
+
+        Returns ``(split_batch, offsets)`` where ``offsets`` has
+        ``len(contexts) + 1`` entries and request ``i`` owns rows
+        ``offsets[i]:offsets[i + 1]``.
         """
         if len(contexts) != len(candidate_lists):
             raise ValueError("contexts and candidate_lists must have equal length")
@@ -139,22 +137,7 @@ class OnlineRequestEncoder:
             np.concatenate([np.asarray(c, dtype=np.int64) for c in candidate_lists])
             if total else np.zeros(0, dtype=np.int64)
         )
-        if positions_list is None:
-            positions = np.arange(total, dtype=np.int64) - offsets[row_map]
-        else:
-            if len(positions_list) != num_requests:
-                raise ValueError(
-                    f"{len(positions_list)} position entries for {num_requests} requests"
-                )
-            parts = []
-            for index, (count, given) in enumerate(zip(counts, positions_list)):
-                part = np.asarray(np.arange(count) if given is None else given, dtype=np.int64)
-                if part.shape != (count,):
-                    raise ValueError(
-                        f"request {index}: {count} candidates but positions of shape {part.shape}"
-                    )
-                parts.append(part)
-            positions = (np.concatenate(parts) if total else np.zeros(0, dtype=np.int64))
+        positions = np.arange(total, dtype=np.int64) - offsets[row_map]
 
         users = np.array([context.user_index for context in contexts], dtype=np.int64)
         periods = np.array([context.time_period for context in contexts], dtype=np.int64)
@@ -188,7 +171,6 @@ class OnlineRequestEncoder:
         kept = np.flatnonzero(counts > 0)
         slot_of_request = np.full(num_requests, -1, dtype=np.int64)
         slot_of_request[kept] = np.arange(len(kept))
-        behavior_row_map = slot_of_request[row_map]
 
         sequence_width = len(self.schema.sequence_features)
         max_length = self.schema.max_sequence_length
@@ -201,103 +183,17 @@ class OnlineRequestEncoder:
             mask_unique[slot] = mask
             st_mask_unique[slot] = st_mask
 
-        return {
-            "num_requests": num_requests,
-            "offsets": offsets,
+        split_batch = {
             "row_map": row_map,
             "candidates": flat_candidates,
-            "positions": positions,
             "user_rows": user_ids(self.schema, self._user_static_table(state)[users],
                                   state.user_orders[users], state.user_clicks[users]),
             "context_rows": context_ids(self.schema, periods, hours, cities, geohashes, days),
             "item_field": item_field,
-            "combine_field": combine_field,
+            "combine_ids": combine_field,
             "behavior_unique": behavior_unique,
             "behavior_mask_unique": mask_unique,
             "behavior_st_mask_unique": st_mask_unique,
-            "behavior_row_map": behavior_row_map,
-            "periods": periods,
-            "cities": cities,
-            "hours": hours,
+            "behavior_row_map": slot_of_request[row_map],
         }
-
-    def encode_many(
-        self,
-        contexts: Sequence[RequestContext],
-        candidate_lists: Sequence[np.ndarray],
-        state: ServingState,
-        positions_list: Optional[Sequence[Optional[np.ndarray]]] = None,
-    ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-        """Stack many concurrent requests into one flat model batch.
-
-        Every candidate of every request becomes one batch row; behaviour
-        sequences are already padded to ``schema.max_sequence_length``, so
-        stacking needs no further padding.  All candidate-dependent features
-        are assembled with one vectorised pass over the concatenated
-        candidate axis (no per-candidate Python loops).  The batch follows
-        the offline training contract (:meth:`repro.data.encoding.
-        EncodedDataset.batch`): every row carries its request's behaviour
-        sequence; :meth:`encode_split` keeps it once per request.
-
-        Returns ``(batch, offsets)`` where ``offsets`` has
-        ``len(contexts) + 1`` entries and request ``i`` owns rows
-        ``offsets[i]:offsets[i + 1]``.
-        """
-        parts = self._assemble(contexts, candidate_lists, state, positions_list)
-        row_map = parts["row_map"]
-        behavior_row_map = parts["behavior_row_map"]
-        total = len(row_map)
-        batch = {
-            "fields": {
-                FieldName.USER: parts["user_rows"][row_map],
-                FieldName.CANDIDATE_ITEM: parts["item_field"],
-                FieldName.CONTEXT: parts["context_rows"][row_map],
-                FieldName.COMBINE: parts["combine_field"],
-            },
-            "behavior": parts["behavior_unique"][behavior_row_map],
-            "behavior_mask": parts["behavior_mask_unique"][behavior_row_map],
-            "behavior_st_mask": parts["behavior_st_mask_unique"][behavior_row_map],
-            "labels": np.zeros(total, dtype=np.float32),
-            "time_period": parts["periods"][row_map],
-            "city": parts["cities"][row_map],
-            "hour": parts["hours"][row_map],
-            "session": row_map.copy(),
-            "position": parts["positions"],
-        }
-        return batch, parts["offsets"]
-
-    def encode_split(
-        self,
-        contexts: Sequence[RequestContext],
-        candidate_lists: Sequence[np.ndarray],
-        state: ServingState,
-        positions_list: Optional[Sequence[Optional[np.ndarray]]] = None,
-    ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-        """Request-factored batch for the two-tower serving fast path.
-
-        Same features as :meth:`encode_many` but *not* broadcast onto
-        candidate rows: per-request arrays (``user_rows``, ``context_rows``,
-        the deduplicated behaviour sequences) stay one row per request, and
-        per-row arrays carry only what genuinely varies per candidate
-        (``candidates`` for the frozen item-table gather, the dynamic tail of
-        ``item_field``, ``combine_ids``).  ``row_map`` maps rows to requests
-        for the late-binding broadcast inside ``score_two_tower``.
-
-        Returns ``(split_batch, offsets)`` with the same offsets contract as
-        :meth:`encode_many`.
-        """
-        parts = self._assemble(contexts, candidate_lists, state, positions_list)
-        split_batch = {
-            "num_requests": parts["num_requests"],
-            "row_map": parts["row_map"],
-            "candidates": parts["candidates"],
-            "user_rows": parts["user_rows"],
-            "context_rows": parts["context_rows"],
-            "item_field": parts["item_field"],
-            "combine_ids": parts["combine_field"],
-            "behavior_unique": parts["behavior_unique"],
-            "behavior_mask_unique": parts["behavior_mask_unique"],
-            "behavior_st_mask_unique": parts["behavior_st_mask_unique"],
-            "behavior_row_map": parts["behavior_row_map"],
-        }
-        return split_batch, parts["offsets"]
+        return split_batch, offsets

@@ -5,20 +5,22 @@ sized for the traffic peaks of Fig. 2a: at mealtime bursts the scoring tier
 cannot afford one model invocation per request.  :class:`Ranker` packs the
 :class:`ScoreRequest` objects that arrive together into micro-batches bounded
 by ``max_batch_rows`` candidate rows — every candidate of every request is one
-row of a flat batch — runs the model once per micro-batch and splits the
-scores back per request.  Every matmul on the scoring path is either
-independent across rows with batch-size-invariant rounding (``Linear``) or
-shaped by one request alone (attention, StSTL), so a request's scores are
-byte-identical whatever micro-batch it is packed into (``array_equal`` in
-``tests/serving``), and single-request ``score``/``rank`` are a batch of one
-through the same code, so the two paths cannot drift apart.
+row — runs the model once per micro-batch and splits the scores back per
+request.  Every matmul on the scoring path is either independent across rows
+with batch-size-invariant rounding (``Linear``) or shaped by one request
+alone (attention, StSTL), so a request's scores are byte-identical whatever
+micro-batch it is packed into (``array_equal`` in ``tests/serving``), and
+single-request ``score``/``rank`` are a batch of one through the same code,
+so the two paths cannot drift apart.
 
-Which definition runs is read off the model: one that ``supports_two_tower``
-(Wide&Deep, DIN, the target-attention base model, BASM) is scored
-request-factored over ``encode_split`` (:mod:`repro.models.two_tower`) —
-per-request work once per request, context-independent item partials frozen
-per model version where the model has any — within 1e-6 of its flat forward;
-every other model is scored by the flat forward over ``encode_many``.
+A micro-batch is scored request-factored over ``encode_split``
+(:mod:`repro.models.two_tower`) — per-request work once per request,
+context-independent item partials frozen per model version where the model
+has any — within 1e-6 of its flat forward.  Only a model that
+``supports_two_tower`` (Wide&Deep, DIN, the target-attention base model,
+BASM) can be served: :class:`Ranker` and :func:`hot_swap` refuse any other
+with ``ValueError``.  The remaining Table IV baselines train and evaluate
+offline through their flat forward.
 """
 
 from __future__ import annotations
@@ -44,12 +46,9 @@ class ScoreRequest:
 
     context: RequestContext
     candidates: np.ndarray
-    positions: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.candidates = np.asarray(self.candidates, dtype=np.int64)
-        if self.positions is not None:
-            self.positions = np.asarray(self.positions, dtype=np.int64)
 
     def __len__(self) -> int:
         return int(len(self.candidates))
@@ -67,6 +66,16 @@ class RankedRequest:
         return int(len(self.items))
 
 
+def _servable(model: BaseCTRModel) -> BaseCTRModel:
+    """``model``, if it defines the request-factored score ``Ranker`` serves."""
+    if not model.supports_two_tower:
+        raise ValueError(
+            f"cannot serve model {model.name!r}: it defines no request-factored "
+            f"score (supports_two_tower is False)"
+        )
+    return model
+
+
 def hot_swap(
     ranker: "Ranker",
     serving_schema: FeatureSchema,
@@ -76,11 +85,13 @@ def hot_swap(
     """Fingerprint-checked model promotion shared by the pipeline and canary.
 
     The single definition of the hot-swap policy: the incoming model must
-    speak the serving schema (checked by fingerprint, so an incompatible
-    global-id layout fails here rather than mis-scoring traffic), volatile
-    feature-cache entries are dropped, pinned static tables survive.
+    be servable (see :class:`Ranker`) and speak the serving schema (checked
+    by fingerprint, so an incompatible global-id layout fails here rather
+    than mis-scoring traffic), volatile feature-cache entries are dropped,
+    pinned static tables survive.
     Returns the previous model so callers can roll back.
     """
+    _servable(model)
     if model.schema.fingerprint() != serving_schema.fingerprint():
         raise ValueError(
             f"cannot hot-swap: model schema {model.schema.name!r} "
@@ -95,7 +106,9 @@ def hot_swap(
 class Ranker:
     """Scores recalled candidates with a trained CTR model and ranks them.
 
-    ``model`` is a plain attribute and assigning it *is* the swap: scoring
+    ``model`` must support the request-factored score (``supports_two_tower``);
+    construction refuses any other with ``ValueError``, as :func:`hot_swap`
+    does.  It is a plain attribute and assigning it *is* the swap: scoring
     snapshots it once per micro-batch, so every micro-batch is scored by
     exactly one model version.  Frozen two-tower item tables live in one
     ``(serving_uid, tables)`` slot, rebuilt (<1 ms) the first time a model
@@ -108,15 +121,13 @@ class Ranker:
                  max_batch_rows: int = 2048) -> None:
         if max_batch_rows <= 0:
             raise ValueError("max_batch_rows must be positive")
-        self.model = model
+        self.model = _servable(model)
         self.encoder = encoder
         self.max_batch_rows = max_batch_rows
         #: ``(serving_uid, ItemTowerTables)`` of the model version last
-        #: scored on the fused path; ``None`` until there has been one.
+        #: scored; ``None`` until there has been one.
         self.item_tables: Optional[Tuple[int, ItemTowerTables]] = None
         self.batches_run = 0
-        self.rows_scored = 0
-        self.fused_batches = 0
 
     # ------------------------------------------------------------------ #
     def _micro_batches(self, requests: Sequence[ScoreRequest]) -> List[List[int]]:
@@ -167,22 +178,13 @@ class Ranker:
             # One snapshot per micro-batch: a concurrent hot-swap rebinds the
             # attribute, so this batch is scored entirely by one version.
             model = self.model
-            contexts = [requests[index].context for index in non_empty]
-            candidate_lists = [requests[index].candidates for index in non_empty]
-            positions_list = [requests[index].positions for index in non_empty]
-            if model.supports_two_tower:
-                split_batch, offsets = self.encoder.encode_split(
-                    contexts, candidate_lists, state, positions_list=positions_list
-                )
-                scores = model.score_two_tower(split_batch, self._tables_for(model, state))
-                self.fused_batches += 1
-            else:
-                batch, offsets = self.encoder.encode_many(
-                    contexts, candidate_lists, state, positions_list=positions_list
-                )
-                scores = model.predict(batch)
+            split_batch, offsets = self.encoder.encode_split(
+                [requests[index].context for index in non_empty],
+                [requests[index].candidates for index in non_empty],
+                state,
+            )
+            scores = model.score_two_tower(split_batch, self._tables_for(model, state))
             self.batches_run += 1
-            self.rows_scored += int(offsets[-1])
             for slot, index in enumerate(non_empty):
                 results[index] = scores[offsets[slot]:offsets[slot + 1]]
         return results  # type: ignore[return-value]

@@ -4,11 +4,12 @@ The paper's adaptation story (Section V, the continuous-deployment loop of
 Fig. 13) hinges on the serving system feeding its own exposures back into
 training.  :class:`ReplayBuffer` is that log: whenever click feedback reaches
 :meth:`repro.serving.state.ServingState.record_clicks`, the buffer encodes
-the exposed candidates with the same :class:`OnlineRequestEncoder` that
-served them — **before** the feedback mutates the user's history — and stores
-them, with the observed clicks as labels, as a one-session
+the exposed candidates with the same :meth:`OnlineRequestEncoder.encode_split`
+that served them — **before** the feedback mutates the user's history — and
+stores them, with the observed clicks as labels, as a one-session
 :class:`repro.data.encoding.EncodedDataset`: the offline training data's own
-type, behaviour stored once per exposure.
+type.  The split batch's one user row and one context row are repeated onto
+the exposure's rows and its one behaviour slot is the session's behaviour.
 
 Capturing features at feedback time (pre-mutation) keeps the replayed batch
 identical to what the ranker scored, so incremental training sees exactly the
@@ -29,6 +30,7 @@ import numpy as np
 
 from ..data.encoding import EncodedDataset
 from ..data.world import RequestContext
+from ..features.schema import FieldName
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (state imports replay)
     from .encoder import OnlineRequestEncoder
@@ -83,24 +85,28 @@ class ReplayBuffer:
         if len(items) != len(labels):
             raise ValueError("items and clicks must align")
         count = len(items)
-        batch = self.encoder.encode(
-            context, items, state, positions=np.arange(count, dtype=np.int64)
-        )
-        # Every row carries the request's behaviour: keep it once (none for
-        # an exposure without rows, which then owns no session).
+        split, _ = self.encoder.encode_split([context], [items], state)
+        # Request 0 owns every row: ``row_map`` repeats its user and context
+        # rows and is the session index (an exposure without rows owns none).
+        rows = split["row_map"]
         impression = EncodedDataset(
             schema=self.encoder.schema,
-            field_ids=batch["fields"],
-            behavior_ids=batch["behavior"][:1].copy(),
-            behavior_mask=batch["behavior_mask"][:1].copy(),
-            behavior_st_mask=batch["behavior_st_mask"][:1].copy(),
-            session_index=np.zeros(count, dtype=np.int64),
+            field_ids={
+                FieldName.USER: split["user_rows"][rows],
+                FieldName.CANDIDATE_ITEM: split["item_field"],
+                FieldName.CONTEXT: split["context_rows"][rows],
+                FieldName.COMBINE: split["combine_ids"],
+            },
+            behavior_ids=split["behavior_unique"],
+            behavior_mask=split["behavior_mask_unique"],
+            behavior_st_mask=split["behavior_st_mask_unique"],
+            session_index=rows,
             labels=labels,
-            time_period=batch["time_period"],
-            city=batch["city"],
-            hour=batch["hour"],
+            time_period=np.full(count, context.time_period, dtype=np.int64),
+            city=np.full(count, context.city, dtype=np.int64),
+            hour=np.full(count, context.hour, dtype=np.int64),
             day=np.full(count, context.day, dtype=np.int64),
-            position=batch["position"],
+            position=np.arange(count, dtype=np.int64),
         )
         self._impressions.append(impression)
         self.impressions_logged += 1

@@ -275,9 +275,10 @@ class ServingState:
         are drawn from ``rng`` *before* the append, so replaying the record
         reproduces ``user_orders`` byte-identically without re-rolling.
 
-        One label per exposed item (both 1-D) is checked first, journal or
-        not: a mismatched call raises ``ValueError`` before any order is drawn
-        or any sequence number, history or counter moves.
+        The call is checked first, journal or not — one label per exposed
+        item (both 1-D); items, user and time period inside the world — and a
+        bad one raises ``ValueError`` before any order is drawn or any
+        sequence number, history or counter moves.
         """
         clicks_array = np.asarray(clicks)
         if clicks_array.ndim != 1 or np.ndim(items) != 1 or len(clicks_array) != len(items):
@@ -285,6 +286,15 @@ class ServingState:
                 f"feedback needs one label per exposed item: {np.shape(items)} items, "
                 f"{clicks_array.shape} labels"
             )
+        config = self.world.config
+        for name, values, size in (
+            ("item", np.asarray(items), config.num_items),
+            ("user_index", np.asarray([context.user_index]), config.num_users),
+            ("time_period", np.asarray([context.time_period]), len(TimePeriod)),
+        ):
+            bad = values[(values < 0) | (values >= size)]
+            if len(bad):
+                raise ValueError(f"feedback {name} outside [0, {size}): {bad.tolist()}")
         with self.lock:
             rng = rng if rng is not None else np.random.default_rng(0)
             clicked = np.where(clicks_array > 0)[0]

@@ -1,4 +1,4 @@
-"""Experiment drivers: train-and-evaluate loops shared by benchmarks/examples.
+"""Experiment drivers: train-and-evaluate loops shared by benchmarks and examples.
 
 These helpers regenerate the paper's comparison tables: run a list of models
 on a dataset (Table IV), run the BASM ablations (Table V), optionally with

@@ -30,7 +30,8 @@ def engine_setup(eleme_dataset, small_model_config):
 
 
 class TestBatchedScoreParity:
-    def test_batched_scores_match_per_request_loop(self, eleme_dataset, engine_setup):
+    def test_batched_scores_match_per_request_loop(self, eleme_dataset, engine_setup,
+                                                   flat_join):
         """Served scores equal the flat per-request forward.
 
         Two definitions of one model meet here — the flat ``forward`` and the
@@ -47,7 +48,7 @@ class TestBatchedScoreParity:
         state.features.enabled = False
         sequential = []
         for request in requests:
-            batch = encoder.encode(request.context, request.candidates, state)
+            batch, _ = flat_join(encoder, [request.context], [request.candidates], state)
             sequential.append(model.predict(batch))
         state.features.enabled = True
         state.features.clear()
@@ -101,23 +102,27 @@ class TestRankerEdgeCases:
         ranked = Ranker(model, encoder).rank_many([empty], state, top_k=5)[0]
         assert len(ranked) == 0
 
-    def test_encode_and_predict_with_empty_candidates(self, eleme_dataset, engine_setup):
-        """The raw encode -> predict path must survive an empty recall result."""
+    def test_encode_and_predict_with_empty_candidates(self, eleme_dataset, engine_setup,
+                                                      flat_join):
+        """The raw encode -> score path must survive an empty recall result."""
         state, encoder, model = engine_setup
         rng = np.random.default_rng(15)
         context = eleme_dataset.world.sample_request_context(73, rng)
-        batch = encoder.encode(context, np.zeros(0, dtype=np.int64), state)
+        tables = model.precompute_item_tables(encoder.item_static_table(state))
+        split, _ = encoder.encode_split([context], [np.zeros(0, dtype=np.int64)], state)
+        assert model.score_two_tower(split, tables).shape == (0,)
+        batch, _ = flat_join(encoder, [context], [np.zeros(0, dtype=np.int64)], state)
         assert model.predict(batch).shape == (0,)
         # Mixed inside one encoded batch: the empty request contributes no
-        # rows, so every other request scores normally.
+        # rows and no behaviour slot, so every other request scores normally.
         other = generate_burst(eleme_dataset.world, 2, recall_size=7, seed=16)
-        batch, offsets = encoder.encode_many(
+        split, offsets = encoder.encode_split(
             [other[0].context, context, other[1].context],
             [other[0].candidates, np.zeros(0, dtype=np.int64), other[1].candidates],
             state,
         )
-        assert batch["behavior"].shape[0] == len(other[0].candidates) + len(other[1].candidates)
-        scores = model.predict(batch)
+        assert split["behavior_unique"].shape[0] == 2
+        scores = model.score_two_tower(split, tables)
         assert len(scores) == len(other[0].candidates) + len(other[1].candidates)
         assert offsets[1] == offsets[2]
 
@@ -250,11 +255,11 @@ class TestFeatureCache:
         state, encoder, model = engine_setup
         request = generate_burst(eleme_dataset.world, 1, recall_size=8, seed=13)[0]
         context = request.context
-        before, _ = encoder.encode_many([context], [request.candidates], state)
+        before, _ = encoder.encode_split([context], [request.candidates], state)
         state.record_clicks(context, request.candidates[:2], np.array([1.0, 1.0]),
                             rng=np.random.default_rng(0))
-        after, _ = encoder.encode_many([context], [request.candidates], state)
+        after, _ = encoder.encode_split([context], [request.candidates], state)
         # The clicked items entered the history, so the snapshot must differ.
-        assert not np.array_equal(before["behavior"], after["behavior"]) or (
-            not np.array_equal(before["behavior_mask"], after["behavior_mask"])
+        assert not np.array_equal(before["behavior_unique"], after["behavior_unique"]) or (
+            not np.array_equal(before["behavior_mask_unique"], after["behavior_mask_unique"])
         )

@@ -16,6 +16,7 @@ own policies because their loss-window expectations depend on them.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import shutil
 import sys
@@ -158,6 +159,48 @@ class TestMismatchedFeedback:
                 with pytest.raises(ValueError):
                     state.record_clicks(context, np.array([5, 7, 9]), np.array([1.0, 0.0]))
                 assert state.feedback_seq == 0
+
+
+class TestOutOfRangeFeedback:
+    """``record_clicks`` refuses an item, user or time period outside the
+    world before anything moves.  Journaled, item ``10**6`` made every later
+    recovery raise ``IndexError``; a negative index credited the last item or
+    user."""
+
+    BAD = {
+        "item-past-end": ({}, [5, 10**6]),
+        "item-negative": ({}, [-1, 7]),
+        "user-negative": ({"user_index": -1}, [5, 7]),
+        "user-past-end": ({"user_index": TINY_WORLD.num_users}, [5, 7]),
+        "period-negative": ({"time_period": -1}, [5, 7]),
+        "period-past-end": ({"time_period": 99}, [5, 7]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_refused_before_the_journal(self, world, tmp_path, fsync_policy, case):
+        context = world.sample_request_context(1, np.random.default_rng(0))
+        changes, items = self.BAD[case]
+        store = DurableStateStore(tmp_path / "store", fsync=fsync_policy)
+        state = store.attach(ServingState(world))
+        state.record_clicks(context, np.array([5, 7]), np.array([1.0, 0.0]),
+                            rng=np.random.default_rng(1))
+
+        def observed():
+            return (state.journal.last_sequence, state.feedback_seq, state_fingerprint(state),
+                    state.user_clicks.tobytes(), state.item_clicks.tobytes())
+
+        before = observed()
+        with pytest.raises(ValueError, match="outside"):
+            state.record_clicks(dataclasses.replace(context, **changes), np.array(items),
+                                np.array([1.0, 1.0]), rng=np.random.default_rng(2))
+        assert observed() == before
+        fingerprint = before[2]
+        store.close()
+        for _ in range(2):
+            recovered, report = DurableStateStore(tmp_path / "store", fsync=fsync_policy).recover(
+                world, attach=False, warm=False)
+            assert report.recovered_sequence == 1
+            assert state_fingerprint(recovered) == fingerprint
 
 
 class TestJournal:

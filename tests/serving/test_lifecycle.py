@@ -216,7 +216,7 @@ def test_refresh_over_a_window_without_rows_is_skipped(
 
 
 def test_in_place_refresh_never_scores_with_stale_tables(
-    eleme_dataset, small_model_config, fast_train_config, serving_setup
+    eleme_dataset, small_model_config, fast_train_config, serving_setup, flat_join
 ):
     """score -> refresh in place -> score: the fused path follows the weights.
 
@@ -237,8 +237,8 @@ def test_in_place_refresh_never_scores_with_stale_tables(
     ranker = pipeline.stage("rank").ranker
 
     def assert_fused_matches_full_forward():
-        batch, offsets = encoder.encode_many(
-            [r.context for r in requests], [r.candidates for r in requests], state
+        batch, offsets = flat_join(
+            encoder, [r.context for r in requests], [r.candidates for r in requests], state
         )
         full = model.predict(batch)
         for index, fused in enumerate(ranker.score_many(requests, state)):

@@ -15,6 +15,7 @@ from repro.serving import (
     OnlineRequestEncoder,
     PipelineConfig,
     Ranker,
+    ReplayBuffer,
     ServingState,
     build_pipeline,
 )
@@ -61,14 +62,18 @@ class TestOnlineEncoderConsistency:
         rng = np.random.default_rng(2)
         context = eleme_dataset.world.sample_request_context(52, rng)
         candidates = eleme_dataset.world.candidate_items(context, 8, rng)
-        batch = encoder.encode(context, candidates, state)
-        assert batch["fields"][FieldName.USER].shape == (len(candidates), 6)
-        assert batch["behavior"].shape[0] == len(candidates)
-        assert batch["fields"][FieldName.CONTEXT].max() < eleme_dataset.schema.total_vocab_size
+        split, offsets = encoder.encode_split([context], [candidates], state)
+        assert split["user_rows"].shape == (1, 6)
+        assert split["behavior_unique"].shape[0] == 1
+        assert len(split["item_field"]) == len(split["combine_ids"]) == len(candidates)
+        assert offsets.tolist() == [0, len(candidates)]
+        assert split["context_rows"].max() < eleme_dataset.schema.total_vocab_size
 
-    def test_offline_and_online_encoders_agree(self, eleme_dataset, monkeypatch):
+    def test_offline_and_online_encoders_agree(self, eleme_dataset, monkeypatch, flat_join):
         """Offline/online feature consistency: the same request encodes to the
-        same bytes in every column of every field and in the behaviour arrays.
+        same bytes in every column of every field and in the behaviour arrays,
+        both as the replay log joins ``encode_split`` and as the parity
+        oracle (``flat_join``) does.
 
         A serving state adopts a fresh generator *before* it simulates one
         day, and the sampled request contexts are recorded on the way.  For
@@ -96,41 +101,27 @@ class TestOnlineEncoderConsistency:
 
         session = 0
         impressions = np.where(log.session_index == session)[0]
+        items = log.item_index[impressions]
         encoder = OnlineRequestEncoder(world, schema)
-        online = encoder.encode(contexts[session], log.item_index[impressions], state,
-                                positions=log.position[impressions])
+        logged = ReplayBuffer(encoder).log(state, contexts[session], items,
+                                           log.label[impressions])
         expected = offline.batch(impressions)
-        for field in (FieldName.USER, FieldName.CANDIDATE_ITEM, FieldName.CONTEXT,
-                      FieldName.COMBINE):
-            assert np.array_equal(expected["fields"][field], online["fields"][field]), field
-        for name in ("behavior", "behavior_mask", "behavior_st_mask", "time_period",
-                     "city", "hour", "position"):
-            assert expected[name].dtype == online[name].dtype, name
-            assert np.array_equal(expected[name], online[name]), name
+        joins = {
+            "replay": logged.batch(np.arange(len(logged))),
+            "oracle": flat_join(encoder, [contexts[session]], [items], state)[0],
+        }
+        for join, online in joins.items():
+            for field in (FieldName.USER, FieldName.CANDIDATE_ITEM, FieldName.CONTEXT,
+                          FieldName.COMBINE):
+                assert np.array_equal(expected["fields"][field], online["fields"][field]), (
+                    join, field)
+            for name in ("behavior", "behavior_mask", "behavior_st_mask", "time_period",
+                         "city", "hour", "session", "position"):
+                assert expected[name].dtype == online[name].dtype, (join, name)
+                assert np.array_equal(expected[name], online[name]), (join, name)
+        assert np.array_equal(expected["labels"], joins["replay"]["labels"])
         # The session's user has a history, so the behaviour arrays are exercised.
         assert expected["behavior_mask"].sum() > 0
-
-    def test_positions_must_match_candidates_per_request(self, eleme_dataset, serving_setup):
-        """4 + 4 candidates with 3 + 5 positions used to pass: request 0's last
-        row took request 1's first position."""
-        state, encoder = serving_setup
-        rng = np.random.default_rng(5)
-        contexts = [eleme_dataset.world.sample_request_context(53, rng) for _ in range(2)]
-        candidates = [eleme_dataset.world.candidate_items(c, 4, rng) for c in contexts]
-        assert [len(c) for c in candidates] == [4, 4]
-        bad = (
-            [np.arange(3), np.arange(5)],            # shifted across requests
-            [np.arange(4)],                          # one entry short
-            [np.arange(4), np.arange(4), None],      # one entry too many
-            [np.arange(4).reshape(2, 2), np.arange(4)],
-        )
-        for positions_list in bad:
-            for encode in (encoder.encode_many, encoder.encode_split):
-                with pytest.raises(ValueError, match="position"):
-                    encode(contexts, candidates, state, positions_list=positions_list)
-        batch, _ = encoder.encode_many(contexts, candidates, state,
-                                       positions_list=[np.arange(4), None])
-        assert batch["position"].tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
 class TestRecallAndRanking:

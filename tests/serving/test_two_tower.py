@@ -8,7 +8,8 @@ The fast path's contract (see ``repro/models/two_tower.py``):
 * frozen tables belong to one model version: the ranker builds them once per
   ``serving_uid``, rebuilds them after a swap, and scoring a model with
   another version's tables raises;
-* models without a split (``star``, ...) are scored by the full forward;
+* models without a split (``star``, ...) are refused by ``Ranker`` and
+  ``hot_swap``;
 * a model swap is one attribute assignment: every micro-batch is scored by
   exactly one (model, tables) pair.
 """
@@ -95,11 +96,11 @@ def _burst(eleme_dataset, n=30, recall_size=12, seed=3):
     return generate_burst(eleme_dataset.world, n, recall_size=recall_size, seed=seed)
 
 
-def _full_forward(model, encoder, requests, state):
+def _full_forward(model, encoder, requests, state, flat_join):
     """The parity oracle: the full forward called directly, per request."""
     with nn.no_grad():
-        batch, offsets = encoder.encode_many(
-            [r.context for r in requests], [r.candidates for r in requests], state
+        batch, offsets = flat_join(
+            encoder, [r.context for r in requests], [r.candidates for r in requests], state
         )
         scores = model.predict(batch)
     return [scores[offsets[i]:offsets[i + 1]] for i in range(len(requests))]
@@ -115,7 +116,7 @@ class TestFusedParity:
     @pytest.mark.parametrize(
         "construction", BASELINES + tuple(PERTURBED_BASELINES) + tuple(BASM_CONSTRUCTIONS))
     def test_fused_matches_full_forward(self, eleme_dataset, small_model_config,
-                                        serving_setup, construction):
+                                        serving_setup, flat_join, construction):
         """Float32 fused scores equal the exact forward within 1e-6."""
         state, encoder = serving_setup
         model = _create(construction, eleme_dataset.schema, small_model_config)
@@ -123,22 +124,25 @@ class TestFusedParity:
 
         fused = Ranker(model, encoder, max_batch_rows=128)
         fused_scores = fused.score_many(requests, state)
-        assert fused.fused_batches > 0
-        for left, right in zip(fused_scores, _full_forward(model, encoder, requests, state)):
+        assert fused.batches_run > 0
+        for left, right in zip(fused_scores,
+                               _full_forward(model, encoder, requests, state, flat_join)):
             np.testing.assert_allclose(left, right, atol=1e-6)
 
-    def test_unsupported_model_falls_back(self, eleme_dataset, small_model_config,
+    def test_unsupported_model_is_refused(self, eleme_dataset, small_model_config,
                                           serving_setup):
-        """STAR defines no split; the ranker uses the full forward."""
+        """STAR defines no split: neither a ranker nor a hot-swap takes it,
+        and a refused swap leaves the served model in place."""
         state, encoder = serving_setup
-        model = create_model("star", eleme_dataset.schema, small_model_config)
-        assert not model.supports_two_tower
-        scorer = Ranker(model, encoder)
-        scores = scorer.score_many(_burst(eleme_dataset, 8), state)
-        assert scorer.fused_batches == 0
-        assert scorer.batches_run > 0
-        assert scorer.item_tables is None
-        assert all(len(s) for s in scores)
+        star = create_model("star", eleme_dataset.schema, small_model_config)
+        assert not star.supports_two_tower
+        with pytest.raises(ValueError, match="'star'"):
+            Ranker(star, encoder)
+        served = create_model("din", eleme_dataset.schema, small_model_config)
+        ranker = Ranker(served, encoder)
+        with pytest.raises(ValueError, match="'star'"):
+            hot_swap(ranker, eleme_dataset.schema, state.features, star)
+        assert ranker.model is served
 
     @pytest.mark.parametrize("model_name", SUPPORTED)
     def test_foreign_tables_fail_loudly(self, eleme_dataset, small_model_config,
@@ -412,11 +416,11 @@ class TestItemTableSlot:
         uid, tables = ranker.item_tables
         assert uid == model.serving_uid == tables.model_uid
         ranker.score_many(requests, state)
-        assert ranker.fused_batches > 2
+        assert ranker.batches_run > 2
         assert ranker.item_tables[1] is tables  # reused, not rebuilt
 
     def test_hot_swap_rebuilds_tables(self, eleme_dataset, small_model_config,
-                                      serving_setup):
+                                      serving_setup, flat_join):
         """After promotion the new model is scored with its own tables: its
         fused scores match its own full forward (no stale tables)."""
         state, encoder = serving_setup
@@ -436,7 +440,7 @@ class TestItemTableSlot:
         fused = ranker.score_many(requests, state)
         uid, tables = ranker.item_tables
         assert uid == new.serving_uid and tables is not old_tables
-        for left, right in zip(fused, _full_forward(new, encoder, requests, state)):
+        for left, right in zip(fused, _full_forward(new, encoder, requests, state, flat_join)):
             np.testing.assert_allclose(left, right, atol=1e-6)
 
     def test_load_state_dict_on_live_model_rebuilds_tables(self, eleme_dataset,
@@ -626,7 +630,7 @@ class TestFrozenWeights:
                               scores[0])
 
     def test_flat_predict_never_reads_the_store(self, eleme_dataset, small_model_config,
-                                                serving_setup):
+                                                serving_setup, flat_join):
         """What gradcheck does — perturb a weight in place under ``no_grad``,
         no uid minted — is reflected by ``predict`` at once: the store is
         reachable from ``score_two_tower`` only."""
@@ -638,15 +642,15 @@ class TestFrozenWeights:
         requests = _burst(eleme_dataset, 4)
         ranker.score_many(requests, state)  # the store now exists
         assert getattr(linear._FROZEN, "store", None) is None  # ... and is out of scope
-        before = np.concatenate(_full_forward(model, encoder, requests, state))
+        before = np.concatenate(_full_forward(model, encoder, requests, state, flat_join))
         with nn.no_grad():
             self._perturb(model, seed=1)
-            after = np.concatenate(_full_forward(model, encoder, requests, state))
+            after = np.concatenate(_full_forward(model, encoder, requests, state, flat_join))
         fresh = create_model("basm", eleme_dataset.schema, small_model_config)
         fresh.load_state_dict(model.state_dict())
         assert not np.array_equal(after, before)
         assert np.array_equal(
-            after, np.concatenate(_full_forward(fresh, encoder, requests, state))
+            after, np.concatenate(_full_forward(fresh, encoder, requests, state, flat_join))
         )
 
     def test_store_is_scoped_to_the_scoring_thread_and_call(self, eleme_dataset,

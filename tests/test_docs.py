@@ -2,8 +2,8 @@
 and every example must compile against the package it imports from.
 
 Runs the same check CI does (``tools/check_docs.py``) so a rename that
-orphans a path in ``docs/ARCHITECTURE.md``, ``README.md`` or the verify
-skill fails locally.
+orphans a path in ``docs/ARCHITECTURE.md``, ``README.md``, the verify skill
+or a docstring under ``src/repro`` fails locally.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
+SOURCES = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
 
 
 def _check_docs_module():
@@ -80,13 +81,33 @@ def test_dangling_example_import_fails_the_check(tmp_path, capsys):
     assert "NoSuchRouter" in capsys.readouterr().out
 
 
-def test_every_example_is_checked_by_default(monkeypatch):
+def test_every_example_and_source_module_is_checked_by_default(monkeypatch):
     check_docs = _check_docs_module()
     checked = []
     monkeypatch.setattr(check_docs, "check_imports", lambda path: checked.append(path) or [])
     monkeypatch.setattr(check_docs, "check_file", lambda path: [])
     assert check_docs.main([]) == 0
-    assert sorted(checked) == EXAMPLES
+    assert sorted(checked) == sorted(EXAMPLES + SOURCES)
+
+
+def test_dangling_reference_in_a_python_docstring_fails_the_check(tmp_path, capsys):
+    """A module's docstring citing a class that does not exist, or a path
+    that does not exist, is reported like one in the guides."""
+    check_docs = _check_docs_module()
+    module = tmp_path / "module.py"
+    module.write_text(
+        '"""Re-used by :class:`repro.models.basm.stabt.FusionBatchNorm`.\n\n'
+        'Its BN owner is :class:`repro.models.basm.stabt.FusionLayer`, pinned\n'
+        'in tests/models/test_basm_modules.py and in tests/no_such_file.py.\n"""\n'
+        "from repro.serving import build_pipeline\n",
+        encoding="utf-8",
+    )
+    assert check_docs.check_python(module) == [
+        (1, "repro.models.basm.stabt.FusionBatchNorm"),
+        (4, "tests/no_such_file.py"),
+    ]
+    assert check_docs.main([str(module)]) == 1
+    assert "FusionBatchNorm" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=[path.name for path in EXAMPLES])

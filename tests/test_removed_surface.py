@@ -473,20 +473,43 @@ def test_target_attention_forward_row_map_is_gone():
     assert "row_map" not in inspect.signature(MultiHeadTargetAttention.forward).parameters
 
 
-@pytest.mark.parametrize("key", [
-    "behavior_unique", "behavior_mask_unique", "behavior_st_mask_unique", "behavior_row_map",
-])
-def test_flat_batch_dedup_key_is_gone(eleme_dataset, key):
-    """``encode_many`` emits the offline batch contract; the deduplicated
-    behaviour layout lives in ``encode_split`` alone."""
+#: (owner in ``repro.serving``, removed attribute or parameter).
+SECOND_SERVING_ENCODING = (
+    ("OnlineRequestEncoder", "encode"),
+    ("OnlineRequestEncoder", "encode_many"),
+    ("OnlineRequestEncoder", "_assemble"),
+    ("ScoreRequest", "positions"),
+    ("OnlineRequestEncoder.encode_split", "positions_list"),
+    ("Ranker", "rows_scored"),
+    ("Ranker", "fused_batches"),
+)
+
+
+@pytest.mark.parametrize(
+    "owner, name", SECOND_SERVING_ENCODING,
+    ids=[f"{owner}.{name}" for owner, name in SECOND_SERVING_ENCODING],
+)
+def test_second_serving_encoding_is_gone(eleme_dataset, small_model_config, owner, name):
+    """One serving encoding: ``encode_split`` feeds the ranker and the replay
+    log.  The flat encoder, the positions knob no caller set and the ranker
+    counters the flat path kept apart stay deleted."""
+    import inspect
+
     import numpy as np
 
-    from repro.serving import OnlineRequestEncoder, ServingState
+    from repro.models import create_model
+    from repro.serving import OnlineRequestEncoder, Ranker, ScoreRequest
 
-    world = eleme_dataset.world
-    encoder = OnlineRequestEncoder(world, eleme_dataset.schema)
+    world, schema = eleme_dataset.world, eleme_dataset.schema
+    encoder = OnlineRequestEncoder(world, schema)
     context = world.sample_request_context(1, np.random.default_rng(0))
-    batch, _ = encoder.encode_many([context], [np.arange(3)], ServingState(world))
-    assert key not in batch
-    split, _ = encoder.encode_split([context], [np.arange(3)], ServingState(world))
-    assert key in split
+    if owner == "OnlineRequestEncoder.encode_split":
+        parameters = inspect.signature(encoder.encode_split).parameters
+        assert name not in parameters, f"{owner} still takes {name}"
+        return
+    instances = {
+        "OnlineRequestEncoder": encoder,
+        "ScoreRequest": ScoreRequest(context, np.arange(3)),
+        "Ranker": Ranker(create_model("din", schema, small_model_config), encoder),
+    }
+    assert not hasattr(instances[owner], name), f"{owner} still has {name}"
