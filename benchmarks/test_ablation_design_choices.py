@@ -1,4 +1,5 @@
-"""Ablation benches beyond the paper: design choices called out in DESIGN.md.
+"""Ablation benches beyond the paper: design choices inside its modules that
+Table V's module ablation does not isolate.
 
 1. StAEL gate scaling — the paper multiplies the sigmoid by 2 so fields can be
    strengthened as well as weakened; compare against a plain sigmoid gate.

@@ -36,8 +36,8 @@ def test_fig10_11_representation_separation(trained_basm, trained_base_din, elem
         by_key[("basm", "time_period")].scatter_ratio
         > by_key[("base_din", "time_period")].scatter_ratio
     )
-    # The city-level effect (Fig. 11) is weaker at reproduction scale; require the
-    # scores to be well-defined and report them (see EXPERIMENTS.md for discussion).
+    # The city-level effect (Fig. 11) is weaker than the period one at reproduction
+    # scale, so it is reported rather than compared: require well-defined scores.
     import numpy as np
 
     assert np.isfinite(by_key[("basm", "city")].scatter_ratio)

@@ -46,7 +46,7 @@ def test_fig8_9_stael_weight_heatmaps(trained_basm, eleme_bench):
     # After training the weights have moved off their zero-init value of exactly 1
     # and differ across spatiotemporal groups.  At reproduction scale (a couple of
     # epochs on tens of thousands of samples) the differentiation is much smaller
-    # than the paper's heatmaps show — see EXPERIMENTS.md — so the assertion only
+    # than the paper's heatmaps show, so the assertion only
     # requires a measurable, not a large, spread.
     assert np.abs(period_heatmap.matrix - 1.0).max() > 1e-3
     period_spread = period_heatmap.matrix.max(axis=0) - period_heatmap.matrix.min(axis=0)

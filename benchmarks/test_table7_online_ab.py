@@ -38,7 +38,7 @@ def test_table7_online_ab_experiment(eleme_bench, trained_base_din, trained_basm
     # relative percent (and the two trained models differ by training noise of
     # comparable size), so the experiment runs 1100 requests/day to damp the
     # variance and the assertion allows a 2% relative shortfall rather than
-    # demanding a strict win on every run (see EXPERIMENTS.md).
+    # demanding a strict win on every run, which training noise alone can deny.
     assert result.average_treatment_ctr > result.average_control_ctr * 0.98
     # And wins a plurality of individual days (the paper wins all 7).
     winning_days = sum(1 for day in result.daily if day["treatment_ctr"] > day["control_ctr"])

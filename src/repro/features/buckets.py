@@ -21,7 +21,7 @@ def bucketize(values: np.ndarray, boundaries: Sequence[float]) -> np.ndarray:
     ``len(boundaries) + 1`` buckets are produced: values below the first
     boundary get bucket 1, values >= the last boundary get the final bucket.
     """
-    boundaries = np.asarray(sorted(boundaries), dtype=np.float64)
+    boundaries = np.sort(np.asarray(boundaries, dtype=np.float64))
     values = np.asarray(values, dtype=np.float64)
     return (np.searchsorted(boundaries, values, side="right") + 1).astype(np.int64)
 
@@ -41,4 +41,4 @@ def log_bucketize(values: np.ndarray, num_buckets: int, base: float = 2.0) -> np
     if values.size and values.min() < 0:
         raise ValueError("log_bucketize expects non-negative values")
     buckets = np.floor(np.log1p(values) / np.log(base)).astype(np.int64) + 1
-    return np.clip(buckets, 1, num_buckets)
+    return np.minimum(np.maximum(buckets, 1), num_buckets)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -107,6 +107,7 @@ class FeatureSchema:
             self._offsets[spec.name] = cursor
             cursor += spec.vocab_size
         self.total_vocab_size = cursor
+        self._id_bounds: Dict[Tuple[str, ...], Tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
     # lookups
@@ -125,6 +126,17 @@ class FeatureSchema:
                 f"[{local_ids.min()}, {local_ids.max()}]"
             )
         return local_ids + self._offsets[feature_name]
+
+    def id_bounds(self, names: Tuple[str, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(largest local id, global offset)`` of each of ``names`` as int64
+        vectors, built once per tuple (the field builders of
+        :mod:`repro.features.table_ids` clip and shift against them)."""
+        bounds = self._id_bounds.get(names)
+        if bounds is None:
+            bounds = (np.array([self.spec(name).vocab_size - 1 for name in names], dtype=np.int64),
+                      np.array([self._offsets[name] for name in names], dtype=np.int64))
+            self._id_bounds[names] = bounds
+        return bounds
 
     def spec(self, feature_name: str) -> FeatureSpec:
         spec = self._specs.get(feature_name)

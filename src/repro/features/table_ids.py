@@ -8,6 +8,14 @@ row per impression; the online side one per request (user, context) or per
 candidate (item tail, combine), gathering the static prefixes from the same
 all-users / all-items tables.
 
+A field is built in one pass: its local columns are stacked into one
+``(..., k)`` array, then clipped into each feature's vocabulary and shifted
+to global ids by one ``np.minimum`` / ``np.maximum`` / ``+=`` against the
+per-column bound and offset vectors :meth:`FeatureSchema.id_bounds` memoises,
+the same ids :func:`feature_ids` gives column by column.  A one-request
+serving batch pays numpy's per-call overhead once per field, not once per
+column.
+
 The two sides differ only in where the counters come from: offline, the
 clicks an item gathered on days *before* the impression's (no same-day label
 leakage); online, the live state's counters.  That is a different input by
@@ -16,7 +24,7 @@ design, not a different layout.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -40,9 +48,28 @@ __all__ = [
 ]
 
 
+#: Price and shop-quality bucket boundaries of the item static prefix.
+_ITEM_BOUNDARIES = np.linspace(0.1, 0.9, 9)
+#: Distance bucket boundaries, as shares of the city diameter.
+_DISTANCE_BOUNDARIES = np.linspace(0.2, 1.8, 9)
+
+
 def feature_ids(schema: FeatureSchema, name: str, local: np.ndarray) -> np.ndarray:
     """Clip local ids into ``name``'s vocabulary and shift them to global ids."""
-    return schema.global_ids(name, np.clip(local, 0, schema.spec(name).vocab_size - 1))
+    local = np.asarray(local, dtype=np.int64)
+    return np.maximum(np.minimum(local, schema.spec(name).vocab_size - 1), 0) + schema.offset(name)
+
+
+def _field_ids(schema: FeatureSchema, names: Tuple[str, ...], local: np.ndarray) -> np.ndarray:
+    """:func:`feature_ids` of every column of ``local`` ``(..., len(names))``
+    at once: one clip and one shift against per-column bound and offset
+    vectors, instead of one clip-and-shift chain per column.  ``local`` is a
+    fresh int64 array the caller built; it is overwritten and returned."""
+    high, offset = schema.id_bounds(names)
+    np.minimum(local, high, out=local)
+    np.maximum(local, 0, out=local)
+    local += offset
+    return local
 
 
 def _stack(columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -60,29 +87,18 @@ def _stack(columns: Sequence[np.ndarray]) -> np.ndarray:
 def user_static_ids(schema: FeatureSchema, world) -> np.ndarray:
     """``(num_users, 4)`` global ids: user_id, gender, age bucket, active level."""
     users = np.arange(world.config.num_users, dtype=np.int64)
-    return _stack(
-        [
-            feature_ids(schema, "user_id", users + 1),
-            feature_ids(schema, "user_gender", world.user_gender),
-            feature_ids(schema, "user_age_bucket", world.user_age_bucket),
-            feature_ids(schema, "user_active_level", world.user_active_level),
-        ]
+    return _field_ids(
+        schema, ("user_id", "user_gender", "user_age_bucket", "user_active_level"),
+        _stack([users + 1, world.user_gender, world.user_age_bucket, world.user_active_level]),
     )
 
 
 def user_ids(schema: FeatureSchema, static_rows: np.ndarray, orders: np.ndarray,
              clicks: np.ndarray) -> np.ndarray:
     """``(n, 6)`` user field from gathered static rows plus order/click counts."""
-    return _stack(
-        [
-            static_rows[:, 0],
-            static_rows[:, 1],
-            static_rows[:, 2],
-            feature_ids(schema, "user_order_count_bucket", log_bucketize(orders, 11)),
-            feature_ids(schema, "user_click_count_bucket", log_bucketize(clicks, 11)),
-            static_rows[:, 3],
-        ]
-    )
+    counts = _field_ids(schema, ("user_order_count_bucket", "user_click_count_bucket"),
+                        log_bucketize(_stack([orders, clicks]), 11))
+    return np.concatenate([static_rows[:, :3], counts, static_rows[:, 3:]], axis=1)
 
 
 # ---------------------------------------------------------------------- #
@@ -91,34 +107,26 @@ def user_ids(schema: FeatureSchema, static_rows: np.ndarray, orders: np.ndarray,
 def item_static_ids(schema: FeatureSchema, world) -> np.ndarray:
     """``(num_items, 5)`` global ids: item_id, category, brand, price, quality."""
     items = np.arange(world.config.num_items, dtype=np.int64)
-    boundaries = np.linspace(0.1, 0.9, 9)
-    return _stack(
-        [
-            feature_ids(schema, "item_id", items + 1),
-            feature_ids(schema, "item_category", world.item_category + 1),
-            feature_ids(schema, "item_brand", world.item_brand + 1),
-            feature_ids(schema, "item_price_bucket",
-                        np.clip(bucketize(world.item_price, boundaries), 1, 10)),
-            feature_ids(schema, "shop_quality_bucket",
-                        np.clip(bucketize(world.item_quality, boundaries), 1, 10)),
-        ]
+    return _field_ids(
+        schema,
+        ("item_id", "item_category", "item_brand", "item_price_bucket", "shop_quality_bucket"),
+        _stack([items + 1, world.item_category + 1, world.item_brand + 1,
+                bucketize(world.item_price, _ITEM_BOUNDARIES),
+                bucketize(world.item_quality, _ITEM_BOUNDARIES)]),
     )
 
 
 def distance_buckets(distance: np.ndarray, city_radius: float) -> np.ndarray:
     """Local distance buckets 1..10 over the city diameter."""
-    return np.clip(bucketize(distance / (2.0 * city_radius), np.linspace(0.2, 1.8, 9)), 1, 10)
+    return bucketize(distance / (2.0 * city_radius), _DISTANCE_BOUNDARIES)
 
 
 def item_dynamic_ids(schema: FeatureSchema, shop_clicks: np.ndarray,
                      distance_bucket: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """``(n, 3)`` item tail: shop click bucket, distance bucket, position."""
-    return _stack(
-        [
-            feature_ids(schema, "shop_click_bucket", log_bucketize(shop_clicks, 10)),
-            feature_ids(schema, "item_distance_bucket", distance_bucket),
-            feature_ids(schema, "item_position", positions + 1),
-        ]
+    return _field_ids(
+        schema, ("shop_click_bucket", "item_distance_bucket", "item_position"),
+        _stack([log_bucketize(shop_clicks, 10), distance_bucket, positions + 1]),
     )
 
 
@@ -140,16 +148,13 @@ def context_ids(schema: FeatureSchema, periods: np.ndarray, hours: np.ndarray,
         "ctx_time_period": periods + 1,
         "ctx_hour": hours + 1,
         "ctx_city_id": cities + 1,
+        # Back to local ids: the field's shift below restores them.
+        "ctx_geohash": geohash_global_ids - schema.offset("ctx_geohash"),
         "ctx_weekday": weekday + 1,
-        "ctx_is_weekend": (weekday >= 5).astype(np.int64) + 1,
+        "ctx_is_weekend": (weekday >= 5) + 1,
     }
-    return _stack(
-        [
-            geohash_global_ids if spec.name == "ctx_geohash"
-            else feature_ids(schema, spec.name, local[spec.name])
-            for spec in schema.field_features(FieldName.CONTEXT)
-        ]
-    )
+    names = tuple(spec.name for spec in schema.field_features(FieldName.CONTEXT))
+    return _field_ids(schema, names, _stack([local[name] for name in names]))
 
 
 # ---------------------------------------------------------------------- #
@@ -158,16 +163,14 @@ def context_ids(schema: FeatureSchema, periods: np.ndarray, hours: np.ndarray,
 def combine_ids(schema: FeatureSchema, world, users: np.ndarray, items: np.ndarray,
                 periods: np.ndarray, distance_bucket: np.ndarray) -> np.ndarray:
     """``(n, 3)`` crosses: activity × period, category match, distance × period."""
-    return _stack(
-        [
-            feature_ids(schema, "cross_user_activity_x_period",
-                        cross_activity_time_period(world.user_active_level[users], periods)),
-            feature_ids(schema, "cross_category_match",
-                        cross_category_match(world.user_top_category[users],
-                                             world.item_category[items])),
-            feature_ids(schema, "cross_distance_x_period",
-                        cross_distance_time_period(distance_bucket, periods)),
-        ]
+    return _field_ids(
+        schema,
+        ("cross_user_activity_x_period", "cross_category_match", "cross_distance_x_period"),
+        _stack([
+            cross_activity_time_period(world.user_active_level[users], periods),
+            cross_category_match(world.user_top_category[users], world.item_category[items]),
+            cross_distance_time_period(distance_bucket, periods),
+        ]),
     )
 
 
@@ -177,9 +180,6 @@ def behavior_ids(schema: FeatureSchema, raw: np.ndarray) -> np.ndarray:
     Each of ``schema.sequence_features`` reads its raw column by name
     (:data:`repro.features.behavior.BEHAVIOR_COLUMNS`).
     """
-    return _stack(
-        [
-            feature_ids(schema, spec.name, raw[..., BEHAVIOR_COLUMNS.index(spec.name)])
-            for spec in schema.sequence_features
-        ]
-    )
+    names = tuple(spec.name for spec in schema.sequence_features)
+    columns = [BEHAVIOR_COLUMNS.index(name) for name in names]
+    return _field_ids(schema, names, np.asarray(raw, dtype=np.int64)[..., columns])

@@ -8,10 +8,9 @@ request, item and combine fields once per candidate row.  It is the one
 serving encoding: the micro-batching engine in :mod:`repro.serving.ranker`
 scores it and :class:`repro.serving.replay.ReplayBuffer` joins it into the
 offline :class:`repro.data.encoding.EncodedDataset`.  Both sides call the
-same Table I id builders (:mod:`repro.features.table_ids`), and a unit test
-asserts an offline session and the same request served online encode to
-equal bytes, so offline/online consistency (a classic production failure
-mode) is guarded.
+same Table I id builders (:mod:`repro.features.table_ids`: one clip and
+shift per field), and a unit test asserts offline and online encodings of a
+session are equal bytes, so offline/online consistency is guarded.
 
 The encoder is numpy-batch-first: candidate features are assembled with
 vectorised gathers from precomputed per-item/per-user global-id tables (held
@@ -133,17 +132,13 @@ class OnlineRequestEncoder:
         #: row -> request index, the backbone of every per-request broadcast.
         row_map = np.repeat(np.arange(num_requests, dtype=np.int64), counts)
 
-        flat_candidates = (
-            np.concatenate([np.asarray(c, dtype=np.int64) for c in candidate_lists])
-            if total else np.zeros(0, dtype=np.int64)
-        )
+        flat_candidates = np.concatenate(  # the empty head keeps zero requests legal
+            [np.zeros(0, dtype=np.int64)] + [np.asarray(c, dtype=np.int64) for c in candidate_lists])
         positions = np.arange(total, dtype=np.int64) - offsets[row_map]
 
-        users = np.array([context.user_index for context in contexts], dtype=np.int64)
-        periods = np.array([context.time_period for context in contexts], dtype=np.int64)
-        cities = np.array([context.city for context in contexts], dtype=np.int64)
-        hours = np.array([context.hour for context in contexts], dtype=np.int64)
-        days = np.array([context.day for context in contexts], dtype=np.int64)
+        users, periods, cities, hours, days = np.array(
+            [(c.user_index, c.time_period, c.city, c.hour, c.day) for c in contexts], dtype=np.int64
+        ).reshape(num_requests, 5).T
         geohashes = np.array(
             [self._geohash_id(context.geohash) for context in contexts], dtype=np.int64
         )

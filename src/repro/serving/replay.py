@@ -76,15 +76,16 @@ class ReplayBuffer:
     ) -> EncodedDataset:
         """Encode one exposure against the *current* state and append it.
 
-        Must be called before the clicks are applied to ``state`` (which is
-        exactly what ``ServingState.record_clicks`` does), so the stored
-        features match what the model saw when it ranked the items.
+        Must be called before the clicks are applied to ``state`` (as
+        ``ServingState.record_clicks`` does), so the stored features match
+        what the model ranked; a call that raises leaves the buffer as it was.
         """
         items = np.asarray(items, dtype=np.int64)
         labels = np.array(clicks, dtype=np.float32).reshape(-1)
         if len(items) != len(labels):
             raise ValueError("items and clicks must align")
         count = len(items)
+        clicked = int(labels.sum())
         split, _ = self.encoder.encode_split([context], [items], state)
         # Request 0 owns every row: ``row_map`` repeats its user and context
         # rows and is the session index (an exposure without rows owns none).
@@ -111,7 +112,7 @@ class ReplayBuffer:
         self._impressions.append(impression)
         self.impressions_logged += 1
         self.rows_logged += count
-        self.clicks_logged += int(labels.sum())
+        self.clicks_logged += clicked
         return impression
 
     # ------------------------------------------------------------------ #

@@ -276,9 +276,9 @@ class ServingState:
         reproduces ``user_orders`` byte-identically without re-rolling.
 
         The call is checked first, journal or not — one label per exposed
-        item (both 1-D); items, user and time period inside the world — and a
-        bad one raises ``ValueError`` before any order is drawn or any
-        sequence number, history or counter moves.
+        item (both 1-D), each exactly 0 or 1; items, user and time period in
+        the world — and a bad one raises ``ValueError`` before any order is
+        drawn or any sequence number, history or counter moves.
         """
         clicks_array = np.asarray(clicks)
         if clicks_array.ndim != 1 or np.ndim(items) != 1 or len(clicks_array) != len(items):
@@ -286,6 +286,9 @@ class ServingState:
                 f"feedback needs one label per exposed item: {np.shape(items)} items, "
                 f"{clicks_array.shape} labels"
             )
+        bad = clicks_array[(clicks_array != 0) & (clicks_array != 1)]
+        if len(bad):
+            raise ValueError(f"feedback click labels must be 0 or 1: {bad.tolist()}")
         config = self.world.config
         for name, values, size in (
             ("item", np.asarray(items), config.num_items),

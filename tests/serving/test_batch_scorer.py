@@ -84,6 +84,56 @@ class TestBatchedScoreParity:
         assert np.array_equal(solo, batched)
 
 
+class TestEncodeSplitBatchInvariance:
+    PER_ROW = ("candidates", "item_field", "combine_ids")
+    PER_REQUEST = ("user_rows", "context_rows")
+    PER_SLOT = ("behavior_unique", "behavior_mask_unique", "behavior_st_mask_unique")
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+    def test_a_request_alone_encodes_as_its_slice_of_a_ragged_batch(
+            self, eleme_dataset, engine_setup, cached):
+        """Each request's ``encode_split`` arrays, encoded alone, equal its
+        slice of one ragged 64-request batch byte for byte: its rows, its
+        user and context row, its behaviour slot.  A request with no
+        candidates owns no rows and no slot.  With the cache off the batch
+        and the lone call compute every array themselves."""
+        state, encoder, _ = engine_setup
+        rng = np.random.default_rng(21)
+        requests = generate_burst(eleme_dataset.world, 64, recall_size=12, seed=21)
+        contexts = [request.context for request in requests]
+        candidate_lists = [request.candidates[: rng.integers(0, 13)] for request in requests]
+        candidate_lists[5] = candidate_lists[5][:0]
+        state.features.clear()
+        state.features.enabled = cached
+        try:
+            batch, offsets = encoder.encode_split(contexts, candidate_lists, state)
+            alone = [encoder.encode_split([context], [candidates], state)
+                     for context, candidates in zip(contexts, candidate_lists)]
+        finally:
+            state.features.enabled = True
+            state.features.clear()
+
+        assert set(batch) == {"row_map", "behavior_row_map",
+                              *self.PER_ROW, *self.PER_REQUEST, *self.PER_SLOT}
+        assert len(offsets) == 65 and offsets[6] == offsets[5]
+        for index, (split, lone_offsets) in enumerate(alone):
+            rows = slice(offsets[index], offsets[index + 1])
+            count = rows.stop - rows.start
+            assert lone_offsets.tolist() == [0, count]
+            slot = batch["behavior_row_map"][rows][:1]
+            slots = slice(int(slot[0]), int(slot[0]) + 1) if count else slice(0, 0)
+            assert np.array_equal(batch["behavior_row_map"][rows], np.repeat(slot, count))
+            for names, part in ((self.PER_ROW, rows), (self.PER_REQUEST, slice(index, index + 1)),
+                                (self.PER_SLOT, slots)):
+                for name in names:
+                    expected = batch[name][part]
+                    assert split[name].dtype == expected.dtype, (index, name)
+                    assert split[name].shape == expected.shape, (index, name)
+                    assert split[name].tobytes() == expected.tobytes(), (index, name)
+            assert split["row_map"].tolist() == [0] * count
+            assert split["behavior_row_map"].tolist() == [0] * count
+
+
 class TestRankerEdgeCases:
     def test_top_k_larger_than_candidate_count(self, eleme_dataset, engine_setup):
         state, encoder, model = engine_setup

@@ -203,6 +203,78 @@ class TestOutOfRangeFeedback:
             assert state_fingerprint(recovered) == fingerprint
 
 
+class TestNonBinaryClickLabels:
+    """``record_clicks`` refuses a click label that is not exactly 0 or 1
+    before anything moves.  With a replay buffer attached, ``[nan, 1]`` was
+    journaled, then ``ReplayBuffer.log`` raised half-way (entry appended,
+    impression and row counters moved, the click on the second item never
+    applied) and every recovery raised again at that record; without one,
+    ``[inf, 0]`` and ``[2, -3]`` were counted as clicks."""
+
+    BAD = {
+        "nan": [np.nan, 1.0],
+        "inf": [np.inf, 0.0],
+        "minus-inf": [-np.inf, 1.0],
+        "two-minus-three": [2.0, -3.0],
+        "half": [0.5, 0.0],
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_refused_before_the_journal_and_the_replay_log(self, online, tmp_path,
+                                                           fsync_policy, case):
+        world, encoder, _ = online
+        context = world.sample_request_context(1, np.random.default_rng(0))
+        store = DurableStateStore(tmp_path / "store", fsync=fsync_policy)
+        state = ServingState(world)
+        replay = state.attach_replay(ReplayBuffer(encoder))
+        store.attach(state)
+        state.record_clicks(context, np.array([5, 7]), np.array([1.0, 0.0]),
+                            rng=np.random.default_rng(1))
+        store.snapshot(state)
+
+        def observed():
+            return (state.journal.last_sequence, state.feedback_seq, state_fingerprint(state),
+                    len(replay), replay.impressions_logged, replay.rows_logged,
+                    replay.clicks_logged, state.user_clicks.tobytes(),
+                    state.item_clicks.tobytes())
+
+        before = observed()
+        with pytest.raises(ValueError, match="0 or 1"):
+            state.record_clicks(context, np.array([5, 7]), np.array(self.BAD[case]),
+                                rng=np.random.default_rng(2))
+        assert observed() == before
+        store.close()
+        recovered, report = DurableStateStore(tmp_path / "store", fsync=fsync_policy).recover(
+            world, encoder=encoder, attach=False, warm=False)
+        assert report.recovered_sequence == 1
+        assert state_fingerprint(recovered) == before[2]
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_refused_without_a_replay_buffer(self, world, case):
+        state = ServingState(world)
+        context = world.sample_request_context(1, np.random.default_rng(0))
+
+        def observed():
+            return (state.feedback_seq, state_fingerprint(state),
+                    state.user_clicks.tobytes(), state.item_clicks.tobytes())
+
+        before = observed()
+        with pytest.raises(ValueError, match="0 or 1"):
+            state.record_clicks(context, np.array([5, 7]), np.array(self.BAD[case]),
+                                rng=np.random.default_rng(2))
+        assert observed() == before
+
+    @pytest.mark.parametrize("labels", [np.array([1.0, 0.0], dtype=np.float32),
+                                        np.array([1, 0]), np.array([True, False])],
+                             ids=["float32", "int", "bool"])
+    def test_zero_one_labels_of_any_dtype_are_accepted(self, world, labels):
+        state = ServingState(world)
+        context = world.sample_request_context(1, np.random.default_rng(0))
+        state.record_clicks(context, np.array([5, 7]), labels, rng=np.random.default_rng(1))
+        assert state.feedback_seq == 1
+        assert state.item_clicks[5] == 1 and state.item_clicks[7] == 0
+
+
 class TestJournal:
     def _events(self, world, count):
         rng = np.random.default_rng(7)

@@ -114,3 +114,19 @@ class TestReplayEdges:
                     assert merged_after["fields"][field].tobytes() == array.tobytes()
             else:
                 assert merged_after[name].tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("labels", [[np.nan, 1.0], [np.inf, 0.0]], ids=["nan", "inf"])
+    def test_a_refused_log_leaves_the_buffer_unchanged(self, replay_setup, labels):
+        """``log`` computes everything before it appends: a label it cannot
+        count raises without an entry or a counter moving."""
+        world, encoder = replay_setup
+        state = ServingState(world)
+        replay = state.attach_replay(ReplayBuffer(encoder, max_impressions=4))
+        log_impressions(state, world, count=2)
+        before = (len(replay), replay.impressions_logged, replay.rows_logged,
+                  replay.clicks_logged)
+        context = world.sample_request_context(0, np.random.default_rng(3))
+        with pytest.raises((ValueError, OverflowError)):
+            replay.log(state, context, np.array([1, 2]), np.array(labels))
+        assert (len(replay), replay.impressions_logged, replay.rows_logged,
+                replay.clicks_logged) == before

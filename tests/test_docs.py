@@ -20,6 +20,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
 SOURCES = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+BENCHMARKS = sorted((REPO_ROOT / "benchmarks").glob("*.py"))
 
 
 def _check_docs_module():
@@ -81,13 +82,13 @@ def test_dangling_example_import_fails_the_check(tmp_path, capsys):
     assert "NoSuchRouter" in capsys.readouterr().out
 
 
-def test_every_example_and_source_module_is_checked_by_default(monkeypatch):
+def test_every_example_benchmark_and_source_module_is_checked_by_default(monkeypatch):
     check_docs = _check_docs_module()
     checked = []
     monkeypatch.setattr(check_docs, "check_imports", lambda path: checked.append(path) or [])
     monkeypatch.setattr(check_docs, "check_file", lambda path: [])
     assert check_docs.main([]) == 0
-    assert sorted(checked) == sorted(EXAMPLES + SOURCES)
+    assert sorted(checked) == sorted(EXAMPLES + BENCHMARKS + SOURCES)
 
 
 def test_dangling_reference_in_a_python_docstring_fails_the_check(tmp_path, capsys):
@@ -108,6 +109,24 @@ def test_dangling_reference_in_a_python_docstring_fails_the_check(tmp_path, caps
     ]
     assert check_docs.main([str(module)]) == 1
     assert "FusionBatchNorm" in capsys.readouterr().out
+
+
+def test_bare_document_names_and_bench_paths_resolve(tmp_path):
+    """A bare ``NAME.md`` must name a file next to the citing file, at the
+    root or under ``docs/``; ``bench/`` paths are checked like ``src/`` ones."""
+    check_docs = _check_docs_module()
+    (tmp_path / "NOTES.md").write_text("", encoding="utf-8")
+    module = tmp_path / "module.py"
+    module.write_text(
+        '"""See NOTES.md, ROADMAP.md and ARCHITECTURE.md, not EXPERIMENTS.md;\n'
+        'docs/ARCHITECTURE.md is a path.\n\n'
+        'Timed by bench/run.py, not by bench/no_such_run.py.\n"""\n',
+        encoding="utf-8",
+    )
+    assert check_docs.check_python(module) == [
+        (1, "EXPERIMENTS.md"),
+        (4, "bench/no_such_run.py"),
+    ]
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=[path.name for path in EXAMPLES])

@@ -2,11 +2,13 @@
 """Cheap docs check: every module reference in the docs must exist.
 
 Scans markdown files (by default ``docs/ARCHITECTURE.md``, ``README.md`` and
-the verify skill) for two kinds of references and fails if any points at
+the verify skill) for three kinds of references and fails if any points at
 nothing:
 
-* repository paths like ``src/repro/serving/pipeline.py`` (or directories
-  like ``src/repro/nn``, ``benchmarks/``);
+* repository paths like ``src/repro/serving/pipeline.py`` or
+  ``bench/run.py`` (or directories like ``src/repro/nn``, ``benchmarks/``);
+* bare document names like ``ROADMAP.md``, which must name a file next to
+  the citing file, at the repository root or under ``docs/``;
 * dotted references like ``repro.serving.ranker``,
   ``repro.models.store.ModelStore`` or ``repro.serving.sample_burst_contexts``
   — the longest prefix that is a module file or package directory under
@@ -15,11 +17,12 @@ nothing:
   alias), followed through ``from … import`` into other ``repro`` modules
   and into class bodies.  The modules are read with ``ast``, never imported.
 
-Python files (by default every ``examples/*.py`` and every module under
-``src/repro``) are checked for both kinds of references in their text —
-docstrings and comments cite modules and paths as the guides do — and for
-their ``from repro… import name`` statements: each ``module.name`` must
-resolve, so deleting a name an example still imports fails here.
+Python files (by default every ``examples/*.py``, every ``benchmarks/*.py``
+and every module under ``src/repro``) are checked for these references in
+their text — docstrings and comments cite modules and paths as the guides
+do — and for their ``from repro… import name`` statements: each
+``module.name`` must resolve, so deleting a name an example still imports
+fails here.
 
 Run from anywhere: paths are resolved relative to the repository root.
 Exit code 0 when clean, 1 with a listing of dangling references otherwise.
@@ -35,16 +38,22 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_DOCS = ("docs/ARCHITECTURE.md", "README.md", ".claude/skills/verify/SKILL.md")
-DEFAULT_PYTHON = ("examples/*.py", "src/repro/**/*.py")
+DEFAULT_PYTHON = ("examples/*.py", "benchmarks/*.py", "src/repro/**/*.py")
 
 _PATH_PATTERN = re.compile(
-    r"\b(?:src|tests|benchmarks|examples|docs|tools)/[A-Za-z0-9_\-./]*[A-Za-z0-9_\-/]"
+    r"\b(?:src|tests|benchmarks|bench|examples|docs|tools)/[A-Za-z0-9_\-./]*[A-Za-z0-9_\-/]"
 )
+_DOCUMENT_PATTERN = re.compile(r"(?<![\w./-])[A-Za-z0-9_\-]+\.md\b")
 _MODULE_PATTERN = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 
 def _path_exists(reference: str) -> bool:
     return (REPO_ROOT / reference.rstrip("/")).exists()
+
+
+def _document_exists(name: str, citing: Path) -> bool:
+    """A bare ``NAME.md`` names a file next to ``citing``, at the root or in ``docs/``."""
+    return any((base / name).is_file() for base in (citing.parent, REPO_ROOT, REPO_ROOT / "docs"))
 
 
 def _module_file(parts: Sequence[str]) -> Optional[Path]:
@@ -132,6 +141,9 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                 dangling.append((line_number, match.group(0)))
         for match in _MODULE_PATTERN.finditer(line):
             if not _module_exists(match.group(0)):
+                dangling.append((line_number, match.group(0)))
+        for match in _DOCUMENT_PATTERN.finditer(line):
+            if not _document_exists(match.group(0), path):
                 dangling.append((line_number, match.group(0)))
     return dangling
 
