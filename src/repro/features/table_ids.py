@@ -182,4 +182,6 @@ def behavior_ids(schema: FeatureSchema, raw: np.ndarray) -> np.ndarray:
     """
     names = tuple(spec.name for spec in schema.sequence_features)
     columns = [BEHAVIOR_COLUMNS.index(name) for name in names]
-    return _field_ids(schema, names, np.asarray(raw, dtype=np.int64)[..., columns])
+    # ``take``, not ``raw[..., columns]``: fancy indexing on the last axis
+    # lays the copy out column-major, and training gathers rows from it.
+    return _field_ids(schema, names, np.asarray(raw, dtype=np.int64).take(columns, axis=-1))

@@ -62,6 +62,8 @@ def assert_field(got, columns):
     expected = np.stack(columns, axis=-1)
     assert got.dtype == np.int64
     assert got.shape == expected.shape
+    # Row-major like the per-column stack: the loaders gather rows.
+    assert got.flags.c_contiguous
     assert np.array_equal(got, expected)
 
 
