@@ -209,6 +209,44 @@ PARENT_DIGESTS = {
         "query_static": "b8c9c44cb7dfe870641402b816eb21ec7ba44e2a056a6647ac927520dcadfd9d",
         "trunk_item_static": "6ace2505c536567697381f2277f2afeacbf2182e099f30ba71776e3d925fc3d8",
     },
+    # BASM and its Table V ablations with every parameter perturbed, computed
+    # at commit c990c83 (each layer still called on a ``Tensor``).
+    "basm": {
+        "packed": "a59f041bea67fffff9729945b953bc08acb0c29e0996268934f6fba9fcba888f",
+        "alone": "3e503142fd5ea3976a80ce616d586b33ba5dcf4795c71451fa9e0f2bd86080a4",
+    },
+    "basm-wo-stael": {
+        "packed": "bfeebb55b70adbb5a7766fc114148e8662f8d88b3b5dcd104b9fe874bb034c43",
+        "alone": "bdd75db28861d385843b55d80ce1cfa745937936b857bd30233189b9d639fa60",
+    },
+    "basm-wo-ststl": {
+        "packed": "3b6555855681fa552baf48deaf54238add2f47dc26538a3921c8fc8ef426e6dc",
+        "alone": "f99df835530a961133f1f7dedfce5aa21bd8489fd40735ac489695b01b94b9cc",
+    },
+    "basm-wo-stabt": {
+        "packed": "3cdba012e6f693f9eed32ce758ca001139cd7e55558859524bf11069d91f1d09",
+        "alone": "969ee0b2f4332c74c20930de1960a6b443c7ea576418bc30e05e1fc72d9e1117",
+    },
+    "basm-wo-ststl-stabt": {
+        "packed": "169d6a440f80d104ee919bbbdb4a2da04b16f305f6937c610d0cc2f731c3add6",
+        "alone": "1cc5f1788572b81486887d0e92efacafea3137dfeb63acb4d68d130b00d8100a",
+    },
+    "basm-wo-fusion-fc": {
+        "packed": "df72517e05d8b4244cfe19b1cbfbd29191fdda30ff2137d09d00a26462589aa2",
+        "alone": "11b0a4d868c5cf685f526ef210ad40bdc8c199f2142be02cc4cdb84e14430959",
+    },
+    "basm-wo-fusion-bn": {
+        "packed": "a6ad6e9b6127e1a1eb158cf10cee920db672ce1c198bc370f3a6c0307001be5c",
+        "alone": "b06f90aca74914dcc7c32c50fa0237d74d4a2f032db3b18f8c8dcc1397457dfe",
+    },
+    "basm-unfiltered-behavior": {
+        "packed": "df4de6b992e5535e2a3557cb789473b9e9f84546a61f28012006062a82f4dc4f",
+        "alone": "0b1ac0eaf54c911ed79990bef5f149fad52e3077aa2aa490ef4e28a8602c24f7",
+    },
+    "basm-sigmoid-gate": {
+        "packed": "54202fb8dc9ded8446e61e7b217d6a2e90615ea120db7d1167b53de0d32490c7",
+        "alone": "37e6faba9773a69a1a95aba422103d73fdb583201808704893e9229f512fcfa6",
+    },
 }
 
 
@@ -228,6 +266,25 @@ class TestForwardIsTheKernel:
         got = {"packed": _digest(packed), "alone": _digest(alone)}
         got.update({name: _digest(table) for name, table in tables.tables.items()})
         assert got == PARENT_DIGESTS[model_name]
+        assert np.array_equal(alone, packed[:1])
+
+    @pytest.mark.parametrize("construction", tuple(BASM_CONSTRUCTIONS))
+    def test_basm_same_bytes_as_the_parent_commit(self, eleme_dataset, small_model_config,
+                                                  serving_setup, construction):
+        """Every parameter off its initial value: ``_create`` moves only the
+        StAEL gates and batch norm, while the FCN_bias heads start at bias 0
+        and StSTL's generators near the identity."""
+        state, encoder = serving_setup
+        model = _create(construction, eleme_dataset.schema, small_model_config)
+        rng = np.random.default_rng(1)
+        for parameter in model.parameters():
+            parameter.data += rng.normal(scale=0.05, size=parameter.shape).astype(np.float32)
+        tables = model.precompute_item_tables(encoder.item_static_table(state))
+        requests = _ragged_burst(eleme_dataset)
+        packed = model.score_two_tower(_split(encoder, requests, state), tables)
+        alone = model.score_two_tower(_split(encoder, requests[:1], state), tables)
+        got = {"packed": _digest(packed), "alone": _digest(alone)}
+        assert got == PARENT_DIGESTS[construction]
         assert np.array_equal(alone, packed[:1])
 
     @pytest.mark.parametrize("model_name", SUPPORTED + ("basm-wo-stabt",))
