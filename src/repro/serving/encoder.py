@@ -119,7 +119,7 @@ class OnlineRequestEncoder:
 
         Returns ``(split_batch, offsets)`` where ``offsets`` has
         ``len(contexts) + 1`` entries and request ``i`` owns rows
-        ``offsets[i]:offsets[i + 1]``.
+        ``offsets[i]:offsets[i + 1]``; a candidate outside ``[0, num_items)`` raises.
         """
         if len(contexts) != len(candidate_lists):
             raise ValueError("contexts and candidate_lists must have equal length")
@@ -134,6 +134,10 @@ class OnlineRequestEncoder:
 
         flat_candidates = np.concatenate(  # the empty head keeps zero requests legal
             [np.zeros(0, dtype=np.int64)] + [np.asarray(c, dtype=np.int64) for c in candidate_lists])
+        outside = (flat_candidates < 0) | (flat_candidates >= world.config.num_items)
+        if outside.any():
+            raise ValueError(f"candidate item ids must lie in [0, {world.config.num_items}), "
+                             f"got {sorted(set(flat_candidates[outside].tolist()))}")
         positions = np.arange(total, dtype=np.int64) - offsets[row_map]
 
         users, periods, cities, hours, days = np.array(

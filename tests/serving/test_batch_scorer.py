@@ -195,6 +195,24 @@ class TestRankerEdgeCases:
         assert len(scores) == 1 and len(scores[0]) == len(request.candidates)
         assert scorer.batches_run == 1
 
+    @pytest.mark.parametrize("bad", [-1, "num_items"])
+    def test_a_candidate_id_outside_the_item_range_is_refused(self, eleme_dataset,
+                                                              engine_setup, bad):
+        """Not wrapped to the last item (-1) and not a bare IndexError (num_items):
+        refused, by name, before the encoder reads the state or its cache."""
+        state, encoder, model = engine_setup
+        bad = eleme_dataset.world.config.num_items if bad == "num_items" else bad
+        request = generate_burst(eleme_dataset.world, 1, recall_size=4, seed=12)[0]
+        candidates = np.array([bad, *request.candidates[:2]])
+        ranker = Ranker(model, encoder)
+        match = rf"candidate item ids must lie in \[0, \d+\), got \[{bad}\]"
+        with pytest.raises(ValueError, match=match):
+            ranker.rank(request.context, candidates, state, top_k=3)
+        with pytest.raises(ValueError, match=match):
+            ranker.score(request.context, candidates, state)
+        with pytest.raises(ValueError, match=match):
+            encoder.encode_split([request.context], [candidates], state=None)
+
     def test_invalid_arguments(self, eleme_dataset, engine_setup):
         state, encoder, model = engine_setup
         with pytest.raises(ValueError):
