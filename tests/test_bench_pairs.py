@@ -100,6 +100,19 @@ class TestReport:
         assert "6.62 [6.505, 6.79]" in rows[0] and "8.275" in rows[1]
         assert "throughput_per_s" not in table  # no run reported it
 
+    def test_runs_listing_a_metric_unresolved_are_counted_per_side(self, bench_pairs):
+        change = [3.38, 3.5, 3.6, 3.7, 3.8, 3.9, 4.0, 4.05, 4.09, 3.45]
+        runs = _lines(PARENT, change)
+        for run in runs[:6]:  # pairs 0-2: both sides late
+            run["unresolved"] = ["latency_p50_ms", "latency_tail_ms"]
+        runs[7]["unresolved"] = ["latency_p50_ms"]  # pair 3, change side
+        table = bench_pairs.report(runs, CONTRACT)
+        assert "| listed unresolved (parent, change) |" in table
+        rows = [line for line in table.splitlines() if line.startswith("| latency_p50_ms")]
+        assert len(rows) == 2
+        assert all("| 3, 4 | gain |" in row for row in rows)  # the verdict ignores it
+        assert "| 0, 0 |" in bench_pairs.report(_lines(PARENT, change), CONTRACT)
+
     def test_a_half_finished_pair_is_left_out(self, bench_pairs):
         runs = _lines(PARENT[:3], [3.4, 3.5, 3.6])[:-1]
         assert "2 pairs" in bench_pairs.report(runs, CONTRACT)

@@ -87,8 +87,11 @@ def report(runs: Iterable[dict], contract: dict) -> str:
     """The pairs table for every workload and seed in ``runs``.
 
     ``runs`` are the logged lines (``side``, ``pair``, ``workload``, ``seed``,
-    ``correct``, ``attempted``, ``failed``, ``parity``, ``metrics``, ``raw``);
-    ``contract`` is BENCHMARK.json (``better`` and ``bound`` per metric).
+    ``correct``, ``attempted``, ``failed``, ``parity``, ``metrics``, ``raw``,
+    ``unresolved``); ``contract`` is BENCHMARK.json (``better`` and ``bound``
+    per metric).  The "listed unresolved" column counts, per side, the runs
+    whose run file listed the metric under ``unresolved`` (e.g. a late load
+    generator); the verdict does not read it.
     """
     groups: Dict[Tuple[str, int], Dict[int, Dict[str, dict]]] = {}
     for run in runs:
@@ -109,8 +112,9 @@ def report(runs: Iterable[dict], contract: dict) -> str:
                 f"parity mismatches or failures {sum(run.get('parity') or 0 for run in sent)}"
             )
         lines.append("| metric | parent median [q1, q3] | change median [q1, q3] "
-                     "| change / parent | pairs won | verdict |")
-        lines.append("|---|---|---|---|---|---|")
+                     "| change / parent | pairs won | listed unresolved (parent, change) "
+                     "| verdict |")
+        lines.append("|---|---|---|---|---|---|---|")
         for spec in contract["end_to_end"]:
             for twin in ("metrics", "raw"):
                 name = spec["name"]
@@ -122,10 +126,12 @@ def report(runs: Iterable[dict], contract: dict) -> str:
                     spec["better"], spec["bound"],
                 )
                 label = name if twin == "metrics" else f"{name} (raw)"
+                listed = [sum(name in pair[side].get("unresolved", ()) for pair in pairs)
+                          for side in SIDES]
                 lines.append(
                     f"| {label} | {_spread(row['parent'])} | {_spread(row['change'])} "
                     f"| x{row['ratio']:.3f} | {row['wins']}/{row['pairs']} "
-                    f"(lost {row['losses']}) | {row['verdict']} |"
+                    f"(lost {row['losses']}) | {listed[0]}, {listed[1]} | {row['verdict']} |"
                 )
     return "\n".join(lines)
 
@@ -172,6 +178,7 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         record["raw"] = {name: value for name, value in detail.get("raw", {}).items()
                          if isinstance(value, (int, float))}
         record["parity"] = detail.get("checks", {}).get("parity_mismatches_or_failures")
+        record["unresolved"] = list(detail.get("unresolved", []))
     return record
 
 
