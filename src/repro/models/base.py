@@ -200,7 +200,7 @@ class BaseCTRModel(nn.Module):
         if len(split_batch["candidates"]) == 0:
             return np.zeros(0, dtype=np.float32)
         with nn.no_grad(), nn.inference_mode(), nn.frozen_weights(tables.weights_t):
-            return self._fused_logit(split_batch, tables).sigmoid().data.reshape(-1)
+            return nn.functional.sigmoid(self._fused_logit(split_batch, tables)).reshape(-1)
 
     def _item_tables(self, item_static_ids: np.ndarray):
         """The tables :meth:`precompute_item_tables` returns (two-tower models)."""
@@ -208,8 +208,8 @@ class BaseCTRModel(nn.Module):
             f"model {self.name!r} does not support the two-tower split"
         )
 
-    def _fused_logit(self, split_batch: Dict[str, np.ndarray], tables) -> Tensor:
-        """``(rows, 1)`` logit assembled from ``tables`` and the split batch."""
+    def _fused_logit(self, split_batch: Dict[str, np.ndarray], tables) -> np.ndarray:
+        """``(rows, 1)`` logit ndarray assembled from ``tables`` and the split batch."""
         raise NotImplementedError(
             f"model {self.name!r} does not support the two-tower split"
         )

@@ -22,6 +22,8 @@ granularity, so over a request-factored batch the user/context embeddings,
 their StAEL gates, StSTL's generated map and StABT's modulations are computed
 on one row per request and spread over that request's candidates.  The two
 agree within float re-association (1e-6, ``tests/serving/test_two_tower.py``).
+``_fused_logit`` runs on bare ndarrays from the embedding gathers on, and
+StABT's heads are one product over a transpose frozen in ``stacks_t``.
 """
 
 from __future__ import annotations
@@ -144,16 +146,18 @@ class BASM(BaseCTRModel):
     # request-factored serving (see repro.models.two_tower)
     # ------------------------------------------------------------------ #
     def _item_tables(self, item_static_ids: np.ndarray) -> ItemTowerTables:
-        """Nothing is frozen per item — the tables only carry the version stamp.
+        """Nothing is frozen per item, only StABT's stacked head transpose.
 
         BASM's context-independent item partials (item embedding,
         ``target_proj``, the item block of the first linear map) are under
         3 % of a scoring call; a table would still pay its own gathers.
         """
-        return ItemTowerTables(model_uid=self.serving_uid, static_cols=0, tables={})
+        tower = self.tower
+        stacks = {tower: nn.Linear.stacked_transpose(tower.heads())} if tower is not None else {}
+        return ItemTowerTables(self.serving_uid, static_cols=0, tables={}, stacks_t=stacks)
 
     def _fused_logit(self, split_batch: Dict[str, np.ndarray],
-                     tables: ItemTowerTables) -> Tensor:
+                     tables: ItemTowerTables) -> np.ndarray:
         """``forward``'s logit over a request-factored batch (``encode_split``).
 
         Whatever depends on the request alone is computed on one row per
@@ -169,12 +173,13 @@ class BASM(BaseCTRModel):
         def embed(ids: np.ndarray) -> np.ndarray:
             return embedder.embed_flat_field(ids).data
 
-        sequence = embedder.sequence_proj(embedder.embed_sequence(split_batch["behavior_unique"]))
+        sequence = embedder.embed_sequence(split_batch["behavior_unique"]).data
+        sequence = embedder.sequence_proj(sequence)
         item = embed(split_batch["item_field"])
         fields = {
             FieldName.USER: embed(split_batch["user_rows"][owners]),
             FieldName.USER_BEHAVIOR: embedder.target_attention.infer(
-                embedder.target_proj(Tensor(item)).data, sequence.data,
+                embedder.target_proj(item), sequence,
                 mask=split_batch["behavior_mask_unique"], row_map=rows.slot,
             ),
             FieldName.CANDIDATE_ITEM: item,
@@ -187,7 +192,7 @@ class BASM(BaseCTRModel):
                 rescale = np.float32(self.gate_scale / 2.0)
                 alphas = {name: alpha * rescale for name, alpha in alphas.items()}
             fields = {name: x_j * alphas[name] for name, x_j in fields.items()}
-        context = Tensor(fields[FieldName.CONTEXT])
+        context = fields[FieldName.CONTEXT]
 
         # The first linear map over the field concat, as column-block
         # partials: the user/context blocks once per request, the rest per row.
@@ -199,7 +204,7 @@ class BASM(BaseCTRModel):
             first = self.static_tower.linears[0]
         per_request, per_row = first.bias.data, 0.0
         for name, (start, stop) in trunk_field_slices(self).items():
-            partial = first.infer_partial(fields[name], start, stop)
+            partial = first.partial(fields[name], start, stop)
             if name in _REQUEST_FIELDS:
                 per_request = per_request + partial
             else:
@@ -211,15 +216,16 @@ class BASM(BaseCTRModel):
             filtered = nn.functional.masked_mean(
                 sequence, split_batch[mask_key + "_unique"], axis=1)
             weight, bias = self.ststl.generated(context, filtered)
-            hidden = rows.add(rows.matmul(hidden, weight.data), bias.data)
+            hidden = rows.add(rows.matmul(hidden, weight), bias)
         if not self.use_stabt:
             tower = self.static_tower
-            return tower(Tensor(hidden)) if self.use_ststl else tower.tail(Tensor(hidden))
+            return tower(hidden) if self.use_ststl else tower.tail(hidden)
+        heads = self.tower.context_heads(context, tables.stacks_t)
         for index, layer in enumerate(self.tower.layers):
             if index or self.use_ststl:  # else ``hidden`` is already layer 0's projection
-                hidden = layer.linear(Tensor(hidden)).data
-            hidden = layer.activation(Tensor(layer.modulate(hidden, context, rows))).data
-        return self.tower.output(Tensor(hidden))
+                hidden = layer.linear(hidden)
+            hidden = layer.activation(layer.modulate(hidden, heads[index], rows))
+        return self.tower.output(hidden)
 
     # ------------------------------------------------------------------ #
     def final_representation(self, batch: Dict[str, np.ndarray]) -> np.ndarray:

@@ -11,11 +11,13 @@ generated from the spatiotemporal context ``h_c``:
 * Fusion BN (Eq. 14-17): per-layer ``gamma_bias`` (multiplicative) and
   ``beta_bias`` (additive) modulate the BN affine parameters, giving each
   spatiotemporal context its own effective normalisation.
+Serving computes every layer's FCN_bias heads in one product per request
+(:meth:`SpatiotemporalAdaptiveBiasTower.context_heads`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -69,32 +71,31 @@ class FusionLayer(nn.Module):
             output = normalised * gamma + beta
         return self.activation(output)
 
-    def modulate(self, projected: np.ndarray, context: Tensor, rows) -> np.ndarray:
+    def modulate(self, projected: np.ndarray, heads: np.ndarray, rows) -> np.ndarray:
         """Eval-mode Fusion FC + Fusion BN over ``projected = linear(x)``, per request.
 
         The serving form of :meth:`forward` up to the activation
-        (``BASM._fused_logit``): ``context`` holds one row per *request*,
-        every FCN_bias head runs on those rows, the heads are folded with
-        the BN running statistics into one centre / scale / shift per
-        request, and ``rows`` (a ``RequestRows``) spreads them over each
-        request's candidate rows.  Same arithmetic as :meth:`forward` up to
-        float re-association.
+        (``BASM._fused_logit``): ``heads`` holds the four sigmoid-activated
+        FCN_bias heads on one row per *request* (``context_heads``); they are
+        folded with the BN running statistics into one centre / scale /
+        shift per request, and ``rows`` (a ``RequestRows``) spreads them over
+        each request's candidate rows.  Same arithmetic as :meth:`forward` up
+        to float re-association.
         """
+        fc_weight, fc_bias, bn_gamma, bn_beta = heads.reshape(len(heads), 4, -1).swapaxes(0, 1)
         norm = self.norm
         centre = -norm.running_mean
         scale = norm.gamma.data / np.sqrt(norm.running_var + norm.eps)
         shift = norm.beta.data
         if self.use_fusion_fc:
-            weight_bias = (self.fc_weight_bias(context).sigmoid() * 2.0).data
-            projected = rows.multiply(projected, weight_bias)
-            centred = rows.add(projected, self.fc_bias_bias(context).sigmoid().data + centre)
+            projected = rows.multiply(projected, fc_weight * 2.0)
+            centred = rows.add(projected, fc_bias + centre)
         else:
             centred = projected + centre
         if not self.use_fusion_bn:
             return centred * scale + shift
-        scale = scale * (self.bn_gamma_bias(context).sigmoid() * 2.0).data
-        shift = shift + self.bn_beta_bias(context).sigmoid().data
-        return rows.add(rows.multiply(centred, scale), shift)
+        scale = scale * (bn_gamma * 2.0)
+        return rows.add(rows.multiply(centred, scale), shift + bn_beta)
 
 
 class SpatiotemporalAdaptiveBiasTower(nn.Module):
@@ -129,6 +130,19 @@ class SpatiotemporalAdaptiveBiasTower(nn.Module):
             previous = width
         self.output = nn.Linear(previous, 1, rng=rng)
         self.out_features = previous
+
+    def heads(self) -> List[nn.Linear]:
+        """Every layer's FCN_bias heads, in :meth:`FusionLayer.modulate`'s order."""
+        return [head for layer in self.layers for head in (
+            layer.fc_weight_bias, layer.fc_bias_bias, layer.bn_gamma_bias, layer.bn_beta_bias)]
+
+    def context_heads(self, context: np.ndarray,
+                      stacks_t: Dict[nn.Module, np.ndarray]) -> List[np.ndarray]:
+        """Each layer's ``(rows, 4 * width)`` FCN_bias heads on ``context``: one
+        product (over ``stacks_t[self]`` when frozen) and one sigmoid."""
+        out = nn.functional.sigmoid(nn.Linear.stacked(context, self.heads(), stacks_t.get(self)))
+        stops = np.cumsum([4 * layer.linear.out_features for layer in self.layers])
+        return [out[:, stop - width:stop] for stop, width in zip(stops, np.diff(stops, prepend=0))]
 
     def hidden_representation(self, x: Tensor, context: Tensor) -> Tensor:
         """The representation before the final logit (used for Fig. 10/11 t-SNE)."""

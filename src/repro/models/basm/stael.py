@@ -76,12 +76,12 @@ class SpatiotemporalAwareEmbeddingLayer(nn.Module):
         for name, gate in zip(self.field_names, self.gates):
             x_j = fields[name]
             if name in per_request:
-                logit = gate(Tensor(np.concatenate([x_j, context], axis=-1))).data
+                logit = gate(np.concatenate([x_j, context], axis=-1))
             else:
                 width = x_j.shape[-1]
                 logit = rows.add(
-                    gate.infer_partial(x_j, 0, width),
-                    gate.infer_partial(context, width, gate.in_features) + gate.bias.data,
+                    gate.partial(x_j, 0, width),
+                    gate.partial(context, width, gate.in_features) + gate.bias.data,
                 )
-            alphas[name] = (Tensor(logit).sigmoid() * 2.0).data
+            alphas[name] = nn.functional.sigmoid(logit) * 2.0
         return alphas

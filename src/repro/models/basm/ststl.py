@@ -60,9 +60,9 @@ class SpatiotemporalSemanticTransformLayer(nn.Module):
         """``(W_stl, b_stl)`` per condition row (Eq. 7-8): ``(rows, d, d)``, ``(rows, d)``.
 
         Both are functions of the spatiotemporal condition alone, so serving
-        generates them once per request (``BASM._fused_logit``).
+        generates them once per request (``BASM._fused_logit``, on ndarrays).
         """
-        condition = Tensor.concat([context, filtered_behavior], axis=-1)
+        condition = nn.functional.concat([context, filtered_behavior], axis=-1)
         weight = self.weight_generator(condition)
         bias = self.bias_generator(condition)
         return weight.reshape(len(condition), self.semantic_dim, self.semantic_dim), bias

@@ -66,17 +66,17 @@ class DIN(BaseCTRModel):
         return build_common_item_tables(self, self.tower, item_static_ids)
 
     def _fused_logit(self, split_batch: Dict[str, np.ndarray],
-                     tables: ItemTowerTables) -> Tensor:
+                     tables: ItemTowerTables) -> np.ndarray:
         z, query, proj_seq = fused_common(self, self.tower, split_batch, tables)
         pooled = self.activation_unit(
             Tensor(query), Tensor(proj_seq),
             mask=split_batch["behavior_mask_unique"],
             row_map=split_batch["behavior_row_map"],
         )
-        z = z + self.tower.linears[0].infer_partial(
+        z = z + self.tower.linears[0].partial(
             pooled.data, *trunk_field_slices(self)[FieldName.USER_BEHAVIOR]
         )
-        return self.tower.tail(Tensor(z))
+        return self.tower.tail(z)
 
 
 class TargetAttentionDIN(BaseCTRModel):
@@ -146,7 +146,7 @@ class TargetAttentionDIN(BaseCTRModel):
         return build_common_item_tables(self, self.tower, item_static_ids)
 
     def _fused_logit(self, split_batch: Dict[str, np.ndarray],
-                     tables: ItemTowerTables) -> Tensor:
+                     tables: ItemTowerTables) -> np.ndarray:
         z, query, proj_seq = fused_common(self, self.tower, split_batch, tables)
         # Window masks computed once per unique sequence; the attention
         # gather broadcasts them onto the candidate rows.
@@ -160,12 +160,12 @@ class TargetAttentionDIN(BaseCTRModel):
             query, proj_seq, mask=realtime_mask, row_map=slot
         )
         l1 = self.tower.linears[0]
-        z = z + l1.infer_partial(
+        z = z + l1.partial(
             long_interest, *trunk_field_slices(self)[FieldName.USER_BEHAVIOR]
         )
         # The two extra pooled vectors are appended after the field concat.
         base = self.embedder.total_dim
         dim = self.config.attention_dim
-        z = z + l1.infer_partial(short_interest, base, base + dim)
-        z = z + l1.infer_partial(realtime_interest, base + dim, base + 2 * dim)
-        return self.tower.tail(Tensor(z))
+        z = z + l1.partial(short_interest, base, base + dim)
+        z = z + l1.partial(realtime_interest, base + dim, base + 2 * dim)
+        return self.tower.tail(z)

@@ -27,10 +27,10 @@ Every layer's arithmetic is its ``forward``: ``BaseCTRModel.score_two_tower``
 and ``precompute_item_tables`` enter ``no_grad`` + ``inference_mode`` once
 per call, under which ``forward`` builds no graph and keeps eval semantics.
 Only two kernels differ in *algorithm* from a ``forward`` and exist beside
-it: the column-block partial ``Linear.infer_partial`` and
-``MultiHeadTargetAttention.infer``'s per-request-shaped GEMMs.  The sums
-between layer calls (table gathers, ``row_map`` broadcasts) stay in
-ndarrays, wrapped into a ``Tensor`` at each layer call and unwrapped after.
+it: the column-block partial ``Linear.partial`` and
+``MultiHeadTargetAttention.infer``'s per-request-shaped GEMMs.  Layers are
+called with ndarrays and return ndarrays (DIN's activation unit aside), so
+no ``Tensor`` is boxed between the embedding gathers and the sigmoid.
 
 Models opt in with ``supports_two_tower``.  Wide&Deep, DIN and the
 target-attention base model are *exactly* separable at the concat boundary
@@ -49,7 +49,8 @@ tables.  The same object carries the other thing a model version freezes:
 the contiguous transposes of its ``Linear`` weights (``weights_t``,
 :func:`repro.nn.transposed_weights`), which ``score_two_tower`` — and nothing
 else — scopes onto the scoring thread, so a one-request score stops paying a
-weight copy per layer.  One uid, one slot in ``Ranker``, one invalidation.
+weight copy per layer, and BASM's stacked head transpose (``stacks_t``).
+One uid, one slot in ``Ranker``, one invalidation.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..features.schema import FieldName
-from ..nn import Parameter
+from ..nn import Module, Parameter
 
 __all__ = [
     "ItemTowerTables",
@@ -80,20 +81,22 @@ class ItemTowerTables:
     candidate-item field embedding (``num_static_features * embedding_dim``).
     ``tables`` maps a name to a float32 ``(num_items, width)`` array.
     ``weights_t`` holds that version's transposed ``Linear`` weights, filled
-    in by ``BaseCTRModel.precompute_item_tables``.
+    in by ``BaseCTRModel.precompute_item_tables``; ``stacks_t`` a module's
+    ``nn.Linear.stacked_transpose``, keyed by the module that runs it.
     """
 
     model_uid: int
     static_cols: int
     tables: Dict[str, np.ndarray]
     weights_t: Dict[Parameter, np.ndarray] = field(default_factory=dict)
+    stacks_t: Dict[Module, np.ndarray] = field(default_factory=dict)
 
     def gather(self, name: str, indices: np.ndarray) -> np.ndarray:
         return self.tables[name][np.asarray(indices, dtype=np.int64)]
 
     @property
     def nbytes(self) -> int:
-        frozen = (*self.tables.values(), *self.weights_t.values())
+        frozen = (*self.tables.values(), *self.weights_t.values(), *self.stacks_t.values())
         return int(sum(array.nbytes for array in frozen))
 
 
@@ -135,10 +138,10 @@ def build_common_item_tables(model, trunk, item_static_ids: np.ndarray) -> ItemT
         )
     static_emb = model.embedder.embed_flat_field(ids).data
     tables = {
-        "trunk_item_static": trunk.linears[0].infer_partial(
+        "trunk_item_static": trunk.linears[0].partial(
             static_emb, item_start, item_start + static_cols
         ),
-        "query_static": model.embedder.target_proj.infer_partial(static_emb, 0, static_cols),
+        "query_static": model.embedder.target_proj.partial(static_emb, 0, static_cols),
     }
     return ItemTowerTables(model_uid=model.serving_uid, static_cols=static_cols, tables=tables)
 
@@ -171,8 +174,8 @@ def fused_common(model, trunk, split_batch: Dict[str, np.ndarray],
     user_emb = embedder.embed_flat_field(split_batch["user_rows"]).data
     context_emb = embedder.embed_flat_field(split_batch["context_rows"]).data
     request_contrib = (
-        l1.infer_partial(user_emb, *slices[FieldName.USER])
-        + l1.infer_partial(context_emb, *slices[FieldName.CONTEXT])
+        l1.partial(user_emb, *slices[FieldName.USER])
+        + l1.partial(context_emb, *slices[FieldName.CONTEXT])
     )
 
     dyn_emb = embedder.embed_flat_field(split_batch["item_field"][:, num_static:]).data
@@ -181,14 +184,14 @@ def fused_common(model, trunk, split_batch: Dict[str, np.ndarray],
 
     z = tables.gather("trunk_item_static", cands)
     z = z + request_contrib[row_map]
-    z = z + l1.infer_partial(dyn_emb, item_start + static_cols, item_stop)
-    z = z + l1.infer_partial(combine_emb, *slices[FieldName.COMBINE])
+    z = z + l1.partial(dyn_emb, item_start + static_cols, item_stop)
+    z = z + l1.partial(combine_emb, *slices[FieldName.COMBINE])
     if l1.bias is not None:
         z = z + l1.bias.data
 
     target_proj = embedder.target_proj
     query = tables.gather("query_static", cands)
-    query = query + target_proj.infer_partial(dyn_emb, static_cols, target_proj.in_features)
+    query = query + target_proj.partial(dyn_emb, static_cols, target_proj.in_features)
     if target_proj.bias is not None:
         query = query + target_proj.bias.data
 

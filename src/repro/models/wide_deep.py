@@ -70,7 +70,7 @@ class WideDeep(BaseCTRModel):
         return tables
 
     def _fused_logit(self, split_batch: Dict[str, np.ndarray],
-                     tables: ItemTowerTables) -> Tensor:
+                     tables: ItemTowerTables) -> np.ndarray:
         cands = split_batch["candidates"]
         row_map = split_batch["row_map"]
         num_static = tables.static_cols // self.config.embedding_dim
@@ -80,14 +80,14 @@ class WideDeep(BaseCTRModel):
             mask=split_batch["behavior_mask_unique"],
             row_map=split_batch["behavior_row_map"],
         )
-        z = z + self.deep.linears[0].infer_partial(
+        z = z + self.deep.linears[0].partial(
             pooled, *trunk_field_slices(self)[FieldName.USER_BEHAVIOR]
         )
-        deep_logit = self.deep.tail(Tensor(z)).data
+        deep_logit = self.deep.tail(z)
 
         wide = tables.gather("wide_item_static", cands)
         wide = wide + self._wide_sum(split_batch["user_rows"]).data[row_map]
         wide = wide + self._wide_sum(split_batch["context_rows"]).data[row_map]
         wide = wide + self._wide_sum(split_batch["item_field"][:, num_static:]).data
         wide = wide + self._wide_sum(split_batch["combine_ids"]).data
-        return Tensor(deep_logit + wide)
+        return deep_logit + wide

@@ -2,6 +2,8 @@
 
 These free functions mirror the tensor methods so that layer code can be
 written in the style of the paper's equations (e.g. ``F.sigmoid(W @ x + b)``).
+A ``Tensor`` goes through its method (a tape may record), an ndarray straight
+to the numpy body the method computes its value with.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, _leaky_relu, _relu, _sigmoid, _softmax
 
 __all__ = [
     "sigmoid",
@@ -18,9 +20,7 @@ __all__ = [
     "relu",
     "leaky_relu",
     "softmax",
-    "log_softmax",
     "concat",
-    "stack",
     "binary_cross_entropy",
     "binary_cross_entropy_with_logits",
     "mse_loss",
@@ -30,36 +30,29 @@ __all__ = [
 ]
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
+def sigmoid(x):
+    return x.sigmoid() if isinstance(x, Tensor) else _sigmoid(x)
 
 
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
+def tanh(x):
+    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
 
 
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
+def relu(x):
+    return x.relu() if isinstance(x, Tensor) else _relu(x)
 
 
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    return x.leaky_relu(negative_slope)
+def leaky_relu(x, negative_slope: float = 0.01):
+    return x.leaky_relu(negative_slope) if isinstance(x, Tensor) else _leaky_relu(x, negative_slope)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return x.softmax(axis=axis)
+def softmax(x, axis: int = -1):
+    return x.softmax(axis=axis) if isinstance(x, Tensor) else _softmax(x, axis)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return x.softmax(axis=axis).clip(1e-12, 1.0).log()
-
-
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    return Tensor.concat(tensors, axis=axis)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    return Tensor.stack(tensors, axis=axis)
+def concat(tensors: Sequence[Tensor], axis: int = -1):
+    join = Tensor.concat if any(isinstance(t, Tensor) for t in tensors) else np.concatenate
+    return join(tensors, axis=axis)
 
 
 def binary_cross_entropy(predictions: Tensor, targets: np.ndarray, eps: float = 1e-7) -> Tensor:
@@ -87,17 +80,15 @@ def mse_loss(predictions: Tensor, targets: np.ndarray) -> Tensor:
     return (diff * diff).mean()
 
 
-def masked_mean(x: Tensor, mask: np.ndarray, axis: int = 1) -> Tensor:
+def masked_mean(x, mask: np.ndarray, axis: int = 1):
     """Mean over ``axis`` counting only positions where ``mask`` is 1.
 
     ``x`` has shape ``(batch, seq, dim)`` and ``mask`` ``(batch, seq)`` in the
-    common behaviour-sequence pooling case.
+    common behaviour-sequence pooling case (a ``Tensor`` or an ndarray).
     """
     mask = np.asarray(mask, dtype=np.float32)
-    expanded = np.expand_dims(mask, axis=-1)
-    total = (x * Tensor(expanded)).sum(axis=axis)
-    count = np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-    return total * Tensor(1.0 / count)
+    total = (x * np.expand_dims(mask, axis=-1)).sum(axis=axis)
+    return total * (1.0 / np.maximum(mask.sum(axis=axis, keepdims=True), 1.0))
 
 
 def masked_softmax(scores: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:

@@ -1,7 +1,8 @@
-"""Activation modules: each names one :class:`Tensor` op, defined there once."""
+"""Activation modules: each names one :mod:`repro.nn.functional` op, defined once."""
 
 from __future__ import annotations
 
+from .. import functional as F
 from ..module import Module
 from ..tensor import Tensor
 
@@ -10,7 +11,7 @@ __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Softmax", "Identity", "get_a
 
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
+        return F.relu(x)
 
 
 class LeakyReLU(Module):
@@ -21,17 +22,17 @@ class LeakyReLU(Module):
         self.negative_slope = negative_slope
 
     def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
+        return F.leaky_relu(x, self.negative_slope)
 
 
 class Sigmoid(Module):
     def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
+        return F.sigmoid(x)
 
 
 class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
+        return F.tanh(x)
 
 
 class Softmax(Module):
@@ -40,7 +41,7 @@ class Softmax(Module):
         self.axis = axis
 
     def forward(self, x: Tensor) -> Tensor:
-        return x.softmax(axis=self.axis)
+        return F.softmax(x, axis=self.axis)
 
 
 class Identity(Module):

@@ -83,8 +83,7 @@ class RequestRows:
         stops = np.cumsum(self.counts)
         blocks = [rows[stop - count:stop] @ matrices[index]
                   for index, (stop, count) in enumerate(zip(stops, self.counts))]
-        join = Tensor.concat if isinstance(rows, Tensor) else np.concatenate
-        return join(blocks, axis=0)
+        return F.concat(blocks, axis=0)
 
 
 class ScaledDotProductAttention(Module):
@@ -161,8 +160,8 @@ class MultiHeadTargetAttention(Module):
               row_map: Optional[np.ndarray] = None) -> np.ndarray:
         """Pooling for the serving fast path: a different *algorithm*.
 
-        Same contract as :meth:`forward` with raw arrays, called under
-        ``no_grad``: ``sequence`` holds one row per *unique* behaviour
+        Same contract as :meth:`forward` on bare ndarrays, in and out:
+        ``sequence`` holds one row per *unique* behaviour
         sequence and ``row_map`` scatters the per-sequence key/value
         projections onto the candidate rows.  The four projections are the
         layers' own ``forward``; what differs is the contraction, shaped per
@@ -184,11 +183,9 @@ class MultiHeadTargetAttention(Module):
         # request hits (and therefore its bytes) cannot change with
         # micro-batch packing.  Relative to the tensor path only the
         # head_dim reduction reassociates — within the fused 1e-6 band.
-        query = self.query_proj(Tensor(target)).data.reshape(batch, self.num_heads, self.head_dim)
-        key = self.key_proj(Tensor(sequence)).data.reshape(
-            unique, seq_len, self.num_heads, self.head_dim)
-        value = self.value_proj(Tensor(sequence)).data.reshape(
-            unique, seq_len, self.num_heads, self.head_dim)
+        query = self.query_proj(target).reshape(batch, self.num_heads, self.head_dim)
+        key = self.key_proj(sequence).reshape(unique, seq_len, self.num_heads, self.head_dim)
+        value = self.value_proj(sequence).reshape(unique, seq_len, self.num_heads, self.head_dim)
         scale = np.float32(1.0 / np.sqrt(self.head_dim))
         if rows.pool is not None:
             # The serving layout: uniform candidate counts — one stacked
@@ -209,9 +206,7 @@ class MultiHeadTargetAttention(Module):
         if mask is not None:
             fill = ((1.0 - np.asarray(mask, dtype=np.float32)[rows.slot]) * -1e9)[:, None, :]
             scores = scores + fill
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        weights = exp / exp.sum(axis=-1, keepdims=True)
+        weights = F.softmax(scores, axis=-1)
         if rows.pool is not None:
             stacked = weights.reshape(unique, rows.pool, self.num_heads, seq_len)
             merged = (
@@ -225,7 +220,7 @@ class MultiHeadTargetAttention(Module):
                 blocks.append((block @ value[index].transpose(1, 0, 2)).transpose(1, 0, 2))
                 offset += count
             merged = np.concatenate(blocks, axis=0).reshape(batch, self.dim)
-        return self.out_proj(Tensor(merged)).data
+        return self.out_proj(merged)
 
 
 class MultiHeadSelfAttention(Module):

@@ -27,7 +27,7 @@ class Dropout(Module):
         if not self.effective_training or self.rate == 0.0:
             return x
         mask = F.dropout_mask(x.shape, self.rate, self.rng)
-        return x * Tensor(mask)
+        return x * mask
 
     def __repr__(self) -> str:
         return f"Dropout(rate={self.rate})"

@@ -1,9 +1,10 @@
 """Fully connected layer.
 
 ``Linear.forward`` is the layer's one numerics definition — under ``no_grad``
-it is also the inference kernel.  ``partial`` (``infer_partial`` on arrays) is
-beside it because its *algorithm* differs (a column block of the weight, no
-bias); both go through the same batch-size-invariant product, :func:`_product`.
+it is also the inference kernel.  ``partial`` is beside it because its
+*algorithm* differs (a column block of the weight, no bias); both go through
+the same batch-size-invariant product, :func:`_product`.  An ndarray input
+computes on the parameters' ``data`` and gets an ndarray back.
 
 The product wants the weight transposed and contiguous, and makes that copy
 on every call — right for training, which writes the weight between calls,
@@ -20,7 +21,7 @@ invalidation protocol, and the store lives and dies by it.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,7 +106,7 @@ class Linear(Module):
             )
         out = _product(x, self.weight, None)
         if self.bias is not None:
-            out = out + self.bias
+            out = out + self.bias.matching(x)
         return out
 
     def partial(self, x: Tensor, start: int, stop: int) -> Tensor:
@@ -127,9 +128,18 @@ class Linear(Module):
                              f"[{start}:{stop}], got input shape {x.shape}")
         return _product(x, self.weight, (start, stop))
 
-    def infer_partial(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """:meth:`partial` with arrays in and out; call it under ``no_grad``."""
-        return self.partial(Tensor(x), start, stop).data
+    @staticmethod
+    def stacked_transpose(layers: Sequence["Linear"]) -> np.ndarray:
+        """The layers' weights stacked along the output, transposed contiguous."""
+        return np.ascontiguousarray(np.concatenate([layer.weight.data for layer in layers]).T)
+
+    @staticmethod
+    def stacked(x: np.ndarray, layers: Sequence["Linear"],
+                weight_t: Optional[np.ndarray] = None) -> np.ndarray:
+        """Every ``layer(x)`` side by side from one product over ``weight_t``
+        (:meth:`stacked_transpose`; built per call when ``None``, same bytes)."""
+        weight_t = Linear.stacked_transpose(layers) if weight_t is None else weight_t
+        return _lifted(x, weight_t) + np.concatenate([layer.bias.data for layer in layers])
 
     def __repr__(self) -> str:
         return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"
@@ -147,18 +157,25 @@ def _product(x: Tensor, weight: Parameter, columns: Optional[Tuple[int, int]]) -
     store = getattr(_FROZEN, "store", None)
     frozen = store.get(weight) if store is not None else None
     if frozen is not None:
-        weight_t = Tensor(frozen if columns is None else frozen[columns[0]:columns[1]])
+        weight_t = frozen if columns is None else frozen[columns[0]:columns[1]]
     else:
-        block = weight if columns is None else weight[:, columns[0]:columns[1]]
+        block = weight.matching(x)
+        block = block if columns is None else block[:, columns[0]:columns[1]]
         if block.shape[0] == 1:
             # (M, K) @ (K, 1) goes through gemv kernels whose rounding depends
             # on M; multiply + pairwise-sum only depends on K.
             return (x * block.reshape(-1)).sum(axis=-1, keepdims=True)
-        weight_t = block.transpose().contiguous()
+        taped = isinstance(block, Tensor)
+        weight_t = block.transpose().contiguous() if taped else np.ascontiguousarray(block.T)
+    return _lifted(x, weight_t)
+
+
+def _lifted(x, weight_t):
     if x.ndim == 2 and x.shape[0] == 1:
-        # (1, K) @ (K, N) also hits an M-dependent gemv kernel; lift to M=2
-        # (gemm rows are batch-size-invariant for M >= 2) and keep the first
-        # row, so a single-row batch scores identically to the same row
-        # inside a large micro-batch.
-        return (Tensor.concat([x, x], axis=0) @ weight_t)[0:1]
+        # (1, K) @ (K, N) hits an M-dependent gemv kernel; lift to M=2 (gemm
+        # rows are batch-size-invariant for M >= 2) and keep the first row,
+        # so a single-row batch scores identically to the same row inside a
+        # large micro-batch.
+        join = Tensor.concat if isinstance(x, Tensor) else np.concatenate
+        return (join([x, x], axis=0) @ weight_t)[0:1]
     return x @ weight_t

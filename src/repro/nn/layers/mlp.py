@@ -69,7 +69,7 @@ class MLP(Module):
 
         ``x`` is that layer's output *including bias*.  A two-tower scorer
         assembles it from precomputed item-side, per-request and per-row
-        partial products (``Linear.infer_partial``) and resumes here with the
+        partial products (``Linear.partial``) and resumes here with the
         remaining row-wise, non-decomposable layers.
         """
         last = len(self.linears) - 1

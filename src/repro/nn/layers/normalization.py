@@ -40,7 +40,7 @@ class BatchNorm1d(Module):
         During training batch statistics are used (and differentiated through,
         as in standard batch normalisation) while the running statistics are
         updated for evaluation time.  Exposed separately so Fusion BN can
-        apply modulated affine parameters.
+        apply modulated affine parameters.  An ndarray ``x`` gives an ndarray.
         """
         if x.ndim != 2 or x.shape[1] != self.num_features:
             raise ValueError(f"BatchNorm1d expected (batch, {self.num_features}), got {x.shape}")
@@ -48,18 +48,19 @@ class BatchNorm1d(Module):
             mean = x.mean(axis=0, keepdims=True)
             centred = x - mean
             var = (centred * centred).mean(axis=0, keepdims=True)
+            mean_data, var_data = (s.data if isinstance(s, Tensor) else s for s in (mean, var))
             self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean.data.reshape(-1)
+                (1 - self.momentum) * self.running_mean + self.momentum * mean_data.reshape(-1)
             )
             self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * var.data.reshape(-1)
+                (1 - self.momentum) * self.running_var + self.momentum * var_data.reshape(-1)
             )
             return centred * ((var + self.eps) ** -0.5)
-        centred = x - Tensor(self.running_mean)
-        return centred * Tensor(1.0 / np.sqrt(self.running_var + self.eps))
+        centred = x - np.asarray(self.running_mean, dtype=np.float32)
+        return centred * np.asarray(1.0 / np.sqrt(self.running_var + self.eps), dtype=np.float32)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.normalise(x) * self.gamma + self.beta
+        return self.normalise(x) * self.gamma.matching(x) + self.beta.matching(x)
 
     def __repr__(self) -> str:
         return f"BatchNorm1d({self.num_features})"

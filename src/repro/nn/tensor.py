@@ -10,6 +10,10 @@ operation records only when a gradient is wanted: under :class:`no_grad` the
 same ops return plain leaves, which is what makes a layer's ``forward`` its
 inference kernel as well.
 
+A ``Tensor`` is the tape's box: each elementwise op has one numpy body, which
+its method records a VJP beside and :mod:`repro.nn.functional` applies to a
+bare ndarray, so a layer called with an ndarray returns one.
+
 Only the operations needed by the CTR models in :mod:`repro.models` are
 implemented, but they are implemented for arbitrary broadcastable shapes so
 the layer code can stay close to the paper's equations.
@@ -80,6 +84,26 @@ def _as_array(value: ArrayLike, dtype=np.float32) -> np.ndarray:
     return np.asarray(value, dtype=dtype)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    value = np.maximum(x, -60.0, out=np.empty_like(x))  # np.clip's bytes, not its wrapper
+    np.minimum(value, 60.0, out=value)
+    np.exp(np.negative(value, out=value), out=value)
+    return np.divide(1.0, np.add(value, 1.0, out=value), out=value)  # all on one buffer
+
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    return x * (x > 0)
+
+
+def _leaky_relu(x: np.ndarray, negative_slope: float) -> np.ndarray:
+    return x * np.where(x > 0, np.float32(1.0), np.float32(negative_slope))
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    exp = np.exp(x - x.max(axis=axis, keepdims=True))
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
 def _no_backward() -> None:
     """The ``_backward`` of every tensor with no graph behind it."""
 
@@ -139,10 +163,6 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{grad_flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying data as a (copied) numpy array."""
-        return np.array(self.data)
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
@@ -152,6 +172,10 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
+
+    def matching(self, x: ArrayLike) -> Union["Tensor", np.ndarray]:
+        """This tensor as ``x``'s operand: itself for a ``Tensor``, its data for an ndarray."""
+        return self if isinstance(x, Tensor) else self.data
 
     # ------------------------------------------------------------------ #
     # graph construction helpers
@@ -297,18 +321,8 @@ class Tensor:
 
         return self._make(np.log(self.data), (self,), backward)
 
-    def sqrt(self) -> "Tensor":
-        value = np.sqrt(self.data)
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * 0.5 / np.maximum(value, 1e-12))
-
-        return self._make(value, (self,), backward)
-
     def sigmoid(self) -> "Tensor":
-        value = np.clip(self.data, -60.0, 60.0, out=np.empty_like(self.data))
-        np.exp(np.negative(value, out=value), out=value)
-        np.divide(1.0, np.add(value, 1.0, out=value), out=value)  # all on one buffer
+        value = _sigmoid(self.data)
 
         def backward(out: Tensor) -> None:
             self._accumulate(out.grad * value * (1.0 - value))
@@ -324,21 +338,17 @@ class Tensor:
         return self._make(value, (self,), backward)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-
         def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * mask)
+            self._accumulate(out.grad * (self.data > 0))
 
-        return self._make(self.data * mask, (self,), backward)
+        return self._make(_relu(self.data), (self,), backward)
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        scale = np.where(mask, 1.0, negative_slope).astype(np.float32)
-
         def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * scale)
+            self._accumulate(out.grad * np.where(self.data > 0, np.float32(1.0),
+                                                 np.float32(negative_slope)))
 
-        return self._make(self.data * scale, (self,), backward)
+        return self._make(_leaky_relu(self.data, negative_slope), (self,), backward)
 
     def clip(self, min_value: float, max_value: float) -> "Tensor":
         mask = ((self.data >= min_value) & (self.data <= max_value)).astype(np.float32)
@@ -538,9 +548,7 @@ class Tensor:
     # softmax (numerically stable, along the last axis by default)
     # ------------------------------------------------------------------ #
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        value = exp / exp.sum(axis=axis, keepdims=True)
+        value = _softmax(self.data, axis)
 
         def backward(out: Tensor) -> None:
             grad = out.grad

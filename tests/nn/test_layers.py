@@ -41,19 +41,19 @@ class TestLinear:
         layer = nn.Linear(8, out_features, rng=layer_rng)
         for width in (1, 3, 8):
             with pytest.raises(ValueError, match=rf"last dim 4 for column block \[0:4\].*\(3, {width}\)"):
-                layer.infer_partial(np.ones((3, width), np.float32), 0, 4)
+                layer.partial(np.ones((3, width), np.float32), 0, 4)
         with pytest.raises(ValueError, match=r"invalid column slice \[6:9\]"):
-            layer.infer_partial(np.ones((3, 3), np.float32), 6, 9)
+            layer.partial(np.ones((3, 3), np.float32), 6, 9)
 
     def test_partials_of_a_column_partition_sum_to_forward(self, layer_rng):
         layer = nn.Linear(8, 4, rng=layer_rng)
         layer.bias.data[...] = layer_rng.normal(size=4)
         x = layer_rng.normal(size=(5, 8)).astype(np.float32)
-        total = sum(layer.infer_partial(x[:, a:b], a, b) for a, b in ((0, 3), (3, 4), (4, 8)))
+        total = sum(layer.partial(x[:, a:b], a, b) for a, b in ((0, 3), (3, 4), (4, 8)))
         np.testing.assert_allclose(total + layer.bias.data, layer(Tensor(x)).data, atol=1e-6)
         taped = layer.partial(Tensor(x[:, 3:4], requires_grad=True), 3, 4)
         assert isinstance(taped, Tensor) and taped.requires_grad
-        assert np.array_equal(taped.data, layer.infer_partial(x[:, 3:4], 3, 4))
+        assert np.array_equal(taped.data, layer.partial(x[:, 3:4], 3, 4))
 
     def test_invalid_sizes_raise(self):
         with pytest.raises(ValueError):

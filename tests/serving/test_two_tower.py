@@ -406,6 +406,37 @@ class TestBasmPackingInvariance:
         _assert_empty_pool_takes_no_slot(model, eleme_dataset, *serving_setup)
 
 
+class TestBasmScoresOnArrays:
+    """A ``Tensor`` only where a tape records: under ``score_two_tower`` BASM's
+    layers take the ndarray path, so the only boxes left are the embedding
+    gathers (``take_rows``) and their reshapes — five fields, two each."""
+
+    @pytest.mark.parametrize("construction", tuple(BASM_CONSTRUCTIONS))
+    def test_a_score_boxes_no_tensor_past_the_embedding_gathers(
+            self, eleme_dataset, small_model_config, serving_setup, monkeypatch, construction):
+        state, encoder = serving_setup
+        model = _create(construction, eleme_dataset.schema, small_model_config)
+        tables = model.precompute_item_tables(encoder.item_static_table(state))
+        batches = {
+            "one request": _burst(eleme_dataset, 1),
+            "64 requests": _burst(eleme_dataset, 64),
+            "ragged": _ragged_burst(eleme_dataset),
+        }
+        splits = {name: _split(encoder, requests, state) for name, requests in batches.items()}
+        built = []
+        construct = nn.Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(nn.Tensor, "__init__", counting)
+        for name, split in splits.items():
+            built.clear()
+            model.score_two_tower(split, tables)
+            assert len(built) <= 10, (name, len(built))
+
+
 class TestDinPackingInvariance:
     """The same for DIN: its activation unit reaches a request's rows through
     ``RequestRows`` too (per-sequence term and mask broadcast or gathered, the
@@ -664,6 +695,35 @@ class TestFrozenWeights:
                 assert np.array_equal(frozen, model.score_two_tower(split, tables))
             finally:
                 tables.weights_t = store
+
+    def test_stabt_heads_are_one_frozen_stack(self, eleme_dataset, small_model_config,
+                                              serving_setup):
+        """All FCN_bias heads run as one product over a stacked transpose frozen
+        with the tables; without it (emptied, or another instance's) the
+        stack is built per call: same bytes."""
+        import copy
+
+        state, encoder = serving_setup
+        model = _create("basm", eleme_dataset.schema, small_model_config)
+        self._perturb(model)
+        tables = model.precompute_item_tables(encoder.item_static_table(state))
+        heads = model.tower.heads()
+        assert len(heads) == 4 * len(small_model_config.tower_units)
+        (key, stack), = tables.stacks_t.items()
+        assert key is model.tower
+        assert stack.flags["C_CONTIGUOUS"]
+        assert np.array_equal(stack, np.concatenate([head.weight.data for head in heads]).T)
+        assert tables.nbytes >= stack.nbytes + sum(w.nbytes for w in tables.weights_t.values())
+        replica = copy.deepcopy(model)
+        for requests in (_ragged_burst(eleme_dataset), _burst(eleme_dataset, 1)):
+            split = _split(encoder, requests, state)
+            frozen = model.score_two_tower(split, tables)
+            assert np.array_equal(replica.score_two_tower(split, tables), frozen)
+            stacks, tables.stacks_t = tables.stacks_t, {}
+            try:
+                assert np.array_equal(frozen, model.score_two_tower(split, tables))
+            finally:
+                tables.stacks_t = stacks
 
     def test_a_deepcopy_replica_builds_its_own(self, eleme_dataset, small_model_config,
                                                serving_setup):

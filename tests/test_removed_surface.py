@@ -54,8 +54,9 @@ def test_rank_knobs_are_gone():
 
 def test_infer_mirrors_are_gone():
     """One numerics definition per layer: ``forward`` under ``no_grad`` is the
-    inference kernel.  The two kernels whose *algorithm* differs from a
-    ``forward`` are the only ``infer*`` attributes left in ``repro.nn.layers``."""
+    inference kernel.  The one kernel whose *algorithm* differs from a
+    ``forward`` is the only ``infer*`` attribute left in ``repro.nn.layers``;
+    ``Linear.partial`` takes an ndarray itself (no ``infer_partial`` wrapper)."""
     import inspect
 
     import repro.models.two_tower as two_tower
@@ -69,10 +70,9 @@ def test_infer_mirrors_are_gone():
         for attribute in dir(cls)
         if attribute.startswith("infer")
     }
-    assert found == {"Linear.infer_partial", "MultiHeadTargetAttention.infer"}
-    assert list(inspect.signature(Linear.infer_partial).parameters) == [
-        "self", "x", "start", "stop"
-    ]
+    assert found == {"MultiHeadTargetAttention.infer"}
+    assert not hasattr(Linear, "infer_partial")
+    assert list(inspect.signature(Linear.partial).parameters) == ["self", "x", "start", "stop"]
     assert list(inspect.signature(MLP.tail).parameters) == ["self", "x"]
     for name in ("fused_sigmoid", "embed_rows"):
         assert not hasattr(two_tower, name), f"repro.models.two_tower still has {name}"
