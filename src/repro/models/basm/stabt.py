@@ -11,6 +11,7 @@ generated from the spatiotemporal context ``h_c``:
 * Fusion BN (Eq. 14-17): per-layer ``gamma_bias`` (multiplicative) and
   ``beta_bias`` (additive) modulate the BN affine parameters, giving each
   spatiotemporal context its own effective normalisation.
+
 Serving computes every layer's FCN_bias heads in one product per request
 (:meth:`SpatiotemporalAdaptiveBiasTower.context_heads`).
 """

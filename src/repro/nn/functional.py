@@ -2,8 +2,7 @@
 
 These free functions mirror the tensor methods so that layer code can be
 written in the style of the paper's equations (e.g. ``F.sigmoid(W @ x + b)``).
-A ``Tensor`` goes through its method (a tape may record), an ndarray straight
-to the numpy body the method computes its value with.
+A ``Tensor`` runs its method (a tape may record), an ndarray the method's numpy body.
 """
 
 from __future__ import annotations
