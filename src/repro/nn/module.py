@@ -151,17 +151,20 @@ class Module:
             raise KeyError(
                 f"state dict mismatch: missing={sorted(missing)}, unexpected={sorted(unexpected)}"
             )
-        for name, param in own.items():
+        # Every array is checked before any is written: a bad checkpoint
+        # leaves the module as it was.
+        targets = {name: (param, "data") for name, param in own.items()}
+        targets.update(buffers)
+        loaded = []
+        for name, (owner, attribute) in targets.items():
             if name in state:
                 value = np.asarray(state[name], dtype=np.float32)
-                if value.shape != param.data.shape:
-                    raise ValueError(
-                        f"shape mismatch for {name}: expected {param.data.shape}, got {value.shape}"
-                    )
-                param.data = value.copy()
-        for key, (module, attribute) in buffers.items():
-            if key in state:
-                object.__setattr__(module, attribute, np.asarray(state[key], dtype=np.float32).copy())
+                expected = getattr(owner, attribute).shape
+                if value.shape != expected:
+                    raise ValueError(f"shape mismatch for {name}: expected {expected}, got {value.shape}")
+                loaded.append((owner, attribute, value.copy()))
+        for owner, attribute, value in loaded:
+            object.__setattr__(owner, attribute, value)
 
     def save_npz(self, path) -> None:
         """Serialise :meth:`state_dict` to an uncompressed ``.npz`` archive.
