@@ -111,6 +111,24 @@ def test_dangling_reference_in_a_python_docstring_fails_the_check(tmp_path, caps
     assert "FusionBatchNorm" in capsys.readouterr().out
 
 
+def test_class_member_references_resolve(tmp_path):
+    """A backticked ``Class.member`` whose class is defined under
+    ``src/repro`` must name a member of it: bound in its body, assigned on
+    ``self`` or inherited.  Other capitalised names are not classes here."""
+    check_docs = _check_docs_module()
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "`Ranker.score_many` and `ItemTowerTables.weights_t`, `RequestRows.pool`\n"
+        "`BASM.train()` (from Module), `ROADMAP.md`, `Thing.anything`\n"
+        "`MultiHeadTargetAttention.infer` and `Ranker.no_such_member()`\n",
+        encoding="utf-8",
+    )
+    assert check_docs.check_file(doc) == [
+        (3, "MultiHeadTargetAttention.infer"),
+        (3, "Ranker.no_such_member"),
+    ]
+
+
 def test_bare_document_names_and_bench_paths_resolve(tmp_path):
     """A bare ``NAME.md`` must name a file next to the citing file, at the
     root or under ``docs/``; ``bench/`` paths are checked like ``src/`` ones."""

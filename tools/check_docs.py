@@ -15,7 +15,13 @@ nothing:
   ``src/`` is the module, and every component after it must be a name that
   module binds at top level (a def, a class, an assignment or an imported
   alias), followed through ``from … import`` into other ``repro`` modules
-  and into class bodies.  The modules are read with ``ast``, never imported.
+  and into class bodies.  The modules are read with ``ast``, never imported;
+* backticked member references like ``Ranker.score_many`` or
+  ``ItemTowerTables.weights_t`` whose class is defined under ``src/repro``
+  — the member must be bound in that class's body, assigned as
+  ``self.member`` in one of its methods, or inherited from a base class (a
+  base defined outside ``src/repro`` may supply anything).  A name that is
+  not a class under ``src/repro`` is not read as a class reference.
 
 Python files (by default every ``examples/*.py``, every ``benchmarks/*.py``
 and every module under ``src/repro``) are checked for these references in
@@ -34,6 +40,7 @@ import ast
 import re
 import sys
 from pathlib import Path
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +52,7 @@ _PATH_PATTERN = re.compile(
 )
 _DOCUMENT_PATTERN = re.compile(r"(?<![\w./-])[A-Za-z0-9_\-]+\.md\b")
 _MODULE_PATTERN = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
+_MEMBER_PATTERN = re.compile(r"`([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)(?=[`(])")
 
 
 def _path_exists(reference: str) -> bool:
@@ -132,6 +140,42 @@ def _module_exists(reference: str) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def _classes() -> Dict[str, List[ast.ClassDef]]:
+    """Every class defined under ``src/repro``, by name (several may share one)."""
+    found: Dict[str, List[ast.ClassDef]] = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                found.setdefault(node.name, []).append(node)
+    return found
+
+
+def _has_member(node: ast.ClassDef, member: str, seen: frozenset = frozenset()) -> bool:
+    if member in _bindings(node.body):
+        return True
+    for statement in ast.walk(node):
+        if isinstance(statement, ast.Attribute) and isinstance(statement.ctx, ast.Store) \
+                and isinstance(statement.value, ast.Name) and statement.value.id == "self" \
+                and statement.attr == member:
+            return True
+    for base in node.bases:
+        name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+        if name in seen or name == "object":
+            continue
+        if name not in _classes():
+            return True  # defined outside src/repro: unknown, not dangling
+        if any(_has_member(parent, member, seen | {node.name}) for parent in _classes()[name]):
+            return True
+    return False
+
+
+def _member_exists(cls: str, member: str) -> bool:
+    """True unless ``cls`` is a class under ``src/repro`` without ``member``."""
+    nodes = _classes().get(cls)
+    return nodes is None or any(_has_member(node, member) for node in nodes)
+
+
 def check_file(path: Path) -> List[Tuple[int, str]]:
     """Return (line number, reference) for every dangling reference."""
     dangling: List[Tuple[int, str]] = []
@@ -145,6 +189,9 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
         for match in _DOCUMENT_PATTERN.finditer(line):
             if not _document_exists(match.group(0), path):
                 dangling.append((line_number, match.group(0)))
+        for match in _MEMBER_PATTERN.finditer(line):
+            if not _member_exists(*match.groups()):
+                dangling.append((line_number, f"{match.group(1)}.{match.group(2)}"))
     return dangling
 
 
