@@ -178,7 +178,7 @@ class BASM(BaseCTRModel):
         item = embed(split_batch["item_field"])
         fields = {
             FieldName.USER: embed(split_batch["user_rows"][owners]),
-            FieldName.USER_BEHAVIOR: embedder.target_attention.infer(
+            FieldName.USER_BEHAVIOR: embedder.target_attention(
                 embedder.target_proj(item), sequence,
                 mask=split_batch["behavior_mask_unique"], row_map=rows.slot,
             ),

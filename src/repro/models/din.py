@@ -69,12 +69,12 @@ class DIN(BaseCTRModel):
                      tables: ItemTowerTables) -> np.ndarray:
         z, query, proj_seq = fused_common(self, self.tower, split_batch, tables)
         pooled = self.activation_unit(
-            Tensor(query), Tensor(proj_seq),
+            query, proj_seq,
             mask=split_batch["behavior_mask_unique"],
             row_map=split_batch["behavior_row_map"],
         )
         z = z + self.tower.linears[0].partial(
-            pooled.data, *trunk_field_slices(self)[FieldName.USER_BEHAVIOR]
+            pooled, *trunk_field_slices(self)[FieldName.USER_BEHAVIOR]
         )
         return self.tower.tail(z)
 
@@ -154,9 +154,9 @@ class TargetAttentionDIN(BaseCTRModel):
             split_batch["behavior_mask_unique"]
         )
         slot = split_batch["behavior_row_map"]
-        long_interest = self.long_attention.infer(query, proj_seq, mask=long_mask, row_map=slot)
-        short_interest = self.short_attention.infer(query, proj_seq, mask=short_mask, row_map=slot)
-        realtime_interest = self.realtime_attention.infer(
+        long_interest = self.long_attention(query, proj_seq, mask=long_mask, row_map=slot)
+        short_interest = self.short_attention(query, proj_seq, mask=short_mask, row_map=slot)
+        realtime_interest = self.realtime_attention(
             query, proj_seq, mask=realtime_mask, row_map=slot
         )
         l1 = self.tower.linears[0]

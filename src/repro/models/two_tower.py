@@ -26,11 +26,12 @@ Scores match the full forward to float re-association (parity pinned at
 Every layer's arithmetic is its ``forward``: ``BaseCTRModel.score_two_tower``
 and ``precompute_item_tables`` enter ``no_grad`` + ``inference_mode`` once
 per call, under which ``forward`` builds no graph and keeps eval semantics.
-Only two kernels differ in *algorithm* from a ``forward`` and exist beside
-it: the column-block partial ``Linear.partial`` and
-``MultiHeadTargetAttention.infer``'s per-request-shaped GEMMs.  Layers are
-called with ndarrays and return ndarrays (DIN's activation unit aside), so
-no ``Tensor`` is boxed between the embedding gathers and the sigmoid.
+One kernel differs in *algorithm* from a ``forward`` and exists beside it:
+the column-block partial ``Linear.partial``.  The attention blocks take the
+deduplicated layout (one behaviour sequence per request, ``row_map``) in
+their ``forward`` itself.  Layers are called with ndarrays and return
+ndarrays, so no ``Tensor`` is boxed between the embedding gathers and the
+sigmoid.
 
 Models opt in with ``supports_two_tower``.  Wide&Deep, DIN and the
 target-attention base model are *exactly* separable at the concat boundary

@@ -75,7 +75,7 @@ class WideDeep(BaseCTRModel):
         row_map = split_batch["row_map"]
         num_static = tables.static_cols // self.config.embedding_dim
         z, query, proj_seq = fused_common(self, self.deep, split_batch, tables)
-        pooled = self.embedder.target_attention.infer(
+        pooled = self.embedder.target_attention(
             query, proj_seq,
             mask=split_batch["behavior_mask_unique"],
             row_map=split_batch["behavior_row_map"],

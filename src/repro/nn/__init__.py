@@ -6,14 +6,13 @@ optimizers needed by BASM and its baseline models.
 """
 
 from . import functional, init, optim
-from .losses import BCELoss, BCEWithLogitsLoss, MSELoss
+from .losses import BCELoss
 from .layers import (
     BatchNorm1d,
     DINLocalActivationUnit,
     Dropout,
     Embedding,
     Identity,
-    LayerNorm,
     LeakyReLU,
     Linear,
     MLP,
@@ -37,14 +36,11 @@ __all__ = [
     "init",
     "optim",
     "BCELoss",
-    "BCEWithLogitsLoss",
-    "MSELoss",
     "BatchNorm1d",
     "DINLocalActivationUnit",
     "Dropout",
     "Embedding",
     "Identity",
-    "LayerNorm",
     "LeakyReLU",
     "Linear",
     "MLP",

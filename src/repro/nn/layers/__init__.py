@@ -11,7 +11,7 @@ from .dropout import Dropout
 from .embedding import Embedding
 from .linear import Linear, frozen_weights, transposed_weights
 from .mlp import MLP
-from .normalization import BatchNorm1d, LayerNorm
+from .normalization import BatchNorm1d
 
 __all__ = [
     "Identity",
@@ -32,5 +32,4 @@ __all__ = [
     "transposed_weights",
     "MLP",
     "BatchNorm1d",
-    "LayerNorm",
 ]

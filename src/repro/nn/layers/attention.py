@@ -10,6 +10,11 @@ Two flavours are needed by the reproduction:
 * :class:`DINLocalActivationUnit` — DIN's original local activation unit,
   a small MLP over ``[s, t, s - t, s * t]`` per (target, behaviour) pair, its
   first layer factored per sequence / per row / per pair (no concatenation).
+
+The two target blocks have one ``forward`` each for training and serving:
+given a ``row_map`` they pool one behaviour sequence per request over that
+request's rows (:class:`RequestRows`), without it one sequence per row.
+Like every layer they take ``Tensor``s (a tape may record) or ndarrays.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ class RequestRows:
     depend on which one ran.  :meth:`matmul` multiplies each request's rows
     by that request's own matrix in GEMMs shaped by the request alone —
     stacked when uniform, looped when ragged, like
-    ``MultiHeadTargetAttention.infer``.  Arrays or tensors (taped) alike.
+    :class:`MultiHeadTargetAttention`.  Arrays or tensors (taped) alike.
     """
 
     def __init__(self, slot: np.ndarray, requests: int) -> None:
@@ -87,37 +92,34 @@ class RequestRows:
 
 
 class ScaledDotProductAttention(Module):
-    """``softmax(Q K^T / sqrt(d)) V`` with an optional key padding mask."""
+    """``softmax(Q K^T / sqrt(d)) V`` over the last two axes."""
 
-    def forward(self, query: Tensor, key: Tensor, value: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    def forward(self, query: Tensor, key: Tensor, value: Tensor) -> Tensor:
         d_k = query.shape[-1]
         scores = query @ key.swapaxes(-1, -2) * (1.0 / np.sqrt(d_k))
-        if mask is not None:
-            # mask: (batch, seq) of 1 for valid keys; broadcast over query axis.
-            mask = np.asarray(mask, dtype=np.float32)
-            while mask.ndim < scores.ndim:
-                mask = np.expand_dims(mask, axis=1)
-            weights = F.masked_softmax(scores, np.broadcast_to(mask, scores.shape), axis=-1)
-        else:
-            weights = scores.softmax(axis=-1)
-        return weights @ value
+        return scores.softmax(axis=-1) @ value
 
 
 class MultiHeadTargetAttention(Module):
     """Candidate-item-as-query attention over the behaviour sequence.
 
     Inputs:
-      * ``target``: ``(batch, dim)`` — candidate item representation.
-      * ``sequence``: ``(batch, seq_len, dim)`` — behaviour embeddings.
-      * ``mask``: ``(batch, seq_len)`` — 1 for real behaviours, 0 for padding.
+      * ``target``: ``(rows, dim)`` — candidate item representation.
+      * ``sequence``: ``(unique, seq_len, dim)`` — behaviour embeddings.
+      * ``mask``: ``(unique, seq_len)`` — 1 for real behaviours, 0 for padding.
+      * ``row_map``: ``(rows,)`` sorted row -> sequence; without it every row
+        is its own sequence (``unique == rows``, the training layout).
 
-    Output: ``(batch, dim)`` pooled user-interest representation.
+    Output: ``(rows, dim)`` pooled user-interest representation.
 
     Serving batches stack many candidates that share one user's behaviour
-    sequence; :meth:`infer` takes the deduplicated layout (a ``row_map``
-    into one sequence per request), so the key/value projections run once
-    per unique sequence — the user-tower factorisation production rankers
-    use.
+    sequence; with ``row_map`` the key/value projections run once per unique
+    sequence — the user-tower factorisation production rankers use — and
+    every contraction, ``(pool, head_dim) x (head_dim, seq_len)`` per head,
+    is shaped by one request alone, so the kernel a request hits (and its
+    bytes) cannot change with micro-batch packing: one stacked batch of
+    GEMMs when pools are uniform, a loop over requests when they are ragged.
+    A row alone (the training layout) is a pool of one.
     """
 
     def __init__(
@@ -137,90 +139,43 @@ class MultiHeadTargetAttention(Module):
         self.key_proj = Linear(dim, dim, rng=rng)
         self.value_proj = Linear(dim, dim, rng=rng)
         self.out_proj = Linear(dim, dim, rng=rng)
-        self.attention = ScaledDotProductAttention()
 
-    def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
-        return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
-
-    def forward(self, target: Tensor, sequence: Tensor,
-                mask: Optional[np.ndarray] = None) -> Tensor:
-        batch, seq_len, dim = sequence.shape
-        if dim != self.dim:
-            raise ValueError(f"sequence dim {dim} does not match attention dim {self.dim}")
-        query = self.query_proj(target).reshape(batch, 1, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
-        key = self._split_heads(self.key_proj(sequence), batch, seq_len)
-        value = self._split_heads(self.value_proj(sequence), batch, seq_len)
-        attended = self.attention(query, key, value, mask=mask)
-        merged = attended.transpose(0, 2, 1, 3).reshape(batch, self.dim)
-        return self.out_proj(merged)
-
-    # ------------------------------------------------------------------ #
-    def infer(self, target: np.ndarray, sequence: np.ndarray,
-              mask: Optional[np.ndarray] = None,
-              row_map: Optional[np.ndarray] = None) -> np.ndarray:
-        """Pooling for the serving fast path: a different *algorithm*.
-
-        Same contract as :meth:`forward` on bare ndarrays, in and out:
-        ``sequence`` holds one row per *unique* behaviour
-        sequence and ``row_map`` scatters the per-sequence key/value
-        projections onto the candidate rows.  The four projections are the
-        layers' own ``forward``; what differs is the contraction, shaped per
-        request (below), which keeps fused scores within float
-        re-association of :meth:`forward`.
-        """
+    def forward(self, target: Tensor, sequence: Tensor, mask: Optional[np.ndarray] = None,
+                row_map: Optional[np.ndarray] = None) -> Tensor:
         unique, seq_len, dim = sequence.shape
         if dim != self.dim:
             raise ValueError(f"sequence dim {dim} does not match attention dim {self.dim}")
         batch = len(target)
-        # Without a row_map every row is its own sequence (pools of one).
-        rows = RequestRows(np.arange(unique) if row_map is None else row_map, unique)
-        # Keys/values are projected once per unique sequence and contracted
-        # against the per-candidate queries in request-sized GEMMs.  The
-        # tensor path's one-query-row-per-candidate batched matmul degrades
-        # to thousands of M=1 GEMV dispatches at serving batch sizes; here
-        # every contraction's shape — (candidates, head_dim) x (head_dim,
-        # seq_len) — is a property of the *request alone*, so the kernel a
-        # request hits (and therefore its bytes) cannot change with
-        # micro-batch packing.  Relative to the tensor path only the
-        # head_dim reduction reassociates — within the fused 1e-6 band.
-        query = self.query_proj(target).reshape(batch, self.num_heads, self.head_dim)
-        key = self.key_proj(sequence).reshape(unique, seq_len, self.num_heads, self.head_dim)
-        value = self.value_proj(sequence).reshape(unique, seq_len, self.num_heads, self.head_dim)
-        scale = np.float32(1.0 / np.sqrt(self.head_dim))
-        if rows.pool is not None:
-            # The serving layout: uniform candidate counts — one stacked
-            # (U, heads) batch of per-request GEMMs.
-            stacked = query.reshape(unique, rows.pool, self.num_heads, self.head_dim)
-            scores = (
-                (stacked.transpose(0, 2, 1, 3) @ key.transpose(0, 2, 3, 1))
-                .transpose(0, 2, 1, 3).reshape(batch, self.num_heads, seq_len)
-            ) * scale
-        else:
-            # Ragged candidate counts: same per-request GEMM shapes, looped.
-            blocks, offset = [], 0
-            for index, count in enumerate(rows.counts):
-                block = query[offset:offset + count].transpose(1, 0, 2)
-                blocks.append((block @ key[index].transpose(1, 2, 0)).transpose(1, 0, 2))
-                offset += count
-            scores = np.concatenate(blocks, axis=0) * scale
+        heads = (self.num_heads, self.head_dim)
+        key = self.key_proj(sequence).reshape(unique, seq_len, *heads).transpose(0, 2, 3, 1)
+        value = self.value_proj(sequence).reshape(unique, seq_len, *heads).transpose(0, 2, 1, 3)
+        fill = None
         if mask is not None:
-            fill = ((1.0 - np.asarray(mask, dtype=np.float32)[rows.slot]) * -1e9)[:, None, :]
-            scores = scores + fill
-        weights = F.softmax(scores, axis=-1)
-        if rows.pool is not None:
-            stacked = weights.reshape(unique, rows.pool, self.num_heads, seq_len)
-            merged = (
-                (stacked.transpose(0, 2, 1, 3) @ value.transpose(0, 2, 1, 3))
-                .transpose(0, 2, 1, 3).reshape(batch, self.dim)
-            )
+            fill = ((1.0 - np.asarray(mask, dtype=np.float32)) * -1e9)[:, None, None, :]
+        rows = None if row_map is None else RequestRows(row_map, unique)
+        if rows is None or rows.pool is not None:
+            # Uniform pools (a row alone is a pool of one): one stacked batch
+            # of (sequence, head) GEMMs over (unique, heads, pool, ·).
+            pool = 1 if rows is None else rows.pool
+            query = self.query_proj(target).reshape(unique, pool, *heads).transpose(0, 2, 1, 3)
+            contract = operator.matmul
         else:
-            blocks, offset = [], 0
-            for index, count in enumerate(rows.counts):
-                block = weights[offset:offset + count].transpose(1, 0, 2)
-                blocks.append((block @ value[index].transpose(1, 0, 2)).transpose(1, 0, 2))
-                offset += count
-            merged = np.concatenate(blocks, axis=0).reshape(batch, self.dim)
-        return self.out_proj(merged)
+            # Ragged pools: the same per-request GEMMs, looped, over
+            # (1, heads, rows, ·); the elementwise steps run once.
+            query = self.query_proj(target).reshape(1, batch, *heads).transpose(0, 2, 1, 3)
+            stops = np.cumsum(rows.counts)
+
+            def contract(per_row, per_sequence):
+                return F.concat([per_row[:, :, stop - count:stop] @ per_sequence[index:index + 1]
+                                 for index, (stop, count) in enumerate(zip(stops, rows.counts))],
+                                axis=2)
+
+            fill = None if fill is None else fill[rows.slot].reshape(1, 1, batch, seq_len)
+        scores = contract(query, key) * np.float32(1.0 / np.sqrt(self.head_dim))
+        if fill is not None:
+            scores = scores + fill
+        merged = contract(F.softmax(scores, axis=-1), value)
+        return self.out_proj(merged.transpose(0, 2, 1, 3).reshape(batch, self.dim))
 
 
 class MultiHeadSelfAttention(Module):
@@ -306,7 +261,7 @@ class DINLocalActivationUnit(Module):
             1, _BLOCK_PAIRS * unique // max(batch * seq_len, 1))
         edges = np.minimum(np.arange(0, unique + step, step), unique)
         starts = np.searchsorted(rows.slot, edges)  # the first row of each block
-        return Tensor.concat([
+        return F.concat([
             self._block(target[r0:r1], sequence[u0:u1], None if mask is None else mask[u0:u1],
                         RequestRows(rows.slot[r0:r1] - u0, u1 - u0))
             for u0, u1, r0, r1 in zip(edges[:-1], edges[1:], starts[:-1], starts[1:])], axis=0)
@@ -317,12 +272,12 @@ class DINLocalActivationUnit(Module):
         first = self.scorer.linears[0]
         per_sequence = first.partial(sequence, 0, dim) + first.partial(sequence, 2 * dim, 3 * dim)
         per_row = (first.partial(target, dim, 2 * dim) - first.partial(target, 2 * dim, 3 * dim)
-                   + first.bias)
+                   + first.bias.matching(target))
         pairs = rows.multiply(target.reshape(batch, 1, dim), sequence)
         per_pair = first.partial(pairs.reshape(batch * seq_len, dim), 3 * dim, 4 * dim)
         hidden = (rows.add(per_pair.reshape(batch, seq_len, -1), per_sequence)
                   + per_row.reshape(batch, 1, -1))
         scores = self.scorer.tail(hidden.reshape(batch * seq_len, -1)).reshape(batch, seq_len)
         if mask is not None:
-            scores = rows.multiply(scores, Tensor(mask))
+            scores = rows.multiply(scores, mask)
         return rows.matmul(scores, sequence)

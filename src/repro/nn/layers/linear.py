@@ -25,6 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import functional as F
 from .. import init
 from ..module import Module
 from ..parameter import Parameter
@@ -176,6 +177,5 @@ def _lifted(x, weight_t):
         # rows are batch-size-invariant for M >= 2) and keep the first row,
         # so a single-row batch scores identically to the same row inside a
         # large micro-batch.
-        join = Tensor.concat if isinstance(x, Tensor) else np.concatenate
-        return (join([x, x], axis=0) @ weight_t)[0:1]
+        return (F.concat([x, x], axis=0) @ weight_t)[0:1]
     return x @ weight_t

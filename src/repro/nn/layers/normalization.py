@@ -1,4 +1,4 @@
-"""Batch and layer normalisation.
+"""Batch normalisation.
 
 BatchNorm is central to the paper: the Spatiotemporal Adaptive Bias Tower
 modulates the learnable ``gamma`` / ``beta`` of each BN layer with
@@ -16,7 +16,7 @@ from ..module import Module
 from ..parameter import Parameter
 from ..tensor import Tensor
 
-__all__ = ["BatchNorm1d", "LayerNorm"]
+__all__ = ["BatchNorm1d"]
 
 
 class BatchNorm1d(Module):
@@ -65,22 +65,3 @@ class BatchNorm1d(Module):
     def __repr__(self) -> str:
         return f"BatchNorm1d({self.num_features})"
 
-
-class LayerNorm(Module):
-    """Layer normalisation over the last axis; used inside attention blocks."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.gamma = Parameter(init.ones((num_features,)), name="gamma")
-        self.beta = Parameter(init.zeros((num_features,)), name="beta")
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        normalised = (x - mean) * ((var + self.eps) ** -0.5)
-        return normalised * self.gamma + self.beta
-
-    def __repr__(self) -> str:
-        return f"LayerNorm({self.num_features})"

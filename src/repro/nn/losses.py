@@ -8,7 +8,7 @@ from . import functional as F
 from .module import Module
 from .tensor import Tensor
 
-__all__ = ["BCELoss", "BCEWithLogitsLoss", "MSELoss"]
+__all__ = ["BCELoss"]
 
 
 class BCELoss(Module):
@@ -20,17 +20,3 @@ class BCELoss(Module):
 
     def forward(self, predictions: Tensor, targets: np.ndarray) -> Tensor:
         return F.binary_cross_entropy(predictions, targets, eps=self.eps)
-
-
-class BCEWithLogitsLoss(Module):
-    """Numerically stable binary cross-entropy applied to raw logits."""
-
-    def forward(self, logits: Tensor, targets: np.ndarray) -> Tensor:
-        return F.binary_cross_entropy_with_logits(logits, targets)
-
-
-class MSELoss(Module):
-    """Mean squared error; used by auxiliary regression tests."""
-
-    def forward(self, predictions: Tensor, targets: np.ndarray) -> Tensor:
-        return F.mse_loss(predictions, targets)

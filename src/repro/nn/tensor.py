@@ -10,9 +10,11 @@ operation records only when a gradient is wanted: under :class:`no_grad` the
 same ops return plain leaves, which is what makes a layer's ``forward`` its
 inference kernel as well.
 
-A ``Tensor`` is the tape's box: each elementwise op has one numpy body, which
-its method records a VJP beside and :mod:`repro.nn.functional` applies to a
-bare ndarray, so a layer called with an ndarray returns one.
+Every op is one entry of :data:`PRIMITIVES`, in the shape of autograd's
+``defvjp``: its numpy body beside one vector-Jacobian product per tensor
+input.  ``Tensor``'s methods and operators and :mod:`repro.nn.functional`'s
+ops are those entries, so an op called with bare ndarrays runs its body and
+returns an ndarray, and a layer called with an ndarray returns one.
 
 Only the operations needed by the CTR models in :mod:`repro.models` are
 implemented, but they are implemented for arbitrary broadcastable shapes so
@@ -21,12 +23,13 @@ the layer code can stay close to the paper's equations.
 
 from __future__ import annotations
 
+import operator
 import threading
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "PRIMITIVES", "no_grad", "is_grad_enabled"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
 _BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))  # these select a view
@@ -78,12 +81,6 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _as_array(value: ArrayLike, dtype=np.float32) -> np.ndarray:
-    if isinstance(value, Tensor):
-        return value.data
-    return np.asarray(value, dtype=dtype)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     value = np.maximum(x, -60.0, out=np.empty_like(x))  # np.clip's bytes, not its wrapper
     np.minimum(value, 60.0, out=value)
@@ -95,11 +92,11 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return x * (x > 0)
 
 
-def _leaky_relu(x: np.ndarray, negative_slope: float) -> np.ndarray:
+def _leaky_relu(x: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
     return x * np.where(x > 0, np.float32(1.0), np.float32(negative_slope))
 
 
-def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     exp = np.exp(x - x.max(axis=axis, keepdims=True))
     return exp / exp.sum(axis=axis, keepdims=True)
 
@@ -114,6 +111,144 @@ def _freed_backward() -> None:
         "backward() reached a graph that an earlier backward() already freed; "
         "run the forward pass again to rebuild it"
     )
+
+
+# ---------------------------------------------------------------------- #
+# the primitive table
+# ---------------------------------------------------------------------- #
+#: Every op, by name: the applier :func:`_defop` builds from its body and VJPs.
+PRIMITIVES: Dict[str, Callable] = {}
+
+
+def _defop(name: str, body: Callable, *vjps: Callable, variadic: bool = False) -> None:
+    """Register ``body`` with one VJP per tensor input as ``PRIMITIVES[name]``.
+
+    The entry takes the op's tensor inputs first (for a ``variadic`` op, one
+    sequence of them), then its other arguments.  With no ``Tensor`` among
+    the inputs it returns ``body``'s ndarray.  Otherwise every input becomes
+    a tape parent (a constant as a leaf ``Tensor``, cast to float32), the
+    body runs on their data, and the backward hands parent ``i`` the result
+    of ``vjps[i](grad, value, *inputs, *args, **kwargs)`` — only for parents
+    that require grad.  A variadic op's one VJP gets ``(grad, value,
+    inputs, *args, index=i, **kwargs)``.
+    """
+    arity = len(vjps)
+
+    def apply(*args, **kwargs):
+        inputs = args[0] if variadic else args[:arity]
+        for x in inputs:
+            if isinstance(x, Tensor):
+                break
+        else:
+            return body(*args, **kwargs)
+        parents = tuple([x if isinstance(x, Tensor) else Tensor(x) for x in inputs])
+        arrays = [parent.data for parent in parents]
+        if variadic:
+            rest = args[1:]
+            value = body(arrays, *rest, **kwargs)
+        else:
+            rest = args[arity:]
+            value = body(*arrays, *rest, **kwargs)
+
+        def backward(out: Tensor) -> None:
+            for index, parent in enumerate(parents):
+                if not parent.requires_grad:
+                    continue
+                if variadic:
+                    grad = vjps[0](out.grad, value, arrays, *rest, index=index, **kwargs)
+                else:
+                    grad = vjps[index](out.grad, value, *arrays, *rest, **kwargs)
+                parent._accumulate(grad)
+
+        return Tensor._make(value, parents, backward)
+
+    apply.__name__ = apply.__qualname__ = name
+    PRIMITIVES[name] = apply
+
+
+def _reduced_grad(grad, x, axis, keepdims):
+    """``grad`` of a ``sum``/``mean`` over ``axis`` spread back over ``x``."""
+    if axis is not None and not keepdims:
+        grad = np.expand_dims(grad, axis=axis)
+    return np.broadcast_to(grad, x.shape)
+
+
+def _matmul_grad(grad, a, b, wrt_a: bool):
+    if a.ndim == 2 and b.ndim == 2:
+        return grad @ b.T if wrt_a else a.T @ grad
+    # Batched matmul: swap the last two axes for the transposes and let
+    # _unbroadcast fold any broadcast batch dimensions back.
+    if wrt_a:
+        return np.matmul(grad, np.swapaxes(b, -1, -2))
+    return np.matmul(np.swapaxes(a, -1, -2), grad)
+
+
+def _getitem_grad(grad, value, x, index):
+    out = np.zeros(x.shape, dtype=np.float32)
+    entries = index if isinstance(index, tuple) else (index,)
+    if all(isinstance(entry, _BASIC_INDEX) for entry in entries):
+        out[index] += grad  # a view: no position repeats
+    else:
+        positions = np.arange(out.size).reshape(out.shape)[index]
+        np.add.at(out.reshape(-1), positions.reshape(-1), grad.reshape(-1))
+    return out
+
+
+def _take_rows_grad(grad, value, x, indices):
+    # Scatter into the raveled table at ``row * width + column``: 1-D
+    # ``np.add.at`` takes numpy's indexed fast loop (2.5x) and keeps each
+    # element's add order.
+    out = np.zeros(x.shape, dtype=np.float32)
+    rows = np.asarray(indices, dtype=np.int64).reshape(-1, 1)
+    positions = rows * out.shape[1] + np.arange(out.shape[1])
+    np.add.at(out.reshape(-1), positions.reshape(-1), grad.reshape(-1))
+    return out
+
+
+def _concat_grad(grad, value, arrays, axis=-1, *, index):
+    offsets = np.cumsum([0] + [array.shape[axis] for array in arrays])
+    block = [slice(None)] * grad.ndim
+    block[axis] = slice(offsets[index], offsets[index + 1])
+    return grad[tuple(block)]
+
+
+def _transpose_grad(grad, value, x, *axes):
+    axes = tuple(axes[0]) if len(axes) == 1 and isinstance(axes[0], (tuple, list)) else axes
+    return grad.transpose(np.argsort(axes) if axes else None)
+
+
+_defop("add", operator.add, lambda g, y, a, b: g, lambda g, y, a, b: g)
+_defop("sub", operator.sub, lambda g, y, a, b: g, lambda g, y, a, b: -g)
+_defop("neg", operator.neg, lambda g, y, x: -g)
+_defop("mul", operator.mul, lambda g, y, a, b: g * b, lambda g, y, a, b: g * a)
+_defop("pow", np.power, lambda g, y, x, exponent: g * exponent * np.power(x, exponent - 1))
+_defop("matmul", np.matmul,
+       lambda g, y, a, b: _matmul_grad(g, a, b, True),
+       lambda g, y, a, b: _matmul_grad(g, a, b, False))
+_defop("log", np.log, lambda g, y, x: g / x)
+_defop("sigmoid", _sigmoid, lambda g, y, x: g * y * (1.0 - y))
+_defop("tanh", np.tanh, lambda g, y, x: g * (1.0 - y ** 2))
+_defop("relu", _relu, lambda g, y, x: g * (x > 0))
+_defop("leaky_relu", _leaky_relu, lambda g, y, x, negative_slope=0.01: g * np.where(
+    x > 0, np.float32(1.0), np.float32(negative_slope)))
+_defop("clip", np.clip, lambda g, y, x, low, high: g * ((x >= low) & (x <= high)).astype(np.float32))
+_defop("softmax", _softmax,  # numerically stable, along the last axis by default
+       lambda g, y, x, axis=-1: y * (g - (g * y).sum(axis=axis, keepdims=True)))
+_defop("sum", lambda x, axis=None, keepdims=False: x.sum(axis=axis, keepdims=keepdims),
+       lambda g, y, x, axis=None, keepdims=False: _reduced_grad(g, x, axis, keepdims))
+_defop("mean", lambda x, axis=None, keepdims=False: x.mean(axis=axis, keepdims=keepdims),
+       lambda g, y, x, axis=None, keepdims=False:
+       _reduced_grad(g, x, axis, keepdims) / (x.size // max(y.size, 1)))
+_defop("reshape", lambda x, *shape: x.reshape(*shape), lambda g, y, x, *shape: g.reshape(x.shape))
+_defop("transpose", lambda x, *axes: x.transpose(*axes), _transpose_grad)
+_defop("swapaxes", np.swapaxes, lambda g, y, x, axis1, axis2: np.swapaxes(g, axis1, axis2))
+_defop("contiguous", np.ascontiguousarray, lambda g, y, x: g)
+_defop("getitem", operator.getitem, _getitem_grad)
+# Rows of a 2-D table (the embedding gather): ``indices`` of any shape give
+# ``indices.shape + (width,)``.
+_defop("take_rows", lambda x, indices: x[np.asarray(indices, dtype=np.int64)], _take_rows_grad)
+_defop("concat", lambda arrays, axis=-1: np.concatenate(arrays, axis=axis), _concat_grad,
+       variadic=True)
 
 
 class Tensor:
@@ -166,10 +301,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -180,10 +311,6 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # graph construction helpers
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _ensure(value: ArrayLike) -> "Tensor":
-        return value if isinstance(value, Tensor) else Tensor(value)
-
     @staticmethod
     def _make(
         data: np.ndarray,
@@ -224,236 +351,36 @@ class Tensor:
             self.grad += grad
 
     # ------------------------------------------------------------------ #
-    # arithmetic
+    # the ops: entries of PRIMITIVES
     # ------------------------------------------------------------------ #
-    def __add__(self, other: ArrayLike) -> "Tensor":
-        other = self._ensure(other)
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad)
-            other._accumulate(out.grad)
-
-        return self._make(self.data + other.data, (self, other), backward)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Tensor":
-        def backward(out: Tensor) -> None:
-            self._accumulate(-out.grad)
-
-        return self._make(-self.data, (self,), backward)
-
-    def __sub__(self, other: ArrayLike) -> "Tensor":
-        other = self._ensure(other)
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad)
-            other._accumulate(-out.grad)
-
-        return self._make(self.data - other.data, (self, other), backward)
+    __add__ = __radd__ = PRIMITIVES["add"]
+    __sub__ = PRIMITIVES["sub"]
+    __neg__ = PRIMITIVES["neg"]
+    __mul__ = __rmul__ = PRIMITIVES["mul"]
+    __matmul__ = PRIMITIVES["matmul"]
+    __getitem__ = PRIMITIVES["getitem"]
+    log = PRIMITIVES["log"]
+    sigmoid = PRIMITIVES["sigmoid"]
+    tanh = PRIMITIVES["tanh"]
+    relu = PRIMITIVES["relu"]
+    leaky_relu = PRIMITIVES["leaky_relu"]
+    clip = PRIMITIVES["clip"]
+    softmax = PRIMITIVES["softmax"]
+    sum = PRIMITIVES["sum"]
+    mean = PRIMITIVES["mean"]
+    reshape = PRIMITIVES["reshape"]
+    transpose = PRIMITIVES["transpose"]
+    swapaxes = PRIMITIVES["swapaxes"]
+    take_rows = PRIMITIVES["take_rows"]
+    concat = staticmethod(PRIMITIVES["concat"])
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return self._ensure(other).__sub__(self)
-
-    def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = self._ensure(other)
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * other.data)
-            other._accumulate(out.grad * self.data)
-
-        return self._make(self.data * other.data, (self, other), backward)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = self._ensure(other)
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad / other.data)
-            other._accumulate(-out.grad * self.data / (other.data ** 2))
-
-        return self._make(self.data / other.data, (self, other), backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._ensure(other).__truediv__(self)
+        return PRIMITIVES["sub"](other, self)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * exponent * np.power(self.data, exponent - 1))
-
-        return self._make(np.power(self.data, exponent), (self,), backward)
-
-    def __matmul__(self, other: ArrayLike) -> "Tensor":
-        other = self._ensure(other)
-
-        def backward(out: Tensor) -> None:
-            grad = out.grad
-            a, b = self.data, other.data
-            if a.ndim == 2 and b.ndim == 2:
-                self._accumulate(grad @ b.T)
-                other._accumulate(a.T @ grad)
-            else:
-                # Batched matmul: swap the last two axes for the transposes and
-                # let _unbroadcast fold any broadcast batch dimensions back.
-                self._accumulate(np.matmul(grad, np.swapaxes(b, -1, -2)))
-                other._accumulate(np.matmul(np.swapaxes(a, -1, -2), grad))
-
-        return self._make(np.matmul(self.data, other.data), (self, other), backward)
-
-    # ------------------------------------------------------------------ #
-    # elementwise nonlinearities
-    # ------------------------------------------------------------------ #
-    def exp(self) -> "Tensor":
-        value = np.exp(np.clip(self.data, -60.0, 60.0))
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * value)
-
-        return self._make(value, (self,), backward)
-
-    def log(self) -> "Tensor":
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad / self.data)
-
-        return self._make(np.log(self.data), (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        value = _sigmoid(self.data)
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * value * (1.0 - value))
-
-        return self._make(value, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        value = np.tanh(self.data)
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * (1.0 - value ** 2))
-
-        return self._make(value, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * (self.data > 0))
-
-        return self._make(_relu(self.data), (self,), backward)
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * np.where(self.data > 0, np.float32(1.0),
-                                                 np.float32(negative_slope)))
-
-        return self._make(_leaky_relu(self.data, negative_slope), (self,), backward)
-
-    def clip(self, min_value: float, max_value: float) -> "Tensor":
-        mask = ((self.data >= min_value) & (self.data <= max_value)).astype(np.float32)
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * mask)
-
-        return self._make(np.clip(self.data, min_value, max_value), (self,), backward)
-
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad * sign)
-
-        return self._make(np.abs(self.data), (self,), backward)
-
-    # ------------------------------------------------------------------ #
-    # reductions
-    # ------------------------------------------------------------------ #
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        value = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(out: Tensor) -> None:
-            grad = out.grad
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis=axis)
-            self._accumulate(np.broadcast_to(grad, self.data.shape))
-
-        return self._make(value, (self,), backward)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        value = self.data.mean(axis=axis, keepdims=keepdims)
-
-        def backward(out: Tensor) -> None:
-            grad = out.grad
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis=axis)
-            count = self.data.size // max(value.size, 1)
-            self._accumulate(np.broadcast_to(grad, self.data.shape) / count)
-
-        return self._make(value, (self,), backward)
-
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        mean = self.mean(axis=axis, keepdims=True)
-        centered = self - mean
-        squared = centered * centered
-        return squared.mean(axis=axis, keepdims=keepdims)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        value = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(out: Tensor) -> None:
-            grad = out.grad
-            expanded = value
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis=axis)
-                expanded = np.expand_dims(value, axis=axis)
-            mask = (self.data == expanded).astype(np.float32)
-            # Split gradient among ties to keep the sum of gradients constant.
-            normaliser = mask.sum(axis=axis, keepdims=True)
-            self._accumulate(grad * mask / np.maximum(normaliser, 1.0))
-
-        return self._make(value, (self,), backward)
-
-    # ------------------------------------------------------------------ #
-    # shape manipulation
-    # ------------------------------------------------------------------ #
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad.reshape(self.data.shape))
-
-        return self._make(self.data.reshape(shape), (self,), backward)
-
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.data.ndim)))
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad.transpose(np.argsort(axes)))
-
-        return self._make(self.data.transpose(axes), (self,), backward)
-
-    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
-        def backward(out: Tensor) -> None:
-            self._accumulate(np.swapaxes(out.grad, axis1, axis2))
-
-        return self._make(np.swapaxes(self.data, axis1, axis2), (self,), backward)
-
-    def expand_dims(self, axis: int) -> "Tensor":
-        def backward(out: Tensor) -> None:
-            self._accumulate(np.squeeze(out.grad, axis=axis))
-
-        return self._make(np.expand_dims(self.data, axis=axis), (self,), backward)
-
-    def squeeze(self, axis: Optional[int] = None) -> "Tensor":
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad.reshape(self.data.shape))
-
-        return self._make(np.squeeze(self.data, axis=axis), (self,), backward)
+        return PRIMITIVES["pow"](self, exponent)
 
     def contiguous(self) -> "Tensor":
         """Return a C-contiguous tensor (self if already contiguous).
@@ -463,99 +390,7 @@ class Tensor:
         per-request inference; feeding matmuls contiguous operands keeps
         per-row results independent of the batch composition.
         """
-        if self.data.flags["C_CONTIGUOUS"]:
-            return self
-
-        def backward(out: Tensor) -> None:
-            self._accumulate(out.grad)
-
-        return self._make(np.ascontiguousarray(self.data), (self,), backward)
-
-    def __getitem__(self, index) -> "Tensor":
-        def backward(out: Tensor) -> None:
-            grad = np.zeros(self.data.shape, dtype=np.float32)
-            entries = index if isinstance(index, tuple) else (index,)
-            if all(isinstance(entry, _BASIC_INDEX) for entry in entries):
-                grad[index] += out.grad  # a view: no position repeats
-            else:
-                positions = np.arange(grad.size).reshape(grad.shape)[index]
-                np.add.at(grad.reshape(-1), positions.reshape(-1), out.grad.reshape(-1))
-            self._accumulate(grad)
-
-        return self._make(self.data[index], (self,), backward)
-
-    def take_rows(self, indices: np.ndarray) -> "Tensor":
-        """Gather rows of a 2-D tensor; used by the embedding layer.
-
-        ``indices`` may have any shape; the result has shape
-        ``indices.shape + (self.shape[1],)``.  The backward scatters into the
-        raveled table at ``row * width + column``: 1-D ``np.add.at`` takes
-        numpy's indexed fast loop (2.5x) and keeps each element's add order.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        value = self.data[indices]
-
-        def backward(out: Tensor) -> None:
-            grad = np.zeros(self.data.shape, dtype=np.float32)
-            positions = indices.reshape(-1, 1) * grad.shape[1] + np.arange(grad.shape[1])
-            np.add.at(grad.reshape(-1), positions.reshape(-1), out.grad.reshape(-1))
-            self._accumulate(grad)
-
-        return self._make(value, (self,), backward)
-
-    # ------------------------------------------------------------------ #
-    # combination ops (static constructors)
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def concat(tensors: Sequence["Tensor"], axis: int = -1) -> "Tensor":
-        tensors = [Tensor._ensure(t) for t in tensors]
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-
-        def backward(out: Tensor) -> None:
-            offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                index = [slice(None)] * out.grad.ndim
-                index[axis] = slice(start, stop)
-                tensor._accumulate(out.grad[tuple(index)])
-
-        return Tensor._make(data, tuple(tensors), backward)
-
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor._ensure(t) for t in tensors]
-        data = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward(out: Tensor) -> None:
-            grads = np.split(out.grad, len(tensors), axis=axis)
-            for tensor, grad in zip(tensors, grads):
-                tensor._accumulate(np.squeeze(grad, axis=axis))
-
-        return Tensor._make(data, tuple(tensors), backward)
-
-    @staticmethod
-    def where(condition: np.ndarray, a: "Tensor", b: "Tensor") -> "Tensor":
-        a, b = Tensor._ensure(a), Tensor._ensure(b)
-        condition = np.asarray(condition, dtype=bool)
-        data = np.where(condition, a.data, b.data)
-
-        def backward(out: Tensor) -> None:
-            a._accumulate(out.grad * condition)
-            b._accumulate(out.grad * (~condition))
-
-        return Tensor._make(data, (a, b), backward)
-
-    # ------------------------------------------------------------------ #
-    # softmax (numerically stable, along the last axis by default)
-    # ------------------------------------------------------------------ #
-    def softmax(self, axis: int = -1) -> "Tensor":
-        value = _softmax(self.data, axis)
-
-        def backward(out: Tensor) -> None:
-            grad = out.grad
-            dot = (grad * value).sum(axis=axis, keepdims=True)
-            self._accumulate(value * (grad - dot))
-
-        return self._make(value, (self,), backward)
+        return self if self.data.flags["C_CONTIGUOUS"] else PRIMITIVES["contiguous"](self)
 
     # ------------------------------------------------------------------ #
     # backpropagation

@@ -12,10 +12,14 @@ from repro.nn import tensor as tensor_module
 # Tensors reachable from one training step's loss on ``tiny_batch`` (the
 # Table VI tape-node count at test scale), computed at commit ae6cb07 —
 # ``din`` re-pinned 127 -> 158 when its activation unit's first layer was
-# factored into column-block partials (PR 22).
+# factored into column-block partials (PR 22); every target-attention call
+# one node fewer (the six attention models -1, ``base_din``'s three -3) when
+# its ``forward`` became the per-request kernel: keys are reshaped and
+# transposed to ``(seq, heads, head_dim, seq_len)`` in one step, where the
+# scaled-dot-product block swapped their last two axes in a second.
 TAPE_NODES = {
-    "wide_deep": 138, "din": 158, "autoint": 242, "star": 221,
-    "m2m": 179, "apg": 171, "basm": 284, "base_din": 215,
+    "wide_deep": 137, "din": 158, "autoint": 241, "star": 220,
+    "m2m": 178, "apg": 170, "basm": 283, "base_din": 212,
 }
 
 

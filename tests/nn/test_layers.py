@@ -126,12 +126,6 @@ class TestBatchNorm:
         with pytest.raises(ValueError):
             bn(Tensor(np.zeros((2, 3))))
 
-    def test_layernorm_normalises_last_axis(self, layer_rng):
-        ln = nn.LayerNorm(6)
-        x = Tensor(layer_rng.normal(loc=5.0, size=(4, 6)))
-        out = ln(x)
-        assert np.allclose(out.data.mean(axis=-1), 0.0, atol=1e-4)
-
 
 class TestMLP:
     def test_shapes_and_final_logit(self, layer_rng):

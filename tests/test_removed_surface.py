@@ -54,9 +54,9 @@ def test_rank_knobs_are_gone():
 
 def test_infer_mirrors_are_gone():
     """One numerics definition per layer: ``forward`` under ``no_grad`` is the
-    inference kernel.  The one kernel whose *algorithm* differs from a
-    ``forward`` is the only ``infer*`` attribute left in ``repro.nn.layers``;
-    ``Linear.partial`` takes an ndarray itself (no ``infer_partial`` wrapper)."""
+    inference kernel, and no ``infer*`` attribute is left in
+    ``repro.nn.layers``; ``Linear.partial`` takes an ndarray itself (no
+    ``infer_partial`` wrapper)."""
     import inspect
 
     import repro.models.two_tower as two_tower
@@ -70,7 +70,7 @@ def test_infer_mirrors_are_gone():
         for attribute in dir(cls)
         if attribute.startswith("infer")
     }
-    assert found == {"MultiHeadTargetAttention.infer"}
+    assert found == set()
     assert not hasattr(Linear, "infer_partial")
     assert list(inspect.signature(Linear.partial).parameters) == ["self", "x", "start", "stop"]
     assert list(inspect.signature(MLP.tail).parameters) == ["self", "x"]
@@ -463,14 +463,59 @@ def test_replay_copy_of_the_training_layout_is_gone(module, name):
     assert not hasattr(importlib.import_module(module), name), f"{module} still has {name}"
 
 
-def test_target_attention_forward_row_map_is_gone():
-    """The training ``forward`` pools one sequence per row; only ``infer``
-    takes the deduplicated layout."""
+def test_target_attention_infer_is_gone():
+    """One target-attention kernel: ``forward`` takes the deduplicated layout
+    (``row_map``) itself, and no ``infer`` sits beside it."""
     import inspect
 
-    from repro.nn import MultiHeadTargetAttention
+    from repro.nn import MultiHeadTargetAttention, ScaledDotProductAttention
 
-    assert "row_map" not in inspect.signature(MultiHeadTargetAttention.forward).parameters
+    assert not hasattr(MultiHeadTargetAttention, "infer")
+    assert "row_map" in inspect.signature(MultiHeadTargetAttention.forward).parameters
+    assert "mask" not in inspect.signature(ScaledDotProductAttention.forward).parameters
+
+
+#: (``module[:class]``, name) of the ops and losses no caller used, deleted from ``repro.nn``.
+UNCALLED_NN_SURFACE = (
+    ("repro.nn:Tensor", "abs"), ("repro.nn:Tensor", "exp"), ("repro.nn:Tensor", "max"),
+    ("repro.nn:Tensor", "var"), ("repro.nn:Tensor", "squeeze"),
+    ("repro.nn:Tensor", "expand_dims"), ("repro.nn:Tensor", "stack"),
+    ("repro.nn:Tensor", "where"), ("repro.nn:Tensor", "detach"),
+    ("repro.nn:Tensor", "__truediv__"), ("repro.nn:Tensor", "__rtruediv__"),
+    ("repro.nn.functional", "binary_cross_entropy_with_logits"),
+    ("repro.nn.functional", "mse_loss"), ("repro.nn.functional", "masked_softmax"),
+    ("repro.nn", "LayerNorm"), ("repro.nn", "BCEWithLogitsLoss"), ("repro.nn", "MSELoss"),
+    ("repro.nn.layers", "LayerNorm"), ("repro.nn.losses", "BCEWithLogitsLoss"),
+    ("repro.nn.losses", "MSELoss"), ("repro.nn.layers.normalization", "LayerNorm"),
+)
+
+
+@pytest.mark.parametrize("owner, name", UNCALLED_NN_SURFACE,
+                         ids=[f"{owner}.{name}" for owner, name in UNCALLED_NN_SURFACE])
+def test_uncalled_nn_surface_is_gone(owner, name):
+    import importlib
+
+    module, _, attribute = owner.partition(":")
+    target = importlib.import_module(module)
+    target = getattr(target, attribute) if attribute else target
+    assert not hasattr(target, name), f"{owner} still has {name}"
+
+
+def test_one_primitive_table():
+    """Each op is defined once, in ``PRIMITIVES``: ``Tensor``'s methods and
+    ``nn.functional``'s ops are its entries, with no type dispatch beside them."""
+    import inspect
+
+    import repro.nn.functional as F
+    from repro.nn import Tensor
+    from repro.nn.tensor import PRIMITIVES
+
+    for name in ("sigmoid", "tanh", "relu", "leaky_relu", "softmax", "concat"):
+        assert getattr(F, name) is getattr(Tensor, name) is PRIMITIVES[name]
+    assert Tensor.__mul__ is Tensor.__rmul__ is PRIMITIVES["mul"]
+    assert "isinstance" not in inspect.getsource(F)
+    for name in ("_sigmoid", "_relu", "_leaky_relu", "_softmax"):
+        assert not hasattr(F, name), f"repro.nn.functional still imports {name}"
 
 
 #: (owner in ``repro.serving``, removed attribute or parameter).
