@@ -64,4 +64,3 @@ class BatchNorm1d(Module):
 
     def __repr__(self) -> str:
         return f"BatchNorm1d({self.num_features})"
-
