@@ -226,8 +226,7 @@ class BaseCTRModel(nn.Module):
         with nn.no_grad(), nn.inference_mode():
             return self.forward(batch).data.reshape(-1)
 
-    def export_item_embeddings(self, item_feature_ids: np.ndarray,
-                               l2_normalize: bool = True) -> np.ndarray:
+    def export_item_embeddings(self, item_feature_ids: np.ndarray) -> np.ndarray:
         """Per-item vectors for similarity recall, from the trained table.
 
         ``item_feature_ids`` is an ``(num_items, k)`` array of *global* ids
@@ -236,8 +235,8 @@ class BaseCTRModel(nn.Module):
         export is the concatenation of those features' learned embeddings:
         the same representation the ranker's candidate-item field consumes,
         so items the model scores similarly land close in this space.  Rows
-        are L2-normalised by default (cosine similarity = dot product); an
-        all-zero row is left untouched rather than divided by zero.
+        are L2-normalised (cosine similarity = dot product); an all-zero row
+        is left untouched rather than divided by zero.
         """
         ids = np.asarray(item_feature_ids, dtype=np.int64)
         if ids.ndim != 2:
@@ -248,10 +247,8 @@ class BaseCTRModel(nn.Module):
         # dtype); exporting float64 silently doubled the ANN channel's memory
         # and made exported vectors disagree with what the ranker consumes.
         vectors = np.array(vectors, dtype=np.float32)
-        if l2_normalize:
-            norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-            vectors = (vectors / np.maximum(norms, 1e-12)).astype(np.float32)
-        return vectors
+        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+        return (vectors / np.maximum(norms, 1e-12)).astype(np.float32)
 
     # ------------------------------------------------------------------ #
     def concat_fields(self, fields: Dict[str, Tensor]) -> Tensor:

@@ -131,19 +131,13 @@ def load_checkpoint(path) -> Tuple[Dict[str, np.ndarray], CheckpointManifest]:
     return state, manifest
 
 
-def restore_model(
-    path,
-    schema: FeatureSchema,
-    strict_schema: bool = True,
-) -> Tuple[BaseCTRModel, CheckpointManifest]:
+def restore_model(path, schema: FeatureSchema) -> Tuple[BaseCTRModel, CheckpointManifest]:
     """Rebuild the checkpointed registry model against ``schema``.
 
-    With ``strict_schema`` (the default) the schema's fingerprint must match
-    the one recorded at save time; pass ``False`` only for deliberate
-    cross-schema surgery (the parameter shapes must still agree).
+    The schema's fingerprint must match the one recorded at save time.
     """
     state, manifest = load_checkpoint(path)
-    if strict_schema and schema.fingerprint() != manifest.schema_fingerprint:
+    if schema.fingerprint() != manifest.schema_fingerprint:
         raise ValueError(
             f"schema fingerprint mismatch: checkpoint was saved against "
             f"{manifest.schema_name!r} ({manifest.schema_fingerprint}), got "

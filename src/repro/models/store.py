@@ -115,12 +115,11 @@ class ModelStore:
         name: str,
         schema: FeatureSchema,
         version: Optional[int] = None,
-        strict_schema: bool = True,
     ) -> Tuple[BaseCTRModel, ModelVersion]:
         """Rebuild ``version`` of ``name`` (default: latest) against ``schema``."""
         version = self._resolve_version(name, version)
         path = self.path(name, version)
-        model, _ = restore_model(path, schema, strict_schema=strict_schema)
+        model, _ = restore_model(path, schema)
         return model, ModelVersion(name=name, version=version, path=path)
 
     # ------------------------------------------------------------------ #

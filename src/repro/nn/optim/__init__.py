@@ -1,19 +1,6 @@
-"""Optimizers and learning-rate schedules."""
+"""The paper's optimizer and learning-rate schedule."""
 
-from .adagrad import Adagrad, AdagradDecay
-from .adam import Adam
-from .lr_scheduler import ConstantLR, LinearWarmup, LRScheduler, WarmupThenDecay
-from .optimizer import Optimizer
-from .sgd import SGD
+from .adagrad import AdagradDecay
+from .lr_scheduler import LinearWarmup
 
-__all__ = [
-    "Adagrad",
-    "AdagradDecay",
-    "Adam",
-    "ConstantLR",
-    "LinearWarmup",
-    "LRScheduler",
-    "WarmupThenDecay",
-    "Optimizer",
-    "SGD",
-]
+__all__ = ["AdagradDecay", "LinearWarmup"]

@@ -1,62 +1,31 @@
-"""Learning-rate schedules.
+"""The learning-rate schedule.
 
 The paper's schedule (Section III-A.4): "The learning rate starts with 0.001
-and increases over 1M steps to 0.012" — i.e. a linear warm-up.  At reproduction
-scale we keep the same shape with a configurable number of warm-up steps.
+and increases over 1M steps to 0.012" — a linear warm-up.  At reproduction
+scale ``TrainConfig`` keeps the same shape over fewer steps.
 """
 
 from __future__ import annotations
 
-from .optimizer import Optimizer
+from .adagrad import AdagradDecay
 
-__all__ = ["LRScheduler", "ConstantLR", "LinearWarmup", "WarmupThenDecay"]
-
-
-class LRScheduler:
-    """Base class: call :meth:`step` once per optimizer step."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-        self.current_step = 0
-
-    def get_lr(self, step: int) -> float:
-        raise NotImplementedError
-
-    def step(self) -> float:
-        self.current_step += 1
-        lr = self.get_lr(self.current_step)
-        self.optimizer.lr = lr
-        return lr
+__all__ = ["LinearWarmup"]
 
 
-class ConstantLR(LRScheduler):
-    """Keep the optimizer's learning rate fixed."""
+class LinearWarmup:
+    """Linearly increase the learning rate from ``start_lr`` to ``end_lr``
+    over ``warmup_steps`` steps, then hold at ``end_lr``.
 
-    def __init__(self, optimizer: Optimizer, lr: float) -> None:
-        super().__init__(optimizer)
-        self.lr = lr
-
-    def get_lr(self, step: int) -> float:
-        return self.lr
-
-
-class LinearWarmup(LRScheduler):
-    """Linearly increase the learning rate from ``start_lr`` to ``end_lr``.
-
-    This is the paper's warm-up: 0.001 -> 0.012 over ``warmup_steps`` steps,
-    then hold at ``end_lr``.
+    Call :meth:`step` once after each optimizer step: it sets the rate the
+    *next* step runs at.
     """
 
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        start_lr: float = 0.001,
-        end_lr: float = 0.012,
-        warmup_steps: int = 1000,
-    ) -> None:
-        super().__init__(optimizer)
+    def __init__(self, optimizer: AdagradDecay, start_lr: float, end_lr: float,
+                 warmup_steps: int) -> None:
         if warmup_steps <= 0:
             raise ValueError("warmup_steps must be positive")
+        self.optimizer = optimizer
+        self.current_step = 0
         self.start_lr = start_lr
         self.end_lr = end_lr
         self.warmup_steps = warmup_steps
@@ -67,23 +36,8 @@ class LinearWarmup(LRScheduler):
         fraction = step / self.warmup_steps
         return self.start_lr + fraction * (self.end_lr - self.start_lr)
 
-
-class WarmupThenDecay(LinearWarmup):
-    """Warm up linearly, then decay with inverse square root of the step."""
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        start_lr: float = 0.001,
-        end_lr: float = 0.012,
-        warmup_steps: int = 1000,
-        decay_rate: float = 0.5,
-    ) -> None:
-        super().__init__(optimizer, start_lr=start_lr, end_lr=end_lr, warmup_steps=warmup_steps)
-        self.decay_rate = decay_rate
-
-    def get_lr(self, step: int) -> float:
-        if step < self.warmup_steps:
-            return super().get_lr(step)
-        extra = step - self.warmup_steps
-        return self.end_lr / (1.0 + self.decay_rate * extra / max(self.warmup_steps, 1)) ** 0.5
+    def step(self) -> float:
+        self.current_step += 1
+        lr = self.get_lr(self.current_step)
+        self.optimizer.lr = lr
+        return lr

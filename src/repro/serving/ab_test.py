@@ -41,7 +41,6 @@ class ABTestConfig:
     requests_per_day: int = 800
     recall_size: int = 30
     exposure_size: int = 10
-    treatment_share: float = 0.5
     order_probability: float = 0.3
     seed: int = 97
 
@@ -191,7 +190,7 @@ class ABTestSimulator:
     def _bucket_of(self, user_index: int) -> str:
         """Deterministic 50/50 user split (hash-bucketing, as in production)."""
         value = (user_index * 2654435761) % 1000 / 1000.0
-        return "treatment" if value < self.config.treatment_share else "control"
+        return "treatment" if value < 0.5 else "control"
 
     def promote(self, model: BaseCTRModel, bucket: str = "treatment") -> BaseCTRModel:
         """Hot-swap one arm's model mid-experiment (the canary deployment).

@@ -63,14 +63,12 @@ class ClusterConfig:
     """Declarative description of one serving cluster."""
 
     num_workers: int = 4
-    virtual_nodes: int = 64
     #: Coalescing: at most this many already-queued requests per micro-batch.
     max_batch: int = 64
     #: Admission control: pending requests per worker before backpressure.
     queue_depth: int = 512
     cache_enabled: bool = True
     cache_ttl_seconds: float = 30.0
-    cache_max_entries: int = 100_000
 
     def __post_init__(self) -> None:
         if self.num_workers <= 0:
@@ -85,7 +83,6 @@ class ClusterFrontend:
         workers: Sequence[ClusterWorker],
         state: ServingState,
         cache: Optional[ResponseCache] = None,
-        virtual_nodes: int = 64,
         durable: Optional[DurableStateStore] = None,
         pool=None,
     ) -> None:
@@ -106,7 +103,7 @@ class ClusterFrontend:
         #: ProcessWorkerPool` when the workers are process handles; closing
         #: the frontend closes the pool (processes, segments, supervisor).
         self.pool = pool
-        self.ring = ConsistentHashRing(list(self.workers), virtual_nodes=virtual_nodes)
+        self.ring = ConsistentHashRing(list(self.workers))
         self.warmed_requests = 0
         self.start()
 
@@ -244,11 +241,10 @@ class ClusterFrontend:
     # ------------------------------------------------------------------ #
     # telemetry
     # ------------------------------------------------------------------ #
-    def merged_metrics(self, max_samples: int = 4096) -> StageMetrics:
+    def merged_metrics(self) -> StageMetrics:
         """One cluster-wide StageMetrics combining every worker's accumulator."""
         return StageMetrics.merged(
-            [w.metrics for w in self.workers.values() if w.metrics is not None],
-            max_samples=max_samples,
+            [w.metrics for w in self.workers.values() if w.metrics is not None]
         )
 
     def worker_stats(self) -> List[dict]:
@@ -354,14 +350,8 @@ def build_cluster(
             durable.attach(state)
     cache = None
     if config.cache_enabled:
-        cache = ResponseCache(
-            ttl_seconds=config.cache_ttl_seconds,
-            max_entries=config.cache_max_entries,
-        )
-    frontend = ClusterFrontend(
-        workers, state, cache=cache,
-        virtual_nodes=config.virtual_nodes, durable=durable, pool=pool,
-    )
+        cache = ResponseCache(ttl_seconds=config.cache_ttl_seconds)
+    frontend = ClusterFrontend(workers, state, cache=cache, durable=durable, pool=pool)
     if durable is not None and state.recent_contexts:
         frontend.warm(list(state.recent_contexts))
     return frontend

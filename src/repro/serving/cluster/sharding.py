@@ -9,7 +9,7 @@ is added; a consistent-hash ring with virtual nodes moves only ``~1/(N+1)``
 of them, and the virtual nodes keep per-worker load balanced even at small
 cluster sizes.
 
-:class:`ConsistentHashRing` hashes each worker id onto ``virtual_nodes``
+:class:`ConsistentHashRing` hashes each worker id onto ``VIRTUAL_NODES``
 points of a 64-bit ring (BLAKE2b, stable across processes and Python
 builds — ``hash()`` is salted per process and would re-shard every restart);
 a user key is hashed onto the same ring and owned by the first worker point
@@ -25,6 +25,9 @@ from typing import Dict, Hashable, List, Sequence
 
 __all__ = ["ConsistentHashRing"]
 
+#: Ring points per worker.
+VIRTUAL_NODES = 64
+
 
 def _point(data: str) -> int:
     """Stable 64-bit ring position for an identifier."""
@@ -36,10 +39,7 @@ def _point(data: str) -> int:
 class ConsistentHashRing:
     """Hash ring with virtual nodes mapping user keys to worker ids."""
 
-    def __init__(self, workers: Sequence[Hashable], virtual_nodes: int = 64) -> None:
-        if virtual_nodes <= 0:
-            raise ValueError("virtual_nodes must be positive")
-        self.virtual_nodes = virtual_nodes
+    def __init__(self, workers: Sequence[Hashable]) -> None:
         self._workers: List[Hashable] = []
         self._points: List[int] = []
         self._owners: List[Hashable] = []
@@ -64,7 +64,7 @@ class ConsistentHashRing:
         pairs = sorted(
             (_point(f"{worker!r}#{vnode}"), worker)
             for worker in self._workers
-            for vnode in range(self.virtual_nodes)
+            for vnode in range(VIRTUAL_NODES)
         )
         self._points = [point for point, _ in pairs]
         self._owners = [owner for _, owner in pairs]

@@ -49,6 +49,8 @@ from .shm import SegmentPublisher
 __all__ = ["ProcessWorkerPool", "Supervisor"]
 
 _SPAWN = get_context("spawn")
+#: Seconds between the supervisor's liveness sweeps.
+_POLL_INTERVAL_S = 0.1
 
 
 class ProcessWorkerPool:
@@ -235,9 +237,8 @@ class ProcessWorkerPool:
 class Supervisor:
     """Liveness monitor: detect dead worker processes and respawn them warm."""
 
-    def __init__(self, pool: ProcessWorkerPool, poll_interval: float = 0.1) -> None:
+    def __init__(self, pool: ProcessWorkerPool) -> None:
         self.pool = pool
-        self.poll_interval = poll_interval
         self.deaths_seen = 0
         self._stop = threading.Event()
         self._thread = threading.Thread(
@@ -255,7 +256,7 @@ class Supervisor:
             self._thread.join(timeout)
 
     def _monitor_loop(self) -> None:
-        while not self._stop.wait(self.poll_interval):
+        while not self._stop.wait(_POLL_INTERVAL_S):
             for handle in self.pool.workers:
                 process = handle.process
                 if process is None or handle._closed:

@@ -190,10 +190,9 @@ class StageMetrics:
         return self
 
     @classmethod
-    def merged(cls, accumulators: Sequence["StageMetrics"],
-               max_samples: int = 4096) -> "StageMetrics":
+    def merged(cls, accumulators: Sequence["StageMetrics"]) -> "StageMetrics":
         """One cluster-wide accumulator combining per-worker ones."""
-        combined = cls(max_samples=max_samples)
+        combined = cls()
         for accumulator in accumulators:
             combined.merge(accumulator)
         return combined

@@ -12,17 +12,17 @@ __all__ = ["TrainConfig"]
 class TrainConfig:
     """Optimisation hyper-parameters.
 
-    Defaults follow the paper's recipe in shape: AdagradDecay with a linear
-    learning-rate warm-up and batch size ~1k.  The paper warms up from 0.001
-    to 0.012 over 1M steps on billions of samples; at reproduction scale
-    (tens of thousands of samples, hundreds of steps) the same schedule is
-    kept but rescaled — warm-up from 0.005 to a 0.05 peak over ~100 steps —
-    otherwise the models barely move off their initialisation.
+    Defaults follow the paper's recipe in shape: AdagradDecay (the one
+    optimizer) with a linear learning-rate warm-up and batch size ~1k.  The
+    paper warms up from 0.001 to 0.012 over 1M steps on billions of samples;
+    at reproduction scale (tens of thousands of samples, hundreds of steps)
+    the same schedule is kept but rescaled — warm-up from 0.005 to a 0.05 peak
+    over ~100 steps — otherwise the models barely move off their
+    initialisation.
     """
 
     epochs: int = 3
     batch_size: int = 1024
-    optimizer: str = "adagrad_decay"
     learning_rate: float = 0.05
     warmup_start_lr: float = 0.005
     warmup_peak_lr: float = 0.05
@@ -32,13 +32,9 @@ class TrainConfig:
     gradient_clip_norm: Optional[float] = 5.0
     shuffle: bool = True
     seed: int = 0
-    log_every: int = 0          # 0 disables progress printing
-    eval_every_epoch: bool = False
 
     def __post_init__(self) -> None:
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.optimizer not in {"adagrad_decay", "adagrad", "adam", "sgd"}:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")

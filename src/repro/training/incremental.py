@@ -14,13 +14,13 @@ initial fit; this module closes the loop:
   iterates the newest replay window with the offline
   :class:`repro.data.dataset.DataLoader` through the offline step
   (:func:`repro.training.trainer.train_step`) and optimizer stack
-  (:func:`repro.training.trainer.build_optimizer`), with the learning rate
-  decayed refresh-over-refresh so late updates fine-tune instead of
-  overwriting;
+  (:func:`repro.training.trainer.build_optimizer`, asked for plain Adagrad:
+  ``adagrad_decay=1.0``, no warm-up), with the learning rate decayed
+  refresh-over-refresh so late updates fine-tune instead of overwriting;
 * the refreshed model is then published to a
   :class:`repro.models.store.ModelStore` and hot-swapped into serving.
 
-Optimizer state (e.g. Adagrad accumulators) and the shuffle stream persist
+Optimizer state (the Adagrad accumulators) and the shuffle stream persist
 across refresh rounds, mirroring a long-running production trainer rather
 than a cold restart per day.
 """
@@ -41,6 +41,11 @@ from .trainer import build_optimizer, train_step
 
 __all__ = ["OnlineTrainConfig", "IncrementalResult", "IncrementalTrainer"]
 
+#: Floor of the refresh-over-refresh decayed learning rate.
+_MIN_LEARNING_RATE = 1e-4
+#: Global gradient-norm clip of every refresh step (the offline default).
+_GRADIENT_CLIP_NORM = 5.0
+
 
 @dataclass
 class OnlineTrainConfig:
@@ -48,21 +53,18 @@ class OnlineTrainConfig:
 
     ``replay_window`` bounds how many of the newest logged impressions each
     refresh consumes; ``lr_decay`` multiplies the learning rate after every
-    refresh round (floored at ``min_learning_rate``), the online analogue of
-    the offline schedule's tail.  ``passes_per_refresh`` is the number of
-    epochs over the window — kept low because online data is replayed, not
-    i.i.d. resampled.
+    refresh round (floored at 1e-4), the online analogue of the offline
+    schedule's tail.  ``passes_per_refresh`` is the number of epochs over the
+    window — kept low because online data is replayed, not i.i.d. resampled.
+    Every refresh steps plain Adagrad on shuffled batches with the offline
+    gradient clip.
     """
 
     batch_size: int = 256
     passes_per_refresh: int = 1
     replay_window: Optional[int] = None      # impressions; None = whole buffer
-    optimizer: str = "adagrad"
     learning_rate: float = 0.02
     lr_decay: float = 0.9
-    min_learning_rate: float = 1e-4
-    gradient_clip_norm: Optional[float] = 5.0
-    shuffle: bool = True
     seed: int = 0
     #: Refreshing off almost no data mostly adds variance; below this many
     #: logged impressions a refresh is a no-op.
@@ -79,15 +81,14 @@ class OnlineTrainConfig:
             raise ValueError("lr_decay must be in (0, 1]")
 
     def base_train_config(self) -> TrainConfig:
-        """The equivalent offline :class:`TrainConfig` (no warm-up online)."""
+        """The equivalent offline :class:`TrainConfig`: plain Adagrad
+        (``adagrad_decay=1.0``) and no warm-up online."""
         return TrainConfig(
             epochs=1,
             batch_size=self.batch_size,
-            optimizer=self.optimizer,
             learning_rate=self.learning_rate,
             use_warmup=False,
-            gradient_clip_norm=self.gradient_clip_norm,
-            shuffle=self.shuffle,
+            adagrad_decay=1.0,
             seed=self.seed,
         )
 
@@ -131,7 +132,7 @@ class IncrementalTrainer:
     def learning_rate(self) -> float:
         """Effective learning rate of the next refresh round."""
         decayed = self.config.learning_rate * (self.config.lr_decay ** self.rounds_completed)
-        return max(decayed, self.config.min_learning_rate)
+        return max(decayed, _MIN_LEARNING_RATE)
 
     def refresh(self, replay: ReplayBuffer) -> IncrementalResult:
         """Run one refresh round over the newest replay window.
@@ -159,16 +160,14 @@ class IncrementalTrainer:
         self.optimizer.lr = result.learning_rate
         # The trainer's generator is the loader's (``default_rng`` returns a
         # generator it is given), so the shuffle stream runs on across rounds.
-        loader = DataLoader(window, batch_size=cfg.batch_size, shuffle=cfg.shuffle,
-                            seed=self._rng)
+        loader = DataLoader(window, batch_size=cfg.batch_size, shuffle=True, seed=self._rng)
         was_training = self.model.training
         self.model.train()
         try:
             for _ in range(cfg.passes_per_refresh):
                 for batch in loader:
                     result.step_losses.append(train_step(
-                        self.model, batch, self.loss_fn, self.optimizer,
-                        cfg.gradient_clip_norm,
+                        self.model, batch, self.loss_fn, self.optimizer, _GRADIENT_CLIP_NORM,
                     ))
                     result.steps += 1
                     self.total_steps += 1

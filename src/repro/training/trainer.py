@@ -1,20 +1,17 @@
-"""Mini-batch trainer for all CTR models."""
+"""Mini-batch trainer for all CTR models: AdagradDecay under a linear warm-up."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
-
 
 from ..data.dataset import DataLoader
 from ..data.encoding import EncodedDataset
-from ..metrics.report import MetricReport
 from ..models.base import BaseCTRModel
 from ..nn import BCELoss
-from ..nn.optim import SGD, Adagrad, AdagradDecay, Adam, LinearWarmup
+from ..nn.optim import AdagradDecay, LinearWarmup
 from .config import TrainConfig
-from .evaluator import evaluate_model
 
 __all__ = ["TrainResult", "Trainer", "build_optimizer", "train_step"]
 
@@ -24,18 +21,12 @@ def build_optimizer(model: BaseCTRModel, config: TrainConfig):
 
     Shared by the offline :class:`Trainer` and the online
     :class:`repro.training.incremental.IncrementalTrainer`, so both phases of
-    the lifecycle run the identical optimisation stack.
+    the lifecycle run the identical optimisation stack.  The optimizer starts
+    at ``learning_rate`` and the warm-up sets the rate after each step, so the
+    first step runs at ``learning_rate``, not ``warmup_start_lr``.
     """
-    parameters = model.parameters()
-    if config.optimizer == "adagrad_decay":
-        optimizer = AdagradDecay(parameters, lr=config.learning_rate,
-                                 decay=config.adagrad_decay)
-    elif config.optimizer == "adagrad":
-        optimizer = Adagrad(parameters, lr=config.learning_rate)
-    elif config.optimizer == "adam":
-        optimizer = Adam(parameters, lr=config.learning_rate)
-    else:
-        optimizer = SGD(parameters, lr=config.learning_rate)
+    optimizer = AdagradDecay(model.parameters(), lr=config.learning_rate,
+                             decay=config.adagrad_decay)
     scheduler = None
     if config.use_warmup:
         scheduler = LinearWarmup(
@@ -72,7 +63,6 @@ class TrainResult:
     step_losses: List[float]
     train_seconds: float
     steps: int
-    eval_reports: List[MetricReport] = field(default_factory=list)
 
     @property
     def final_loss(self) -> float:
@@ -87,20 +77,15 @@ class Trainer:
         self.loss_fn = BCELoss()
 
     # ------------------------------------------------------------------ #
-    def _build_optimizer(self, model: BaseCTRModel):
-        return build_optimizer(model, self.config)
-
-    # ------------------------------------------------------------------ #
     def fit(
         self,
         model: BaseCTRModel,
         train_data: EncodedDataset,
-        eval_data: Optional[EncodedDataset] = None,
         callback: Optional[Callable[[int, float], None]] = None,
     ) -> TrainResult:
         """Train ``model`` in place and return the training trace."""
         cfg = self.config
-        optimizer, scheduler = self._build_optimizer(model)
+        optimizer, scheduler = build_optimizer(model, cfg)
         loader = DataLoader(
             train_data, batch_size=cfg.batch_size, shuffle=cfg.shuffle, seed=cfg.seed
         )
@@ -108,7 +93,6 @@ class Trainer:
 
         epoch_losses: List[float] = []
         step_losses: List[float] = []
-        eval_reports: List[MetricReport] = []
         steps = 0
         start = time.perf_counter()
         try:
@@ -126,13 +110,7 @@ class Trainer:
                     steps += 1
                     if callback is not None:
                         callback(steps, value)
-                    if cfg.log_every and steps % cfg.log_every == 0:
-                        print(f"[{model.name}] step {steps}: "
-                              f"loss={value:.4f} lr={optimizer.lr:.4f}")
                 epoch_losses.append(epoch_loss / max(epoch_batches, 1))
-                if cfg.eval_every_epoch and eval_data is not None:
-                    eval_reports.append(evaluate_model(model, eval_data, batch_size=cfg.batch_size))
-                    model.train()
         finally:
             # Steps write weights in place: whatever raised, the old uid is stale.
             model.weights_changed()
@@ -144,5 +122,4 @@ class Trainer:
             step_losses=step_losses,
             train_seconds=elapsed,
             steps=steps,
-            eval_reports=eval_reports,
         )

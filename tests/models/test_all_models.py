@@ -7,7 +7,7 @@ import pytest
 
 from repro.models import PAPER_MODELS, available_models, create_model
 from repro.nn import BCELoss
-from repro.nn.optim import Adam
+from repro.training import TrainConfig, build_optimizer
 
 
 ALL_MODELS = sorted(available_models())
@@ -59,7 +59,7 @@ class TestEveryModel:
     ):
         model = create_model(model_name, eleme_dataset.schema, small_model_config)
         loss_fn = BCELoss()
-        optimizer = Adam(model.parameters(), lr=0.01)
+        optimizer, _ = build_optimizer(model, TrainConfig(use_warmup=False))
         first = loss_fn(model(tiny_batch), tiny_batch["labels"])
         model.zero_grad()
         first.backward()

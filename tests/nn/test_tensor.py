@@ -281,14 +281,14 @@ class TestGradientOwnership:
 
     def test_leaves_fed_the_same_array_own_separate_writable_copies(self, rng):
         from repro.nn import Parameter
-        from repro.nn.optim import SGD
+        from repro.nn.optim import AdagradDecay
 
         a = Parameter(rng.normal(size=(3, 4)))
         b = Parameter(rng.normal(size=(3, 4)))
         (a + b).sum().backward()  # __add__ hands out.grad to both, straight through
         assert not np.shares_memory(a.grad, b.grad)
         assert a.grad.flags.writeable and b.grad.flags.writeable
-        norm = SGD([a, b], lr=0.1).clip_grad_norm(1.0)
+        norm = AdagradDecay([a, b], lr=0.1, decay=1.0).clip_grad_norm(1.0)
         scale = np.float32(1.0 / norm)
         assert np.array_equal(a.grad, np.full((3, 4), scale))  # scaled once, not twice
         assert np.array_equal(b.grad, np.full((3, 4), scale))

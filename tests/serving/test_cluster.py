@@ -70,14 +70,14 @@ def burst_from_threads(frontend, contexts, client_threads):
 # ---------------------------------------------------------------------- #
 class TestConsistentHashRing:
     def test_deterministic_and_covers_all_workers(self):
-        ring = ConsistentHashRing(["a", "b", "c"], virtual_nodes=64)
+        ring = ConsistentHashRing(["a", "b", "c"])
         owners = {ring.shard_for(user) for user in range(500)}
         assert owners == {"a", "b", "c"}
-        again = ConsistentHashRing(["a", "b", "c"], virtual_nodes=64)
+        again = ConsistentHashRing(["a", "b", "c"])
         assert all(ring.shard_for(u) == again.shard_for(u) for u in range(500))
 
     def test_add_worker_moves_bounded_fraction(self):
-        ring = ConsistentHashRing(["a", "b", "c"], virtual_nodes=64)
+        ring = ConsistentHashRing(["a", "b", "c"])
         users = list(range(2000))
         before = ring.assignment(users)
         ring.add_worker("d")
@@ -89,7 +89,7 @@ class TestConsistentHashRing:
         assert all(after[user] == "d" for user in moved)
 
     def test_remove_worker_moves_only_its_keys(self):
-        ring = ConsistentHashRing(["a", "b", "c", "d"], virtual_nodes=64)
+        ring = ConsistentHashRing(["a", "b", "c", "d"])
         users = list(range(2000))
         before = ring.assignment(users)
         ring.remove_worker("d")
@@ -105,8 +105,6 @@ class TestConsistentHashRing:
             ConsistentHashRing([])
         with pytest.raises(ValueError):
             ConsistentHashRing(["a", "a"])
-        with pytest.raises(ValueError):
-            ConsistentHashRing(["a"], virtual_nodes=0)
         ring = ConsistentHashRing(["a"])
         with pytest.raises(ValueError):
             ring.remove_worker("a")

@@ -307,7 +307,7 @@ def test_lifecycle_bytes_are_pinned(eleme_dataset, small_model_config, serving_s
     )
     replay = state.attach_replay(ReplayBuffer(encoder, max_impressions=16))
     trainer = IncrementalTrainer(model, OnlineTrainConfig(
-        batch_size=16, passes_per_refresh=2, replay_window=10, shuffle=True,
+        batch_size=16, passes_per_refresh=2, replay_window=10,
         learning_rate=0.05, seed=11,
     ))
     digests = {}

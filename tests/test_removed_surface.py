@@ -163,10 +163,9 @@ def test_second_coalescing_loop_is_gone():
 
     # No new option: the bench builds its clusters from exactly these.
     assert [field.name for field in dataclasses.fields(ClusterConfig)] == [
-        "num_workers", "virtual_nodes", "max_batch", "queue_depth",
-        "cache_enabled", "cache_ttl_seconds", "cache_max_entries",
+        "num_workers", "max_batch", "queue_depth", "cache_enabled", "cache_ttl_seconds",
     ]
-    assert ClusterConfig() == ClusterConfig(4, 64, 64, 512, True, 30.0, 100_000)
+    assert ClusterConfig() == ClusterConfig(4, 64, 512, True, 30.0)
 
 
 def test_coalescing_timer_is_gone():
@@ -558,3 +557,98 @@ def test_second_serving_encoding_is_gone(eleme_dataset, small_model_config, owne
         "Ranker": Ranker(create_model("din", schema, small_model_config), encoder),
     }
     assert not hasattr(instances[owner], name), f"{owner} still has {name}"
+
+
+@pytest.mark.parametrize("name", [
+    "SGD", "Adam", "Adagrad", "ConstantLR", "WarmupThenDecay", "Optimizer", "LRScheduler",
+])
+def test_second_optimizer_or_schedule_is_gone(name):
+    """One training recipe: AdagradDecay (``decay=1.0`` is plain Adagrad)
+    under a linear warm-up.  No other optimizer, schedule or base class."""
+    import repro.nn.optim as optim
+
+    assert not hasattr(optim, name), f"repro.nn.optim still has {name}"
+
+
+@pytest.mark.parametrize("module", ["sgd", "adam", "optimizer"])
+def test_second_optimizer_module_is_gone(module):
+    import importlib
+
+    with pytest.raises(ImportError):
+        importlib.import_module(f"repro.nn.optim.{module}")
+
+
+#: (``module:qualname``, parameter) of the settings no caller outside the tests
+#: set to anything but their default, now constants.
+UNSET_SETTINGS = (
+    ("repro.nn.optim:AdagradDecay", "eps"),
+    ("repro.nn.optim:AdagradDecay", "initial_accumulator_value"),
+    ("repro.training:TrainConfig", "optimizer"),
+    ("repro.training:TrainConfig", "log_every"),
+    ("repro.training:TrainConfig", "eval_every_epoch"),
+    ("repro.training:Trainer.fit", "eval_data"),
+    ("repro.training:TrainResult", "eval_reports"),
+    ("repro.training:OnlineTrainConfig", "optimizer"),
+    ("repro.training:OnlineTrainConfig", "min_learning_rate"),
+    ("repro.training:OnlineTrainConfig", "gradient_clip_norm"),
+    ("repro.training:OnlineTrainConfig", "shuffle"),
+    ("repro.models:restore_model", "strict_schema"),
+    ("repro.models:ModelStore.load", "strict_schema"),
+    ("repro.models:BaseCTRModel.export_item_embeddings", "l2_normalize"),
+    ("repro.serving.cluster:ClusterConfig", "virtual_nodes"),
+    ("repro.serving.cluster:ClusterConfig", "cache_max_entries"),
+    ("repro.serving.cluster:ClusterFrontend", "virtual_nodes"),
+    ("repro.serving.cluster:ClusterFrontend.merged_metrics", "max_samples"),
+    ("repro.serving.cluster:ConsistentHashRing", "virtual_nodes"),
+    ("repro.serving.cluster:Supervisor", "poll_interval"),
+    ("repro.serving:StageMetrics.merged", "max_samples"),
+    ("repro.serving:ABTestConfig", "treatment_share"),
+)
+
+
+@pytest.mark.parametrize(
+    "owner, parameter", UNSET_SETTINGS,
+    ids=[f"{owner.partition(':')[2]}.{parameter}" for owner, parameter in UNSET_SETTINGS],
+)
+def test_setting_without_a_caller_is_gone(owner, parameter):
+    """A value no caller changes is a constant, not an option."""
+    import importlib
+    import inspect
+
+    module, _, path = owner.partition(":")
+    target = importlib.import_module(module)
+    for attribute in path.split("."):
+        target = getattr(target, attribute)
+    assert parameter not in inspect.signature(target).parameters, (
+        f"{path} still takes {parameter}"
+    )
+
+
+def test_one_optimizer_wrapper_and_no_step_counter():
+    import numpy as np
+
+    from repro.nn import Parameter
+    from repro.nn.optim import AdagradDecay
+    from repro.training import Trainer
+
+    assert not hasattr(Trainer, "_build_optimizer")
+    optimizer = AdagradDecay([Parameter(np.zeros(2, dtype=np.float32))], lr=0.1, decay=1.0)
+    assert not hasattr(optimizer, "step_count")
+
+
+def test_training_settings_are_pinned():
+    """A new training knob or optimizer has to edit these lists in plain view."""
+    import dataclasses
+
+    import repro.nn.optim as optim
+    from repro.training import OnlineTrainConfig, TrainConfig
+
+    assert [field.name for field in dataclasses.fields(TrainConfig)] == [
+        "epochs", "batch_size", "learning_rate", "warmup_start_lr", "warmup_peak_lr",
+        "warmup_steps", "use_warmup", "adagrad_decay", "gradient_clip_norm", "shuffle", "seed",
+    ]
+    assert [field.name for field in dataclasses.fields(OnlineTrainConfig)] == [
+        "batch_size", "passes_per_refresh", "replay_window", "learning_rate", "lr_decay",
+        "seed", "min_impressions",
+    ]
+    assert optim.__all__ == ["AdagradDecay", "LinearWarmup"]

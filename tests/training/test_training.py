@@ -11,6 +11,7 @@ from repro.models import MODEL_REGISTRY, create_model
 from repro.training import (
     TrainConfig,
     Trainer,
+    build_optimizer,
     evaluate_model,
     format_table,
     predict_dataset,
@@ -23,7 +24,7 @@ from repro.training import (
 class TestTrainConfig:
     def test_defaults_follow_paper_recipe(self):
         config = TrainConfig()
-        assert config.optimizer == "adagrad_decay"
+        assert 0.0 < config.adagrad_decay < 1.0
         assert config.use_warmup
         assert config.batch_size >= 256
 
@@ -32,8 +33,6 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(optimizer="lbfgs")
 
 
 class TestTrainer:
@@ -46,21 +45,22 @@ class TestTrainer:
         assert result.steps == len(result.step_losses)
         assert result.train_seconds > 0
 
-    def test_callback_and_eval_reports(self, eleme_dataset, small_model_config):
+    def test_callback_sees_every_step(self, eleme_dataset, small_model_config):
         model = create_model("wide_deep", eleme_dataset.schema, small_model_config)
         seen = []
-        config = TrainConfig(epochs=1, batch_size=512, warmup_steps=5, eval_every_epoch=True)
+        config = TrainConfig(epochs=1, batch_size=512, warmup_steps=5)
         result = Trainer(config).fit(
-            model, eleme_dataset.train, eval_data=eleme_dataset.test,
+            model, eleme_dataset.train,
             callback=lambda step, loss: seen.append((step, loss)),
         )
         assert len(seen) == result.steps
-        assert len(result.eval_reports) == 1
 
-    @pytest.mark.parametrize("optimizer", ["adagrad_decay", "adagrad", "adam", "sgd"])
-    def test_all_optimizers_supported(self, optimizer, eleme_dataset, small_model_config):
+    # AdagradDecay is the one optimizer; decay 1.0 is the online refresh's
+    # plain Adagrad.
+    @pytest.mark.parametrize("decay", [0.9999, 1.0], ids=["adagrad_decay", "adagrad"])
+    def test_all_optimizers_supported(self, decay, eleme_dataset, small_model_config):
         model = create_model("wide_deep", eleme_dataset.schema, small_model_config)
-        config = TrainConfig(epochs=1, batch_size=1024, optimizer=optimizer,
+        config = TrainConfig(epochs=1, batch_size=1024, adagrad_decay=decay,
                              learning_rate=0.01, use_warmup=False)
         result = Trainer(config).fit(model, eleme_dataset.train)
         assert np.isfinite(result.final_loss)
@@ -89,6 +89,23 @@ class TestTrainer:
         assert any(not np.array_equal(value, weights[key])
                    for key, value in model.state_dict().items())
         assert model.serving_uid != before
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "build_optimizer starts the optimizer at learning_rate (0.05) and LinearWarmup sets the "
+    "rate only after each step, so step 1 runs at the peak; the fix moves "
+    "PARENT_TRAIN_DIGESTS and every trained table, so it waits for a re-pin"))
+def test_first_step_runs_at_the_warmup_start(eleme_dataset, small_model_config):
+    """The warm-up starts at ``warmup_start_lr`` and only rises from there."""
+    config = TrainConfig()
+    model = create_model("wide_deep", eleme_dataset.schema, small_model_config)
+    optimizer, scheduler = build_optimizer(model, config)
+    rates = [optimizer.lr]  # the rate step 1 runs at
+    for _ in range(2):
+        scheduler.step()
+        rates.append(optimizer.lr)
+    assert rates[0] == pytest.approx(config.warmup_start_lr)
+    assert rates == sorted(rates)
 
 
 # sha256 over 20 step losses + every final parameter and buffer, computed at
@@ -121,7 +138,7 @@ class TestTrainingBitEquality:
                                                           small_model_config, model_name):
         steps, batch_size = 20, 256
         rows = np.arange(steps * batch_size) % len(eleme_dataset.train)
-        config = TrainConfig(epochs=1, batch_size=batch_size, optimizer="adagrad_decay",
+        config = TrainConfig(epochs=1, batch_size=batch_size,
                              gradient_clip_norm=5.0, shuffle=False, warmup_steps=10, seed=1)
         model = create_model(model_name, eleme_dataset.schema, small_model_config)
         result = Trainer(config).fit(model, eleme_dataset.train.subset(rows))
