@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.models import ModelStore, create_model
 from repro.serving import (
     ABTestConfig,
     ABTestSimulator,
+    DurableStateStore,
     OnlineRequestEncoder,
     PipelineConfig,
     Ranker,
@@ -19,6 +21,7 @@ from repro.serving import (
     ServingState,
     build_pipeline,
     generate_burst,
+    state_fingerprint,
 )
 from repro.training import IncrementalTrainer, OnlineTrainConfig, Trainer
 
@@ -325,6 +328,73 @@ def test_lifecycle_bytes_are_pinned(eleme_dataset, small_model_config, serving_s
         digests[f"{prefix}.state_dict"] = _array_digest(model.state_dict())
         pipeline.swap_model(model)
     assert digests == LIFECYCLE_DIGESTS
+
+
+# sha256 digests of one seeded feedback stream's replay window, computed while
+# a replay entry was an encoded one-session ``EncodedDataset``.  The stream
+# evicts at ``max_impressions``, logs zero-click and zero-item exposures and a
+# user with no history, and that user's history grows between log and window.
+REPLAY_DIGESTS = {
+    "window": "2969d664c143eeb5419b4198095fa9b96c9eef954986c98b9a79cec2156803bc",
+    "merged_batch": "6aa277d8868584f8a35663cacf773676d813a4478534889343e486031ac07738",
+    "window_last_n": "5a7bc5a6b44b721c50001b4b1110209530d0950cb83296eb245f06a353474cf1",
+}
+REPLAY_EVENTS = 24
+#: The stream's new user: the adopted state's history of this user is dropped.
+FRESH_USER = 7
+
+
+def _replay_stream(state, world, rng, steps):
+    """Feed the seeded stream's events ``steps`` through ``record_clicks``."""
+    for step in steps:
+        context = world.sample_request_context(50 + step // 8, rng)
+        items = rng.choice(world.config.num_items, size=5, replace=False)
+        clicks = (rng.random(5) < 0.4).astype(np.float32)
+        if step % 4 == 3:
+            clicks[:] = 0.0
+        if step in (10, 15, 20):  # no history at 10; it has grown by 15 and 20
+            context = dataclasses.replace(context, user_index=FRESH_USER)
+            clicks[0] = 1.0
+        if step == 13:
+            items, clicks = items[:0], clicks[:0]
+        state.record_clicks(context, items, clicks, rng=rng)
+
+
+def _replay_digests(replay):
+    return {
+        "window": _array_digest(replay.window().to_arrays()),
+        "merged_batch": _batch_digest(replay.merged_batch()),
+        "window_last_n": _array_digest(replay.window(last_n=5).to_arrays()),
+    }
+
+
+def test_replay_window_bytes_are_pinned(eleme_dataset, serving_setup):
+    state, encoder = serving_setup
+    del state.histories[FRESH_USER]
+    replay = state.attach_replay(ReplayBuffer(encoder, max_impressions=16))
+    _replay_stream(state, eleme_dataset.world, np.random.default_rng(31), range(REPLAY_EVENTS))
+    assert len(replay) == 16 and replay.impressions_logged == REPLAY_EVENTS
+    assert _replay_digests(replay) == REPLAY_DIGESTS
+
+
+def test_replay_window_recovers_from_snapshot_and_journal(eleme_dataset, serving_setup,
+                                                          tmp_path):
+    """A snapshot taken mid-stream plus the journal tail rebuild the live window."""
+    state, encoder = serving_setup
+    world = eleme_dataset.world
+    del state.histories[FRESH_USER]
+    state.attach_replay(ReplayBuffer(encoder, max_impressions=16))
+    rng = np.random.default_rng(31)
+    with DurableStateStore(tmp_path) as store:
+        store.attach(state)
+        _replay_stream(state, world, rng, range(REPLAY_EVENTS // 2))
+        store.snapshot(state)
+        _replay_stream(state, world, rng, range(REPLAY_EVENTS // 2, REPLAY_EVENTS))
+    recovered, report = DurableStateStore(tmp_path).recover(
+        world, encoder=encoder, attach=False, warm=False)
+    assert report.journal_records_replayed == REPLAY_EVENTS // 2
+    assert state_fingerprint(recovered) == state_fingerprint(state)
+    assert _replay_digests(recovered.replay) == _replay_digests(state.replay) == REPLAY_DIGESTS
 
 
 # ---------------------------------------------------------------------- #
