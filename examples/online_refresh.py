@@ -13,7 +13,8 @@ serving, **continuous refresh**:
 5. compare the frozen and refreshed models on a fresh post-drift slice.
 
 Run with:  python examples/online_refresh.py [--days 3] [--requests-per-day 400]
-The model store is written under results/model_store/.
+The model store is written under results/model_store/.  The program exits 1
+when the refreshed model's AUC is not above the frozen one's.
 """
 
 from __future__ import annotations
@@ -143,6 +144,9 @@ def main() -> None:
           f"  (+{refreshed_auc - frozen_auc:.4f})")
     print(f"\nModel store now holds versions {store.versions(v1.name)} "
           f"under {store.root}")
+    if refreshed_auc <= frozen_auc:
+        sys.exit(f"the refresh did not beat the frozen model: AUC {refreshed_auc:.4f} "
+                 f"<= {frozen_auc:.4f}")
 
 
 if __name__ == "__main__":

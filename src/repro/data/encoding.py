@@ -35,8 +35,8 @@ class EncodedDataset:
     Behaviour sequences are stored per *session* and joined through
     ``session_index`` at batch time, which keeps memory proportional to the
     number of requests instead of the number of impressions.  The offline
-    log encodes into one; the serving replay buffer logs each exposure as a
-    one-session one and trains on their :meth:`concat`.
+    log encodes into one, and so does the serving replay buffer's window of
+    logged exposures, one session per exposure.
     """
 
     schema: FeatureSchema
@@ -72,40 +72,13 @@ class EncodedDataset:
     def overall_ctr(self) -> float:
         return float(self.labels.mean()) if len(self.labels) else 0.0
 
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def concat(cls, parts: Sequence["EncodedDataset"]) -> "EncodedDataset":
-        """Stack ``parts`` row-wise in order; each keeps its own sessions."""
-        if not parts:
-            raise ValueError("concat needs at least one dataset")
-        exported = [part.to_arrays() for part in parts]
-        start = 0
-        for part, arrays in zip(parts, exported):
-            arrays["session_index"] = part.session_index + start
-            start += part.num_sessions
-        return cls.from_arrays(parts[0].schema, {
-            name: np.concatenate([arrays[name] for arrays in exported]) for name in exported[0]
-        })
-
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Every array under a flat name (``fields.<field>`` for field ids);
-        :meth:`from_arrays` is the inverse."""
+        """Every array under a flat name (``fields.<field>`` for field ids)."""
         arrays = {f"fields.{name}": ids for name, ids in self.field_ids.items()}
         for column in fields(self):
             if column.name not in ("schema", "field_ids"):
                 arrays[column.name] = getattr(self, column.name)
         return arrays
-
-    @classmethod
-    def from_arrays(cls, schema: FeatureSchema, arrays: Dict[str, np.ndarray]
-                    ) -> "EncodedDataset":
-        """Rebuild a dataset from :meth:`to_arrays`' output (fields in schema order)."""
-        field_ids = {
-            name: arrays[f"fields.{name}"]
-            for name in schema.field_names if f"fields.{name}" in arrays
-        }
-        columns = {key: value for key, value in arrays.items() if not key.startswith("fields.")}
-        return cls(schema=schema, field_ids=field_ids, **columns)
 
     # ------------------------------------------------------------------ #
     def subset(self, indices: np.ndarray) -> "EncodedDataset":

@@ -11,7 +11,7 @@ window through its one :meth:`BehaviorHistory.snapshot`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,26 +69,29 @@ class BehaviorHistory:
             self.append(item, int(world.item_category[item]), int(world.item_brand[item]),
                         context.time_period, context.hour, context.city, prefix)
 
-    def snapshot(self, time_period: int, geohash_prefix: str, max_length: int
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def snapshot(self, time_period: int, geohash_prefix: str, max_length: int,
+                 upto: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The last ``max_length`` clicks as a request sees them.
 
         Returns ``(ids, mask, st_mask)``: ``(max_length, 6)`` int64 raw ids in
         :data:`BEHAVIOR_COLUMNS` order, shifted by one so 0 stays padding; the
         float32 valid-position mask; and the float32 mask of clicks made in the
-        request's time-period under the request's geohash prefix.
+        request's time-period under the request's geohash prefix.  ``upto``
+        reads the history as it stood when it held ``upto`` clicks: a history
+        only grows, so its length is a watermark.
         """
+        end = len(self) if upto is None else upto
         ids = np.zeros((max_length, len(self.ID_COLUMNS)), dtype=np.int64)
         mask = np.zeros(max_length, dtype=np.float32)
         st_mask = np.zeros(max_length, dtype=np.float32)
-        start = max(0, len(self) - max_length)
-        count = len(self) - start
+        start = max(0, end - max_length)
+        count = end - start
         if count == 0:
             return ids, mask, st_mask
-        window = np.array([getattr(self, name)[start:] for name in self.ID_COLUMNS],
+        window = np.array([getattr(self, name)[start:end] for name in self.ID_COLUMNS],
                           dtype=np.int64).T
         ids[:count] = window + 1
         mask[:count] = 1.0
-        prefixes = np.asarray(self.geohash_prefixes[start:], dtype=object)
+        prefixes = np.asarray(self.geohash_prefixes[start:end], dtype=object)
         st_mask[:count] = (window[:, 3] == time_period) & (prefixes == geohash_prefix)
         return ids, mask, st_mask

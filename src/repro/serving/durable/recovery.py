@@ -12,8 +12,8 @@ fall back to the previous one), rebuilds a :class:`ServingState` from it,
 and replays every committed journal record past the snapshot's high-water
 sequence through the exact same mutation path the live system uses
 (:meth:`ServingState.apply_feedback`) — replay logging included, so the
-recovered replay window re-encodes against the very state the live encoder
-saw.  The result is byte-identical to the never-crashed state, which the
+recovered replay records hold the very values the live ones read.  The
+result is byte-identical to the never-crashed state, which the
 fault-injection tier proves with :func:`~repro.serving.durable.snapshot.
 state_fingerprint` at every injected crash point.
 
@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional
 
 from ...data.world import RequestContext, SyntheticWorld
-from ..replay import ReplayBuffer
 from ..state import FeatureCache, ServingState
 from .journal import FSYNC_POLICIES, Journal, scan_journal
 from .snapshot import SnapshotStore, apply_payload
@@ -182,8 +181,8 @@ class DurableStateStore:
         """Reconstruct the serving state: latest valid snapshot ⊕ journal replay.
 
         Returns ``(state, report)``.  ``encoder`` is required when the
-        snapshot carries a replay window (the recovered buffer re-encodes
-        replayed feedback exactly as the live one did) and is what cache
+        snapshot carries a replay window (the recovered buffer encodes its
+        records exactly as the live one does) and is what cache
         warming primes.  ``features`` adopts a surviving cache object instead
         of a cold one — its volatile tier is always dropped
         (``invalidate_volatile``): recovery cannot prove a pre-crash
@@ -203,17 +202,13 @@ class DurableStateStore:
             # reflects mutations the journal lost: stale-by-construction.
             features.invalidate_volatile()
             state.features = features
-        replay: Optional[ReplayBuffer] = None
-        has_replay = payload is not None and payload.manifest.get("replay") is not None
-        if has_replay:
-            if encoder is None:
+        if payload is not None:
+            if payload.manifest.get("replay") is not None and encoder is None:
                 raise RecoveryError(
                     "snapshot holds a replay window; recovery needs the online "
                     "encoder to rebuild the ReplayBuffer"
                 )
-            replay = ReplayBuffer(encoder)
-        if payload is not None:
-            apply_payload(state, payload, replay=replay)
+            apply_payload(state, payload, encoder)
             report.snapshot_generation = info.generation
             report.snapshot_sequence = payload.journal_sequence
 

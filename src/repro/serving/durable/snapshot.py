@@ -2,16 +2,17 @@
 
 A snapshot freezes everything durable about a :class:`ServingState` — the
 click/order/exposure counters, the per-(item, period) tables, every user's
-behaviour history, the replay-buffer window (entry order and dtypes
+behaviour history, the replay-buffer window (record order and dtypes
 preserved), the recent-context warm list, and the journal high-water
 sequence number — into one ``state-NNNNNN.npz`` generation in the same
 spirit as :mod:`repro.models.store`'s versioned checkpoints.  Bulk state is
-npz arrays (numpy's own format); replay entry ``i`` is its
-:class:`repro.data.encoding.EncodedDataset`'s own ``to_arrays`` export under
-``replayNNNNN.`` and is rebuilt with ``from_arrays``; the recent contexts
-are one ``uint8`` array of back-to-back :mod:`repro.serving.wire` contexts;
-the manifest (scalars, replay bookkeeping, checksum) is JSON.  A generation
-of another format version is refused, not converted.
+npz arrays (numpy's own format); the replay window's
+:class:`repro.serving.replay.ReplayRecord` s are flat columns (items, labels,
+item counters end to end; rows, user counters and watermark per record);
+contexts — the records' and the recent ones — are ``uint8`` arrays of
+back-to-back :mod:`repro.serving.wire` contexts; the manifest (scalars,
+replay bookkeeping, checksum) is JSON.  A generation of another format
+version is refused, not converted.
 
 Writes are atomic (write-temp-then-``os.replace``), so a crash mid-snapshot
 can never leave a truncated generation visible to :meth:`SnapshotStore.
@@ -33,16 +34,18 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...data.encoding import EncodedDataset
 from ...features.behavior import BehaviorHistory
 from ...utils import atomic_savez
 from .. import wire
 from ..replay import ReplayBuffer
 from ..state import ServingState
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from ..encoder import OnlineRequestEncoder
 
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
@@ -55,7 +58,7 @@ __all__ = [
 ]
 
 #: Bumped whenever the on-disk snapshot layout changes incompatibly.
-SNAPSHOT_FORMAT_VERSION = 3
+SNAPSHOT_FORMAT_VERSION = 4
 
 _MANIFEST_KEY = "__manifest__"
 _GENERATION_PATTERN = re.compile(r"^state-(\d{6,})\.npz$")
@@ -146,10 +149,7 @@ def extract_payload(state: ServingState) -> SnapshotPayload:
         arrays["history_prefixes"] = prefixes
         for column, values in columns.items():
             arrays[f"history_{column}"] = values
-        arrays["recent_contexts"] = np.frombuffer(
-            b"".join(wire.pack_context(context) for context in state.recent_contexts),
-            dtype=np.uint8,
-        )
+        arrays["recent_contexts"] = wire.pack_contexts(state.recent_contexts)
 
         manifest: Dict[str, object] = {
             "format_version": SNAPSHOT_FORMAT_VERSION,
@@ -161,28 +161,26 @@ def extract_payload(state: ServingState) -> SnapshotPayload:
         }
         replay = state.replay
         if replay is not None:
-            impressions = list(replay._impressions)
             manifest["replay"] = {
                 "max_impressions": int(replay.max_impressions),
-                "count": len(impressions),
+                "count": len(replay),
                 "impressions_logged": int(replay.impressions_logged),
                 "rows_logged": int(replay.rows_logged),
                 "clicks_logged": int(replay.clicks_logged),
             }
-            for index, impression in enumerate(impressions):
-                for name, array in impression.to_arrays().items():
-                    arrays[f"replay{index:05d}.{name}"] = array.copy()
+            arrays.update((f"replay_{name}", array)
+                          for name, array in replay.to_arrays().items())
     manifest["checksum"] = _checksum(arrays, manifest)
     return SnapshotPayload(arrays=arrays, manifest=manifest)
 
 
 def apply_payload(state: ServingState, payload: SnapshotPayload,
-                  replay: Optional[ReplayBuffer] = None) -> None:
+                  encoder: Optional["OnlineRequestEncoder"] = None) -> None:
     """Load ``payload`` into a freshly constructed ``state``.
 
-    ``replay`` (when the payload recorded a replay window) must be an empty
-    buffer built against the recovering process's encoder; its window,
-    lifetime counters and bound are restored from the payload.
+    A payload with a replay window attaches a :class:`ReplayBuffer` over
+    ``encoder`` (the recovering process's) holding the window's records,
+    lifetime counters and bound.
     """
     arrays, manifest = payload.arrays, payload.manifest
     state.user_clicks = arrays["user_clicks"].copy()
@@ -202,40 +200,26 @@ def apply_payload(state: ServingState, payload: SnapshotPayload,
                for name in BehaviorHistory.ID_COLUMNS},
             geohash_prefixes=arrays["history_prefixes"][start:stop].tolist(),
         )
-    packed = arrays["recent_contexts"].tobytes()
-    contexts, offset = [], 0
-    while offset < len(packed):
-        context, offset = wire.unpack_context(packed, offset)
-        contexts.append(context)
-    state.recent_contexts = deque(contexts, maxlen=state.recent_contexts.maxlen)
+    state.recent_contexts = deque(wire.unpack_contexts(arrays["recent_contexts"]),
+                                  maxlen=state.recent_contexts.maxlen)
     replay_manifest = manifest.get("replay")
     if replay_manifest is not None:
-        if replay is None:
-            raise ValueError(
-                "snapshot holds a replay window; recovery needs a ReplayBuffer "
-                "(pass an encoder to the recovery entry point)"
-            )
-        replay.max_impressions = int(replay_manifest["max_impressions"])
-        entries: List[Dict[str, np.ndarray]] = [{} for _ in range(replay_manifest["count"])]
-        for key, array in arrays.items():
-            if key.startswith("replay"):
-                index, name = key[len("replay"):].split(".", 1)
-                entries[int(index)][name] = array
-        replay._impressions = deque(
-            (EncodedDataset.from_arrays(replay.encoder.schema, entry) for entry in entries),
-            maxlen=replay.max_impressions,
-        )
+        if encoder is None:
+            raise ValueError("snapshot holds a replay window; applying it needs the encoder")
+        replay = state.attach_replay(
+            ReplayBuffer(encoder, max_impressions=int(replay_manifest["max_impressions"])))
+        replay.load_arrays({key[len("replay_"):]: array for key, array in arrays.items()
+                            if key.startswith("replay_")})
         replay.impressions_logged = int(replay_manifest["impressions_logged"])
         replay.rows_logged = int(replay_manifest["rows_logged"])
         replay.clicks_logged = int(replay_manifest["clicks_logged"])
-        state.attach_replay(replay)
 
 
 def state_fingerprint(state: ServingState) -> str:
     """Checksum of everything a snapshot would persist — the equality oracle.
 
     Two states with equal fingerprints agree byte-for-byte on counters,
-    per-(item, period) tables, histories, the replay window (entry order,
+    per-(item, period) tables, histories, the replay window (record order,
     dtypes and lifetime totals included), recent contexts, and the feedback
     sequence number.  The transient :class:`FeatureCache` is deliberately
     excluded: it is a cache, not state.

@@ -6,7 +6,8 @@ live :class:`ServingState`, request contexts and their candidate lists,
 were trained on, factored by request — user, context and behaviour once per
 request, item and combine fields once per candidate row.  It is the one
 serving encoding: the micro-batching engine in :mod:`repro.serving.ranker`
-scores it and :class:`repro.serving.replay.ReplayBuffer` joins it into the
+scores it, and :class:`repro.serving.replay.ReplayBuffer` encodes its logged
+records through the same :meth:`OnlineRequestEncoder.assemble_split` into the
 offline :class:`repro.data.encoding.EncodedDataset`.  Both sides call the
 same Table I id builders (:mod:`repro.features.table_ids`: one clip and
 shift per field), and a unit test asserts offline and online encodings of a
@@ -41,6 +42,12 @@ from ..features.table_ids import (
 from .state import ServingState
 
 __all__ = ["OnlineRequestEncoder"]
+
+
+def joined(parts, dtype) -> np.ndarray:
+    """``parts`` end to end as one ``dtype`` array (empty when there are none)."""
+    return np.concatenate([np.zeros(0, dtype=dtype)]
+                          + [np.asarray(part, dtype=dtype) for part in parts])
 
 
 class OnlineRequestEncoder:
@@ -123,22 +130,48 @@ class OnlineRequestEncoder:
         """
         if len(contexts) != len(candidate_lists):
             raise ValueError("contexts and candidate_lists must have equal length")
+        counts = np.array([len(c) for c in candidate_lists], dtype=np.int64)
+        candidates = joined(candidate_lists, np.int64)
+        num_items = self.world.config.num_items
+        outside = (candidates < 0) | (candidates >= num_items)
+        if outside.any():
+            raise ValueError(f"candidate item ids must lie in [0, {num_items}), "
+                             f"got {sorted(set(candidates[outside].tolist()))}")
+        users = np.array([context.user_index for context in contexts], dtype=np.int64)
+
+        # One behaviour slot per request with rows: an unreferenced slot would
+        # make the per-request tensors the models dedup against disagree.
+        kept = np.flatnonzero(counts)
+        max_length = self.schema.max_sequence_length
+        behavior = np.empty((len(kept), max_length, len(self.schema.sequence_features)),
+                            dtype=np.int64)
+        mask = np.empty((len(kept), max_length), dtype=np.float32)
+        st_mask = np.empty((len(kept), max_length), dtype=np.float32)
+        for slot, request_index in enumerate(kept):
+            behavior[slot], mask[slot], st_mask[slot] = self._behavior_entry(
+                contexts[request_index], state)
+
+        split_batch = self.assemble_split(
+            contexts, counts, candidates, state.item_clicks[candidates],
+            state.user_orders[users], state.user_clicks[users], (behavior, mask, st_mask), state,
+        )
+        return split_batch, np.concatenate([[0], np.cumsum(counts)])
+
+    def assemble_split(self, contexts: Sequence[RequestContext], counts: np.ndarray,
+                       candidates: np.ndarray, shop_clicks: np.ndarray, user_orders: np.ndarray,
+                       user_clicks: np.ndarray, behavior: Tuple[np.ndarray, ...],
+                       state: ServingState) -> Dict[str, np.ndarray]:
+        """:meth:`encode_split`'s batch from the live values it read: each row's
+        item click counter, each request's user counters, and the encoded
+        ``(ids, mask, st_mask)`` of each request with rows.  ``state`` gives
+        only static id tables, so :meth:`repro.serving.replay.ReplayBuffer.window`
+        encodes logged values through this same code."""
         world = self.world
         num_requests = len(contexts)
-
-        counts = np.array([len(c) for c in candidate_lists], dtype=np.int64)
-        total = int(counts.sum())
-        offsets = np.concatenate([[0], np.cumsum(counts)])
+        total = len(candidates)
         #: row -> request index, the backbone of every per-request broadcast.
         row_map = np.repeat(np.arange(num_requests, dtype=np.int64), counts)
-
-        flat_candidates = np.concatenate(  # the empty head keeps zero requests legal
-            [np.zeros(0, dtype=np.int64)] + [np.asarray(c, dtype=np.int64) for c in candidate_lists])
-        outside = (flat_candidates < 0) | (flat_candidates >= world.config.num_items)
-        if outside.any():
-            raise ValueError(f"candidate item ids must lie in [0, {world.config.num_items}), "
-                             f"got {sorted(set(flat_candidates[outside].tolist()))}")
-        positions = np.arange(total, dtype=np.int64) - offsets[row_map]
+        positions = np.arange(total, dtype=np.int64) - (np.cumsum(counts) - counts)[row_map]
 
         users, periods, cities, hours, days = np.array(
             [(c.user_index, c.time_period, c.city, c.hour, c.day) for c in contexts], dtype=np.int64
@@ -151,48 +184,28 @@ class OnlineRequestEncoder:
         ).reshape(num_requests, 2)
 
         # --- candidate item and combine fields (vectorised over all rows) #
-        distance = world.distances_to_locations(flat_candidates, locations[row_map])
+        distance = world.distances_to_locations(candidates, locations[row_map])
         distance_bucket = distance_buckets(distance, world.config.city_radius_degrees)
         item_field = np.concatenate(
-            [self.item_static_table(state)[flat_candidates],
-             item_dynamic_ids(self.schema, state.item_clicks[flat_candidates],
-                              distance_bucket, positions)],
+            [self.item_static_table(state)[candidates],
+             item_dynamic_ids(self.schema, shop_clicks, distance_bucket, positions)],
             axis=1,
         )
-        combine_field = combine_ids(self.schema, world, users[row_map], flat_candidates,
+        combine_field = combine_ids(self.schema, world, users[row_map], candidates,
                                     periods[row_map], distance_bucket)
 
-        # --- behaviour sequences (cached, deduplicated per request) ----- #
-        # One slot per request that actually has candidate rows: a request
-        # with an empty candidate set must not leave an unreferenced row in
-        # behavior_unique, or the per-request context/behaviour tensors the
-        # models dedup against would disagree in length.
-        kept = np.flatnonzero(counts > 0)
         slot_of_request = np.full(num_requests, -1, dtype=np.int64)
-        slot_of_request[kept] = np.arange(len(kept))
-
-        sequence_width = len(self.schema.sequence_features)
-        max_length = self.schema.max_sequence_length
-        behavior_unique = np.empty((len(kept), max_length, sequence_width), dtype=np.int64)
-        mask_unique = np.empty((len(kept), max_length), dtype=np.float32)
-        st_mask_unique = np.empty((len(kept), max_length), dtype=np.float32)
-        for slot, request_index in enumerate(kept):
-            behavior, mask, st_mask = self._behavior_entry(contexts[request_index], state)
-            behavior_unique[slot] = behavior
-            mask_unique[slot] = mask
-            st_mask_unique[slot] = st_mask
-
-        split_batch = {
+        slot_of_request[counts > 0] = np.arange(len(behavior[0]))
+        return {
             "row_map": row_map,
-            "candidates": flat_candidates,
+            "candidates": candidates,
             "user_rows": user_ids(self.schema, self._user_static_table(state)[users],
-                                  state.user_orders[users], state.user_clicks[users]),
+                                  user_orders, user_clicks),
             "context_rows": context_ids(self.schema, periods, hours, cities, geohashes, days),
             "item_field": item_field,
             "combine_ids": combine_field,
-            "behavior_unique": behavior_unique,
-            "behavior_mask_unique": mask_unique,
-            "behavior_st_mask_unique": st_mask_unique,
+            "behavior_unique": behavior[0],
+            "behavior_mask_unique": behavior[1],
+            "behavior_st_mask_unique": behavior[2],
             "behavior_row_map": slot_of_request[row_map],
         }
-        return split_batch, offsets

@@ -13,9 +13,10 @@ keyed by a caller-chosen tuple plus a version number; ``record_clicks`` bumps
 the per-user version so stale behaviour snapshots are never served.
 
 When a :class:`repro.serving.replay.ReplayBuffer` is attached
-(:meth:`ServingState.attach_replay`), ``record_clicks`` also logs each
-exposure with its click labels before applying the feedback — the raw
-material of the continuous-refresh lifecycle.
+(:meth:`ServingState.attach_replay`), ``record_clicks`` also records each
+exposure with its click labels and the counters it was ranked with before
+applying the feedback — the raw material of the continuous-refresh
+lifecycle.
 """
 
 from __future__ import annotations
@@ -162,11 +163,11 @@ class ServingState:
         self.histories: Dict[int, BehaviorHistory] = {}
         self.features = FeatureCache()
         #: Serialises every state write (``record_clicks``, replay logging)
-        #: and the multi-array history reads (``behavior_snapshot``), so
-        #: concurrent cluster workers and feedback threads cannot interleave
-        #: a half-applied click with a behaviour-window read.  Reentrant:
-        #: ``record_clicks`` holds it across the replay encode, which reads
-        #: the behaviour snapshot back through the same lock.
+        #: and the multi-array history reads (``behavior_snapshot``, the
+        #: replay window's history copy), so concurrent cluster workers and
+        #: feedback threads cannot interleave a half-applied click with a
+        #: behaviour-window read.  Reentrant: ``record_clicks`` holds it
+        #: across ``apply_feedback``, which takes it again for recovery.
         self.lock = threading.RLock()
         # Bumped whenever a user's history or counters change; consumed by the
         # feature cache so per-user entries expire on write.
@@ -223,7 +224,8 @@ class ServingState:
                                     context.geohash[: self.geohash_match_prefix], max_length)
 
     def attach_replay(self, replay: "ReplayBuffer") -> "ReplayBuffer":
-        """Start logging every fed-back exposure into ``replay``."""
+        """Log every fed-back exposure into ``replay``, bound to this state."""
+        replay.bind(self)
         self.replay = replay
         return replay
 
@@ -262,8 +264,8 @@ class ServingState:
         """Update user and item state after a served request.
 
         When a replay buffer is attached the exposure is logged *first*, so
-        the stored features are exactly the pre-feedback ones the ranker
-        scored — no-click exposures included, since those are the negative
+        the record holds exactly the pre-feedback values the ranker scored
+        with — no-click exposures included, since those are the negative
         examples incremental training needs.
 
         The whole update — journal append, replay logging, history append,

@@ -1,8 +1,8 @@
 """The one byte layout for what leaves a process: request contexts and 1-D arrays.
 
 The worker pipe's frames, the feedback journal's records and the snapshot's
-recent-context list all write a :class:`RequestContext`, and the arrays
-beside it, through this module.  Little-endian::
+context lists (recent contexts, replay records) all write a
+:class:`RequestContext`, and the arrays beside it, through this module.  Little-endian::
 
     context  <qqqqqdd  user_index, day, hour, time_period, city, latitude,
                        longitude; then geohash as a str
@@ -30,10 +30,12 @@ __all__ = [
     "expect_end",
     "pack_array",
     "pack_context",
+    "pack_contexts",
     "pack_str",
     "unpack",
     "unpack_array",
     "unpack_context",
+    "unpack_contexts",
     "unpack_str",
 ]
 
@@ -90,6 +92,19 @@ def unpack_context(blob: bytes, offset: int) -> tuple[RequestContext, int]:
     fields, offset = unpack(_CONTEXT, blob, offset)
     geohash, offset = unpack_str(blob, offset)
     return RequestContext(*fields, geohash), offset
+
+
+def pack_contexts(contexts) -> np.ndarray:
+    """Contexts back to back, as the ``uint8`` array a snapshot stores."""
+    return np.frombuffer(b"".join(map(pack_context, contexts)), dtype=np.uint8)
+
+
+def unpack_contexts(packed: np.ndarray) -> list[RequestContext]:
+    blob, contexts, offset = packed.tobytes(), [], 0
+    while offset < len(blob):
+        context, offset = unpack_context(blob, offset)
+        contexts.append(context)
+    return contexts
 
 
 def pack_array(array: np.ndarray | None) -> bytes:

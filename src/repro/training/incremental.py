@@ -8,7 +8,7 @@ reproduction's offline :class:`repro.training.trainer.Trainer` covers the
 initial fit; this module closes the loop:
 
 * :class:`repro.serving.replay.ReplayBuffer` accumulates the impressions and
-  clicks the serving stack observes, each as a one-session
+  clicks the serving stack observes and encodes its window as one
   :class:`repro.data.encoding.EncodedDataset`;
 * :class:`IncrementalTrainer` warm-starts from the deployed parameters and
   iterates the newest replay window with the offline

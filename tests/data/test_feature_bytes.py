@@ -24,10 +24,11 @@ PARENT_DIGESTS = {
     "eleme_encoded": "af9e5a66274e59f5b106698cc1661e594dc27780f957b06898d3a91da1f0f146",
     "public_log": "787fa6e1710285634c7aed337cc0f9ac397bd2974bc3b984f09c27e96ef5174b",
     "public_encoded": "6cc8e72f6a200e35f79b3ee605db03a61270d2b5d1e86c7399a7f55dca2f6e78",
-    # Re-pinned once when SNAPSHOT_FORMAT_VERSION went 2 -> 3: the manifest's
-    # format_version is checksummed, and with it forced back to 2 the state
-    # still hashes to the old a77180e4ca7082c1... digest.
-    "eleme_adopted_state": "66e070be0abba0d9a487cc1c644a8bface1d13b5b5868a9e8a91f3f4e6a3c0e3",
+    # Re-pinned once each when SNAPSHOT_FORMAT_VERSION went 2 -> 3 and 3 -> 4:
+    # the manifest's format_version is checksummed, and with it forced back
+    # to 2 / 3 the state still hashes to the old a77180e4ca7082c1... /
+    # 66e070be0abba0d9... digest.
+    "eleme_adopted_state": "5af7c9feceb5fe8575e637a33bfa7fccbda7734dca71760a8d7509d65307eaa1",
 }
 
 

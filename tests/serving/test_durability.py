@@ -603,22 +603,23 @@ class TestSnapshots:
         assert info.generation == 1 and skipped == []
 
     def test_other_format_versions_are_refused(self, world, tmp_path):
-        """A v1 generation (recent contexts as JSON in the manifest) or a v2
-        one (replay entries spelled column by column) is not read as v3:
-        loading it names both versions, and recovery skips it."""
+        """A v1 generation (recent contexts as JSON in the manifest), a v2 one
+        (replay entries spelled column by column) or a v3 one (one encoded
+        dataset per replay entry) is not read as v4: loading it names both
+        versions, and recovery skips it."""
         store = SnapshotStore(tmp_path)
         state = ServingState(world)
         drive_feedback(state, world, seed=51, count=3)
         info = store.write(state)
         with np.load(info.path) as archive:
             arrays = {name: archive[name] for name in archive.files}
-        for version in (1, 2):
+        for version in (1, 2, 3):
             manifest = json.loads(str(arrays["__manifest__"]))
             manifest["format_version"] = version
             arrays["__manifest__"] = np.array(json.dumps(manifest, sort_keys=True))
             np.savez(info.path, **arrays)
             with pytest.raises(SnapshotCorruptError,
-                               match=f"format v{version}, supported v3"):
+                               match=f"format v{version}, supported v4"):
                 store.load(info.generation)
             assert store.load_latest_valid() == (None, None, [info.generation])
 

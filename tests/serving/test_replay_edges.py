@@ -3,6 +3,8 @@ durable-snapshot round-trip preserving entry order and dtypes exactly."""
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -37,13 +39,13 @@ class TestReplayEdges:
         replay = state.attach_replay(ReplayBuffer(encoder, max_impressions=3))
 
         log_impressions(state, world, count=3)
-        labels_at_bound = [imp.labels.copy() for imp in replay._impressions]
+        labels_at_bound = [record.labels.copy() for record in replay.records]
         assert len(replay) == 3  # full, nothing evicted yet
 
         log_impressions(state, world, count=1, seed=99)
         assert len(replay) == 3  # the bound holds...
         assert replay.impressions_logged == 4  # ...lifetime counters do not
-        survivors = [imp.labels for imp in replay._impressions]
+        survivors = [record.labels for record in replay.records]
         # Oldest-out: entries 2, 3 slid down, the new impression is last.
         assert np.array_equal(survivors[0], labels_at_bound[1])
         assert np.array_equal(survivors[1], labels_at_bound[2])
@@ -84,8 +86,8 @@ class TestReplayEdges:
 
         payload = extract_payload(state)
         restored_state = ServingState(world)
-        restored = ReplayBuffer(encoder, max_impressions=5)
-        apply_payload(restored_state, payload, replay=restored)
+        apply_payload(restored_state, payload, encoder)
+        restored = restored_state.replay
 
         assert restored.max_impressions == replay.max_impressions
         assert len(restored) == len(replay) == 5
@@ -93,18 +95,27 @@ class TestReplayEdges:
         assert restored.rows_logged == replay.rows_logged
         assert restored.clicks_logged == replay.clicks_logged
 
-        for got, expected in zip(restored._impressions, replay._impressions):
-            got_arrays, expected_arrays = got.to_arrays(), expected.to_arrays()
-            assert list(got_arrays) == list(expected_arrays)
-            for name, expected_array in expected_arrays.items():
-                got_array = got_arrays[name]
+        for got, expected in zip(restored.records, replay.records):
+            assert got.context == expected.context
+            for name in ("items", "labels", "item_clicks"):
+                got_array, expected_array = getattr(got, name), getattr(expected, name)
                 assert got_array.dtype == expected_array.dtype, name
                 assert got_array.shape == expected_array.shape, name
                 assert got_array.tobytes() == expected_array.tobytes(), name
-            for name in got.field_ids:
-                assert got.field_ids[name].dtype == np.int64
-        assert restored._impressions[0].labels.dtype == np.float32
-        assert restored._impressions[0].behavior_mask.dtype == np.float32
+            assert ((got.user_orders, got.user_clicks, got.watermark)
+                    == (expected.user_orders, expected.user_clicks, expected.watermark))
+        got, expected = restored.window(), replay.window()
+        got_arrays, expected_arrays = got.to_arrays(), expected.to_arrays()
+        assert list(got_arrays) == list(expected_arrays)
+        for name, expected_array in expected_arrays.items():
+            got_array = got_arrays[name]
+            assert got_array.dtype == expected_array.dtype, name
+            assert got_array.shape == expected_array.shape, name
+            assert got_array.tobytes() == expected_array.tobytes(), name
+        for name in got.field_ids:
+            assert got.field_ids[name].dtype == np.int64
+        assert got.labels.dtype == np.float32
+        assert got.behavior_mask.dtype == np.float32
 
         merged_before = replay.merged_batch()
         merged_after = restored.merged_batch()
@@ -130,3 +141,47 @@ class TestReplayEdges:
             replay.log(state, context, np.array([1, 2]), np.array(labels))
         assert (len(replay), replay.impressions_logged, replay.rows_logged,
                 replay.clicks_logged) == before
+
+
+def _profiled_calls(call) -> int:
+    """Python- and C-level calls ``call()`` makes, counted with ``sys.setprofile``."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestLogWork:
+    """A click's replay log is a few counter reads, not an encode (encoding
+    the exposure into a one-session dataset made 288 profiled calls here)."""
+
+    def _exposure(self, replay_setup):
+        world, encoder = replay_setup
+        state = ServingState(world)
+        replay = state.attach_replay(ReplayBuffer(encoder, max_impressions=4))
+        log_impressions(state, world, count=6)  # warm, evicting
+        context = world.sample_request_context(1, np.random.default_rng(5))
+        return replay, state, context, np.array([3, 1, 4, 1, 5]), np.array([0, 1, 0, 0, 1.0])
+
+    def test_one_log_makes_at_most_40_profiled_calls(self, replay_setup):
+        replay, state, context, items, clicks = self._exposure(replay_setup)
+        calls = _profiled_calls(lambda: replay.log(state, context, items, clicks))
+        assert calls <= 40, calls
+
+    def test_log_never_encodes(self, replay_setup, monkeypatch):
+        replay, state, context, items, clicks = self._exposure(replay_setup)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ReplayBuffer.log called encode_split")
+
+        monkeypatch.setattr(OnlineRequestEncoder, "encode_split", refuse)
+        replay.log(state, context, items, clicks)
+        assert replay.impressions_logged == 7

@@ -55,6 +55,21 @@ class TestServingState:
         assert state.user_clicks[context.user_index] == before + 2
         assert len(state.history(context.user_index)) >= 2
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "record_clicks without rng draws from a fresh default_rng(0) on every call, whose "
+        "first draw (0.637) never falls under order_probability 0.3; the fix moves the "
+        "state bytes the replay and durability pins are computed over, so it waits"))
+    def test_single_clicks_without_a_generator_record_orders(self, eleme_dataset,
+                                                             serving_setup):
+        """About 0.3 of clicked items become orders, generator given or not."""
+        state, _ = serving_setup
+        rng = np.random.default_rng(4)
+        before = int(state.user_orders.sum())
+        for _ in range(400):
+            context = eleme_dataset.world.sample_request_context(51, rng)
+            state.record_clicks(context, np.array([int(rng.integers(300))]), np.array([1.0]))
+        assert int(state.user_orders.sum()) - before > 80
+
 
 class TestOnlineEncoderConsistency:
     def test_encoder_batch_has_model_ready_shapes(self, eleme_dataset, serving_setup):
@@ -72,7 +87,7 @@ class TestOnlineEncoderConsistency:
     def test_offline_and_online_encoders_agree(self, eleme_dataset, monkeypatch, flat_join):
         """Offline/online feature consistency: the same request encodes to the
         same bytes in every column of every field and in the behaviour arrays,
-        both as the replay log joins ``encode_split`` and as the parity
+        both as the replay window encodes a logged exposure and as the parity
         oracle (``flat_join``) does.
 
         A serving state adopts a fresh generator *before* it simulates one
@@ -103,8 +118,9 @@ class TestOnlineEncoderConsistency:
         impressions = np.where(log.session_index == session)[0]
         items = log.item_index[impressions]
         encoder = OnlineRequestEncoder(world, schema)
-        logged = ReplayBuffer(encoder).log(state, contexts[session], items,
-                                           log.label[impressions])
+        replay = ReplayBuffer(encoder)
+        replay.log(state, contexts[session], items, log.label[impressions])
+        logged = replay.window()
         expected = offline.batch(impressions)
         joins = {
             "replay": logged.batch(np.arange(len(logged))),

@@ -455,7 +455,7 @@ def test_serving_graph_option_is_gone(owner, attribute, parameter):
     ("repro.training.incremental", "_take_rows"),
 ])
 def test_replay_copy_of_the_training_layout_is_gone(module, name):
-    """A logged exposure is an ``EncodedDataset`` and a refresh iterates it
+    """A replay window is an ``EncodedDataset`` and a refresh iterates it
     with ``DataLoader``: no second impression type, no second row selector."""
     import importlib
 
